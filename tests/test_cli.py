@@ -9,6 +9,66 @@ from ionherald.cli import (EXIT_CONFIG, EXIT_DATA, load_manifest_config, main,
 from ionherald.sim import read_events
 
 
+# report.kv of `ionherald reproduce --seed 42 --scale 0.1`, recorded with
+# numpy 2.4.6 and scipy 1.17.1 (sha256 6fc09f60...4dacb). Another numpy
+# release may draw different Poisson streams from the same seeds.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_SCIPY = "1.17.1"
+GOLDEN_REPORT_KV = """\
+master_seed=42
+scale=0.1
+rl_coincidences_measured=5
+rl_coincidences_target=7.3
+rl_coincidences_tol=8.10555365
+rl_coincidences_verdict=PASS
+rl_background_measured=1.58415842
+rl_background_target=1.5
+rl_background_tol=3.67423461
+rl_background_verdict=PASS
+rl_visibility_measured=0.80455408
+rl_visibility_target=0.56
+rl_visibility_tol=0.18
+rl_visibility_verdict=FAIL
+hv_coincidences_measured=10
+hv_coincidences_target=9.2
+hv_coincidences_tol=9.09945053
+hv_coincidences_verdict=PASS
+hv_background_measured=2.05940594
+hv_background_target=2.4
+hv_background_tol=4.64758002
+hv_background_verdict=PASS
+hv_visibility_measured=0.444444444
+hv_visibility_target=0.52
+hv_visibility_tol=0.33
+hv_visibility_verdict=PASS
+da_coincidences_measured=6
+da_coincidences_target=6.7
+da_coincidences_tol=7.76530746
+da_coincidences_verdict=PASS
+da_background_measured=1.98019802
+da_background_target=2.1
+da_background_tol=4.34741302
+da_background_verdict=PASS
+da_visibility_measured=0.322580645
+da_visibility_target=0.5
+da_visibility_tol=0.27
+da_visibility_verdict=PASS
+fidelity_measured=0.913860894
+fidelity_target=0.93
+fidelity_tol=0.12
+fidelity_verdict=PASS
+concurrence_measured=0.905862867
+concurrence_target=0.93
+concurrence_tol=0.18
+concurrence_verdict=PASS
+tangle_measured=0.820587534
+tangle_target=0.86
+tangle_tol=0.33
+tangle_verdict=PASS
+all_pass=False
+"""
+
+
 CONFIG_TEXT = """\
 [run]
 seed = 5
@@ -204,3 +264,14 @@ class TestReproduce:
         assert r1 == r2
         assert (tmp_path / "x" / "report.kv").read_bytes() == \
             (tmp_path / "y" / "report.kv").read_bytes()
+
+
+class TestGoldenReport:
+    def test_seed_42_report_is_pinned(self, tmp_path):
+        if np.__version__.split(".")[:2] != GOLDEN_NUMPY.split(".")[:2]:
+            pytest.skip(f"golden report recorded with numpy {GOLDEN_NUMPY}, "
+                        f"this is numpy {np.__version__}")
+        reproduce_paper(42, tmp_path, scale=0.1, quiet=True)
+        text = (tmp_path / "report.kv").read_text(encoding="utf-8")
+        assert text == GOLDEN_REPORT_KV, (
+            f"recorded with numpy {GOLDEN_NUMPY} / scipy {GOLDEN_SCIPY}")
