@@ -19,8 +19,8 @@ from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        absorber_for, fringe_prediction,
                        heralded_absorption_probability, scan_analyzer,
                        trigger_probability)
-from .sim import (EventRecord, EventStream, RateConfig, RunManifest,
-                  SequenceConfig, read_events, simulate_run, write_events)
+from .sim import (EventStream, RateConfig, RunManifest, SequenceConfig,
+                  read_events, simulate_run, write_events)
 from .correlate import (CoincidenceHistogram, CoincidenceResult, extract,
                         histogram, histogram_from_stream)
 from .fringes import FringeFit, FringeScan, ScanPoint, fit_fringe, \
@@ -40,7 +40,7 @@ __all__ = [
     "AbsorberSetting", "AnalyzerSetting", "SourceModel", "absorber_for",
     "fringe_prediction", "heralded_absorption_probability", "scan_analyzer",
     "trigger_probability",
-    "EventRecord", "EventStream", "RateConfig", "RunManifest",
+    "EventStream", "RateConfig", "RunManifest",
     "SequenceConfig", "read_events", "simulate_run", "write_events",
     "CoincidenceHistogram", "CoincidenceResult", "extract", "histogram",
     "histogram_from_stream",

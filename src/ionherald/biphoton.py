@@ -38,8 +38,9 @@ class SourceModel:
         if not 0.0 <= self.singlet_weight <= 1.0:
             raise ConfigError(
                 f"singlet_weight outside [0, 1]: {self.singlet_weight}")
-        if not self.pair_rate > 0.0:
-            raise ConfigError(f"pair_rate must be > 0, got {self.pair_rate}")
+        if not 0.0 < self.pair_rate < np.inf:
+            raise ConfigError(
+                f"pair_rate must be finite and > 0, got {self.pair_rate}")
         self.effective_state()  # validates the mixture
 
     def effective_state(self) -> TwoQubitDensityMatrix:

@@ -108,7 +108,10 @@ def _apply_overrides(manifest: RunManifest, overrides: dict) -> RunManifest:
             section, key = dotted.split(".", 1)
         except ValueError:
             raise ConfigError(f"override {dotted!r} is not section.key=value")
-        v = float(value)
+        try:
+            v = float(value)
+        except ValueError:
+            raise ConfigError(f"override {dotted!r}: {value!r} is not a number")
         if section == "rates" and key in _CONFIG_KEYS["rates"]:
             rates = replace(rates, **{key: v})
         elif section == "source" and key in _CONFIG_KEYS["source"]:
@@ -256,6 +259,39 @@ def _verdict(measured: float, target: float, tol: float) -> str:
     return "PASS" if abs(measured - target) <= tol else "FAIL"
 
 
+def _extract_run(manifest: RunManifest, overrides: dict):
+    """tau=0 coincidences and background of one overridden, simulated run."""
+    return extract(histogram_from_stream(
+        simulate_run(_apply_overrides(manifest, overrides))))
+
+
+def run_scan(plan: presets.FringePlan, seeds, minutes: float,
+             overrides: dict) -> FringeScan:
+    """Simulate and correlate one fringe scan, one seed per scan angle."""
+    pts = []
+    for ang, seed in zip(plan.angles, seeds, strict=True):
+        res = _extract_run(
+            presets.manifest_for_angle(plan, ang, seed, minutes), overrides)
+        pts.append(ScanPoint(ang, res.coincidences, res.background_per_bin,
+                             minutes * 60.0))
+    return FringeScan(plan.absorber.basis, tuple(pts))
+
+
+def run_tomography(plan: presets.TomoPlan, seeds, minutes: float,
+                   overrides: dict) -> tom.CountsTable:
+    """Simulate and correlate the tomography settings, one seed per setting;
+    the table holds background-subtracted counts clamped at zero."""
+    rows = []
+    for setting, seed in zip(plan.settings, seeds, strict=True):
+        res = _extract_run(
+            presets.manifest_for_setting(plan, setting, seed, minutes),
+            overrides)
+        corrected = max(0.0, res.coincidences - res.background_per_bin)
+        rows.append(tom.CountsRow(setting, corrected, res.coincidences,
+                                  res.background_per_bin, minutes * 60.0))
+    return tom.CountsTable(tuple(rows))
+
+
 def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
                     overrides: dict | None = None, quiet: bool = False):
     """Run the calibrated fringe scans and the 16-setting tomography, compare
@@ -277,17 +313,8 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
 
     for stage, name in enumerate(("rl", "hv", "da")):
         plan = presets.fringe_plan(name)
-        minutes = plan.point_minutes * scale
         seeds = _spawned_seeds(master_seed, len(plan.angles), stage)
-        pts = []
-        for ang, seed in zip(plan.angles, seeds):
-            manifest = _apply_overrides(
-                presets.manifest_for_angle(plan, ang, seed, minutes),
-                overrides)
-            res = extract(histogram_from_stream(simulate_run(manifest)))
-            pts.append(ScanPoint(ang, res.coincidences,
-                                 res.background_per_bin, minutes * 60.0))
-        scan = FringeScan(plan.absorber.basis, tuple(pts))
+        scan = run_scan(plan, seeds, plan.point_minutes * scale, overrides)
         write_scan(scan, out / f"scan_{name}.txt")
         theta0 = fringe_params(plan.source, plan.absorber, plan.rates,
                                plan.sequence, plan.theta_ref_deg).theta0_deg
@@ -297,7 +324,8 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
         write_plot_data(scan, fit, out / f"fit_{name}.plot.txt")
 
         t = plan.targets
-        at_max = pts[list(plan.angles).index(presets.ORTHOGONAL_ANGLE_DEG)]
+        at_max = scan.points[list(plan.angles).index(
+            presets.ORTHOGONAL_ANGLE_DEG)]
         c_target = t.coincidences * scale
         b_target = t.background * scale
         rows.append((f"{name}_coincidences", at_max.coincidences, c_target,
@@ -311,18 +339,9 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
             f"visibility {fit.visibility:.3f}")
 
     plan = presets.tomo_plan()
-    minutes = plan.setting_minutes * scale
     seeds = _spawned_seeds(master_seed, len(plan.settings), 3)
-    rows_t = []
-    for setting, seed in zip(plan.settings, seeds):
-        manifest = _apply_overrides(
-            presets.manifest_for_setting(plan, setting, seed, minutes),
-            overrides)
-        res = extract(histogram_from_stream(simulate_run(manifest)))
-        corrected = max(0.0, res.coincidences - res.background_per_bin)
-        rows_t.append(tom.CountsRow(setting, corrected, res.coincidences,
-                                    res.background_per_bin, minutes * 60.0))
-    counts = tom.CountsTable(tuple(rows_t))
+    counts = run_tomography(plan, seeds, plan.setting_minutes * scale,
+                            overrides)
     tom.write_counts_table(counts, out / "tomo_counts.txt")
     try:
         rho = tom.mle_reconstruct(counts)

@@ -69,48 +69,57 @@ class FringeFit:
     chi2_per_dof: float
 
     def model(self, theta_deg):
-        s = np.sin(np.radians(2.0 * (np.asarray(theta_deg) - self.theta0_deg))) ** 2
-        return self.offset + self.amplitude * s
+        return self.offset + self.amplitude * fringe_regressor(
+            np.asarray(theta_deg), self.theta0_deg)
 
 
-def fit_fringe(scan: FringeScan, theta0_deg: float) -> FringeFit:
-    """Weighted least squares with Poisson weights max(N, 1) per point.
+def fringe_regressor(angles_deg, theta0_deg):
+    """x = sin^2(2(theta - theta0)), in which the fringe model is linear."""
+    return np.sin(np.radians(2.0 * (angles_deg - theta0_deg))) ** 2
 
-    Closed form: the model is linear in x = sin^2(2(theta - theta0)).
-    Amplitude and offset are clipped non-negative (re-solving on the active
-    boundary), which keeps visibility inside [0, 1] on noisy scans.
+
+def clipped_wls(x, y):
+    """Closed-form fit of y = offset + amplitude * x over the last axis.
+
+    Weighted least squares with Poisson weights 1 / max(y, 1). Amplitude and
+    offset are clipped non-negative by re-solving with the offending
+    parameter pinned to 0. Both going negative at once is impossible for
+    y >= 0: with a free intercept the weighted residuals sum to zero.
+
+    Returns amplitude, offset and the covariance (cov_aa, cov_oo, cov_ao) of
+    the unconstrained solution, each shaped like y without its last axis.
     """
-    y = scan.counts.astype(float)
-    if np.all(y == 0):
-        raise DataError("degenerate fit: all counts are zero")
-    x = np.sin(np.radians(2.0 * (scan.angles - theta0_deg))) ** 2
-    if len(np.unique(np.round(x, 12))) < 2:
-        raise DataError("rank error: fewer than 2 distinct regressor values")
     w = 1.0 / np.maximum(y, 1.0)
-
-    sw = w.sum()
-    sx = (w * x).sum()
-    sxx = (w * x * x).sum()
-    sy = (w * y).sum()
-    sxy = (w * x * y).sum()
+    sw = w.sum(axis=-1)
+    sx = (w * x).sum(axis=-1)
+    sxx = (w * x * x).sum(axis=-1)
+    sy = (w * y).sum(axis=-1)
+    sxy = (w * x * y).sum(axis=-1)
     det = sw * sxx - sx * sx
     offset = (sxx * sy - sx * sxy) / det
     amplitude = (sw * sxy - sx * sy) / det
 
-    # clipped least squares: re-solve with the offending parameter pinned to 0
-    if amplitude < 0.0 and offset < 0.0:
-        amplitude, offset = 0.0, 0.0
-    elif amplitude < 0.0:
-        amplitude = 0.0
-        offset = max(sy / sw, 0.0)
-    elif offset < 0.0:
-        offset = 0.0
-        amplitude = max(sxy / sxx, 0.0)
+    amp_neg = amplitude < 0.0
+    off_neg = (offset < 0.0) & ~amp_neg
+    offset = np.where(amp_neg, np.maximum(sy / sw, 0.0), offset)
+    amplitude = np.where(amp_neg, 0.0, amplitude)
+    amplitude = np.where(off_neg, np.maximum(sxy / sxx, 0.0), amplitude)
+    offset = np.where(off_neg, 0.0, offset)
+    return amplitude, offset, (sw / det, sxx / det, -sx / det)
 
-    # parameter covariance of the unconstrained WLS solution
-    cov_oo = sxx / det
-    cov_aa = sw / det
-    cov_ao = -sx / det
+
+def fit_fringe(scan: FringeScan, theta0_deg: float) -> FringeFit:
+    """Clipped weighted least squares (`clipped_wls`) of one scan.
+
+    Clipping keeps visibility inside [0, 1] on noisy scans.
+    """
+    y = scan.counts.astype(float)
+    if np.all(y == 0):
+        raise DataError("degenerate fit: all counts are zero")
+    x = fringe_regressor(scan.angles, theta0_deg)
+    if len(np.unique(np.round(x, 12))) < 2:
+        raise DataError("rank error: fewer than 2 distinct regressor values")
+    amplitude, offset, (cov_aa, cov_oo, cov_ao) = clipped_wls(x, y)
 
     denom = amplitude + 2.0 * offset
     if denom <= 0.0:
@@ -122,6 +131,7 @@ def fit_fringe(scan: FringeScan, theta0_deg: float) -> FringeFit:
              + 2.0 * dv_da * dv_do * cov_ao)
     visibility_err = float(np.sqrt(max(var_v, 0.0)))
 
+    w = 1.0 / np.maximum(y, 1.0)
     resid = y - (offset + amplitude * x)
     dof = max(len(y) - 2, 1)
     chi2_per_dof = float((w * resid ** 2).sum() / dof)

@@ -222,11 +222,3 @@ def marginal_projection_probability(rho, b: PolarizationState,
         raise DataError(f"side must be 'A' or 'B', got {side!r}")
     p = float(np.trace(m @ proj).real)
     return min(1.0, max(0.0, p))
-
-
-def fidelity_to_pure(rho, amplitudes) -> float:
-    """<psi|rho|psi> for a pure reference state psi."""
-    m = _as_matrix(rho)
-    psi = np.asarray(amplitudes, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    return float(np.real(psi.conj() @ m @ psi))

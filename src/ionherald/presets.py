@@ -33,7 +33,7 @@ from . import polarization as pol
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        absorber_for, scan_analyzer)
 from .correlate import DEFAULT_BIN_US, DEFAULT_WINDOW_BINS
-from .fringes import FringeScan, ScanPoint, fit_fringe
+from .fringes import clipped_wls, fringe_regressor
 from .sim import RateConfig, RunManifest, SequenceConfig
 from .tomography import TomographySetting, design_16
 
@@ -139,16 +139,21 @@ def expected_scan(source, absorber, rates, sequence, minutes,
     return out
 
 
+def _fitted_visibility(y, angles, theta_ref_deg):
+    """Visibility of the clipped WLS fringe fit to each row of y."""
+    x = fringe_regressor(np.asarray(angles), theta_ref_deg)
+    amp, off, _ = clipped_wls(x, y)
+    denom = amp + 2.0 * off
+    vis = np.where(denom > 0.0, amp / np.maximum(denom, 1e-300), 0.0)
+    return np.clip(vis, 0.0, 1.0)
+
+
 def _expected_visibility(source, absorber, rates, sequence, minutes,
                          angles, theta_ref_deg) -> float:
     """Visibility of the fit applied to the noiseless expected curve."""
-    pts = []
-    for th, (bin0, _) in zip(angles, expected_scan(
-            source, absorber, rates, sequence, minutes, angles,
-            theta_ref_deg)):
-        pts.append(ScanPoint(th, bin0, 0.0, minutes * 60.0))
-    fit = fit_fringe(FringeScan(absorber.basis, tuple(pts)), theta_ref_deg)
-    return fit.visibility
+    curve = [b for b, _ in expected_scan(source, absorber, rates, sequence,
+                                         minutes, angles, theta_ref_deg)]
+    return float(_fitted_visibility(np.array(curve), angles, theta_ref_deg))
 
 
 _VIS_REPLICAS = 4000
@@ -161,31 +166,13 @@ def _mean_fitted_visibility(expected_bin0, angles, theta_ref_deg,
     The fit weights use the observed counts (max(N, 1)), which biases the
     fitted offset low on noisy scans and the visibility high; calibrating on
     the estimator's mean rather than on the noiseless curve removes that
-    offset. Vectorized closed-form WLS over all replicas; fixed seed, so the
+    offset. One `clipped_wls` call fits all replicas; fixed seed, so the
     calibration stays deterministic.
     """
     lam = np.asarray(expected_bin0, dtype=float)
-    x = np.sin(np.radians(2.0 * (np.asarray(angles) - theta_ref_deg))) ** 2
     y = np.random.default_rng(20260808).poisson(
         lam, size=(n_replicas, len(lam))).astype(float)
-    w = 1.0 / np.maximum(y, 1.0)
-    sw = w.sum(axis=1)
-    sx = (w * x).sum(axis=1)
-    sxx = (w * x * x).sum(axis=1)
-    sy = (w * y).sum(axis=1)
-    sxy = (w * x * y).sum(axis=1)
-    det = sw * sxx - sx * sx
-    off = (sxx * sy - sx * sxy) / det
-    amp = (sw * sxy - sx * sy) / det
-    # clipped least squares, replica-wise
-    amp_neg, off_neg = amp < 0.0, off < 0.0
-    off = np.where(amp_neg, np.maximum(sy / sw, 0.0), off)
-    amp = np.where(amp_neg, 0.0, amp)
-    amp = np.where(off_neg & ~amp_neg, np.maximum(sxy / sxx, 0.0), amp)
-    off = np.where(off_neg & ~amp_neg, 0.0, off)
-    denom = amp + 2.0 * off
-    vis = np.where(denom > 0.0, amp / np.maximum(denom, 1e-300), 0.0)
-    return float(np.mean(np.clip(vis, 0.0, 1.0)))
+    return float(np.mean(_fitted_visibility(y, angles, theta_ref_deg)))
 
 
 # --- calibration --------------------------------------------------------------
@@ -242,11 +229,6 @@ def calibrate_fringe_preset(name: str) -> Calibration:
                            false_onset_rate=FALSE_ONSET_RATE)
         return source, rates
 
-    def curve_of(x):
-        source, rates = build(x)
-        return [b for b, _ in expected_scan(source, absorber, rates,
-                                            sequence, t.minutes)]
-
     def residuals(x, vis_target):
         source, rates = build(x)
         bin0, bg = expected_point(source, absorber, analyzer_max, rates,
@@ -270,23 +252,21 @@ def calibrate_fringe_preset(name: str) -> Calibration:
             raise ConfigError(f"calibration for {name!r} did not converge: "
                               f"residuals {sol.fun}")
         x = sol.x
-        curve = curve_of(x)
+        source, rates = build(x)
+        curve = [b for b, _ in expected_scan(source, absorber, rates,
+                                             sequence, t.minutes)]
         v_mc = _mean_fitted_visibility(curve, SCAN_ANGLES_DEG, THETA_REF_DEG)
-        pts = [ScanPoint(th, b, 0.0, 1.0)
-               for th, b in zip(SCAN_ANGLES_DEG, curve)]
-        v_exp = fit_fringe(FringeScan(basis, tuple(pts)),
-                           THETA_REF_DEG).visibility
-        new_bias = v_mc - v_exp
-        if abs(new_bias - bias) < 2e-4:
-            bias = new_bias
-            break
+        new_bias = v_mc - _expected_visibility(
+            source, absorber, rates, sequence, t.minutes, SCAN_ANGLES_DEG,
+            THETA_REF_DEG)
+        converged = abs(new_bias - bias) < 2e-4
         bias = new_bias
-    v_final = _mean_fitted_visibility(curve_of(x), SCAN_ANGLES_DEG,
-                                      THETA_REF_DEG)
-    if abs(v_final - t.visibility) > 3e-3:
+        if converged:
+            break
+    # x is the last solve's, so v_mc is the final estimator mean
+    if abs(v_mc - t.visibility) > 3e-3:
         raise ConfigError(f"calibration for {name!r}: estimator-mean "
-                          f"visibility {v_final:.4f} missed {t.visibility}")
-    source, rates = build(x)
+                          f"visibility {v_mc:.4f} missed {t.visibility}")
     return Calibration(source, rates, sequence, t)
 
 

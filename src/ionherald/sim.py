@@ -26,9 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from . import polarization as pol
-from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
-                       absorber_for, heralded_absorption_probability,
-                       trigger_probability)
+from .biphoton import AbsorberSetting, AnalyzerSetting, SourceModel
 
 CHANNEL_APD = 0
 CHANNEL_PMT_ONSET = 1
@@ -48,11 +46,9 @@ class SequenceConfig:
     detect_ms: float = 50.0
 
     def __post_init__(self):
-        for name in ("cooling_ms", "prep_ms", "detect_ms"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.rep_rate <= 0.0:
-            raise ConfigError("rep_rate must be > 0")
+        for name in ("rep_rate", "cooling_ms", "prep_ms", "detect_ms"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
         total = self.cooling_ms + self.prep_ms + self.detect_ms
         if total > 1000.0 / self.rep_rate + 1e-9:
             raise ConfigError(
@@ -96,22 +92,12 @@ class RateConfig:
     def __post_init__(self):
         for name in ("pair_rate", "dark_trigger_rate", "false_onset_rate",
                      "onset_latency_us", "onset_jitter_ns"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         # eta_* = 0 is degenerate but legal (yields empty channels)
         for name in ("eta_trigger", "eta_herald", "branching_s"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One detector click. Timestamps are integer nanoseconds from run start."""
-
-    trial: int
-    channel: str     # "APD" | "PMT_ONSET"
-    t_ns: int
-    phase: str = "DETECT"
 
 
 @dataclass(frozen=True)
@@ -127,8 +113,8 @@ class RunManifest:
     rates: RateConfig = field(default_factory=RateConfig)
 
     def __post_init__(self):
-        if self.duration_s < 0.0:
-            raise ConfigError("duration_s must be >= 0")
+        if not 0.0 <= self.duration_s < np.inf:
+            raise ConfigError("duration_s must be finite and >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         # the pair rate is stated in two places; they must agree
@@ -163,12 +149,6 @@ class EventStream:
 
     def onset_times(self) -> np.ndarray:
         return self.channel_times(CHANNEL_PMT_ONSET)
-
-    def records(self):
-        for i in range(len(self.t_ns)):
-            yield EventRecord(int(self.trial[i]),
-                              CHANNEL_NAMES[int(self.channel[i])],
-                              int(self.t_ns[i]))
 
     def __eq__(self, other):
         if not isinstance(other, EventStream):

@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
 Criteria 1-3 validate the calibrated simulator + analysis loop against the
-published statistics over seed ensembles; 4-7 are oracle/property based.
+published statistics over seed ensembles, through the same scan and
+tomography drivers as the reproduce command; 4-7 are oracle/property based.
 The full module takes a few minutes: criteria 2 and 3 simulate hundreds of
 detector-hours.
 """
@@ -16,6 +17,7 @@ from ionherald import polarization as pol
 from ionherald import presets
 from ionherald import tomography as tom
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
+from ionherald.cli import reproduce_paper, run_scan, run_tomography
 from ionherald.correlate import extract, histogram, histogram_from_stream
 from ionherald.fringes import FringeScan, ScanPoint, fit_fringe
 from ionherald.sim import (CHANNEL_PMT_ONSET, RateConfig, RunManifest,
@@ -30,16 +32,6 @@ FRINGE_TARGETS = {
            presets.PAPER_VISIBILITY_QUOTED_ERR[name])
     for name, t in presets.PAPER_FRINGE_TARGETS.items()
 }
-
-
-def scan_extract(plan, seed_base, minutes=None):
-    """Simulate one full scan: (angle, bin0, background) per point."""
-    rows = []
-    for i, ang in enumerate(plan.angles):
-        m = presets.manifest_for_angle(plan, ang, seed=seed_base + i, minutes=minutes)
-        res = extract(histogram_from_stream(simulate_run(m)))
-        rows.append((ang, res.coincidences, res.background_per_bin))
-    return rows
 
 
 def test_criterion_1_count_table_reproduction():
@@ -74,15 +66,13 @@ def test_criterion_2_visibility_reproduction():
     """20-seed ensemble visibilities average to the published values."""
     summary = []
     ok = True
-    for name, (_, _, minutes, v_t, v_tol) in FRINGE_TARGETS.items():
+    for name, (_, _, _, v_t, v_tol) in FRINGE_TARGETS.items():
         plan = presets.fringe_plan(name)
         vises = []
         for k in range(N_SEEDS):
-            pts = [ScanPoint(a, c, b, minutes * 60.0)
-                   for a, c, b in scan_extract(plan, seed_base=10_000 * k + 17)]
-            fit = fit_fringe(FringeScan(plan.absorber.basis, tuple(pts)),
-                             plan.theta_ref_deg)
-            vises.append(fit.visibility)
+            seeds = [10_000 * k + 17 + i for i in range(len(plan.angles))]
+            scan = run_scan(plan, seeds, plan.point_minutes, {})
+            vises.append(fit_fringe(scan, plan.theta_ref_deg).visibility)
         mean = float(np.mean(vises))
         this_ok = abs(mean - v_t) <= v_tol
         ok &= this_ok
@@ -96,16 +86,9 @@ def test_criterion_3_tomography_reproduction():
     plan = presets.tomo_plan()
     f_s, c_s, t_s = [], [], []
     for k in range(N_SEEDS):
-        rows = []
-        for i, setting in enumerate(plan.settings):
-            m = presets.manifest_for_setting(plan, setting,
-                                             seed=50_000 * k + 31 * i + 7)
-            res = extract(histogram_from_stream(simulate_run(m)))
-            corrected = max(0.0, res.coincidences - res.background_per_bin)
-            rows.append(tom.CountsRow(setting, corrected, res.coincidences,
-                                      res.background_per_bin,
-                                      plan.setting_minutes * 60.0))
-        metrics = tom.metrics(tom.mle_reconstruct(tom.CountsTable(tuple(rows))))
+        seeds = [50_000 * k + 31 * i + 7 for i in range(len(plan.settings))]
+        counts = run_tomography(plan, seeds, plan.setting_minutes, {})
+        metrics = tom.metrics(tom.mle_reconstruct(counts))
         assert metrics.tangle == pytest.approx(metrics.concurrence ** 2,
                                                abs=1e-10)
         f_s.append(metrics.fidelity_singlet)
@@ -221,7 +204,6 @@ def test_criterion_6_correlator_property_suite():
 
 def test_reproduce_paper_default_seed(tmp_path):
     """The one-command reproduction report passes every published number."""
-    from ionherald.cli import reproduce_paper
     rows = reproduce_paper(42, tmp_path / "report", quiet=True)
     fails = [key for key, m, t, tol in rows if abs(m - t) > tol]
     record_acceptance(8, not fails,

@@ -127,6 +127,21 @@ class TestConfig:
               "--out", str(tmp_path / "x.txt")])
         assert "not_a_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "rates.eta_trigger=abc", "rates.dark_trigger_rate=nan",
+        "sequence.rep_rate=nan", "rates.onset_latency_us=inf",
+        "source.pair_rate=inf"])
+    def test_bad_override_value(self, tmp_path, override):
+        assert main(["simulate", "--preset", "paper-rl", "--minutes", "1",
+                     "--override", override,
+                     "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "paper-rl", "--minutes", "nan", "--out"],
+        ["reproduce", "--scale", "inf", "--quiet", "--out-dir"]])
+    def test_non_finite_duration(self, tmp_path, argv):
+        assert main(argv + [str(tmp_path / "out")]) == EXIT_CONFIG
+
 
 class TestSimulateCommand:
     def test_config_run(self, tmp_path):

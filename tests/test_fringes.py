@@ -3,7 +3,8 @@ import pytest
 
 from ionherald import polarization as pol
 from ionherald.errors import DataError
-from ionherald.fringes import (FringeScan, ScanPoint, fit_fringe, read_scan,
+from ionherald.fringes import (FringeScan, ScanPoint, clipped_wls, fit_fringe,
+                               fringe_regressor, read_scan,
                                subtract_background, write_scan)
 
 
@@ -99,6 +100,27 @@ class TestFitErrors:
             ScanPoint(a, 5.0, 0.0, 1.0) for a in angles))
         with pytest.raises(DataError, match="rank"):
             fit_fringe(scan, 0.0)
+
+
+class TestClippedWLS:
+    @pytest.mark.parametrize("angles", [
+        (0.0, 15.0, 30.0, 45.0, 60.0, 75.0), ANGLES,
+        tuple(np.arange(12) * 7.5)])
+    def test_rows_equal_fit_fringe(self, angles):
+        # dim Poisson scans, so both clip branches occur; the batched call
+        # does the same arithmetic as fit_fringe, hence == and no tolerance
+        rng = np.random.default_rng(2024)
+        lam = rng.uniform(0.3, 20.0, size=(400, 1)) * rng.uniform(
+            0.0, 1.0, size=(400, len(angles)))
+        y = rng.poisson(lam).astype(float)
+        y = y[y.any(axis=1)]
+        amp, off, _ = clipped_wls(fringe_regressor(np.array(angles), 0.0), y)
+        assert (amp == 0.0).any() and (off == 0.0).any()
+        for row, a, o in zip(y, amp, off):
+            fit = fit_fringe(FringeScan(pol.RL, tuple(
+                ScanPoint(th, c, 0.0, 1.0) for th, c in zip(angles, row))),
+                0.0)
+            assert fit.amplitude == a and fit.offset == o
 
 
 class TestSubtractBackground:

@@ -152,15 +152,6 @@ class TestEventFileRoundTrip:
         back = read_events(path)
         assert back == stream
 
-    def test_record_view(self):
-        m = make_manifest(seed=2, duration_s=1.0)
-        stream = simulate_run(m)
-        records = list(stream.records())
-        assert len(records) == len(stream)
-        assert records[0].phase == "DETECT"
-        assert records[0].channel in ("APD", "PMT_ONSET")
-        assert records[0].t_ns == int(stream.t_ns[0])
-
     def test_manifest_round_trip(self):
         m = make_manifest(seed=13, weight=0.83)
         m2 = manifest_from_dict(manifest_to_dict(m))
