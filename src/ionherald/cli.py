@@ -62,10 +62,17 @@ def load_manifest_config(path) -> RunManifest:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
 
     def getf(section, key, default):
-        return cp.getfloat(section, key, fallback=default) \
-            if cp.has_section(section) else default
+        try:
+            return cp.getfloat(section, key, fallback=default) \
+                if cp.has_section(section) else default
+        except ValueError:
+            raise ConfigError(f"{path}: {section}.{key} = "
+                              f"{cp.get(section, key)!r} is not a number")
 
-    seed = int(getf("run", "seed", 0))
+    seed = getf("run", "seed", 0)
+    if not float(seed).is_integer():
+        raise ConfigError(f"{path}: run.seed must be an integer")
+    seed = int(seed)
     duration_s = getf("run", "duration_s", 60.0)
     sequence = SequenceConfig(
         rep_rate=getf("sequence", "rep_rate", 10.0),

@@ -90,34 +90,34 @@ def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
     bin_width_us : lag grid pitch (default 10 us).
     window_bins : half-width of the symmetric lag window in bins.
 
-    All binning is exact integer arithmetic; bin k covers
-    [k*bin - bin/2, k*bin + bin/2) in nanoseconds.
+    All binning is exact integer arithmetic; with half = bin // 2, bin k
+    covers [k*bin - half, k*bin - half + bin) in nanoseconds.
     """
     apd = np.asarray(apd_events, dtype=np.int64)
     onsets = np.asarray(onset_events, dtype=np.int64)
     _check_sorted(apd, "APD")
     _check_sorted(onsets, "onset")
-    if bin_width_us <= 0 or window_bins < 0:
-        raise DataError("bin width must be > 0 and window_bins >= 0")
-
+    if not 0.0 < bin_width_us < np.inf or window_bins < 0:
+        raise DataError("bin width must be finite and > 0, "
+                        "and window_bins >= 0")
     bin_ns = int(round(bin_width_us * 1000.0))
-    half_ns = bin_ns // 2
-    reach = window_bins * bin_ns + half_ns   # tau in [-reach, +reach)
-    lags = np.arange(-window_bins, window_bins + 1, dtype=np.int64)
-    counts = np.zeros(len(lags), dtype=np.int64)
+    if bin_ns < 1:
+        raise DataError(f"bin width {bin_width_us} us is below 1 ns")
 
-    if len(apd) and len(onsets):
-        # tau = t_on - t_apd in [-reach, reach)  <=>
-        # t_apd in (t_on - reach, t_on + reach]
-        lo = np.searchsorted(apd, onsets - reach, side="right")
-        hi = np.searchsorted(apd, onsets + reach, side="right")
-        for t_on, a, b in zip(onsets.tolist(), lo.tolist(), hi.tolist()):
-            if a == b:
-                continue
-            tau = t_on - apd[a:b]
-            idx = (tau + half_ns) // bin_ns + window_bins
-            keep = (idx >= 0) & (idx < len(lags))
-            np.add.at(counts, idx[keep], 1)
+    half_ns = bin_ns // 2
+    lags = np.arange(-window_bins, window_bins + 1, dtype=np.int64)
+    # the window spans bins -window_bins .. window_bins: tau = t_on - t_apd
+    # in [-below, above)  <=>  t_apd in (t_on - above, t_on + below]
+    below = window_bins * bin_ns + half_ns
+    above = window_bins * bin_ns - half_ns + bin_ns
+    lo = np.searchsorted(apd, onsets - above, side="right")
+    n = np.searchsorted(apd, onsets + below, side="right") - lo
+    # all pairs in the window: onset j meets apd[lo[j]:lo[j] + n[j]]
+    first = np.cumsum(n) - n
+    pair_apd = np.arange(n.sum()) + np.repeat(lo - first, n)
+    tau = np.repeat(onsets, n) - apd[pair_apd]
+    counts = np.bincount((tau + half_ns) // bin_ns + window_bins,
+                         minlength=len(lags))
 
     return CoincidenceHistogram(
         bin_width_us, lags, counts,
@@ -181,20 +181,40 @@ def read_histogram(path) -> CoincidenceHistogram:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("# "):
-            raise DataError(f"{path}: missing histogram header")
-        meta = dict(kv.split("=", 1) for kv in header[2:].split())
+            raise DataError(f"{path}: line 1: missing histogram header")
+        meta = {}
+        for token in header[2:].split():
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise DataError(f"{path}: line 1: header field {token!r} "
+                                "is not key=value")
+            meta[key] = value
+        try:
+            bin_us = float(meta["bin_width_us"])
+            total_apd = int(meta["total_apd"])
+            total_onsets = int(meta["total_onsets"])
+            duration_s = float(meta["duration_s"])
+        except KeyError as exc:
+            raise DataError(f"{path}: line 1: header lacks {exc}") from exc
+        except ValueError as exc:
+            raise DataError(
+                f"{path}: line 1: bad header value: {exc}") from exc
+        if not 0.0 < bin_us < np.inf:
+            raise DataError(f"{path}: line 1: bin_width_us must be finite "
+                            "and > 0")
         fh.readline()  # column names
         lags, counts = [], []
-        bin_us = float(meta["bin_width_us"])
         for lineno, line in enumerate(fh, start=3):
             if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}: line {lineno}: malformed row")
-            lags.append(int(round(float(parts[0]) / bin_us)))
-            counts.append(int(parts[1]))
+            try:
+                lags.append(int(round(float(parts[0]) / bin_us)))
+                counts.append(int(parts[1]))
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}: line {lineno}: bad number: "
+                                f"{exc}") from exc
     return CoincidenceHistogram(bin_us, np.array(lags), np.array(counts),
-                                int(meta["total_apd"]),
-                                int(meta["total_onsets"]),
-                                float(meta["duration_s"]))
+                                total_apd, total_onsets, duration_s)

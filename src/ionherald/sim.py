@@ -15,6 +15,13 @@ the byte content of the written event file. Random draws happen in a fixed
 documented order (pair counts, pair times, trigger uniforms, absorption
 uniforms, latencies, jitters, dark counts, dark times, false-onset counts,
 false-onset times).
+
+A finalized stream is in time order. Where an APD and a PMT_ONSET record share
+a nanosecond stamp, the APD record comes first. Within one channel, stamps
+that tie after rounding are bumped +1 ns until they strictly increase, so each
+channel's stamps are unique. Detection windows of adjacent trials are at least
+1 ns apart, so stamps only tie within one trial and time order is also trial
+order.
 """
 
 from __future__ import annotations
@@ -49,6 +56,12 @@ class SequenceConfig:
         for name in ("rep_rate", "cooling_ms", "prep_ms", "detect_ms"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0")
+        # detection windows are at least cooling + prep apart; below one
+        # stamp (1 ns) adjacent trials could share a timestamp
+        if self.cooling_ms + self.prep_ms < 1e-6:
+            raise ConfigError(
+                "cooling_ms + prep_ms must be >= 1e-6 (1 ns between the "
+                "detection windows of adjacent trials)")
         total = self.cooling_ms + self.prep_ms + self.detect_ms
         if total > 1000.0 / self.rep_rate + 1e-9:
             raise ConfigError(
@@ -174,20 +187,35 @@ def _strictly_increasing(t: np.ndarray) -> np.ndarray:
         t[bad + 1] = t[bad] + 1
 
 
-def _finalize(trial, channel, t_ns, manifest) -> EventStream:
-    trial = np.asarray(trial, dtype=np.int64)
-    channel = np.asarray(channel, dtype=np.int8)
-    t_ns = np.asarray(t_ns, dtype=np.int64)
-    for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
-        mask = channel == code
-        if mask.any():
-            order = np.argsort(t_ns[mask], kind="stable")
-            fixed = _strictly_increasing(t_ns[mask][order])
-            idx = np.flatnonzero(mask)[order]
-            t_ns[idx] = fixed
-            trial[idx] = trial[mask][order]
-    order = np.lexsort((channel, t_ns))
-    return EventStream(trial[order], channel[order], t_ns[order], manifest)
+def _sorted_column(trial, t_ns):
+    """One channel in time order: the trial of each event and its stamp.
+
+    Time order is trial order, so the trial column is the sorted trials.
+    """
+    per_trial = np.bincount(trial)
+    return (np.repeat(np.arange(len(per_trial)), per_trial),
+            _strictly_increasing(np.sort(t_ns)))
+
+
+def _finalize(apd_trial, apd_t_ns, onset_trial, onset_t_ns,
+              manifest) -> EventStream:
+    """Merge the APD and onset columns into one stream in the output order
+    (see the module docstring)."""
+    apd_trial, apd_t = _sorted_column(apd_trial, apd_t_ns)
+    onset_trial, onset_t = _sorted_column(onset_trial, onset_t_ns)
+    # each onset goes after every APD stamp <= its own
+    at = (np.searchsorted(apd_t, onset_t, side="right")
+          + np.arange(len(onset_t)))
+    channel = np.full(len(apd_t) + len(onset_t), CHANNEL_APD, dtype=np.int8)
+    channel[at] = CHANNEL_PMT_ONSET
+    is_apd = channel == CHANNEL_APD
+    trial = np.empty(len(channel), dtype=np.int64)
+    trial[is_apd] = apd_trial
+    trial[at] = onset_trial
+    t_ns = np.empty(len(channel), dtype=np.int64)
+    t_ns[is_apd] = apd_t
+    t_ns[at] = onset_t
+    return EventStream(trial, channel, t_ns, manifest)
 
 
 def simulate_run(m: RunManifest) -> EventStream:
@@ -198,7 +226,8 @@ def simulate_run(m: RunManifest) -> EventStream:
     w = seq.detect_s
 
     if n_trials == 0:
-        return _finalize(np.empty(0), np.empty(0), np.empty(0), m)
+        empty = np.empty(0, dtype=np.int64)
+        return _finalize(empty, empty, empty, empty, m)
 
     rho_marginal = pol.marginal_projection_probability(
         m.source.effective_state(), m.analyzer.projector_state, side="B")
@@ -266,13 +295,8 @@ def simulate_run(m: RunManifest) -> EventStream:
 
     apd_t = np.concatenate([apd_pair_t, dark_t])
     apd_trial = np.concatenate([apd_pair_trial, dark_trial])
-
-    trial = np.concatenate([apd_trial, onset_trial]).astype(np.int64)
-    channel = np.concatenate([
-        np.full(len(apd_t), CHANNEL_APD, dtype=np.int8),
-        np.full(len(onset_t), CHANNEL_PMT_ONSET, dtype=np.int8)])
-    t_ns = np.rint(np.concatenate([apd_t, onset_t]) * 1e9).astype(np.int64)
-    return _finalize(trial, channel, t_ns, m)
+    return _finalize(apd_trial, np.rint(apd_t * 1e9).astype(np.int64),
+                     onset_trial, np.rint(onset_t * 1e9).astype(np.int64), m)
 
 
 # --- manifest and event-file serialization ----------------------------------

@@ -420,9 +420,19 @@ def read_counts_table(path) -> CountsTable:
             if label not in by_label:
                 raise DataError(f"{path}: line {lineno}: unknown setting "
                                 f"{label!r}")
-            rows.append(CountsRow(by_label[label], float(parts[5]),
-                                  int(parts[3]), float(parts[4]),
-                                  float(parts[6])))
+            try:
+                raw = int(parts[3])
+                background, corrected, duration_s = map(float, parts[4:])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: non-numeric field: "
+                                f"{exc}") from exc
+            if not np.all(np.isfinite([background, corrected, duration_s])):
+                raise DataError(f"{path}: line {lineno}: non-finite field")
+            try:
+                rows.append(CountsRow(by_label[label], corrected, raw,
+                                      background, duration_s))
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return CountsTable(tuple(rows))
 
 

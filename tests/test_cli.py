@@ -113,6 +113,15 @@ class TestConfig:
         assert m.rates.dark_trigger_rate == pytest.approx(100.0)
         assert m.absorber.basis.label == "HV"
 
+    @pytest.mark.parametrize("entry", [
+        "[rates]\neta_trigger = abc", "[run]\nseed = nan",
+        "[run]\nseed = 1.5"])
+    def test_bad_config_value(self, tmp_path, entry):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(entry + "\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
+
     def test_unknown_key_named_in_error(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[rates]\nnot_a_knob = 3\n", encoding="utf-8")
@@ -135,6 +144,13 @@ class TestConfig:
         assert main(["simulate", "--preset", "paper-rl", "--minutes", "1",
                      "--override", override,
                      "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
+
+    def test_trial_windows_below_one_ns_apart(self, tmp_path, capsys):
+        assert main(["simulate", "--preset", "paper-rl", "--minutes", "1",
+                     "--override", "sequence.cooling_ms=4e-7",
+                     "--override", "sequence.prep_ms=4e-7",
+                     "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
+        assert "cooling_ms + prep_ms" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "paper-rl", "--minutes", "nan", "--out"],
@@ -229,6 +245,24 @@ class TestPipeline:
         kv = read_kv(tmp_path / "tb.metrics.txt")
         assert 0.0 < float(kv["fidelity_err"]) < 0.2
         assert 0.0 < float(kv["tangle_err"]) < 0.4
+
+    def test_tomo_non_numeric_cell(self, tmp_path, capsys):
+        from ionherald import tomography as tom
+        from ionherald import polarization as pol
+        lam = tom.expected_counts(pol.singlet(), normalization=100.0) + 5.0
+        table = tom.counts_table_from_values(lam - 5.0,
+                                             raw=np.rint(lam).astype(int),
+                                             background=np.full(16, 5.0))
+        path = tmp_path / "counts.txt"
+        tom.write_counts_table(table, path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split("\t")
+        cells[3] = "abc"
+        lines[3] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["tomo", "--counts", str(path),
+                     "--out-prefix", str(tmp_path / "t")]) == EXIT_DATA
+        assert "counts.txt: line 4:" in capsys.readouterr().err
 
     def test_console_entry_point(self, tmp_path):
         # the installed package is callable as a subprocess module

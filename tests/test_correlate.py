@@ -41,6 +41,17 @@ class TestBinning:
         assert h.counts.sum() == 1
         assert h.counts[-1] == 1
 
+    def test_odd_width_top_bin_is_full(self):
+        # 7 ns bins: bin 1 covers [4, 11) ns, its last nanosecond included
+        h = histogram([0], [10], bin_width_us=0.007, window_bins=1)
+        assert h.counts.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("bin_us", [0.0, 1e-4, float("nan"),
+                                        float("inf")])
+    def test_bin_below_one_ns_rejected(self, bin_us):
+        with pytest.raises(DataError):
+            histogram([0], [0], bin_width_us=bin_us)
+
     def test_unsorted_input_rejected(self):
         with pytest.raises(DataError):
             histogram([5, 3], [])
@@ -99,6 +110,51 @@ class TestHistogramProperties:
         assert np.all(np.abs(h.counts - mean) <= 4.0 * np.sqrt(mean))
 
 
+def naive_counts(apd, onsets, bin_ns, window_bins):
+    """O(N*M) reference: every (onset, APD) lag tested against every bin
+    k = [k*bin - bin//2, k*bin - bin//2 + bin)."""
+    tau = np.subtract.outer(np.asarray(onsets, dtype=np.int64),
+                            np.asarray(apd, dtype=np.int64))
+    lower = np.arange(-window_bins, window_bins + 1) * bin_ns - bin_ns // 2
+    return np.array([np.count_nonzero((tau >= lo) & (tau < lo + bin_ns))
+                     for lo in lower], dtype=np.int64)
+
+
+class TestAgainstNaiveReference:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_streams(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        bin_ns = int(rng.choice([1, 2, 7, 10, 1000, 10_000]))
+        window_bins = int(rng.integers(0, 12))
+        reach = window_bins * bin_ns + bin_ns // 2
+        span = 3 * reach + 10
+        # small ranges give tied stamps; onsets reach past both stream ends
+        apd = np.sort(rng.integers(0, span, size=rng.integers(0, 300)))
+        onsets = np.sort(rng.integers(-reach - 5, span + reach + 5,
+                                      size=rng.integers(0, 40)))
+        h = histogram(apd, onsets, bin_ns / 1000.0, window_bins)
+        assert np.array_equal(h.counts,
+                              naive_counts(apd, onsets, bin_ns, window_bins))
+
+    @pytest.mark.parametrize("n_apd,n_onsets", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_channels(self, n_apd, n_onsets):
+        apd = np.arange(n_apd) * 3 * US
+        onsets = np.arange(n_onsets) * 5 * US
+        h = histogram(apd, onsets)
+        assert np.array_equal(h.counts, naive_counts(apd, onsets, 10 * US, 50))
+        assert h.counts.sum() == 0
+
+    def test_lags_on_reach_edges(self):
+        # tau = t_on - t_apd: -reach and reach - 1 are in, reach and
+        # -reach - 1 are out (50-bin window of 10 us: reach = 505 us)
+        t_on, reach = 10 * MS, 505 * US
+        apd = np.array([t_on - reach, t_on - reach + 1, t_on + reach,
+                        t_on + reach + 1])
+        h = histogram(apd, [t_on])
+        assert np.array_equal(h.counts, naive_counts(apd, [t_on], 10 * US, 50))
+        assert (h.counts[0], h.counts[-1], h.counts.sum()) == (1, 1, 2)
+
+
 class TestExtract:
     def test_all_zero(self):
         h = histogram([], [])
@@ -151,3 +207,19 @@ class TestHistogramIO:
         assert np.array_equal(back.lags, h.lags)
         assert back.total_apd == h.total_apd
         assert back.duration_s == h.duration_s
+
+    @pytest.mark.parametrize("edit,line", [
+        (lambda t: t.replace(" total_apd=", " total_apd ", 1), 1),
+        (lambda t: t.replace(" total_onsets=", " n_onsets=", 1), 1),
+        (lambda t: t.replace("bin_width_us=10.0", "bin_width_us=ten", 1), 1),
+        (lambda t: t.replace("bin_width_us=10.0", "bin_width_us=0", 1), 1),
+        (lambda t: t.replace("\t0\t0\n", "\t1.5\t0\n", 1), 3),
+        (lambda t: t.replace("\t0\t0\n", "\tzero\t0\n", 1), 3),
+        (lambda t: t.replace("-500\t", "inf\t", 1), 3),
+    ])
+    def test_malformed_file_names_path_and_line(self, tmp_path, edit, line):
+        path = tmp_path / "hist.txt"
+        write_histogram(histogram([], []), path)
+        path.write_text(edit(path.read_text()), encoding="utf-8")
+        with pytest.raises(DataError, match=f"hist.txt: line {line}:"):
+            read_histogram(path)

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from ionherald import polarization as pol
+from ionherald import presets
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
 from ionherald.errors import ConfigError, DataError
 from ionherald.sim import (CHANNEL_APD, CHANNEL_PMT_ONSET, EventStream,
-                           RateConfig, RunManifest, SequenceConfig,
+                           RateConfig, RunManifest, SequenceConfig, _finalize,
                            manifest_from_dict, manifest_to_dict, read_events,
                            simulate_run, write_events)
+
+# the stream pins below were recorded with this numpy; another release may
+# draw different Poisson streams from the same seeds
+PINNED_NUMPY = "2.4.6"
 
 
 def make_manifest(seed=0, duration_s=60.0, weight=1.0, analyzer=None,
@@ -40,6 +45,13 @@ class TestSequenceConfig:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigError):
             SequenceConfig(detect_ms=0.0)
+
+    def test_rejects_windows_closer_than_one_stamp(self):
+        # adjacent detection windows are cooling + prep apart; below 1 ns
+        # two trials could share a timestamp
+        with pytest.raises(ConfigError, match="1e-6"):
+            SequenceConfig(cooling_ms=4e-7, prep_ms=4e-7)
+        SequenceConfig(cooling_ms=5e-7, prep_ms=5e-7)
 
 
 class TestRateConfig:
@@ -121,6 +133,66 @@ class TestSimulateRun:
         expected = 0.07 * 1.0 * 0.94   # orthogonal singlet setting
         sigma = np.sqrt(expected / len(apd))
         assert abs(ratio - expected) < 3.0 * sigma
+
+
+def stream_digest(stream):
+    h = hashlib.sha256()
+    for column in (stream.trial, stream.channel, stream.t_ns):
+        h.update(column.tobytes())
+    return h.hexdigest()
+
+
+class TestStreamPins:
+    """Byte digests of the trial, channel and t_ns columns: any change to the
+    random draws or to the output order of a stream fails here."""
+
+    @pytest.fixture(autouse=True)
+    def _pinned_numpy(self):
+        if np.__version__.split(".")[:2] != PINNED_NUMPY.split(".")[:2]:
+            pytest.skip(f"stream pins recorded with numpy {PINNED_NUMPY}, "
+                        f"this is numpy {np.__version__}")
+
+    def test_dense_dark_run(self):
+        # ~1 M APD stamps in 1 s of detection time: 524 of them tie after
+        # rounding and are bumped
+        stream = simulate_run(make_manifest(seed=3, duration_s=2.0,
+                                            dark_trigger_rate=1e6))
+        assert len(stream) == 999_198
+        assert stream_digest(stream) == (
+            "aa4639701783351b36c97756a622cb1661c388286e55361cb01306f1f86cabee")
+
+    def test_paper_hv_run(self):
+        stream = simulate_run(presets.preset_manifest(
+            "paper-hv", 7, angle_deg=45.0, minutes=5.0))
+        assert (len(stream), len(stream.onset_times())) == (121_734, 134)
+        assert stream_digest(stream) == (
+            "6a01f49121afc250f31ecf301177bb9eb5e3cfcc7abbefd7e9eed003b1237084")
+
+
+def ns(*values):
+    return np.array(values, dtype=np.int64)
+
+
+class TestFinalize:
+    def test_output_order(self):
+        m = make_manifest(seed=0, duration_s=0.1)
+        # unsorted APD clicks: two tie at 200 ns, the later of them is bumped
+        # to 201; onsets tie with an APD stamp at 100 and with the bumped one
+        stream = _finalize(ns(0, 0, 0, 0), ns(300, 200, 100, 200),
+                           ns(0, 0), ns(201, 100), m)
+        apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
+        assert stream.t_ns.tolist() == [100, 100, 200, 201, 201, 300]
+        assert stream.channel.tolist() == [apd, onset, apd, apd, onset, apd]
+        assert stream.trial.tolist() == [0] * 6
+
+    def test_trial_column_follows_time(self):
+        m = make_manifest(seed=0, duration_s=0.3)
+        stream = _finalize(ns(2, 0, 1, 0), ns(250, 50, 150, 60),
+                           ns(1), ns(160), m)
+        assert stream.t_ns.tolist() == [50, 60, 150, 160, 250]
+        assert stream.trial.tolist() == [0, 0, 1, 1, 2]
+        assert stream.channel.tolist() == [CHANNEL_APD] * 3 + [
+            CHANNEL_PMT_ONSET, CHANNEL_APD]
 
 
 class TestEventFileRoundTrip:

@@ -255,6 +255,20 @@ class TestCountsTableIO:
             assert r1.coincidences == pytest.approx(r2.coincidences)
             assert r1.raw == r2.raw
 
+    @pytest.mark.parametrize("column,value", [
+        (3, "abc"), (3, "2.5"), (4, "x"), (5, "nan"), (6, "inf"), (5, "-1")])
+    def test_bad_cell_names_path_and_line(self, tmp_path, column, value):
+        table = tom.counts_table_from_values(np.full(16, 20.0))
+        path = tmp_path / "counts.txt"
+        tom.write_counts_table(table, path)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split("\t")
+        cells[column] = value
+        lines[5] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="counts.txt: line 6:"):
+            tom.read_counts_table(path)
+
     def test_wrong_row_count_rejected(self):
         with pytest.raises(DataError):
             tom.CountsTable(tuple())
