@@ -22,6 +22,19 @@ that tie after rounding are bumped +1 ns until they strictly increase, so each
 channel's stamps are unique. Detection windows of adjacent trials are at least
 1 ns apart, so stamps only tie within one trial and time order is also trial
 order.
+
+An event file is text. Its first line is ``#MANIFEST `` followed by the
+manifest as one JSON object. Every later line is a record or blank::
+
+    record  = trial TAB channel TAB t_ns TAB "DETECT"
+    trial   = 1 to 18 ASCII digits
+    t_ns    = 1 to 18 ASCII digits
+    channel = "APD" | "PMT_ONSET"
+
+Lines end in LF or CRLF, the last line end is optional, and blank lines are
+skipped. Nothing else is a record: no sign, space, separator or non-ASCII
+digit. ``write_events`` refuses a stream it cannot write in this grammar,
+and ``read_events`` names the first line that breaks it.
 """
 
 from __future__ import annotations
@@ -31,16 +44,18 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, IonHeraldError
 from . import polarization as pol
 from .biphoton import AbsorberSetting, AnalyzerSetting, SourceModel
 
 CHANNEL_APD = 0
 CHANNEL_PMT_ONSET = 1
 CHANNEL_NAMES = {CHANNEL_APD: "APD", CHANNEL_PMT_ONSET: "PMT_ONSET"}
-CHANNEL_CODES = {v: k for k, v in CHANNEL_NAMES.items()}
 
 FILE_MAGIC = "#MANIFEST "
+MAX_DIGITS = 18             # of trial and t_ns, so every value fits int64
+WRITE_BLOCK = 1 << 14       # records per block in write_events
+READ_BLOCK = 1 << 20        # bytes per block in read_events
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,9 @@ class RunManifest:
     def __post_init__(self):
         if not 0.0 <= self.duration_s < np.inf:
             raise ConfigError("duration_s must be finite and >= 0")
-        if self.seed < 0:
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ConfigError("seed must be a non-negative integer")
         # the pair rate is stated in two places; they must agree
         if abs(self.source.pair_rate - self.rates.pair_rate) \
@@ -356,58 +373,58 @@ def manifest_from_dict(d: dict) -> RunManifest:
 
 def write_events(stream: EventStream, path) -> None:
     """Write a finalized stream: manifest line, then one tab-separated record
-    per line (trial, channel, t_ns, phase). Timestamps stay exact integers."""
+    per line (trial, channel, t_ns, phase). Timestamps stay exact integers.
+
+    A stream whose records the grammar in the module docstring cannot hold
+    is refused before the file is opened."""
     if stream.manifest is None:
         raise DataError("stream has no manifest; cannot write a valid file")
+    for name, column in (("trial", stream.trial), ("t_ns", stream.t_ns)):
+        if len(column) and not (column.min() >= 0
+                                and column.max() < 10 ** MAX_DIGITS):
+            raise DataError(f"{name} outside [0, 1e{MAX_DIGITS}): not "
+                            f"writable as 1 to {MAX_DIGITS} digits")
+    if not np.isin(stream.channel, (CHANNEL_APD, CHANNEL_PMT_ONSET)).all():
+        raise DataError("stream has a channel code other than APD/PMT_ONSET")
     for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
         t = stream.channel_times(code)
         if len(t) > 1 and np.any(np.diff(t) <= 0):
             raise DataError("stream not finalized: non-monotone timestamps")
     header = FILE_MAGIC + json.dumps(manifest_to_dict(stream.manifest),
                                      sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        chunks = []
-        names = CHANNEL_NAMES
-        for tr, ch, t in zip(stream.trial.tolist(), stream.channel.tolist(),
-                             stream.t_ns.tolist()):
-            chunks.append(f"{tr}\t{names[ch]}\t{t}\tDETECT\n")
-            if len(chunks) >= 65536:
-                fh.write("".join(chunks))
-                chunks = []
-        fh.write("".join(chunks))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        for i in range(0, len(stream), WRITE_BLOCK):
+            block = slice(i, i + WRITE_BLOCK)
+            fh.write(_record_text(stream.trial[block], stream.channel[block],
+                                  stream.t_ns[block]))
 
 
 def read_events(path) -> EventStream:
-    """Parse an event file back into a stream; validates format and ordering."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith(FILE_MAGIC):
-            raise DataError(f"{path}: line 1: missing manifest record")
-        try:
-            manifest = manifest_from_dict(json.loads(first[len(FILE_MAGIC):]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: line 1: bad manifest: {exc}") from exc
-        trials, channels, times = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4 or parts[1] not in CHANNEL_CODES \
-                    or parts[3] != "DETECT":
-                raise DataError(f"{path}: line {lineno}: malformed record "
-                                f"{line!r}")
-            try:
-                trials.append(int(parts[0]))
-                times.append(int(parts[2]))
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: line {lineno}: non-integer field") from exc
-            channels.append(CHANNEL_CODES[parts[1]])
-    stream = EventStream(np.array(trials, dtype=np.int64),
-                         np.array(channels, dtype=np.int8),
-                         np.array(times, dtype=np.int64), manifest)
+    """Parse an event file back into a stream; validates format and ordering.
+
+    The records are read in blocks of READ_BLOCK bytes, each cut after its
+    last line end, so besides the parsed columns one block is held."""
+    columns = [(np.empty(0, np.int64), np.empty(0, np.int8),
+                np.empty(0, np.int64))]
+    with open(path, "rb") as fh:
+        manifest = _read_manifest(fh.readline(), path)
+        lineno, rest = 2, b""
+        while chunk := fh.read(READ_BLOCK):
+            block = rest + chunk
+            cut = block.rfind(b"\n") + 1
+            rest = block[cut:]
+            if cut:
+                records, lines = _parse_records(block[:cut], path, lineno)
+                columns.append(records)
+                lineno += lines
+            if len(rest) > _MAX_LINE:
+                # longer than any record, so this raises
+                _parse_records(rest + b"\n", path, lineno)
+        if rest:                        # the last line end is optional
+            columns.append(_parse_records(rest + b"\n", path, lineno)[0])
+    stream = EventStream(*(np.concatenate(c) for c in zip(*columns)),
+                         manifest=manifest)
     for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
         t = stream.channel_times(code)
         if len(t) > 1 and np.any(np.diff(t) <= 0):
@@ -418,3 +435,162 @@ def read_events(path) -> EventStream:
     if len(onset_trials) != len(np.unique(onset_trials)):
         raise DataError(f"{path}: multiple PMT_ONSET records in one trial")
     return stream
+
+
+# --- record text, a block at a time ----------------------------------------
+
+_TAB, _LF, _CR, _ZERO = 9, 10, 13, ord("0")
+# the longest line the grammar allows, less its LF
+_MAX_LINE = len(b"%s\tPMT_ONSET\t%s\tDETECT\r"
+                % (b"9" * MAX_DIGITS, b"9" * MAX_DIGITS))
+# "0000" ... "9999" as uint32, so that one take() places four digits
+_DIGIT_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
+                             np.uint32)
+_POW10 = 10 ** np.arange(1, MAX_DIGITS, dtype=np.int64)
+_PMT_ONSET = np.frombuffer(b"PMT_ONSET", np.uint8)
+
+
+def _digit_counts(v: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Number of digits of each value (None if all have the same number),
+    and the largest."""
+    width = len(str(v.max()))
+    if len(str(v.min())) == width:
+        return None, width
+    return np.searchsorted(_POW10, v, side="right") + 1, width
+
+
+def _put_digits(rows: np.ndarray, v: np.ndarray, stop: int, width: int):
+    """Write v zero-padded to `width` digits in rows[:, stop - width:stop]."""
+    quads = np.empty((len(v), -(-width // 4)), np.uint32)
+    for k in range(quads.shape[1] - 1, -1, -1):
+        high = v // 10000
+        quads[:, k] = _DIGIT_QUADS.take(v - high * 10000)
+        v = high
+    rows[:, stop - width:stop] = quads.view(np.uint8)[:, -width:]
+
+
+def _record_text(trial, channel, t_ns) -> np.ndarray:
+    """The file text of a block of records, as uint8.
+
+    Each record is laid out in a row wide enough for the block's longest
+    trial, channel name and t_ns; then the bytes that pad shorter ones are
+    dropped."""
+    n_trial, w_trial = _digit_counts(trial)
+    n_t, w_t = _digit_counts(t_ns)
+    onset = channel == CHANNEL_PMT_ONSET
+    at = np.flatnonzero(onset)
+    w_name = len(_PMT_ONSET) if len(at) else len("APD")
+    layout = b"%s\t%s\t%s\tDETECT\n" % (b"0" * w_trial, b"APD".ljust(w_name),
+                                       b"0" * w_t)
+    name = w_trial + 1                  # first column of the channel name
+    t_col = name + w_name + 1           # first column of t_ns
+    rows = np.empty((len(t_ns), len(layout)), np.uint8)
+    rows[:] = np.frombuffer(layout, np.uint8)
+    _put_digits(rows, trial, w_trial, w_trial)
+    _put_digits(rows, t_ns, t_col + w_t, w_t)
+    if len(at):
+        rows[at, name:name + w_name] = _PMT_ONSET
+    keep = np.ones(rows.shape, bool)
+    keep[:, name + 3:name + w_name] = onset[:, None]
+    if n_trial is not None:
+        keep[:, :w_trial] = np.arange(w_trial) >= (w_trial - n_trial)[:, None]
+    if n_t is not None:
+        keep[:, t_col:t_col + w_t] = np.arange(w_t) >= (w_t - n_t)[:, None]
+    return rows[keep]
+
+
+def _read_manifest(line: bytes, path) -> RunManifest:
+    if not line.startswith(FILE_MAGIC.encode()):
+        raise DataError(f"{path}: line 1: missing manifest record")
+    try:
+        return manifest_from_dict(json.loads(
+            line[len(FILE_MAGIC):].decode("utf-8"),
+            parse_constant=_reject_non_finite))
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; the others come
+    # from building a manifest out of JSON of the wrong types or shapes
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+            OverflowError, RecursionError, IonHeraldError) as exc:
+        raise DataError(f"{path}: line 1: bad manifest: {exc}") from exc
+
+
+def _reject_non_finite(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def _parse_records(buf: bytes, path, lineno: int):
+    """The trial, channel and t_ns columns of the records in `buf`, whose
+    every line ends in LF, and its number of lines; `lineno` is the file
+    line number of its first line.
+
+    Each check runs over all lines at once; DataError names the first line
+    that breaks the grammar."""
+    a = np.frombuffer(buf, np.uint8)
+    ends = np.flatnonzero(a == _LF)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    stops = ends
+    if b"\r" in buf:
+        stops = ends - ((a[ends - 1] == _CR) & (ends > starts))
+    line = np.flatnonzero(stops > starts)           # blank lines are skipped
+    starts, stops = starts[line], stops[line]
+    tabs = np.flatnonzero(a == _TAB)
+    n = len(line)
+    # with 3n tabs, every line holds three if its group of three lies in it
+    if len(tabs) != 3 * n or not (np.all(tabs[0::3] >= starts)
+                                  and np.all(tabs[2::3] < stops)):
+        count = np.searchsorted(tabs, stops) - np.searchsorted(tabs, starts)
+        n = int(np.argmax(count != 3))      # check the lines before it
+    tab1, tab2, tab3 = tabs[:3 * n].reshape(n, 3).T
+    first, stop = starts[:n], stops[:n]
+    onset = tab2 - tab1 == len(_PMT_ONSET) + 1
+    malformed = ~onset & (tab2 - tab1 != len("APD") + 1) | (stop - tab3 != 7)
+    for k, c in enumerate(b"APD", 1):
+        malformed |= ~onset & (a[k:].take(tab1) != c)
+    at = np.flatnonzero(onset)
+    malformed[at] |= (a.take(tab1[at, None] + np.arange(1, 10))
+                      != _PMT_ONSET).any(axis=1)
+    for k, c in enumerate(b"DETECT", 1):
+        malformed |= a[k:].take(tab3, mode="clip") != c
+    # a well-formed line holds no digit outside its two number fields
+    n_trial, n_t = tab1 - first, tab3 - tab2 - 1
+    is_digit = a[:stop[-1] if n else 0] - np.uint8(_ZERO) <= 9
+    not_integer = (n_trial == 0) | (n_t == 0)
+    if np.count_nonzero(is_digit) != (n_trial + n_t).sum():
+        not_integer |= np.add.reduceat(is_digit, first) != n_trial + n_t
+    too_long = (n_trial > MAX_DIGITS) | (n_t > MAX_DIGITS)
+    bad = malformed | not_integer | too_long
+    if bad.any() or n < len(line):
+        i = int(np.argmax(bad)) if bad.any() else n
+        where = f"{path}: line {lineno + line[i]}"
+        if i == n or malformed[i]:
+            text = buf[starts[i]:stops[i]].decode("utf-8", "backslashreplace")
+            raise DataError(f"{where}: malformed record {text[:80]!r}")
+        if not_integer[i]:
+            raise DataError(f"{where}: non-integer field")
+        raise DataError(f"{where}: integer field longer than {MAX_DIGITS} "
+                        f"digits")
+    return (_field_values(a, tab1, n_trial),
+            np.where(onset, CHANNEL_PMT_ONSET, CHANNEL_APD).astype(np.int8),
+            _field_values(a, tab3, n_t)), len(ends)
+
+
+def _field_values(a: np.ndarray, stop: np.ndarray, length: np.ndarray):
+    """Values of the decimal fields a[stop - length:stop], which the caller
+    has checked are 1 to MAX_DIGITS ASCII digits; one pass per digit
+    position."""
+    width = int(length.max(initial=0))
+    full = int(length.min(initial=width))   # digits every field has
+    at = stop - width
+    value = np.zeros(len(stop), np.int64)
+    for k in range(width):
+        if k < width - full:    # some fields start after this position
+            digit = np.where(length >= width - k,
+                             a.take(at, mode="clip"), _ZERO)
+        else:
+            digit = a.take(at)
+        value *= 10
+        value += digit
+        at += 1
+    # each position added its ASCII offset: subtract 48 * 11...1
+    return value - _ZERO * ((10 ** width - 1) // 9)

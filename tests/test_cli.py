@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from ionherald.cli import (EXIT_CONFIG, EXIT_DATA, load_manifest_config, main,
                            reproduce_paper)
-from ionherald.sim import read_events
+from ionherald.sim import FILE_MAGIC, read_events
 
 
 # report.kv of `ionherald reproduce --seed 42 --scale 0.1`, recorded with
@@ -185,6 +186,50 @@ class TestSimulateCommand:
             assert main(["simulate", "--preset", "paper-rl", "--minutes",
                          "2", "--seed", "9", "--out", str(p)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def edit_header(data: bytes, section: str, key: str | None, value) -> bytes:
+    """An event file whose manifest has `value` at section[.key]."""
+    header, body = data.split(b"\n", 1)
+    manifest = json.loads(header[len(FILE_MAGIC):])
+    if key is None:
+        manifest[section] = value
+    else:
+        manifest[section][key] = value
+    return (FILE_MAGIC + json.dumps(manifest)).encode() + b"\n" + body
+
+
+class TestG2BadEventFile:
+    """`g2 --events` on a broken file names the line and exits 3."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ev") / "ok.txt"
+        assert main(["simulate", "--preset", "paper-hv", "--minutes", "0.5",
+                     "--seed", "3", "--out", str(path)]) == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda d: d + b"9223372036854775808\tAPD\t5\tDETECT\n", "line 4"),
+        (lambda d: d + b"1\tAPD\t5\xff\tDETECT\n", "line 4"),
+        (lambda d: d.replace(b'"HV"', b'"H\xffV"', 1), "line 1"),
+        (lambda d: edit_header(d, "source", "ideal_state_re", [[0.0, 1.0]]),
+         "line 1"),
+        (lambda d: edit_header(d, "absorber", "blocked", [[1.0, 0.0]]),
+         "line 1"),
+        (lambda d: edit_header(d, "duration_s", None, -1), "line 1"),
+        (lambda d: edit_header(d, "seed", None, 1.5), "line 1"),
+    ], ids=["field_above_int64", "non_utf8_record", "non_utf8_header",
+            "ideal_state_shape", "one_element_state", "negative_duration",
+            "fractional_seed"])
+    def test_exits_3(self, tmp_path, capsys, valid, edit, line):
+        # keep the first two records, so a record added is line 4
+        kept = b"\n".join(valid.split(b"\n")[:3]) + b"\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(edit(kept))
+        assert main(["g2", "--events", str(path),
+                     "--out-prefix", str(tmp_path / "g")]) == EXIT_DATA
+        assert f"bad.txt: {line}: " in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -1,10 +1,11 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from ionherald import polarization as pol
-from ionherald import presets
+from ionherald import presets, sim
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
 from ionherald.errors import ConfigError, DataError
 from ionherald.sim import (CHANNEL_APD, CHANNEL_PMT_ONSET, EventStream,
@@ -255,10 +256,67 @@ class TestEventFileRoundTrip:
     def test_malformed_line_reports_lineno(self, tmp_path):
         m = make_manifest(seed=0, duration_s=0.1)
         path = tmp_path / "bad.txt"
-        write_events(simulate_run(m), path)
+        stream = simulate_run(m)
+        write_events(stream, path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("totally broken line\n")
-        with pytest.raises(DataError, match="malformed"):
+        with pytest.raises(DataError, match=(
+                f"bad.txt: line {len(stream) + 2}: malformed record "
+                "'totally broken line'$")):
+            read_events(path)
+
+    @pytest.mark.parametrize("line, message", [
+        (b"5\tAPX\t9\tDETECT",
+         re.escape(r"malformed record '5\tAPX\t9\tDETECT'")),
+        (b"5\tapd\t9\tDETECT", "malformed record"),
+        (b"5\tPMT_ONSEX\t9\tDETECT", "malformed record"),
+        (b"5\tAPD\t9\tDETECTED", "malformed record"),
+        (b"5\tAPD\t9\tPREP", "malformed record"),
+        (b"5\tAPD\t9", "malformed record"),
+        (b"5\tAPD\t9\tDETECT\t", "malformed record"),
+        (b"5\tAPD\t9\tDETECT\r\r", "malformed record"),
+        (b"5\tAPD\t9\tDETECT\xff", "malformed record"),
+        (b"5\tAPD\t\tDETECT", "non-integer field"),
+        (b"\tAPD\t9\tDETECT", "non-integer field"),
+        (b"5\tAPD\t9x\tDETECT", "non-integer field"),
+        (b"5\tAPD\t+9\tDETECT", "non-integer field"),
+        (b" 5\tAPD\t9\tDETECT", "non-integer field"),
+        (b"5\tAPD\t1_000\tDETECT", "non-integer field"),
+        ("5\tAPD\t\u0665\tDETECT".encode(), "non-integer field"),
+        (b"5\tAPD\t9223372036854775808\tDETECT", "integer field longer"),
+        (b"1000000000000000000\tAPD\t9\tDETECT", "integer field longer"),
+    ])
+    def test_bad_record_names_its_line(self, tmp_path, line, message):
+        # two records, a blank line, then the bad one on line 5
+        path = tmp_path / "bad.txt"
+        write_events(EventStream(ns(0, 0), np.zeros(2, np.int8), ns(3, 4),
+                                 make_manifest(duration_s=0.1)), path)
+        path.write_bytes(path.read_bytes() + b"\r\n" + line + b"\n")
+        with pytest.raises(DataError, match=f"bad.txt: line 5: {message}"):
+            read_events(path)
+
+    def test_bad_record_past_the_first_block(self, tmp_path):
+        m = make_manifest(seed=19, duration_s=60.0, dark_trigger_rate=3000.0)
+        path = tmp_path / "big.txt"
+        write_events(simulate_run(m), path)
+        data = bytearray(path.read_bytes())
+        # break the first record that starts in the second reader block
+        at = data.index(b"APD", sim.READ_BLOCK + 10_000)
+        data[at:at + 3] = b"ADP"
+        path.write_bytes(bytes(data))
+        lineno = data.count(b"\n", 0, at) + 1
+        assert lineno > sim.READ_BLOCK // 40
+        with pytest.raises(DataError, match=f"line {lineno}: malformed"):
+            read_events(path)
+
+    def test_line_longer_than_any_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sim, "READ_BLOCK", 64)
+        path = tmp_path / "long.txt"
+        write_events(EventStream(ns(0), np.zeros(1, np.int8), ns(3),
+                                 make_manifest(duration_s=0.1)), path)
+        path.write_bytes(path.read_bytes() + b"7" * 10_000)
+        with pytest.raises(DataError,
+                           match="line 3: malformed record '7{80}'$"):
             read_events(path)
 
     def test_non_monotone_rejected(self, tmp_path):
@@ -278,3 +336,105 @@ class TestEventFileRoundTrip:
         path.write_text("0\tAPD\t100\tDETECT\n", encoding="utf-8")
         with pytest.raises(DataError, match="manifest"):
             read_events(path)
+
+
+def reference_records(path):
+    """Line-by-line reading of the record grammar in the sim docstring; the
+    block-wise reader must agree with it."""
+    names = {b"APD": CHANNEL_APD, b"PMT_ONSET": CHANNEL_PMT_ONSET}
+    columns = ([], [], [])
+    with open(path, "rb") as fh:
+        fh.readline()
+        for line in fh:
+            line = line.removesuffix(b"\n").removesuffix(b"\r")
+            if not line:
+                continue
+            trial, name, t, phase = line.split(b"\t")
+            assert phase == b"DETECT"
+            for field in (trial, t):
+                assert 1 <= len(field) <= 18 and field.isdigit()
+            for column, value in zip(columns, (int(trial), names[name],
+                                               int(t))):
+                column.append(value)
+    return (np.array(columns[0], np.int64), np.array(columns[1], np.int8),
+            np.array(columns[2], np.int64))
+
+
+def reference_text(stream):
+    """The records of a stream as the per-line writer formatted them."""
+    names = {CHANNEL_APD: "APD", CHANNEL_PMT_ONSET: "PMT_ONSET"}
+    return "".join(f"{tr}\t{names[ch]}\t{t}\tDETECT\n" for tr, ch, t in zip(
+        stream.trial.tolist(), stream.channel.tolist(),
+        stream.t_ns.tolist())).encode()
+
+
+def random_stream(rng, n, onset_share):
+    """A stream that keeps the file's invariants, with values of 1 to 18
+    digits (0 and 10**18 - 1 included) in both number columns."""
+    def spread():
+        # n distinct values in increasing order
+        values = {0, 10 ** 18 - 1}
+        while len(values) < n:
+            values.add(int(rng.random() * 10.0 ** rng.integers(1, 19)))
+        return np.array(sorted(values) if n > 1 else [0] * n, np.int64)
+    # distinct trials, so that one onset per trial holds
+    return EventStream(spread(), (rng.random(n) < onset_share).astype(np.int8),
+                       spread(), make_manifest(duration_s=0.1))
+
+
+class TestAgainstLineReference:
+    @pytest.mark.parametrize("n, onset_share", [
+        (0, 0.0), (1, 0.0), (1, 1.0), (50, 0.0), (50, 1.0), (3000, 0.3)])
+    def test_writer_and_reader_match_reference(self, tmp_path, n,
+                                               onset_share):
+        stream = random_stream(np.random.default_rng(n), n, onset_share)
+        path = tmp_path / "r.txt"
+        write_events(stream, path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body == reference_text(stream)
+        back = read_events(path)
+        assert back == stream
+        for got, want in zip((back.trial, back.channel, back.t_ns),
+                             reference_records(path)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_line_ends_and_blocks(self, tmp_path, monkeypatch, seed):
+        # CRLF and blank lines anywhere, maybe no final line end, and reader
+        # blocks from shorter than one line to several lines
+        rng = np.random.default_rng(100 + seed)
+        monkeypatch.setattr(sim, "READ_BLOCK", int(rng.integers(8, 200)))
+        stream = random_stream(rng, int(rng.integers(1, 400)),
+                               float(rng.random()))
+        path = tmp_path / "r.txt"
+        write_events(stream, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        pieces = []
+        for line in body.splitlines():
+            for _ in range(rng.poisson(0.2)):
+                pieces.append(b"\r\n" if rng.random() < 0.5 else b"\n")
+            pieces.append(line + (b"\r\n" if rng.random() < 0.3 else b"\n"))
+        text = b"".join(pieces)
+        if rng.random() < 0.5:
+            text = text.rstrip(b"\r\n")
+        path.write_bytes(header + b"\n" + text)
+        back = read_events(path)
+        for got, want in zip((back.trial, back.channel, back.t_ns),
+                             reference_records(path)):
+            assert np.array_equal(got, want)
+        assert back == stream
+
+
+class TestWriterRefuses:
+    @pytest.mark.parametrize("column, at, value", [
+        ("trial", 0, -1), ("t_ns", 0, -1), ("t_ns", 1, 10 ** 18),
+        ("trial", 1, 10 ** 18), ("channel", 1, 2)])
+    def test_unwritable_stream(self, tmp_path, column, at, value):
+        # each stream keeps both channels in time order
+        stream = EventStream(ns(0, 1), np.zeros(2, np.int8), ns(5, 6),
+                             make_manifest(duration_s=0.1))
+        getattr(stream, column)[at] = value
+        path = tmp_path / "never.txt"
+        with pytest.raises(DataError):
+            write_events(stream, path)
+        assert not path.exists()
