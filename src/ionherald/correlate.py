@@ -79,6 +79,31 @@ def _check_sorted(t: np.ndarray, name: str):
         raise DataError(f"{name} events are not time-ordered")
 
 
+def _lag_window_ns(bin_width_us: float, window_bins: int):
+    """Bin width and lag window in integer ns: (bin_ns, below, above).
+
+    The window spans bins -window_bins .. window_bins, so tau = t_on - t_apd
+    lies in [-below, above), that is t_apd in (t_on - above, t_on + below].
+    """
+    if not 0.0 < bin_width_us < np.inf or window_bins < 0:
+        raise DataError("bin width must be finite and > 0, "
+                        "and window_bins >= 0")
+    bin_ns = int(round(bin_width_us * 1000.0))
+    if bin_ns < 1:
+        raise DataError(f"bin width {bin_width_us} us is below 1 ns")
+    half_ns = bin_ns // 2
+    return (bin_ns, window_bins * bin_ns + half_ns,
+            window_bins * bin_ns - half_ns + bin_ns)
+
+
+def lag_reach_ns(bin_width_us: float = DEFAULT_BIN_US,
+                 window_bins: int = DEFAULT_WINDOW_BINS) -> int:
+    """The largest |t_apd - t_on| in ns that a lag bin can hold: an APD click
+    further than this from every onset never enters the histogram."""
+    _, below, above = _lag_window_ns(bin_width_us, window_bins)
+    return max(below, above - 1)
+
+
 def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
               window_bins: int = DEFAULT_WINDOW_BINS, total_apd=None,
               total_onsets=None, duration_s: float = 0.0) -> CoincidenceHistogram:
@@ -97,27 +122,16 @@ def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
     onsets = np.asarray(onset_events, dtype=np.int64)
     _check_sorted(apd, "APD")
     _check_sorted(onsets, "onset")
-    if not 0.0 < bin_width_us < np.inf or window_bins < 0:
-        raise DataError("bin width must be finite and > 0, "
-                        "and window_bins >= 0")
-    bin_ns = int(round(bin_width_us * 1000.0))
-    if bin_ns < 1:
-        raise DataError(f"bin width {bin_width_us} us is below 1 ns")
-
-    half_ns = bin_ns // 2
+    bin_ns, below, above = _lag_window_ns(bin_width_us, window_bins)
     lags = np.arange(-window_bins, window_bins + 1, dtype=np.int64)
-    # the window spans bins -window_bins .. window_bins: tau = t_on - t_apd
-    # in [-below, above)  <=>  t_apd in (t_on - above, t_on + below]
-    below = window_bins * bin_ns + half_ns
-    above = window_bins * bin_ns - half_ns + bin_ns
     lo = np.searchsorted(apd, onsets - above, side="right")
     n = np.searchsorted(apd, onsets + below, side="right") - lo
     # all pairs in the window: onset j meets apd[lo[j]:lo[j] + n[j]]
     first = np.cumsum(n) - n
     pair_apd = np.arange(n.sum()) + np.repeat(lo - first, n)
     tau = np.repeat(onsets, n) - apd[pair_apd]
-    counts = np.bincount((tau + half_ns) // bin_ns + window_bins,
-                         minlength=len(lags))
+    # bin k starts at k * bin - half = (k + window_bins) * bin - below
+    counts = np.bincount((tau + below) // bin_ns, minlength=len(lags))
 
     return CoincidenceHistogram(
         bin_width_us, lags, counts,
@@ -128,9 +142,13 @@ def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
 
 def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
                           window_bins: int = DEFAULT_WINDOW_BINS) -> CoincidenceHistogram:
+    """Histogram of a finalized stream; APD clicks a counting-mode stream
+    left out (``apd_dropped``) still count in total_apd."""
     duration = stream.manifest.duration_s if stream.manifest else 0.0
-    return histogram(stream.apd_times(), stream.onset_times(), bin_width_us,
-                     window_bins, duration_s=duration)
+    apd = stream.apd_times()
+    return histogram(apd, stream.onset_times(), bin_width_us, window_bins,
+                     total_apd=len(apd) + stream.apd_dropped,
+                     duration_s=duration)
 
 
 def extract(hist: CoincidenceHistogram,

@@ -39,7 +39,8 @@ class PolarizationState:
 
     def __post_init__(self):
         norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
-        if abs(norm - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise DataError(
                 f"polarization state not normalized: |c|^2 = {norm!r}")
         # rescaling already-normalized amplitudes would churn the last ulp
@@ -152,6 +153,9 @@ class TwoQubitDensityMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise DataError(f"density matrix must be 4x4, got {m.shape}")
+        # NaN would compare False in every check below
+        if not np.isfinite(m).all():
+            raise DataError("density matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise DataError("density matrix not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:

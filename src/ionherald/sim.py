@@ -23,6 +23,21 @@ channel's stamps are unique. Detection windows of adjacent trials are at least
 1 ns apart, so stamps only tie within one trial and time order is also trial
 order.
 
+In counting mode, ``simulate_run(m, reach_ns)``, a stream keeps only what a
+coincidence histogram whose lags span at most reach_ns nanoseconds can use.
+It makes every random draw of the full stream and keeps every onset. It keeps
+the APD clicks (pair clicks and dark triggers) of a trial only if an onset
+stamp lies within reach_ns of the trial's stamp range: from the first rounded
+nanosecond of its detection window to the last, plus k - 1 ns for a trial of
+k APD clicks (the furthest a tie bump can move a stamp). The other trials'
+clicks are never stamped, and ``apd_dropped`` counts them, so the histogram
+of a counting-mode stream equals the full stream's in every field. A kept
+click has its full-stream stamp as long as no tie bump carries a stamp from
+one window into the next; so where the narrowest gap between windows, in ns,
+is not larger than the most APD clicks of any one trial, every trial is kept.
+An event file promises the full stream: ``write_events`` refuses a stream
+with ``apd_dropped > 0``.
+
 An event file is text. Its first line is ``#MANIFEST `` followed by the
 manifest as one JSON object. Every later line is a record or blank::
 
@@ -33,8 +48,9 @@ manifest as one JSON object. Every later line is a record or blank::
 
 Lines end in LF or CRLF, the last line end is optional, and blank lines are
 skipped. Nothing else is a record: no sign, space, separator or non-ASCII
-digit. ``write_events`` refuses a stream it cannot write in this grammar,
-and ``read_events`` names the first line that breaks it.
+digit. A record's trial is one of the manifest's, below its n_trials.
+``write_events`` refuses a stream it cannot write in this grammar, and
+``read_events`` names the first line that breaks it.
 """
 
 from __future__ import annotations
@@ -167,6 +183,7 @@ class EventStream:
     channel: np.ndarray     # int8, CHANNEL_APD / CHANNEL_PMT_ONSET
     t_ns: np.ndarray        # int64
     manifest: RunManifest | None = None
+    apd_dropped: int = 0    # APD clicks left out in counting mode
 
     def __len__(self):
         return len(self.t_ns)
@@ -185,7 +202,8 @@ class EventStream:
             return NotImplemented
         return (np.array_equal(self.trial, other.trial)
                 and np.array_equal(self.channel, other.channel)
-                and np.array_equal(self.t_ns, other.t_ns))
+                and np.array_equal(self.t_ns, other.t_ns)
+                and self.apd_dropped == other.apd_dropped)
 
 
 def _strictly_increasing(t: np.ndarray) -> np.ndarray:
@@ -235,8 +253,13 @@ def _finalize(apd_trial, apd_t_ns, onset_trial, onset_t_ns,
     return EventStream(trial, channel, t_ns, manifest)
 
 
-def simulate_run(m: RunManifest) -> EventStream:
-    """Generate the event stream for one run. Deterministic given the manifest."""
+def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
+    """Generate the event stream for one run. Deterministic given the manifest.
+
+    With reach_ns, the stream is the counting-mode stream of the module
+    docstring: it keeps every onset, but only the APD clicks of the trials
+    that can reach an onset within reach_ns, and counts the rest in
+    apd_dropped."""
     rng = np.random.default_rng(m.seed)
     seq, rates = m.sequence, m.rates
     n_trials = m.n_trials
@@ -286,9 +309,6 @@ def simulate_run(m: RunManifest) -> EventStream:
     cand_t = pair_t[onset_mask] + delay
     cand_trial = pair_trial[onset_mask]
 
-    dark_trial = np.repeat(np.arange(n_trials), n_dark)
-    dark_t = t_start[dark_trial] + dark_u * w
-
     false_trial = np.repeat(np.arange(n_trials), n_false)
     false_t = t_start[false_trial] + false_u * w
 
@@ -310,10 +330,47 @@ def simulate_run(m: RunManifest) -> EventStream:
         onset_t = np.empty(0)
         onset_trial = np.empty(0, dtype=np.int64)
 
+    onset_ns = np.rint(onset_t * 1e9).astype(np.int64)
+
+    apd_dropped = 0
+    if reach_ns is not None:
+        per_trial = np.bincount(apd_pair_trial, minlength=n_trials) + n_dark
+        keep = _reached_trials(t_start, w, per_trial, onset_ns, reach_ns)
+        apd_dropped = int(per_trial[~keep].sum())
+        kept_pair = keep[apd_pair_trial]
+        apd_pair_t = apd_pair_t[kept_pair]
+        apd_pair_trial = apd_pair_trial[kept_pair]
+        dark_u = dark_u[np.repeat(keep, n_dark)]
+        n_dark = np.where(keep, n_dark, 0)
+
+    dark_trial = np.repeat(np.arange(n_trials), n_dark)
+    dark_t = t_start[dark_trial] + dark_u * w
+
     apd_t = np.concatenate([apd_pair_t, dark_t])
     apd_trial = np.concatenate([apd_pair_trial, dark_trial])
-    return _finalize(apd_trial, np.rint(apd_t * 1e9).astype(np.int64),
-                     onset_trial, np.rint(onset_t * 1e9).astype(np.int64), m)
+    stream = _finalize(apd_trial, np.rint(apd_t * 1e9).astype(np.int64),
+                       onset_trial, onset_ns, m)
+    stream.apd_dropped = apd_dropped
+    return stream
+
+
+def _reached_trials(t_start, w, per_trial, onset_ns, reach_ns) -> np.ndarray:
+    """Per trial, whether one of its APD stamps can lie within reach_ns of
+    an onset stamp (see the module docstring); all True where a tie bump
+    could carry a stamp into the next trial's window."""
+    lo = np.rint(t_start * 1e9).astype(np.int64)
+    # t_start + u * w <= t_start + w in floating point for u < 1
+    hi = np.rint((t_start + w) * 1e9).astype(np.int64)
+    if len(lo) > 1 and np.min(lo[1:] - hi[:-1]) <= per_trial.max():
+        return np.ones(len(lo), dtype=bool)
+    # k tied stamps of one trial are bumped at most k - 1 ns past its window
+    hi += np.maximum(per_trial - 1, 0)
+    first = np.searchsorted(hi, onset_ns - reach_ns, side="left")
+    stop = np.searchsorted(lo, onset_ns + reach_ns, side="right")
+    # trials first[j] .. stop[j] - 1 reach onset j
+    edges = (np.bincount(first, minlength=len(lo) + 1)
+             - np.bincount(stop, minlength=len(lo) + 1))
+    return np.cumsum(edges[:-1]) > 0
 
 
 # --- manifest and event-file serialization ----------------------------------
@@ -379,6 +436,9 @@ def write_events(stream: EventStream, path) -> None:
     is refused before the file is opened."""
     if stream.manifest is None:
         raise DataError("stream has no manifest; cannot write a valid file")
+    if stream.apd_dropped:
+        raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
+                        "APD clicks; its manifest promises them all")
     for name, column in (("trial", stream.trial), ("t_ns", stream.t_ns)):
         if len(column) and not (column.min() >= 0
                                 and column.max() < 10 ** MAX_DIGITS):
@@ -409,20 +469,23 @@ def read_events(path) -> EventStream:
                 np.empty(0, np.int64))]
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh.readline(), path)
+        n_trials = manifest.n_trials
         lineno, rest = 2, b""
         while chunk := fh.read(READ_BLOCK):
             block = rest + chunk
             cut = block.rfind(b"\n") + 1
             rest = block[cut:]
             if cut:
-                records, lines = _parse_records(block[:cut], path, lineno)
+                records, lines = _parse_records(block[:cut], path, lineno,
+                                                n_trials)
                 columns.append(records)
                 lineno += lines
             if len(rest) > _MAX_LINE:
                 # longer than any record, so this raises
-                _parse_records(rest + b"\n", path, lineno)
+                _parse_records(rest + b"\n", path, lineno, n_trials)
         if rest:                        # the last line end is optional
-            columns.append(_parse_records(rest + b"\n", path, lineno)[0])
+            columns.append(
+                _parse_records(rest + b"\n", path, lineno, n_trials)[0])
     stream = EventStream(*(np.concatenate(c) for c in zip(*columns)),
                          manifest=manifest)
     for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
@@ -517,10 +580,10 @@ def _reject_non_finite(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _parse_records(buf: bytes, path, lineno: int):
+def _parse_records(buf: bytes, path, lineno: int, n_trials: int):
     """The trial, channel and t_ns columns of the records in `buf`, whose
     every line ends in LF, and its number of lines; `lineno` is the file
-    line number of its first line.
+    line number of its first line. A trial must be below n_trials.
 
     Each check runs over all lines at once; DataError names the first line
     that breaks the grammar."""
@@ -570,7 +633,13 @@ def _parse_records(buf: bytes, path, lineno: int):
             raise DataError(f"{where}: non-integer field")
         raise DataError(f"{where}: integer field longer than {MAX_DIGITS} "
                         f"digits")
-    return (_field_values(a, tab1, n_trial),
+    trial = _field_values(a, tab1, n_trial)
+    late = np.flatnonzero(trial >= n_trials)
+    if len(late):
+        i = late[0]
+        raise DataError(f"{path}: line {lineno + line[i]}: trial {trial[i]} "
+                        f"outside the manifest's {n_trials} trials")
+    return (trial,
             np.where(onset, CHANNEL_PMT_ONSET, CHANNEL_APD).astype(np.int8),
             _field_values(a, tab3, n_t)), len(ends)
 

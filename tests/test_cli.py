@@ -219,9 +219,11 @@ class TestG2BadEventFile:
          "line 1"),
         (lambda d: edit_header(d, "duration_s", None, -1), "line 1"),
         (lambda d: edit_header(d, "seed", None, 1.5), "line 1"),
+        # a 0.5 min run has trials 0 to 299
+        (lambda d: d + b"300\tAPD\t5\tDETECT\n", "line 4"),
     ], ids=["field_above_int64", "non_utf8_record", "non_utf8_header",
             "ideal_state_shape", "one_element_state", "negative_duration",
-            "fractional_seed"])
+            "fractional_seed", "trial_outside_manifest"])
     def test_exits_3(self, tmp_path, capsys, valid, edit, line):
         # keep the first two records, so a record added is line 4
         kept = b"\n".join(valid.split(b"\n")[:3]) + b"\n"

@@ -26,6 +26,13 @@ class TestPolarizationState:
         with pytest.raises(DataError):
             pol.PolarizationState(1.0, 1.0)
 
+    @pytest.mark.parametrize("c_h, c_v", [
+        (float("nan"), 0.0), (1.0, complex(0.0, float("nan"))),
+        (float("inf"), 0.0), (1.0, complex(float("inf"), float("nan")))])
+    def test_rejects_non_finite(self, c_h, c_v):
+        with pytest.raises(DataError, match="not normalized"):
+            pol.PolarizationState(c_h, c_v)
+
     def test_orthogonal(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -197,6 +204,16 @@ class TestDensityMatrixInvariants:
             assert np.max(np.abs(m - m.conj().T)) < 1e-10
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-10)
             assert np.min(np.linalg.eigvalsh(m)) > -1e-9
+
+    @pytest.mark.parametrize("i, j, value", [
+        (0, 0, np.nan), (1, 2, np.nan), (3, 3, np.inf), (0, 3, -np.inf),
+        (2, 1, complex(0.0, np.nan))])
+    def test_rejects_non_finite(self, i, j, value):
+        m = pol.singlet().matrix.copy()
+        m[i, j] = value
+        with pytest.raises(DataError, match="non-finite"):
+            pol.TwoQubitDensityMatrix(m)
+
 
     def test_immutable(self):
         rho = pol.singlet()

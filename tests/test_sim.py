@@ -7,9 +7,12 @@ import pytest
 from ionherald import polarization as pol
 from ionherald import presets, sim
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
+from ionherald.correlate import (histogram, histogram_from_stream,
+                                 lag_reach_ns)
 from ionherald.errors import ConfigError, DataError
 from ionherald.sim import (CHANNEL_APD, CHANNEL_PMT_ONSET, EventStream,
                            RateConfig, RunManifest, SequenceConfig, _finalize,
+                           _reached_trials,
                            manifest_from_dict, manifest_to_dict, read_events,
                            simulate_run, write_events)
 
@@ -19,7 +22,7 @@ PINNED_NUMPY = "2.4.6"
 
 
 def make_manifest(seed=0, duration_s=60.0, weight=1.0, analyzer=None,
-                  **rate_kw):
+                  sequence=None, **rate_kw):
     rates = dict(pair_rate=20.0, eta_trigger=0.5, eta_herald=0.07,
                  branching_s=0.94, dark_trigger_rate=50.0,
                  false_onset_rate=1.0)
@@ -29,7 +32,7 @@ def make_manifest(seed=0, duration_s=60.0, weight=1.0, analyzer=None,
         absorber=absorber_for(pol.RL, "plus"),
         analyzer=analyzer or AnalyzerSetting(pol.L, 45.0),
         source=SourceModel(pol.singlet(), weight, rates["pair_rate"]),
-        sequence=SequenceConfig(),
+        sequence=sequence or SequenceConfig(),
         rates=RateConfig(**rates))
 
 
@@ -196,6 +199,127 @@ class TestFinalize:
             CHANNEL_PMT_ONSET, CHANNEL_APD]
 
 
+def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
+    """The counting-mode histogram equals the full stream's in every field;
+    returns the counting-mode stream."""
+    counted = simulate_run(m, reach_ns=lag_reach_ns(bin_us, window_bins))
+    got = histogram_from_stream(counted, bin_us, window_bins)
+    want = histogram_from_stream(simulate_run(m), bin_us, window_bins)
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.lags, want.lags)
+    assert (got.total_apd, got.total_onsets, got.duration_s,
+            got.bin_width_us) == (want.total_apd, want.total_onsets,
+                                  want.duration_s, want.bin_width_us)
+    return counted
+
+
+# detection windows 1 ns apart: tied stamps at a window's end are bumped
+# into the next one
+ONE_NS_GAP = SequenceConfig(rep_rate=9.9e6, cooling_ms=5e-7, prep_ms=5e-7,
+                            detect_ms=1e-4)
+
+
+class TestCountingMode:
+    """simulate_run(m, reach_ns) keeps only the trials an onset can reach,
+    and every histogram field stays that of the full stream."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["hv", "rl", "tomo"])
+    def test_paper_manifests(self, name, seed):
+        if name == "tomo":
+            plan = presets.tomo_plan()
+            m = presets.manifest_for_setting(plan, plan.settings[seed],
+                                             seed, minutes=30.0)
+        else:
+            m = presets.manifest_for_angle(presets.fringe_plan(name),
+                                           15.0 * seed, seed, minutes=30.0)
+        counted = assert_counting_equals_full(m)
+        # the onset's own trial is about 4 % of the detection time
+        assert 0 < len(counted.apd_times()) < 0.1 * counted.apd_dropped
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lag_window_spans_trials(self, seed):
+        # trials 1 ms apart with 0.5 ms between windows, so the +-505 us
+        # lag window reaches into the neighbouring trials
+        seq = SequenceConfig(rep_rate=1000.0, cooling_ms=0.25, prep_ms=0.25,
+                             detect_ms=0.5)
+        counted = assert_counting_equals_full(make_manifest(
+            seed=seed, duration_s=2.0, sequence=seq, dark_trigger_rate=2e4,
+            false_onset_rate=20.0))
+        assert counted.apd_dropped > 0
+
+    def test_one_ns_gap_keeps_every_trial(self):
+        # ~90 clicks per 100 ns window: tie cascades cross into the next
+        # trial, and dropping the trials no onset reaches would shift the
+        # stamps of the kept ones
+        m = make_manifest(seed=4, duration_s=1e-4, sequence=ONE_NS_GAP,
+                          dark_trigger_rate=9e8, false_onset_rate=3e6)
+        counted = assert_counting_equals_full(m, bin_us=0.001, window_bins=3)
+        assert counted.apd_dropped == 0
+        assert counted == simulate_run(m)
+
+    def test_tie_cascade_across_trials_keeps_every_trial(self):
+        # trial 0's window ends at 200 ns, trial 1's starts at 202 ns; three
+        # clicks tied at 200 ns are bumped to 200, 201 and 202, and push
+        # trial 1's click from 202 to 203, 87 ns before an onset at 290
+        t_start, w = np.array([100e-9, 202e-9]), 100e-9
+        stream = _finalize(ns(0, 0, 0, 1), ns(200, 200, 200, 202),
+                           ns(1), ns(290), None)
+        assert stream.apd_times().tolist() == [200, 201, 202, 203]
+        # trial 0 alone lies further than 87 ns from the onset, but without
+        # it trial 1's click would stay at 202: every trial is kept
+        keep = _reached_trials(t_start, w, ns(3, 1), ns(290), 87)
+        assert keep.tolist() == [True, True]
+        assert histogram(ns(203), ns(290), 0.001, 87).counts.sum() == 1
+        assert histogram(ns(202), ns(290), 0.001, 87).counts.sum() == 0
+
+    def test_no_trials(self):
+        counted = assert_counting_equals_full(make_manifest(duration_s=0.0))
+        assert len(counted) == 0 and counted.apd_dropped == 0
+
+    def test_no_onsets(self):
+        counted = assert_counting_equals_full(make_manifest(
+            seed=5, duration_s=30.0, eta_herald=0.0, false_onset_rate=0.0))
+        assert len(counted) == 0 and counted.apd_dropped > 0
+
+    def test_no_dark_triggers(self):
+        assert_counting_equals_full(make_manifest(
+            seed=6, duration_s=120.0, dark_trigger_rate=0.0))
+
+    @pytest.mark.parametrize("side", ["after", "before"])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_clicks_on_the_lag_window_edges(self, side, inside):
+        # 1 us windows 20 us apart with ~1000 dark clicks each, so a click
+        # often sits on a window's first nanosecond; the lag window is set
+        # so that a click in the next or previous trial lies on its edge
+        seq = SequenceConfig(rep_rate=5e4, cooling_ms=0.005, prep_ms=0.005,
+                             detect_ms=0.001)
+        m = make_manifest(seed=8, duration_s=2e-3, sequence=seq,
+                          dark_trigger_rate=1e9, false_onset_rate=2e5)
+        stream = simulate_run(m)
+        t_start = (np.arange(m.n_trials) * seq.period_s
+                   + seq.detect_offset_s)
+        first_ns = np.rint(t_start * 1e9).astype(np.int64)
+        apd = stream.apd_times()
+        apd_trial = stream.trial[stream.channel == CHANNEL_APD]
+        on = stream.onset_times()
+        on_trial = stream.trial[stream.channel == CHANNEL_PMT_ONSET]
+        if side == "after":
+            # onset j and a click on the first nanosecond of the next trial
+            j = next(j for j, k in enumerate(on_trial) if k + 1 < m.n_trials
+                     and first_ns[k + 1] in apd)
+            d = int(first_ns[on_trial[j] + 1] - on[j])
+            # below = bin // 2 holds d, or stops 1 ns short of it
+            bin_ns = 2 * d + 1 if inside else 2 * d - 1
+        else:
+            # onset j and the last click of the previous trial
+            j = next(j for j, k in enumerate(on_trial) if k > 0)
+            d = int(on[j] - apd[apd_trial == on_trial[j] - 1][-1])
+            # above = bin - bin // 2 holds d only if it exceeds it
+            bin_ns = 2 * d + 1 if inside else 2 * d
+        assert_counting_equals_full(m, bin_us=bin_ns / 1000.0, window_bins=0)
+
+
 class TestEventFileRoundTrip:
     def test_empty_stream(self, tmp_path):
         m = make_manifest(seed=3, duration_s=0.0)
@@ -319,6 +443,17 @@ class TestEventFileRoundTrip:
                            match="line 3: malformed record '7{80}'$"):
             read_events(path)
 
+    def test_trial_outside_the_manifest(self, tmp_path):
+        path = tmp_path / "late.txt"
+        write_events(simulate_run(make_manifest(seed=0, duration_s=0.3)), path)
+        # three trials: 0, 1 and 2
+        with open(path, "ab") as fh:
+            fh.write(b"2\tAPD\t999999999\tDETECT\n\n3\tAPD\t1\tDETECT\n")
+        n = path.read_bytes().count(b"\n")
+        with pytest.raises(DataError, match=rf"late.txt: line {n}: trial 3 "
+                           "outside the manifest's 3 trials"):
+            read_events(path)
+
     def test_non_monotone_rejected(self, tmp_path):
         m = make_manifest(seed=0, duration_s=0.1)
         path = tmp_path / "mono.txt"
@@ -378,8 +513,9 @@ def random_stream(rng, n, onset_share):
             values.add(int(rng.random() * 10.0 ** rng.integers(1, 19)))
         return np.array(sorted(values) if n > 1 else [0] * n, np.int64)
     # distinct trials, so that one onset per trial holds
+    # 1e18 trials at the default 10 Hz, so that every trial is in the run
     return EventStream(spread(), (rng.random(n) < onset_share).astype(np.int8),
-                       spread(), make_manifest(duration_s=0.1))
+                       spread(), make_manifest(duration_s=1e17))
 
 
 class TestAgainstLineReference:
@@ -436,5 +572,14 @@ class TestWriterRefuses:
         getattr(stream, column)[at] = value
         path = tmp_path / "never.txt"
         with pytest.raises(DataError):
+            write_events(stream, path)
+        assert not path.exists()
+
+    def test_counting_mode_stream(self, tmp_path):
+        stream = simulate_run(make_manifest(seed=1, duration_s=10.0),
+                              reach_ns=lag_reach_ns())
+        assert stream.apd_dropped > 0
+        path = tmp_path / "never.txt"
+        with pytest.raises(DataError, match="left out"):
             write_events(stream, path)
         assert not path.exists()
