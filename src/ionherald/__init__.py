@@ -8,17 +8,14 @@ presets (paper-calibrated configurations), cli (batch front-end).
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, ConvergenceError, DataError,
-                     IonHeraldError, UndefinedConditionalError)
+from .errors import ConfigError, ConvergenceError, DataError, IonHeraldError
 from .polarization import (BASES, DA, HV, RL, PoincareVector,
                            PolarizationBasis, PolarizationState,
                            TwoQubitDensityMatrix, joint_projection_probability,
                            maximally_mixed, overlap, singlet, to_poincare,
                            werner)
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
-                       absorber_for, fringe_prediction,
-                       heralded_absorption_probability, scan_analyzer,
-                       trigger_probability)
+                       absorber_for, arm_probabilities, scan_analyzer)
 from .sim import (EventStream, RateConfig, RunManifest, SequenceConfig,
                   read_events, simulate_run, write_events)
 from .correlate import (CoincidenceHistogram, CoincidenceResult, extract,
@@ -32,14 +29,13 @@ from .tomography import (CountsRow, CountsTable, EntanglementMetrics,
 
 __all__ = [
     "ConfigError", "ConvergenceError", "DataError", "IonHeraldError",
-    "UndefinedConditionalError", "__version__",
+    "__version__",
     "BASES", "DA", "HV", "RL", "PoincareVector", "PolarizationBasis",
     "PolarizationState", "TwoQubitDensityMatrix",
     "joint_projection_probability", "maximally_mixed", "overlap", "singlet",
     "to_poincare", "werner",
     "AbsorberSetting", "AnalyzerSetting", "SourceModel", "absorber_for",
-    "fringe_prediction", "heralded_absorption_probability", "scan_analyzer",
-    "trigger_probability",
+    "arm_probabilities", "scan_analyzer",
     "EventStream", "RateConfig", "RunManifest",
     "SequenceConfig", "read_events", "simulate_run", "write_events",
     "CoincidenceHistogram", "CoincidenceResult", "extract", "histogram",

@@ -9,6 +9,11 @@ polarization-sensitive absorber: after optical pumping it cannot absorb the
 half-wave plate at dial angle theta steers around the Poincare sphere with a
 90-degree fringe period (the plate rotates linear polarization by 2*theta,
 i.e. by 4*theta on the sphere).
+
+``arm_probabilities`` is the one place the 4x4 algebra is evaluated: the
+simulator and the calibration's expected-count model (``presets``) take
+their per-pair trigger and joint probabilities from it, and
+``fringe_params`` the fringe phase.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UndefinedConditionalError
+from .errors import ConfigError, DataError
 from . import polarization as pol
 from .polarization import (PolarizationBasis, PolarizationState,
                            TwoQubitDensityMatrix)
@@ -112,6 +117,9 @@ def scan_analyzer(basis: PolarizationBasis, hwp_deg: float,
     """
     if basis.label not in _SCAN_MERIDIAN:
         raise ConfigError(f"no scan trajectory for basis {basis.label!r}")
+    if not np.isfinite(hwp_deg - theta_ref_deg):
+        raise DataError(f"HWP angles must be finite: {hwp_deg}, "
+                        f"reference {theta_ref_deg}")
     phi = np.radians(4.0 * (hwp_deg - theta_ref_deg))
     n_plus = pol.to_poincare(basis.plus).as_array()
     n_mid = _SCAN_MERIDIAN[basis.label]
@@ -119,110 +127,41 @@ def scan_analyzer(basis: PolarizationBasis, hwp_deg: float,
     return AnalyzerSetting(pol.from_poincare(n), hwp_angle=float(hwp_deg))
 
 
-def trigger_probability(src: SourceModel, an: AnalyzerSetting,
-                        eta_trigger: float) -> float:
-    """Per-pair probability of an APD click in the trigger arm."""
-    if not 0.0 < eta_trigger <= 1.0:
-        raise ConfigError(f"eta_trigger outside (0, 1]: {eta_trigger}")
-    rho = src.effective_state()
-    return eta_trigger * pol.marginal_projection_probability(
-        rho, an.projector_state, side="B")
+def arm_probabilities(source: SourceModel, absorber: AbsorberSetting,
+                      analyzers) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair arm probabilities, one entry per analyzer setting.
 
-
-def heralded_absorption_probability(src: SourceModel, ab: AbsorberSetting,
-                                    an: AnalyzerSetting,
-                                    eta_herald: float) -> float:
-    """P(ion absorbs | trigger fired), scaled by eta_herald.
-
-    eta_herald * Tr[rho (|allowed><allowed| x |an><an|)] / Tr[rho (I x |an><an|)]
+    marginal = Tr[rho (I x |an><an|)]: the trigger photon passes the analyzer.
+    joint = Tr[rho (|allowed><allowed| x |an><an|)]: it passes and its partner
+    is in the absorber's allowed state. The conditional absorption given a
+    trigger is joint / marginal, undefined where marginal is zero.
     """
-    if not 0.0 < eta_herald <= 1.0:
-        raise ConfigError(f"eta_herald outside (0, 1]: {eta_herald}")
-    rho = src.effective_state()
-    marginal = pol.marginal_projection_probability(
-        rho, an.projector_state, side="B")
-    if marginal <= 0.0:
-        raise UndefinedConditionalError(
-            "trigger probability is zero; conditional absorption undefined")
-    joint = pol.joint_projection_probability(
-        rho, ab.allowed, an.projector_state)
-    return eta_herald * joint / marginal
+    rho = source.effective_state()
+    marginal = np.array([pol.marginal_projection_probability(
+        rho, an.projector_state, side="B") for an in analyzers])
+    joint = np.array([pol.joint_projection_probability(
+        rho, absorber.allowed, an.projector_state) for an in analyzers])
+    return marginal, joint
 
 
-# --- analytic fringe prediction ---------------------------------------------
+def fringe_params(source: SourceModel, absorber: AbsorberSetting,
+                  theta_ref_deg: float) -> float:
+    """Fringe phase: the HWP dial angle theta0 of the coincidence minimum.
 
-
-@dataclass(frozen=True)
-class FringeParams:
-    """Closed-form fringe of the coincidence rate versus HWP angle (per wall
-    second): rate(theta) = background_rate + amplitude * sin^2(2(theta - theta0))."""
-
-    amplitude: float
-    offset_rate: float       # angle-independent signal floor
-    background_rate: float   # accidental-coincidence floor
-    theta0_deg: float        # dial angle of the fringe minimum
-    theta_max_deg: float     # dial angle of maximum coincidence
-
-
-def fringe_params(src: SourceModel, ab: AbsorberSetting, rates,
-                  sequence=None, theta_ref_deg: float = 0.0) -> FringeParams:
-    """Fringe constants from the matrix model (no fitting involved).
-
-    ``rates`` is a sim.RateConfig; ``sequence`` a sim.SequenceConfig (defaults
-    to the standard 10 Hz sequence). Idealized: trial-truncation and
-    latency-binning losses are not applied here.
+    Along the scan circle the joint probability is sinusoidal in phi =
+    4*(theta - theta_ref): f(phi) = c0 + c1 cos(phi) + c2 sin(phi), so three
+    evaluations pin it down. Returned in the canonical (-45, 45] window.
     """
-    from .sim import SequenceConfig  # local import to avoid a cycle
-    seq = sequence if sequence is not None else SequenceConfig()
-    duty = seq.duty_cycle
-    rho = src.effective_state()
-
-    # Joint probability along the scan circle is sinusoidal in phi = 4*theta:
-    # f(phi) = c0 + c1 cos(phi) + c2 sin(phi); three evaluations pin it down.
-    def joint_at(phi_deg_quarter):
-        an = scan_analyzer(ab.basis, theta_ref_deg + phi_deg_quarter,
-                           theta_ref_deg)
-        return pol.joint_projection_probability(rho, ab.allowed,
-                                                an.projector_state)
-
-    f0, f90, f180 = joint_at(0.0), joint_at(22.5), joint_at(45.0)
+    quarter = [scan_analyzer(absorber.basis, theta_ref_deg + q, theta_ref_deg)
+               for q in (0.0, 22.5, 45.0)]
+    _, (f0, f90, f180) = arm_probabilities(source, absorber, quarter)
     c0 = 0.5 * (f0 + f180)
     c1 = 0.5 * (f0 - f180)
     c2 = f90 - c0
-    amp_j = np.hypot(c1, c2)                 # f = c0 + amp_j cos(phi - psi)
     psi = np.arctan2(c2, c1)
 
-    per_pair = rates.eta_trigger * rates.eta_herald * rates.branching_s
-    scale = duty * src.pair_rate * per_pair
-    amplitude = 2.0 * amp_j * scale
-    offset_rate = (c0 - amp_j) * scale
-
-    # minimum of f at phi = psi + pi -> theta0 = theta_ref + (psi + pi)/4 rad
-    # ... maximum at phi = psi. Express angles back on the HWP dial.
+    # maximum at phi = psi, minimum 45 dial degrees away
     theta_max = theta_ref_deg + np.degrees(psi) / 4.0
     theta0 = theta_max - 45.0
     theta0 = (theta0 + 45.0) % 90.0 - 45.0   # canonical (-45, 45] window
-
-    apd_rate = src.pair_rate * rates.eta_trigger * pol.marginal_projection_probability(
-        rho, scan_analyzer(ab.basis, theta_ref_deg).projector_state, side="B")
-    apd_rate += rates.dark_trigger_rate
-    bin_s = 1e-5  # background quoted per 10 us lag bin
-    background_rate = duty * rates.false_onset_rate * apd_rate * bin_s
-
-    return FringeParams(amplitude, offset_rate, background_rate,
-                        float(theta0), float(theta_max % 90.0))
-
-
-def fringe_prediction(src: SourceModel, ab: AbsorberSetting, hwp_angles,
-                      rates, sequence=None,
-                      theta_ref_deg: float = 0.0) -> list[tuple[float, float]]:
-    """Expected tau=0 coincidence rate (per wall second) at each HWP angle."""
-    angles = [float(a) for a in hwp_angles]
-    if not all(np.isfinite(angles)):
-        raise DataError("hwp_angles must be finite")
-    p = fringe_params(src, ab, rates, sequence, theta_ref_deg)
-    out = []
-    for th in angles:
-        s = np.sin(np.radians(2.0 * (th - p.theta0_deg))) ** 2
-        out.append((th, p.background_rate + p.offset_rate + p.amplitude * s))
-    return out
+    return float(theta0)

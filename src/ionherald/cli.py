@@ -195,12 +195,15 @@ def cmd_g2(args) -> int:
 
 def _read_kv(path) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                k, v = line.split("=", 1)
-                out[k] = v
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if line and "=" in line:
+                    k, v = line.split("=", 1)
+                    out[k] = v
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     return out
 
 
@@ -219,6 +222,8 @@ def cmd_fringe(args) -> int:
                                  float(kv["duration_s"])))
         except (KeyError, ValueError) as exc:
             raise DataError(f"{f}: incomplete scan-point record: {exc}")
+        except DataError as exc:
+            raise DataError(f"{f}: {exc}") from exc
         basis_label = kv.get("basis", basis_label)
     scan = FringeScan(pol.BASES.get(basis_label, pol.RL), tuple(pts))
     fit = fit_fringe(scan, args.theta0)
@@ -323,8 +328,8 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
         seeds = _spawned_seeds(master_seed, len(plan.angles), stage)
         scan = run_scan(plan, seeds, plan.point_minutes * scale, overrides)
         write_scan(scan, out / f"scan_{name}.txt")
-        theta0 = fringe_params(plan.source, plan.absorber, plan.rates,
-                               plan.sequence, plan.theta_ref_deg).theta0_deg
+        theta0 = fringe_params(plan.source, plan.absorber,
+                               plan.theta_ref_deg)
         fit = fit_fringe(scan, theta0)
         write_fit_record(fit, out / f"fit_{name}.txt",
                          extra={"basis": plan.basis_label})

@@ -17,10 +17,6 @@ class DataError(IonHeraldError):
     """Invalid data: broken invariants, malformed files, degenerate fits."""
 
 
-class UndefinedConditionalError(DataError):
-    """A conditional probability was requested with zero conditioning weight."""
-
-
 class ConvergenceError(IonHeraldError):
     """Iterative reconstruction failed to converge within its budget."""
 

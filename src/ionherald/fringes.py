@@ -29,6 +29,10 @@ class ScanPoint:
     sigma: float | None = None    # populated by subtract_background
 
     def __post_init__(self):
+        sigma = 0.0 if self.sigma is None else self.sigma
+        if not np.all(np.isfinite([self.hwp_angle_deg, self.coincidences,
+                                   self.background, self.duration_s, sigma])):
+            raise DataError(f"non-finite scan-point field in {self}")
         if self.coincidences < 0:
             raise DataError("negative coincidence count")
         if self.duration_s <= 0:

@@ -8,16 +8,18 @@ visibility before background subtraction:
     H-V: 92 coincidences, 24 background, 120 min, 52% visibility
     D-A: 67 coincidences, 21 background, 120 min, 50% visibility
 
-Calibration inverts the analytic forward model of the simulator (trial
-structure, first-onset truncation, latency capture of the tau=0 bin,
-accidental-coincidence floor, and the weighted sinusoidal fit on the
-expected curve) for three knobs per basis: the pair flux reaching the
-trigger arm, the source's singlet weight, and the uncorrelated APD rate.
+Calibration inverts ``expected_scan``, the analytic forward model of the
+simulator (trial structure, first-onset truncation, latency capture of the
+tau=0 bin, accidental-coincidence floor), and the weighted sinusoidal fit
+on its expected curve, for three knobs per basis: the pair flux reaching
+the trigger arm, the source's singlet weight, and the uncorrelated APD rate.
 Fixed inputs are the 7% heralding probability, the 94% branching ratio and
 a spontaneous-decay false-onset rate of 0.8/s. No event-stream simulation is
 involved: the solve is a deterministic root of the rate equations, with the
 fit-estimator mean evaluated on fixed-seed Poisson replicas of the expected
 curve (the weights on observed counts bias a naive expectation target).
+``expected_scan`` evaluates a whole scan in one call and takes its per-pair
+probabilities from ``biphoton.arm_probabilities``, as the simulator does.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from scipy.optimize import least_squares
 from .errors import ConfigError
 from . import polarization as pol
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
-                       absorber_for, scan_analyzer)
+                       absorber_for, arm_probabilities, scan_analyzer)
 from .correlate import DEFAULT_BIN_US, DEFAULT_WINDOW_BINS
 from .fringes import clipped_wls, fringe_regressor
 from .sim import RateConfig, RunManifest, SequenceConfig
@@ -81,12 +83,12 @@ PAPER_METRIC_QUOTED_ERR = {"fidelity": 0.04, "concurrence": 0.06,
 
 # --- analytic forward model ---------------------------------------------------
 
-def expected_point(source: SourceModel, absorber: AbsorberSetting,
-                   analyzer: AnalyzerSetting, rates: RateConfig,
-                   sequence: SequenceConfig, minutes: float,
-                   bin_us: float = DEFAULT_BIN_US,
-                   window_bins: int = DEFAULT_WINDOW_BINS) -> tuple[float, float]:
-    """Expected (tau=0 counts, extracted background) for one run.
+def expected_scan(source: SourceModel, absorber: AbsorberSetting,
+                  analyzers, rates: RateConfig, sequence: SequenceConfig,
+                  minutes: float, bin_us: float = DEFAULT_BIN_US,
+                  window_bins: int = DEFAULT_WINDOW_BINS):
+    """Expected (tau=0 counts, extracted background) arrays, one entry per
+    analyzer setting, each for one run of ``minutes``.
 
     Includes first-onset truncation, bin-0 latency capture, accidental
     coincidences, the window-edge loss on the background mean, and the
@@ -97,21 +99,15 @@ def expected_point(source: SourceModel, absorber: AbsorberSetting,
     bin_s = bin_us * 1e-6
     n_bins = 2 * window_bins + 1
 
-    rho = source.effective_state()
-    marginal = pol.marginal_projection_probability(
-        rho, analyzer.projector_state, side="B")
-    joint = pol.joint_projection_probability(
-        rho, absorber.allowed, analyzer.projector_state)
+    marginal, joint = arm_probabilities(source, absorber, analyzers)
 
     mu_sig = (source.pair_rate * w * rates.eta_trigger * rates.eta_herald
               * rates.branching_s * joint)
     mu_false = rates.false_onset_rate * w
     mu = mu_sig + mu_false
-    if mu > 0:
-        n_onsets = n_trials * (1.0 - np.exp(-mu))
-        n_signal = n_onsets * mu_sig / mu
-    else:
-        n_onsets = n_signal = 0.0
+    n_onsets = n_trials * (1.0 - np.exp(-mu))
+    n_signal = np.where(mu > 0, n_onsets * mu_sig / np.where(mu > 0, mu, 1.0),
+                        0.0)
 
     kappa = 1.0 - np.exp(-0.5 * bin_s / (rates.onset_latency_us * 1e-6)) \
         if rates.onset_latency_us > 0 else 1.0
@@ -124,19 +120,7 @@ def expected_point(source: SourceModel, absorber: AbsorberSetting,
     span = (window_bins + 0.5) * bin_s
     acc_mean = n_onsets * apd_rate * bin_s * (1.0 - span / (2.0 * w))
     background = acc_mean + n_signal / n_bins
-    return float(bin0), float(background)
-
-
-def expected_scan(source, absorber, rates, sequence, minutes,
-                  angles=SCAN_ANGLES_DEG,
-                  theta_ref_deg: float = THETA_REF_DEG):
-    """Expected (bin0, background) per scan angle."""
-    out = []
-    for th in angles:
-        an = scan_analyzer(absorber.basis, th, theta_ref_deg)
-        out.append(expected_point(source, absorber, an, rates, sequence,
-                                  minutes))
-    return out
+    return bin0, background
 
 
 def _fitted_visibility(y, angles, theta_ref_deg):
@@ -146,14 +130,6 @@ def _fitted_visibility(y, angles, theta_ref_deg):
     denom = amp + 2.0 * off
     vis = np.where(denom > 0.0, amp / np.maximum(denom, 1e-300), 0.0)
     return np.clip(vis, 0.0, 1.0)
-
-
-def _expected_visibility(source, absorber, rates, sequence, minutes,
-                         angles, theta_ref_deg) -> float:
-    """Visibility of the fit applied to the noiseless expected curve."""
-    curve = [b for b, _ in expected_scan(source, absorber, rates, sequence,
-                                         minutes, angles, theta_ref_deg)]
-    return float(_fitted_visibility(np.array(curve), angles, theta_ref_deg))
 
 
 _VIS_REPLICAS = 4000
@@ -216,7 +192,9 @@ def calibrate_fringe_preset(name: str) -> Calibration:
     sequence = SequenceConfig()
     basis = pol.BASES[t.basis_label]
     absorber = absorber_for(basis, "plus")
-    analyzer_max = scan_analyzer(basis, ORTHOGONAL_ANGLE_DEG, THETA_REF_DEG)
+    analyzers = [scan_analyzer(basis, th, THETA_REF_DEG)
+                 for th in SCAN_ANGLES_DEG]
+    i_max = SCAN_ANGLES_DEG.index(ORTHOGONAL_ANGLE_DEG)
 
     def build(x):
         pair_eta, weight, dark = x
@@ -229,13 +207,17 @@ def calibrate_fringe_preset(name: str) -> Calibration:
                            false_onset_rate=FALSE_ONSET_RATE)
         return source, rates
 
-    def residuals(x, vis_target):
+    def curve(x):
+        """Expected scan of x and its noiseless-curve visibility."""
         source, rates = build(x)
-        bin0, bg = expected_point(source, absorber, analyzer_max, rates,
-                                  sequence, t.minutes)
-        vis = _expected_visibility(source, absorber, rates, sequence,
-                                   t.minutes, SCAN_ANGLES_DEG, THETA_REF_DEG)
-        return [bin0 - t.coincidences, bg - t.background,
+        bin0, bg = expected_scan(source, absorber, analyzers, rates,
+                                 sequence, t.minutes)
+        vis = float(_fitted_visibility(bin0, SCAN_ANGLES_DEG, THETA_REF_DEG))
+        return bin0, bg, vis
+
+    def residuals(x, vis_target):
+        bin0, bg, vis = curve(x)
+        return [bin0[i_max] - t.coincidences, bg[i_max] - t.background,
                 100.0 * (vis - vis_target)]
 
     # Outer loop: the Poisson-weight estimator bias (mean fitted visibility
@@ -252,13 +234,9 @@ def calibrate_fringe_preset(name: str) -> Calibration:
             raise ConfigError(f"calibration for {name!r} did not converge: "
                               f"residuals {sol.fun}")
         x = sol.x
-        source, rates = build(x)
-        curve = [b for b, _ in expected_scan(source, absorber, rates,
-                                             sequence, t.minutes)]
-        v_mc = _mean_fitted_visibility(curve, SCAN_ANGLES_DEG, THETA_REF_DEG)
-        new_bias = v_mc - _expected_visibility(
-            source, absorber, rates, sequence, t.minutes, SCAN_ANGLES_DEG,
-            THETA_REF_DEG)
+        bin0, _, vis = curve(x)
+        v_mc = _mean_fitted_visibility(bin0, SCAN_ANGLES_DEG, THETA_REF_DEG)
+        new_bias = v_mc - vis
         converged = abs(new_bias - bias) < 2e-4
         bias = new_bias
         if converged:
@@ -267,7 +245,7 @@ def calibrate_fringe_preset(name: str) -> Calibration:
     if abs(v_mc - t.visibility) > 3e-3:
         raise ConfigError(f"calibration for {name!r}: estimator-mean "
                           f"visibility {v_mc:.4f} missed {t.visibility}")
-    return Calibration(source, rates, sequence, t)
+    return Calibration(*build(x), sequence, t)
 
 
 # --- preset plans --------------------------------------------------------------

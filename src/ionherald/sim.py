@@ -62,7 +62,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IonHeraldError
 from . import polarization as pol
-from .biphoton import AbsorberSetting, AnalyzerSetting, SourceModel
+from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
+                       arm_probabilities)
 
 CHANNEL_APD = 0
 CHANNEL_PMT_ONSET = 1
@@ -207,19 +208,14 @@ class EventStream:
 
 
 def _strictly_increasing(t: np.ndarray) -> np.ndarray:
-    """Bump duplicate integer timestamps (post-rounding ties) by +1 ns.
+    """Bump duplicate sorted integer timestamps (post-rounding ties) by +1 ns.
 
-    Ties are O(1)-rare, so each pass only touches violations; a run of k
-    equal stamps resolves in at most k passes.
+    Each stamp becomes max(its own, the previous bumped stamp + 1), in one
+    pass: t[k] - k is non-decreasing after the bumps, so it is the running
+    maximum of the input's t[k] - k.
     """
-    if len(t) < 2 or np.all(np.diff(t) > 0):
-        return t
-    t = t.copy()
-    while True:
-        bad = np.flatnonzero(np.diff(t) <= 0)
-        if len(bad) == 0:
-            return t
-        t[bad + 1] = t[bad] + 1
+    i = np.arange(len(t))
+    return np.maximum.accumulate(t - i) + i
 
 
 def _sorted_column(trial, t_ns):
@@ -269,14 +265,11 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
         empty = np.empty(0, dtype=np.int64)
         return _finalize(empty, empty, empty, empty, m)
 
-    rho_marginal = pol.marginal_projection_probability(
-        m.source.effective_state(), m.analyzer.projector_state, side="B")
-    p_trig = rates.eta_trigger * rho_marginal
-    if rates.eta_herald > 0.0 and rho_marginal > 0.0:
-        joint = pol.joint_projection_probability(
-            m.source.effective_state(), m.absorber.allowed,
-            m.analyzer.projector_state)
-        p_abs = rates.eta_herald * (joint / rho_marginal) * rates.branching_s
+    (marginal,), (joint,) = arm_probabilities(m.source, m.absorber,
+                                              [m.analyzer])
+    p_trig = rates.eta_trigger * marginal
+    if rates.eta_herald > 0.0 and marginal > 0.0:
+        p_abs = rates.eta_herald * (joint / marginal) * rates.branching_s
     else:
         p_abs = 0.0
 

@@ -406,33 +406,36 @@ def write_counts_table(counts: CountsTable, path) -> None:
 def read_counts_table(path) -> CountsTable:
     by_label = {s.label: s for s in design_16()}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("label\t"):
-            raise DataError(f"{path}: missing counts-table header")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 7:
-                raise DataError(f"{path}: line {lineno}: malformed row")
-            label = parts[0]
-            if label not in by_label:
-                raise DataError(f"{path}: line {lineno}: unknown setting "
-                                f"{label!r}")
-            try:
-                raw = int(parts[3])
-                background, corrected, duration_s = map(float, parts[4:])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-numeric field: "
-                                f"{exc}") from exc
-            if not np.all(np.isfinite([background, corrected, duration_s])):
-                raise DataError(f"{path}: line {lineno}: non-finite field")
-            try:
-                rows.append(CountsRow(by_label[label], corrected, raw,
-                                      background, duration_s))
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not lines or not lines[0].startswith("label\t"):
+        raise DataError(f"{path}: missing counts-table header")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 7:
+            raise DataError(f"{path}: line {lineno}: malformed row")
+        label = parts[0]
+        if label not in by_label:
+            raise DataError(f"{path}: line {lineno}: unknown setting "
+                            f"{label!r}")
+        try:
+            raw = int(parts[3])
+            background, corrected, duration_s = map(float, parts[4:])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-numeric field: "
+                            f"{exc}") from exc
+        if not np.all(np.isfinite([background, corrected, duration_s])):
+            raise DataError(f"{path}: line {lineno}: non-finite field")
+        try:
+            rows.append(CountsRow(by_label[label], corrected, raw,
+                                  background, duration_s))
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return CountsTable(tuple(rows))
 
 

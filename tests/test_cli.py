@@ -234,6 +234,51 @@ class TestG2BadEventFile:
         assert f"bad.txt: {line}: " in capsys.readouterr().err
 
 
+def write_scan_dir(path, edit):
+    """Six g2 result files of a clean fringe; ``edit`` rewrites the bytes of
+    the 30-degree one."""
+    for angle, counts in zip((0, 15, 30, 45, 60, 75), (9, 30, 70, 95, 72, 28)):
+        data = (f"coincidences={counts}\nbackground_per_bin=4.5\n"
+                f"duration_s=3600.0\nbasis=RL\nhwp_angle_deg={angle}.0\n"
+                ).encode()
+        if angle == 30:
+            data = edit(data)
+        (path / f"p{angle}.res.txt").write_bytes(data)
+
+
+class TestReadersExit3:
+    """`fringe --scan-dir` and `tomo --counts` on a broken file name it and
+    exit 3, never with a traceback or a NaN result."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.replace(b"basis=RL", b"basis=R\xffL"),
+        lambda d: d.replace(b"hwp_angle_deg=30.0", b"hwp_angle_deg=nan"),
+        lambda d: d.replace(b"coincidences=70", b"coincidences=inf"),
+        lambda d: d.replace(b"background_per_bin=4.5",
+                            b"background_per_bin=-inf"),
+    ], ids=["non_utf8", "nan_angle", "inf_counts", "inf_background"])
+    def test_fringe(self, tmp_path, capsys, edit):
+        write_scan_dir(tmp_path, edit)
+        assert main(["fringe", "--scan-dir", str(tmp_path),
+                     "--out-prefix", str(tmp_path / "f")]) == EXIT_DATA
+        assert "p30.res.txt: " in capsys.readouterr().err
+        assert not (tmp_path / "f.fit.txt").exists()
+
+    def test_tomo_non_utf8(self, tmp_path, capsys):
+        from ionherald import tomography as tom
+        from ionherald import polarization as pol
+        lam = tom.expected_counts(pol.singlet(), normalization=100.0) + 5.0
+        table = tom.counts_table_from_values(lam - 5.0,
+                                             raw=np.rint(lam).astype(int),
+                                             background=np.full(16, 5.0))
+        path = tmp_path / "counts.txt"
+        tom.write_counts_table(table, path)
+        path.write_bytes(path.read_bytes().replace(b"\tH\t", b"\tH\xe9\t", 1))
+        assert main(["tomo", "--counts", str(path),
+                     "--out-prefix", str(tmp_path / "t")]) == EXIT_DATA
+        assert "counts.txt: not UTF-8" in capsys.readouterr().err
+
+
 class TestPipeline:
     def test_simulate_g2_fringe(self, tmp_path):
         # a fast, bright synthetic scan through the file-based pipeline

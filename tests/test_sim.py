@@ -66,6 +66,13 @@ class TestRateConfig:
         with pytest.raises(ConfigError):
             RateConfig(dark_trigger_rate=-1.0)
 
+    @pytest.mark.parametrize("name", ["eta_trigger", "eta_herald",
+                                      "branching_s"])
+    def test_rejects_probability_outside_unit_interval(self, name):
+        for bad in (-0.1, 1.5, np.nan):
+            with pytest.raises(ConfigError):
+                RateConfig(**{name: bad})
+
     def test_pair_rate_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             RunManifest(seed=0, duration_s=1.0,
@@ -197,6 +204,31 @@ class TestFinalize:
         assert stream.trial.tolist() == [0, 0, 1, 1, 2]
         assert stream.channel.tolist() == [CHANNEL_APD] * 3 + [
             CHANNEL_PMT_ONSET, CHANNEL_APD]
+
+
+    def test_tie_bumps_match_pass_loop(self):
+        # sorted stamps with long tie runs, some cascading into the next
+        # distinct stamp, against the pass-per-nanosecond reference
+        rng = np.random.default_rng(0)
+        cases = [ns(), ns(7), ns(5, 5), ns(1, 2, 3), ns(0, 0, 0, 1, 1, 9)]
+        for _ in range(200):
+            distinct = np.cumsum(rng.integers(1, 6, size=rng.integers(1, 60)))
+            cases.append(np.repeat(distinct,
+                                   rng.integers(1, 40, size=len(distinct))))
+        for t in cases:
+            assert np.array_equal(sim._strictly_increasing(t),
+                                  strictly_increasing_loop(t))
+
+
+def strictly_increasing_loop(t):
+    """Reference tie bump: one pass over the column per nanosecond of the
+    longest cascade; each pass moves every violation to predecessor + 1."""
+    t = t.copy()
+    while True:
+        bad = np.flatnonzero(np.diff(t) <= 0)
+        if len(bad) == 0:
+            return t
+        t[bad + 1] = t[bad] + 1
 
 
 def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
