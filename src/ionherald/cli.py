@@ -212,7 +212,7 @@ def cmd_fringe(args) -> int:
     if len(res_files) < 4:
         raise DataError(f"{args.scan_dir}: found {len(res_files)} scan points,"
                         " need at least 4")
-    pts, basis_label = [], None
+    pts, basis_label, basis_file = [], None, None
     for f in res_files:
         kv = _read_kv(f)
         try:
@@ -224,7 +224,15 @@ def cmd_fringe(args) -> int:
             raise DataError(f"{f}: incomplete scan-point record: {exc}")
         except DataError as exc:
             raise DataError(f"{f}: {exc}") from exc
-        basis_label = kv.get("basis", basis_label)
+        if "basis" in kv:
+            label = kv["basis"]
+            if label not in pol.BASES:
+                raise DataError(f"{f}: unknown basis {label!r}; expected "
+                                f"one of {sorted(pol.BASES)}")
+            if basis_file is not None and label != basis_label:
+                raise DataError(f"{f}: basis {label!r} differs from "
+                                f"{basis_label!r} in {basis_file}")
+            basis_label, basis_file = label, f
     scan = FringeScan(pol.BASES.get(basis_label, pol.RL), tuple(pts))
     fit = fit_fringe(scan, args.theta0)
     write_fit_record(fit, args.out_prefix + ".fit.txt",

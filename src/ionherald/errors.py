@@ -19,8 +19,3 @@ class DataError(IonHeraldError):
 
 class ConvergenceError(IonHeraldError):
     """Iterative reconstruction failed to converge within its budget."""
-
-    def __init__(self, message, best_params=None, grad_norm=None):
-        super().__init__(message)
-        self.best_params = best_params
-        self.grad_norm = grad_norm

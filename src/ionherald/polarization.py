@@ -126,7 +126,7 @@ def from_poincare(v) -> PolarizationState:
     """Inverse of to_poincare on the unit sphere (pure states mod phase)."""
     arr = v.as_array() if isinstance(v, PoincareVector) else np.asarray(v, float)
     n = np.linalg.norm(arr)
-    if abs(n - 1.0) > 1e-6:
+    if not abs(n - 1.0) <= 1e-6:      # also rejects a NaN norm
         raise DataError(f"Poincare vector not on the unit sphere: |s| = {n!r}")
     s1, s2, s3 = arr / n
     theta = np.arccos(np.clip(s1, -1.0, 1.0))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError
 from . import polarization as pol
@@ -182,6 +181,29 @@ def _closed_form_seed(t: FringeTargets, sequence: SequenceConfig):
     return np.array([pair_eta, weight, dark])
 
 
+def _newton_root(residuals, x, lower, upper):
+    """Root of a square system by bounded, damped Newton iteration: a
+    forward-difference Jacobian, each step clipped to the bounds and halved
+    until max|r| drops. Stops when a step would move no component by more
+    than 1e-14 relative. Returns x and its residuals."""
+    r = residuals(x)
+    for _ in range(50):
+        h = 1.5e-8 * np.maximum(np.abs(x), 1.0)
+        jac = (np.column_stack([residuals(x + d) for d in np.diag(h)])
+               - r[:, None]) / h
+        step = np.linalg.solve(jac, -r)
+        while True:
+            x_new = np.clip(x + step, lower, upper)
+            if np.all(np.abs(x_new - x) <= 1e-14 * np.abs(x)):
+                return x, r
+            r_new = residuals(x_new)
+            if np.max(np.abs(r_new)) < np.max(np.abs(r)):
+                break
+            step /= 2.0
+        x, r = x_new, r_new
+    return x, r
+
+
 @lru_cache(maxsize=None)
 def calibrate_fringe_preset(name: str) -> Calibration:
     """Solve the rate equations so the named basis reproduces its targets."""
@@ -217,8 +239,9 @@ def calibrate_fringe_preset(name: str) -> Calibration:
 
     def residuals(x, vis_target):
         bin0, bg, vis = curve(x)
-        return [bin0[i_max] - t.coincidences, bg[i_max] - t.background,
-                100.0 * (vis - vis_target)]
+        return np.array([bin0[i_max] - t.coincidences,
+                         bg[i_max] - t.background,
+                         100.0 * (vis - vis_target)])
 
     # Outer loop: the Poisson-weight estimator bias (mean fitted visibility
     # minus noiseless-curve visibility) is not smooth in x, so it enters as
@@ -227,13 +250,11 @@ def calibrate_fringe_preset(name: str) -> Calibration:
     x = _closed_form_seed(t, sequence)
     bias = 0.0
     for _ in range(4):
-        sol = least_squares(residuals, x, args=(t.visibility - bias,),
-                            bounds=([1e-9, 0.0, 0.0], [np.inf, 1.0, np.inf]),
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        if np.max(np.abs(sol.fun)) > 1e-6:
+        x, r = _newton_root(lambda v: residuals(v, t.visibility - bias), x,
+                            [1e-9, 0.0, 0.0], [np.inf, 1.0, np.inf])
+        if np.max(np.abs(r)) > 1e-6:
             raise ConfigError(f"calibration for {name!r} did not converge: "
-                              f"residuals {sol.fun}")
-        x = sol.x
+                              f"residuals {r}")
         bin0, _, vis = curve(x)
         v_mc = _mean_fitted_visibility(bin0, SCAN_ANGLES_DEG, THETA_REF_DEG)
         new_bias = v_mc - vis

@@ -48,13 +48,17 @@ manifest as one JSON object. Every later line is a record or blank::
 
 Lines end in LF or CRLF, the last line end is optional, and blank lines are
 skipped. Nothing else is a record: no sign, space, separator or non-ASCII
-digit. A record's trial is one of the manifest's, below its n_trials.
+digit. A record's trial is one of the manifest's, below its n_trials, and
+its stamp lies in that trial's detection window, from its first rounded
+nanosecond to its last plus k - 1 ns for a trial with k records in the
+channel (the tie bumps above).
 ``write_events`` refuses a stream it cannot write in this grammar, and
 ``read_events`` names the first line that breaks it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -490,7 +494,38 @@ def read_events(path) -> EventStream:
     onset_trials = stream.trial[stream.channel == CHANNEL_PMT_ONSET]
     if len(onset_trials) != len(np.unique(onset_trials)):
         raise DataError(f"{path}: multiple PMT_ONSET records in one trial")
+    outside = _outside_window(stream)
+    if len(outside):
+        i = outside[0]
+        raise DataError(f"{path}: line {_record_line(path, i)}: "
+                        f"{CHANNEL_NAMES[stream.channel[i]]} stamp "
+                        f"{stream.t_ns[i]} outside the detection window of "
+                        f"trial {stream.trial[i]}")
     return stream
+
+
+def _outside_window(stream: EventStream) -> np.ndarray:
+    """Indices of the records whose stamp lies outside its trial's detection
+    window, widened by k - 1 ns for k records of the trial in the channel."""
+    seq, n_trials = stream.manifest.sequence, stream.manifest.n_trials
+    if n_trials <= len(stream):
+        trials, index = np.arange(n_trials), stream.trial
+    else:                   # fewer records than trials: number those seen
+        trials, index = np.unique(stream.trial, return_inverse=True)
+    key = 2 * index + stream.channel
+    t_start = np.repeat(trials * seq.period_s + seq.detect_offset_s, 2)
+    lo = np.rint(t_start * 1e9).astype(np.int64)
+    hi = np.rint((t_start + seq.detect_s) * 1e9).astype(np.int64) \
+        + np.bincount(key, minlength=len(lo)) - 1
+    return np.flatnonzero((stream.t_ns < lo[key]) | (stream.t_ns > hi[key]))
+
+
+def _record_line(path, index: int) -> int:
+    """File line number of the record at `index`; blank lines are skipped."""
+    with open(path, "rb") as fh:
+        lines = (k for k, text in enumerate(fh, start=1)
+                 if k > 1 and text.strip(b"\r\n"))
+        return next(itertools.islice(lines, index, None))
 
 
 # --- record text, a block at a time ----------------------------------------

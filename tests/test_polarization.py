@@ -117,6 +117,13 @@ class TestPoincare:
             back = pol.from_poincare(pol.to_poincare(s))
             assert pol.overlap(s, back) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("v", [
+        [float("nan"), 0.0, 0.0], [1.0, float("nan"), 0.0],
+        [float("inf"), 0.0, 0.0], [float("-inf"), float("nan"), 1.0]])
+    def test_from_poincare_rejects_non_finite(self, v):
+        with pytest.raises(DataError, match="not on the unit sphere"):
+            pol.from_poincare(v)
+
     def test_global_phase_unobservable(self):
         # projector and Stokes coordinates ignore the global phase
         rng = np.random.default_rng(14)

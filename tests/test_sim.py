@@ -536,18 +536,25 @@ def reference_text(stream):
 
 
 def random_stream(rng, n, onset_share):
-    """A stream that keeps the file's invariants, with values of 1 to 18
-    digits (0 and 10**18 - 1 included) in both number columns."""
-    def spread():
-        # n distinct values in increasing order
-        values = {0, 10 ** 18 - 1}
-        while len(values) < n:
-            values.add(int(rng.random() * 10.0 ** rng.integers(1, 19)))
-        return np.array(sorted(values) if n > 1 else [0] * n, np.int64)
-    # distinct trials, so that one onset per trial holds
-    # 1e18 trials at the default 10 Hz, so that every trial is in the run
-    return EventStream(spread(), (rng.random(n) < onset_share).astype(np.int8),
-                       spread(), make_manifest(duration_s=1e17))
+    """A stream that keeps the file's invariants: distinct trials of 1 to 10
+    digits (0 and 10**10 - 1 included), each with one stamp inside its
+    detection window, so that the stamps have 1 to 18 digits."""
+    values = {0, 10 ** 10 - 1}
+    while len(values) < n:
+        values.add(int(rng.random() * 10.0 ** rng.integers(1, 11)))
+    trial = np.array(sorted(values) if n > 1 else [0] * n, np.int64)
+    # 10 Hz trials, each detecting from 1 ns after its start to its end
+    seq = SequenceConfig(cooling_ms=5e-7, prep_ms=5e-7,
+                         detect_ms=100.0 - 1e-6)
+    t_start = trial * seq.period_s + seq.detect_offset_s
+    lo = np.rint(t_start * 1e9).astype(np.int64)
+    hi = np.rint((t_start + seq.detect_s) * 1e9).astype(np.int64)
+    u = rng.random(n)
+    u[:1] = 0.0                         # trial 0 stamped at 2 ns
+    t_ns = lo + 1 + (u * (hi - lo - 2)).astype(np.int64)
+    # 1e10 trials, so that every trial is in the run
+    return EventStream(trial, (rng.random(n) < onset_share).astype(np.int8),
+                       t_ns, make_manifest(duration_s=1e9, sequence=seq))
 
 
 class TestAgainstLineReference:

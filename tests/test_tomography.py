@@ -109,21 +109,109 @@ class TestMLE:
         r2 = tom.mle_reconstruct(table)
         np.testing.assert_array_equal(r1.matrix, r2.matrix)
 
-    def test_gradient_matches_finite_differences(self):
+    def test_count_scale_does_not_matter(self):
+        # the fit depends on N and n only through their ratios; scaling by
+        # a power of two is exact, so the state must not change by one bit
+        rng = np.random.default_rng(63)
+        lam = tom.expected_counts(pol.werner(0.9), normalization=150.0)
+        values = rng.poisson(lam).astype(float)
+        base = tom.mle_reconstruct(tom.counts_table_from_values(values))
+        for factor in (2.0 ** -1000, 2.0 ** 1000):
+            rho = tom.mle_reconstruct(
+                tom.counts_table_from_values(values * factor))
+            np.testing.assert_array_equal(rho.matrix, base.matrix)
+
+    def test_kkt_conditions(self):
+        # at the constrained optimum, mu = Tr(rho G) is the least eigenvalue
+        # of the gradient G = sum((N - n/p) P_nu) and rho lives in its
+        # eigenspace: lambda_min(G) >= mu and (G - mu I) rho = 0
         rng = np.random.default_rng(55)
         proj = tom.design_projectors()
-        for _ in range(5):
-            t = rng.normal(size=16)
-            counts = np.abs(rng.normal(50.0, 20.0, size=16))
-            _, grad = tom.poisson_nll(t, counts, 200.0, proj)
-            eps = 1e-6
-            for k in range(16):
-                tp, tm = t.copy(), t.copy()
-                tp[k] += eps
-                tm[k] -= eps
-                fd = (tom.poisson_nll(tp, counts, 200.0, proj)[0]
-                      - tom.poisson_nll(tm, counts, 200.0, proj)[0]) / (2 * eps)
-                assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-4)
+        tables = []
+        for n_per in (50.0, 250.0, 1000.0):
+            for _ in range(8):
+                lam = tom.expected_counts(random_density_matrix(rng),
+                                          normalization=n_per)
+                tables.append(rng.poisson(lam).astype(float))
+        for p, n_per in ((1.0, 50.0), (1.0, 200.0), (0.9, 200.0)):
+            lam = tom.expected_counts(pol.werner(p), normalization=n_per)
+            tables.append(np.maximum(rng.poisson(lam + 2.0) - 2.0, 0.0))
+        for values in tables:
+            table = tom.counts_table_from_values(values)
+            n_hat = tom.settings_normalization(table)
+            m = tom.mle_reconstruct(table).matrix
+            p_nu = np.maximum(np.real(np.einsum("ij,nji->n", m, proj)), 1e-15)
+            g = np.einsum("n,nij->ij", n_hat - table.corrected() / p_nu, proj)
+            mu = np.trace(g @ m).real
+            eps = 1e-8 * n_hat
+            assert np.linalg.eigvalsh(g)[0] >= mu - eps
+            assert np.linalg.norm((g - mu * np.eye(4)) @ m) <= eps
+
+
+# Poisson NLL (float.hex) of the L-BFGS-B fit this package used before the
+# projected-gradient solver, recorded with numpy 2.4.6 / scipy 1.17.1
+PINNED_NUMPY = "2.4.6"
+PINNED_BOOTSTRAP_NLL = ("-0x1.2c98fc8615d69p+10", "-0x1.2c248d0225d90p+11")
+# the tomography table of `ionherald reproduce --seed 42` (paper scale)
+REPRODUCE_42_CORRECTED = (
+    5.029702970297031, 96.14851485148515, 41.61386138613861,
+    57.42574257425743, 87.83168316831683, 0.0, 56.475247524752476,
+    62.79207920792079, 45.27722772277228, 61.17821782178218,
+    3.811881188118811, 50.5940594059406, 42.198019801980195,
+    58.742574257425744, 54.95049504950495, 1.0594059405940577)
+REPRODUCE_42_NLL = "-0x1.1666c60f38133p+11"
+# criterion-4-style tables: random states, 250 pairs per setting, seed 2027
+CRITERION_4_STYLE_NLL = (
+    "-0x1.921804d9248bcp+11", "-0x1.48983bce52f5fp+11",
+    "-0x1.8c64679f9bd74p+11", "-0x1.81ff950424a00p+11",
+    "-0x1.468d678fef256p+11", "-0x1.c1dc3b9b59407p+11",
+    "-0x1.51a87f1d23949p+11", "-0x1.46ae4402e636cp+11",
+    "-0x1.8cb599f5ebb8cp+11", "-0x1.d675541c058a1p+11",
+    "-0x1.031d06d936bb8p+12", "-0x1.721eb1a3148dep+11",
+    "-0x1.a14a2713bfcb0p+11", "-0x1.1b61d1bd825e2p+12",
+    "-0x1.5ad4517fabe10p+11", "-0x1.7ef71aedaecddp+11",
+    "-0x1.eb9676ff2f3c0p+11", "-0x1.bf585a10a6acdp+11",
+    "-0x1.09fcfd44cb665p+12", "-0x1.45eae0b659c6ap+11",
+    "-0x1.8726dd24f2e8cp+11", "-0x1.a90a090bf15cap+11",
+    "-0x1.d71e1bbc0c54ap+11", "-0x1.b92aaaee3c166p+11")
+
+
+def bootstrap_tables():
+    """The two tables of TestBootstrap, in its order."""
+    rng = np.random.default_rng(60)
+    bg = 14.0
+    raw = rng.poisson(tom.expected_counts(pol.singlet(),
+                                          normalization=130.0) + bg)
+    paper = tom.counts_table_from_values(
+        np.maximum(0.0, raw - bg), raw=raw, background=np.full(16, bg))
+    rng = np.random.default_rng(61)
+    lam = tom.expected_counts(pol.werner(0.95).matrix, normalization=200.0)
+    return paper, tom.counts_table_from_values(rng.poisson(lam).astype(float))
+
+
+class TestPinnedLikelihood:
+    """The MLE reaches an NLL no worse than the pinned earlier fit."""
+
+    def check(self, table, pinned_hex):
+        nll = tom.nll_of_state(tom.mle_reconstruct(table), table)
+        assert nll <= float.fromhex(pinned_hex) + 1e-9
+
+    def test_reproduce_table(self):
+        self.check(tom.counts_table_from_values(REPRODUCE_42_CORRECTED),
+                   REPRODUCE_42_NLL)
+
+    def test_seeded_tables(self):
+        if np.__version__.split(".")[:2] != PINNED_NUMPY.split(".")[:2]:
+            pytest.skip(f"tables drawn with numpy {PINNED_NUMPY}, "
+                        f"this is numpy {np.__version__}")
+        for table, pinned in zip(bootstrap_tables(), PINNED_BOOTSTRAP_NLL):
+            self.check(table, pinned)
+        rng = np.random.default_rng(2027)
+        for pinned in CRITERION_4_STYLE_NLL:
+            lam = tom.expected_counts(random_density_matrix(rng),
+                                      normalization=250.0)
+            self.check(tom.counts_table_from_values(
+                rng.poisson(lam).astype(float)), pinned)
 
 
 class TestMetrics:
@@ -217,13 +305,7 @@ class TestBootstrap:
     def test_error_bars_paper_scale(self):
         # paper-scale counts with the accidental background channel:
         # uncertainties of the same order as the quoted (4), (6), (11)
-        rng = np.random.default_rng(60)
-        bg = 14.0
-        lam = tom.expected_counts(pol.singlet(), normalization=130.0) + bg
-        raw = rng.poisson(lam)
-        corrected = np.maximum(0.0, raw - bg)
-        table = tom.counts_table_from_values(
-            corrected, raw=raw, background=np.full(16, bg))
+        table, _ = bootstrap_tables()
         m = tom.bootstrap_metrics(table, n_replicas=120, seed=3)
         assert 0.01 < m.fidelity_err < 0.12
         assert 0.015 < m.concurrence_err < 0.18
@@ -231,9 +313,7 @@ class TestBootstrap:
         assert m.tangle == pytest.approx(m.concurrence ** 2, abs=1e-10)
 
     def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(61)
-        lam = tom.expected_counts(pol.werner(0.95).matrix, normalization=200.0)
-        table = tom.counts_table_from_values(rng.poisson(lam).astype(float))
+        _, table = bootstrap_tables()
         m1 = tom.bootstrap_metrics(table, n_replicas=40, seed=8)
         m2 = tom.bootstrap_metrics(table, n_replicas=40, seed=8)
         assert m1.fidelity_err == m2.fidelity_err
