@@ -17,6 +17,7 @@ from .errors import DataError
 
 DEFAULT_BIN_US = 10.0
 DEFAULT_WINDOW_BINS = 50
+MAX_WINDOW_NS = 10 ** 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +92,10 @@ def _lag_window_ns(bin_width_us: float, window_bins: int):
     bin_ns = int(round(bin_width_us * 1000.0))
     if bin_ns < 1:
         raise DataError(f"bin width {bin_width_us} us is below 1 ns")
+    # so that stamps (below 1e18 ns) plus or minus the window fit int64
+    if (window_bins + 1) * bin_ns > MAX_WINDOW_NS:
+        raise DataError(f"lag window of {window_bins} bins of {bin_width_us}"
+                        f" us is wider than {MAX_WINDOW_NS:.0e} ns")
     half_ns = bin_ns // 2
     return (bin_ns, window_bins * bin_ns + half_ns,
             window_bins * bin_ns - half_ns + bin_ns)

@@ -12,9 +12,12 @@ PMT_ONSET record.
 
 Streams are reproducible: a manifest (including its seed) fully determines
 the byte content of the written event file. Random draws happen in a fixed
-documented order (pair counts, pair times, trigger uniforms, absorption
-uniforms, latencies, jitters, dark counts, dark times, false-onset counts,
-false-onset times).
+documented order: pair counts, pair times, trigger uniforms, absorption
+uniforms, latencies, jitters, dark counts, then a block of one uniform per
+dark click that is skipped (one generator step per double), false-onset
+counts, false-onset times. The dark times are drawn last, from the
+generator state saved at the start of the skipped block, so they are the
+values that block would have held.
 
 A finalized stream is in time order. Where an APD and a PMT_ONSET record share
 a nanosecond stamp, the APD record comes first. Within one channel, stamps
@@ -25,18 +28,22 @@ order.
 
 In counting mode, ``simulate_run(m, reach_ns)``, a stream keeps only what a
 coincidence histogram whose lags span at most reach_ns nanoseconds can use.
-It makes every random draw of the full stream and keeps every onset. It keeps
-the APD clicks (pair clicks and dark triggers) of a trial only if an onset
-stamp lies within reach_ns of the trial's stamp range: from the first rounded
-nanosecond of its detection window to the last, plus k - 1 ns for a trial of
-k APD clicks (the furthest a tie bump can move a stamp). The other trials'
-clicks are never stamped, and ``apd_dropped`` counts them, so the histogram
-of a counting-mode stream equals the full stream's in every field. A kept
-click has its full-stream stamp as long as no tie bump carries a stamp from
-one window into the next; so where the narrowest gap between windows, in ns,
-is not larger than the most APD clicks of any one trial, every trial is kept.
-An event file promises the full stream: ``write_events`` refuses a stream
-with ``apd_dropped > 0``.
+It keeps every onset. It keeps the APD clicks (pair clicks and dark
+triggers) of a trial only if an onset stamp lies within reach_ns of the
+trial's stamp range: from the first rounded nanosecond of its detection
+window to the last, plus k - 1 ns for a trial of k APD clicks (the furthest
+a tie bump can move a stamp). The other trials' clicks are never stamped,
+and ``apd_dropped`` counts them. Every draw up to the dark times is the full
+stream's, so the onsets, the pair clicks, each trial's number of clicks,
+``apd_dropped`` and total_apd are too. Only the kept trials' dark times are
+drawn, as the first values of the dark block: they differ from the full
+stream's, but they are independent uniforms like them, so a counting-mode
+histogram has the full stream's law, not its values (the restriction
+theorem for Poisson processes). Where the narrowest gap between windows, in
+ns, is not larger than the most APD clicks of any one trial, a tie bump
+could carry a stamp from one window into the next, so every trial is kept
+and the stream is the full stream. An event file promises the full stream:
+``write_events`` refuses a stream with ``apd_dropped > 0``.
 
 An event file is text. Its first line is ``#MANIFEST `` followed by the
 manifest as one JSON object. Every later line is a record or blank::
@@ -77,6 +84,7 @@ FILE_MAGIC = "#MANIFEST "
 MAX_DIGITS = 18             # of trial and t_ns, so every value fits int64
 WRITE_BLOCK = 1 << 14       # records per block in write_events
 READ_BLOCK = 1 << 20        # bytes per block in read_events
+MAX_EVENTS_PER_WINDOW = 1e18
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,13 @@ class RunManifest:
             raise ConfigError(
                 f"pair_rate mismatch: source {self.source.pair_rate} "
                 f"vs rates {self.rates.pair_rate}")
+        # numpy draws Poisson counts of mean below ~9.2e18 only
+        for name in ("pair_rate", "dark_trigger_rate", "false_onset_rate"):
+            if getattr(self.rates, name) * self.sequence.detect_s \
+                    > MAX_EVENTS_PER_WINDOW:
+                raise ConfigError(
+                    f"{name} expects more than {MAX_EVENTS_PER_WINDOW:.0e} "
+                    f"events per detection window")
 
     @property
     def n_trials(self) -> int:
@@ -286,11 +301,16 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
     pair_u = rng.random(total_pairs)
     u_trig = rng.random(total_pairs)
     u_abs = rng.random(total_pairs)
-    latency_s = rng.exponential(rates.onset_latency_us * 1e-6, total_pairs)
+    # abs: a latency of -0.0 passes RateConfig, but numpy refuses its sign
+    latency_s = rng.exponential(abs(rates.onset_latency_us) * 1e-6,
+                                total_pairs)
     jitter_s = rng.normal(0.0, rates.onset_jitter_ns * 1e-9, total_pairs) \
         if rates.onset_jitter_ns > 0 else np.zeros(total_pairs)
     n_dark = rng.poisson(rates.dark_trigger_rate * w, n_trials)
-    dark_u = rng.random(int(n_dark.sum()))
+    # the dark times are drawn last, from here; each random() double takes
+    # one step of the generator, so advance skips exactly their block
+    dark_at = rng.bit_generator.state
+    rng.bit_generator.advance(int(n_dark.sum()))
     n_false = rng.poisson(rates.false_onset_rate * w, n_trials)
     false_u = rng.random(int(n_false.sum()))
 
@@ -337,9 +357,10 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
         kept_pair = keep[apd_pair_trial]
         apd_pair_t = apd_pair_t[kept_pair]
         apd_pair_trial = apd_pair_trial[kept_pair]
-        dark_u = dark_u[np.repeat(keep, n_dark)]
         n_dark = np.where(keep, n_dark, 0)
 
+    rng.bit_generator.state = dark_at
+    dark_u = rng.random(int(n_dark.sum()))
     dark_trial = np.repeat(np.arange(n_trials), n_dark)
     dark_t = t_start[dark_trial] + dark_u * w
 

@@ -339,12 +339,12 @@ def trace_distance(a, b) -> float:
 
 # --- bootstrap ----------------------------------------------------------------
 
-def bootstrap_metrics(counts: CountsTable, n_replicas: int = 500,
+def bootstrap_metrics(counts: CountsTable, rho_hat, n_replicas: int = 500,
                       seed: int = 0, settings=None) -> EntanglementMetrics:
-    """Parametric bootstrap: resample Poisson counts around the fitted model,
-    refit each replica, report standard deviations of F, C and T."""
+    """Parametric bootstrap: resample Poisson counts around the fitted model
+    rho_hat (the MLE of counts), refit each replica, report standard
+    deviations of F, C and T."""
     settings = design_16() if settings is None else settings
-    rho_hat = mle_reconstruct(counts, settings)
     n_hat = settings_normalization(counts)
     lam = np.maximum(expected_counts(rho_hat, settings, n_hat), 0.0)
     durations = [r.duration_s for r in counts.rows]

@@ -107,3 +107,106 @@ def test_tomo_exits_0_2_3_or_4(tmp_path, capsys, counts_table, edits):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONVERGENCE)
     if code == EXIT_OK:
         assert_no_nan(tmp_path, capsys.readouterr().out)
+
+
+# --- argv ---------------------------------------------------------------------
+
+# numbers as argv text: non-finite and non-numeric, negative, huge
+SPECIAL = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e309", "0",
+                           "1e-300", "abc", "", " ", "1_0", "0x10"])
+NEGATIVE = st.sampled_from(["-1", "-3", "-0", "-1e-300", "-1e300"])
+HUGE = st.sampled_from(["1e300", "1e18", "9223372036854775808"])
+NUMBER = st.one_of(SPECIAL, NEGATIVE, HUGE,
+                   st.floats(allow_nan=False).map(repr),
+                   st.integers(-3, 1 << 70).map(str))
+# values that size a run, a rate or a histogram stay within 1e3, so that no
+# example allocates or loops without bound
+BOUNDED = st.one_of(SPECIAL, NEGATIVE, st.floats(-1e3, 1e3).map(repr),
+                    st.integers(-3, 1000).map(str))
+# a run is at most 0.05 minutes: 30 trials of the default sequence
+MINUTES = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "x"]),
+                    st.floats(-1.0, 0.05).map(repr))
+OVERRIDE_KEY = st.sampled_from(
+    ["rates.pair_rate", "rates.eta_trigger", "rates.eta_herald",
+     "rates.dark_trigger_rate", "rates.false_onset_rate",
+     "rates.onset_latency_us", "rates.onset_jitter_ns", "source.pair_rate",
+     "source.singlet_weight", "sequence.rep_rate", "sequence.cooling_ms",
+     "sequence.prep_ms", "sequence.detect_ms", "rates.nope", "run.seed",
+     "nodot", "", "."])
+OVERRIDE = st.one_of(st.tuples(OVERRIDE_KEY, BOUNDED).map("=".join),
+                     st.sampled_from(["novalue", "=", "rates.eta_herald"]))
+
+
+@st.composite
+def flags(draw, options: dict):
+    """Every option with its valid value, in any order, but for one or two
+    that are fuzzed or left out; now and then a flag no command knows."""
+    names = draw(st.permutations(sorted(options)))
+    changed = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2,
+                            unique=True))
+    argv = []
+    for name in names:
+        ok, fuzzed = options[name]
+        value = draw(st.one_of(st.none(), fuzzed)) if name in changed else ok
+        if value is not None:
+            argv += [name, value]
+    if draw(st.integers(0, 7)) == 0:
+        argv += ["--bogus", "1"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory, event_file, counts_table):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "events.txt").write_bytes(event_file)
+    (root / "counts.txt").write_bytes(counts_table)
+    scan = root / "scan"
+    scan.mkdir()
+    for angle, counts in zip((0, 15, 30, 45, 60, 75), (9, 30, 70, 95, 72, 28)):
+        (scan / f"p{angle}.res.txt").write_text(
+            SCAN_POINT.format(counts, angle), encoding="utf-8")
+    (root / "run.cfg").write_text(
+        "[run]\nseed = 2\nduration_s = 2\n[rates]\ndark_trigger_rate = 100\n"
+        "false_onset_rate = 1\n", encoding="utf-8")
+    return root
+
+
+def command_argv(root):
+    """argv of simulate, g2, fringe or tomo. Input paths exist or do not,
+    outputs go to root or to a directory that does not exist."""
+    out, gone = str(root / "out"), str(root / "no" / "out")
+    simulate = flags({
+        "--preset": ("paper-hv", st.sampled_from(["paper-xx", "", "hv"])),
+        "--config": (str(root / "run.cfg"), st.just(str(root / "no.cfg"))),
+        "--angle": ("45", NUMBER), "--minutes": ("0.05", MINUTES),
+        "--seed": ("3", NUMBER), "--out": (out, st.just(gone))})
+    simulate = st.tuples(simulate, st.lists(OVERRIDE, max_size=3)).map(
+        lambda t: t[0] + [a for o in t[1] for a in ("--override", o)])
+    g2 = flags({
+        "--events": (str(root / "events.txt"), st.just(str(root / "no"))),
+        "--bin-us": ("10", NUMBER), "--window-bins": ("50", BOUNDED),
+        "--out-prefix": (out, st.just(gone))})
+    fringe = flags({
+        "--scan-dir": (str(root / "scan"), st.just(str(root / "no"))),
+        "--theta0": ("0", NUMBER), "--out-prefix": (out, st.just(gone))})
+    tomo = flags({
+        "--counts": (str(root / "counts.txt"), st.just(str(root / "no"))),
+        "--bootstrap": ("2", st.sampled_from(["-1", "0", "1", "nan", "x"])),
+        "--seed": ("1", NUMBER), "--out-prefix": (out, st.just(gone))})
+    return st.one_of(*(args.map(lambda a, name=name: [name, *a])
+                       for name, args in (("simulate", simulate), ("g2", g2),
+                                          ("fringe", fringe),
+                                          ("tomo", tomo))))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_exits_0_2_3_or_4(capsys, argv_inputs, data):
+    argv = data.draw(command_argv(argv_inputs))
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse: a usage error or --help
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONVERGENCE), argv
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -233,7 +234,8 @@ def strictly_increasing_loop(t):
 
 def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
     """The counting-mode histogram equals the full stream's in every field;
-    returns the counting-mode stream."""
+    returns the counting-mode stream. This holds where counting mode keeps
+    every trial or the manifest has no dark clicks."""
     counted = simulate_run(m, reach_ns=lag_reach_ns(bin_us, window_bins))
     got = histogram_from_stream(counted, bin_us, window_bins)
     want = histogram_from_stream(simulate_run(m), bin_us, window_bins)
@@ -245,15 +247,70 @@ def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
     return counted
 
 
+def channel_columns(stream, code):
+    at = stream.channel == code
+    return stream.trial[at], stream.t_ns[at]
+
+
+def assert_counting_matches_full(m, bin_us=10.0, window_bins=50):
+    """What counting mode shares with the full stream: the onsets, each kept
+    trial's number of APD clicks, total_apd, and a kept trial for every APD
+    click a histogram can use; where the manifest has no dark clicks, the
+    kept trials' stamps too. Returns the counting-mode stream."""
+    reach_ns = lag_reach_ns(bin_us, window_bins)
+    counted, full = simulate_run(m, reach_ns=reach_ns), simulate_run(m)
+    for got, want in zip(channel_columns(counted, CHANNEL_PMT_ONSET),
+                         channel_columns(full, CHANNEL_PMT_ONSET)):
+        assert np.array_equal(got, want)
+    trial, t_ns = channel_columns(counted, CHANNEL_APD)
+    full_trial, full_t = channel_columns(full, CHANNEL_APD)
+    per_trial = np.bincount(trial, minlength=m.n_trials)
+    full_per_trial = np.bincount(full_trial, minlength=m.n_trials)
+    kept = per_trial > 0
+    assert np.array_equal(per_trial[kept], full_per_trial[kept])
+    assert len(t_ns) + counted.apd_dropped == len(full_t)
+    got = histogram_from_stream(counted, bin_us, window_bins)
+    want = histogram_from_stream(full, bin_us, window_bins)
+    assert (got.total_apd, got.total_onsets) == (want.total_apd,
+                                                 want.total_onsets)
+    # the full stream's clicks within reach_ns of their nearest onset
+    onsets = full.onset_times()
+    if len(onsets):
+        after = np.searchsorted(onsets, full_t)
+        gap = np.minimum(
+            np.abs(full_t - onsets[np.maximum(after - 1, 0)]),
+            np.abs(onsets[np.minimum(after, len(onsets) - 1)] - full_t))
+        assert kept[full_trial[gap <= reach_ns]].all()
+    if m.rates.dark_trigger_rate == 0.0:
+        in_kept = kept[full_trial]
+        assert np.array_equal(trial, full_trial[in_kept])
+        assert np.array_equal(t_ns, full_t[in_kept])
+    return counted
+
+
 # detection windows 1 ns apart: tied stamps at a window's end are bumped
 # into the next one
 ONE_NS_GAP = SequenceConfig(rep_rate=9.9e6, cooling_ms=5e-7, prep_ms=5e-7,
                             detect_ms=1e-4)
 
+# 10 us windows every 20 us, so the +-55 us lag window of 5 bins of 10 us
+# spans about five trials on either side of an onset
+SHORT_WINDOWS = SequenceConfig(rep_rate=5e4, cooling_ms=0.005, prep_ms=0.005,
+                               detect_ms=0.01)
+
+
+def chi2_critical(dof, z=3.719):
+    """The chi-square quantile at the standard normal quantile z (3.719 for
+    p = 1e-4), by the Wilson-Hilferty approximation."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * np.sqrt(a)) ** 3
+
 
 class TestCountingMode:
-    """simulate_run(m, reach_ns) keeps only the trials an onset can reach,
-    and every histogram field stays that of the full stream."""
+    """simulate_run(m, reach_ns) keeps only the trials an onset can reach.
+    It draws the same onsets and per-trial click counts as the full stream,
+    but the kept trials' dark stamps come from the start of the dark block,
+    so only the histogram law is that of the full stream."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ["hv", "rl", "tomo"])
@@ -265,9 +322,11 @@ class TestCountingMode:
         else:
             m = presets.manifest_for_angle(presets.fringe_plan(name),
                                            15.0 * seed, seed, minutes=30.0)
-        counted = assert_counting_equals_full(m)
+        counted = assert_counting_matches_full(m)
         # the onset's own trial is about 4 % of the detection time
         assert 0 < len(counted.apd_times()) < 0.1 * counted.apd_dropped
+        assert_counting_matches_full(dataclasses.replace(
+            m, rates=dataclasses.replace(m.rates, dark_trigger_rate=0.0)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lag_window_spans_trials(self, seed):
@@ -275,7 +334,7 @@ class TestCountingMode:
         # lag window reaches into the neighbouring trials
         seq = SequenceConfig(rep_rate=1000.0, cooling_ms=0.25, prep_ms=0.25,
                              detect_ms=0.5)
-        counted = assert_counting_equals_full(make_manifest(
+        counted = assert_counting_matches_full(make_manifest(
             seed=seed, duration_s=2.0, sequence=seq, dark_trigger_rate=2e4,
             false_onset_rate=20.0))
         assert counted.apd_dropped > 0
@@ -315,7 +374,7 @@ class TestCountingMode:
         assert len(counted) == 0 and counted.apd_dropped > 0
 
     def test_no_dark_triggers(self):
-        assert_counting_equals_full(make_manifest(
+        assert_counting_matches_full(make_manifest(
             seed=6, duration_s=120.0, dark_trigger_rate=0.0))
 
     @pytest.mark.parametrize("side", ["after", "before"])
@@ -349,7 +408,44 @@ class TestCountingMode:
             d = int(on[j] - apd[apd_trial == on_trial[j] - 1][-1])
             # above = bin - bin // 2 holds d only if it exceeds it
             bin_ns = 2 * d + 1 if inside else 2 * d
-        assert_counting_equals_full(m, bin_us=bin_ns / 1000.0, window_bins=0)
+        assert_counting_matches_full(m, bin_us=bin_ns / 1000.0,
+                                     window_bins=0)
+
+    def test_histograms_agree_over_seeds(self):
+        # the same seeds in both modes: onsets and pair clicks cancel in
+        # counted - full, and each bin's difference has mean 0 and at most
+        # the variance counted + full; 5e3 to 1.5e4 coincidences per bin,
+        # with three in four APD clicks dropped
+        bin_us, window_bins = 10.0, 5
+        reach_ns = lag_reach_ns(bin_us, window_bins)
+        counted, full = 0, 0
+        for seed in range(8):
+            m = make_manifest(seed=seed, duration_s=0.5,
+                              sequence=SHORT_WINDOWS, dark_trigger_rate=2e5,
+                              false_onset_rate=5e3)
+            counted = counted + histogram_from_stream(
+                simulate_run(m, reach_ns=reach_ns), bin_us,
+                window_bins).counts
+            full = full + histogram_from_stream(
+                simulate_run(m), bin_us, window_bins).counts
+        chi2 = float(np.sum((counted - full) ** 2 / (counted + full)))
+        assert chi2 < chi2_critical(len(full)), (chi2, counted, full)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 123_457])
+def test_advance_skips_random_doubles(n):
+    # simulate_run skips the dark times' block by advance and draws it last
+    # from the saved state: that needs one generator step per double
+    drawn, skipped = np.random.default_rng(9), np.random.default_rng(9)
+    for rng in (drawn, skipped):
+        rng.poisson(3.0, 100)
+    saved = skipped.bit_generator.state
+    block = drawn.random(n)
+    skipped.bit_generator.advance(n)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+    assert np.array_equal(drawn.poisson(3.0, 50), skipped.poisson(3.0, 50))
+    skipped.bit_generator.state = saved
+    assert np.array_equal(skipped.random(n), block)
 
 
 class TestEventFileRoundTrip:

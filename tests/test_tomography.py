@@ -306,7 +306,8 @@ class TestBootstrap:
         # paper-scale counts with the accidental background channel:
         # uncertainties of the same order as the quoted (4), (6), (11)
         table, _ = bootstrap_tables()
-        m = tom.bootstrap_metrics(table, n_replicas=120, seed=3)
+        m = tom.bootstrap_metrics(table, tom.mle_reconstruct(table),
+                                  n_replicas=120, seed=3)
         assert 0.01 < m.fidelity_err < 0.12
         assert 0.015 < m.concurrence_err < 0.18
         assert 0.03 < m.tangle_err < 0.33
@@ -314,8 +315,9 @@ class TestBootstrap:
 
     def test_deterministic_given_seed(self):
         _, table = bootstrap_tables()
-        m1 = tom.bootstrap_metrics(table, n_replicas=40, seed=8)
-        m2 = tom.bootstrap_metrics(table, n_replicas=40, seed=8)
+        rho = tom.mle_reconstruct(table)
+        m1 = tom.bootstrap_metrics(table, rho, n_replicas=40, seed=8)
+        m2 = tom.bootstrap_metrics(table, rho, n_replicas=40, seed=8)
         assert m1.fidelity_err == m2.fidelity_err
 
 
