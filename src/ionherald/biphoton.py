@@ -138,7 +138,7 @@ def arm_probabilities(source: SourceModel, absorber: AbsorberSetting,
     """
     rho = source.effective_state()
     marginal = np.array([pol.marginal_projection_probability(
-        rho, an.projector_state, side="B") for an in analyzers])
+        rho, an.projector_state) for an in analyzers])
     joint = np.array([pol.joint_projection_probability(
         rho, absorber.allowed, an.projector_state) for an in analyzers])
     return marginal, joint

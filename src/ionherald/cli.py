@@ -24,8 +24,7 @@ from .correlate import (DEFAULT_BIN_US, DEFAULT_WINDOW_BINS, extract,
                         histogram_from_stream, lag_reach_ns, write_histogram)
 from .fringes import (FringeScan, ScanPoint, fit_fringe, write_fit_record,
                       write_plot_data, write_scan)
-from .sim import (RateConfig, RunManifest, SequenceConfig, read_events,
-                  simulate_run, write_events)
+from .sim import RunManifest, read_events, simulate_run, write_events
 from . import tomography as tom
 
 EXIT_OK = 0
@@ -49,9 +48,17 @@ _CONFIG_KEYS = {
 
 
 def load_manifest_config(path) -> RunManifest:
-    """Build a RunManifest from a flat sectioned key=value config file."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    """Build a RunManifest from a flat sectioned key=value config file.
+
+    [run], [absorber] and [analyzer] give the base manifest; the [source],
+    [sequence] and [rates] entries apply to it as `section.key=value`
+    overrides, so unset keys keep the dataclass defaults.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in cp.sections():
@@ -63,8 +70,7 @@ def load_manifest_config(path) -> RunManifest:
 
     def getf(section, key, default):
         try:
-            return cp.getfloat(section, key, fallback=default) \
-                if cp.has_section(section) else default
+            return cp.getfloat(section, key, fallback=default)
         except ValueError:
             raise ConfigError(f"{path}: {section}.{key} = "
                               f"{cp.get(section, key)!r} is not a number")
@@ -72,26 +78,6 @@ def load_manifest_config(path) -> RunManifest:
     seed = getf("run", "seed", 0)
     if not float(seed).is_integer():
         raise ConfigError(f"{path}: run.seed must be an integer")
-    seed = int(seed)
-    duration_s = getf("run", "duration_s", 60.0)
-    sequence = SequenceConfig(
-        rep_rate=getf("sequence", "rep_rate", 10.0),
-        cooling_ms=getf("sequence", "cooling_ms", 30.0),
-        prep_ms=getf("sequence", "prep_ms", 20.0),
-        detect_ms=getf("sequence", "detect_ms", 50.0))
-    pair_rate = getf("source", "pair_rate", 1.0)
-    source = SourceModel(pol.singlet(),
-                         getf("source", "singlet_weight", 1.0), pair_rate)
-    rates = RateConfig(
-        pair_rate=getf("rates", "pair_rate", pair_rate),
-        eta_trigger=getf("rates", "eta_trigger", 0.1),
-        eta_herald=getf("rates", "eta_herald", 0.07),
-        branching_s=getf("rates", "branching_s", 0.94),
-        dark_trigger_rate=getf("rates", "dark_trigger_rate", 0.0),
-        false_onset_rate=getf("rates", "false_onset_rate", 0.0),
-        onset_latency_us=getf("rates", "onset_latency_us", 1.0),
-        onset_jitter_ns=getf("rates", "onset_jitter_ns", 100.0))
-
     ab_basis = cp.get("absorber", "basis", fallback="RL")
     if ab_basis not in pol.BASES:
         raise ConfigError(f"{path}: absorber.basis must be one of RL/HV/DA")
@@ -103,35 +89,42 @@ def load_manifest_config(path) -> RunManifest:
     analyzer = scan_analyzer(pol.BASES[an_basis],
                              getf("analyzer", "hwp_deg", 45.0),
                              getf("analyzer", "theta_ref_deg", 0.0))
-    return RunManifest(seed, duration_s, absorber, analyzer, source,
-                       sequence, rates)
+    manifest = RunManifest(int(seed), getf("run", "duration_s", 60.0),
+                           absorber, analyzer, SourceModel())
+    overrides = {f"{section}.{key}": value
+                 for section in ("source", "sequence", "rates")
+                 if cp.has_section(section)
+                 for key, value in cp[section].items()}
+    try:
+        return _apply_overrides(manifest, overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _apply_overrides(manifest: RunManifest, overrides: dict) -> RunManifest:
-    """Apply `section.key=value` overrides to a manifest."""
-    source, rates, sequence = manifest.source, manifest.rates, manifest.sequence
+    """Apply `section.key=value` overrides to a manifest; each section is
+    replaced, and so validated, once, with all of its overrides."""
+    changes = {"source": {}, "sequence": {}, "rates": {}}
     for dotted, value in overrides.items():
         try:
             section, key = dotted.split(".", 1)
         except ValueError:
             raise ConfigError(f"override {dotted!r} is not section.key=value")
-        try:
-            v = float(value)
-        except ValueError:
-            raise ConfigError(f"override {dotted!r}: {value!r} is not a number")
-        if section == "rates" and key in _CONFIG_KEYS["rates"]:
-            rates = replace(rates, **{key: v})
-        elif section == "source" and key in _CONFIG_KEYS["source"]:
-            source = replace(source, **{key: v})
-        elif section == "sequence" and key in _CONFIG_KEYS["sequence"]:
-            sequence = replace(sequence, **{key: v})
-        else:
+        if section not in changes or key not in _CONFIG_KEYS[section]:
             raise ConfigError(f"unknown override key {dotted!r}")
-    if "source.pair_rate" in overrides and "rates.pair_rate" not in overrides:
-        rates = replace(rates, pair_rate=source.pair_rate)
-    if "rates.pair_rate" in overrides and "source.pair_rate" not in overrides:
-        source = replace(source, pair_rate=rates.pair_rate)
-    return replace(manifest, source=source, rates=rates, sequence=sequence)
+        try:
+            changes[section][key] = float(value)
+        except ValueError:
+            raise ConfigError(f"{dotted} = {value!r} is not a number")
+    # the pair rate is stated in source and in rates; one value sets both
+    source, rates = changes["source"], changes["rates"]
+    if "pair_rate" in source:
+        rates.setdefault("pair_rate", source["pair_rate"])
+    elif "pair_rate" in rates:
+        source["pair_rate"] = rates["pair_rate"]
+    return replace(manifest, source=replace(manifest.source, **source),
+                   sequence=replace(manifest.sequence, **changes["sequence"]),
+                   rates=replace(manifest.rates, **rates))
 
 
 def _parse_override_args(pairs) -> dict:

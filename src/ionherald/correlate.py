@@ -18,6 +18,8 @@ from .errors import DataError
 DEFAULT_BIN_US = 10.0
 DEFAULT_WINDOW_BINS = 50
 MAX_WINDOW_NS = 10 ** 18
+# the histogram holds 2 * window_bins + 1 int64 bins
+MAX_WINDOW_BINS = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,17 +54,6 @@ class CoincidenceHistogram:
             raise DataError("histogram window does not contain the tau=0 bin")
         return int(idx[0])
 
-    def merged_with(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
-        """Elementwise sum of histograms from disjoint data segments."""
-        if self.bin_width_us != other.bin_width_us \
-                or not np.array_equal(self.lags, other.lags):
-            raise DataError("histograms have incompatible binning")
-        return CoincidenceHistogram(
-            self.bin_width_us, self.lags, self.counts + other.counts,
-            self.total_apd + other.total_apd,
-            self.total_onsets + other.total_onsets,
-            self.duration_s + other.duration_s)
-
 
 @dataclass(frozen=True)
 class CoincidenceResult:
@@ -89,6 +80,9 @@ def _lag_window_ns(bin_width_us: float, window_bins: int):
     if not 0.0 < bin_width_us < np.inf or window_bins < 0:
         raise DataError("bin width must be finite and > 0, "
                         "and window_bins >= 0")
+    if window_bins > MAX_WINDOW_BINS:
+        raise DataError(f"lag window of {window_bins} bins is wider than "
+                        f"{MAX_WINDOW_BINS} bins")
     bin_ns = int(round(bin_width_us * 1000.0))
     if bin_ns < 1:
         raise DataError(f"bin width {bin_width_us} us is below 1 ns")
@@ -156,25 +150,13 @@ def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
                      duration_s=duration)
 
 
-def extract(hist: CoincidenceHistogram,
-            include_zero_bin: bool = True) -> CoincidenceResult:
-    """Coincidences = tau=0 bin count; background = mean over the window.
-
-    include_zero_bin=False drops the peak bin from the background average
-    (the default keeps it, matching an average over the whole function).
-    """
+def extract(hist: CoincidenceHistogram) -> CoincidenceResult:
+    """Coincidences = tau=0 bin count; background = mean over the whole
+    window, the peak bin included."""
     if len(hist.counts) == 0:
         raise DataError("empty histogram")
-    zi = hist.zero_bin_index
-    coincidences = int(hist.counts[zi])
-    if include_zero_bin:
-        bg_counts = hist.counts
-    else:
-        bg_counts = np.delete(hist.counts, zi)
-        if len(bg_counts) == 0:
-            raise DataError("no bins left for the background estimate")
-    n_bins = len(bg_counts)
-    background = float(bg_counts.sum()) / n_bins
+    coincidences = int(hist.counts[hist.zero_bin_index])
+    background = float(hist.counts.sum()) / len(hist.counts)
     # Poisson deviation of a single bin at the background level (the same
     # sigma the quadrature rule sqrt(N + bg) uses downstream)
     background_err = float(np.sqrt(background))
@@ -198,46 +180,3 @@ def write_histogram(hist: CoincidenceHistogram, path) -> None:
         fh.write("lag_us_center\tcounts\tpoisson_err\n")
         for lag, n in zip(hist.lags.tolist(), hist.counts.tolist()):
             fh.write(f"{lag * hist.bin_width_us:.6g}\t{n}\t{np.sqrt(n):.6g}\n")
-
-
-def read_histogram(path) -> CoincidenceHistogram:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise DataError(f"{path}: line 1: missing histogram header")
-        meta = {}
-        for token in header[2:].split():
-            key, sep, value = token.partition("=")
-            if not sep:
-                raise DataError(f"{path}: line 1: header field {token!r} "
-                                "is not key=value")
-            meta[key] = value
-        try:
-            bin_us = float(meta["bin_width_us"])
-            total_apd = int(meta["total_apd"])
-            total_onsets = int(meta["total_onsets"])
-            duration_s = float(meta["duration_s"])
-        except KeyError as exc:
-            raise DataError(f"{path}: line 1: header lacks {exc}") from exc
-        except ValueError as exc:
-            raise DataError(
-                f"{path}: line 1: bad header value: {exc}") from exc
-        if not 0.0 < bin_us < np.inf:
-            raise DataError(f"{path}: line 1: bin_width_us must be finite "
-                            "and > 0")
-        fh.readline()  # column names
-        lags, counts = [], []
-        for lineno, line in enumerate(fh, start=3):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: malformed row")
-            try:
-                lags.append(int(round(float(parts[0]) / bin_us)))
-                counts.append(int(parts[1]))
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}: line {lineno}: bad number: "
-                                f"{exc}") from exc
-    return CoincidenceHistogram(bin_us, np.array(lags), np.array(counts),
-                                total_apd, total_onsets, duration_s)

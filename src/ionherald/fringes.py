@@ -174,27 +174,6 @@ def write_scan(scan: FringeScan, path) -> None:
                      f"{p.background:.9g}\t{p.duration_s:.9g}\t{sig}\n")
 
 
-def read_scan(path) -> FringeScan:
-    from .polarization import BASES
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise DataError(f"{path}: missing scan header")
-        meta = dict(kv.split("=", 1) for kv in header[2:].split())
-        fh.readline()
-        pts = []
-        for lineno, line in enumerate(fh, start=3):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}: line {lineno}: malformed row")
-            sigma = float(parts[4]) if parts[4] else None
-            pts.append(ScanPoint(float(parts[0]), float(parts[1]),
-                                 float(parts[2]), float(parts[3]), sigma))
-    return FringeScan(BASES[meta["basis"]], tuple(pts))
-
-
 def write_fit_record(fit: FringeFit, path, extra: dict | None = None) -> None:
     """Flat key-value record for regression testing."""
     with open(path, "w", encoding="utf-8") as fh:

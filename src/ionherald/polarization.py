@@ -214,15 +214,9 @@ def joint_projection_probability(rho, a: PolarizationState,
     return min(1.0, max(0.0, p))
 
 
-def marginal_projection_probability(rho, b: PolarizationState,
-                                    side: str = "B") -> float:
-    """Tr[rho (I x |b><b|)] (side="B") or Tr[rho (|b><b| x I)] (side="A")."""
+def marginal_projection_probability(rho, b: PolarizationState) -> float:
+    """Tr[rho (I x |b><b|)]: probability that the second photon passes b."""
     m = _as_matrix(rho)
-    if side == "B":
-        proj = np.kron(np.eye(2), b.projector())
-    elif side == "A":
-        proj = np.kron(b.projector(), np.eye(2))
-    else:
-        raise DataError(f"side must be 'A' or 'B', got {side!r}")
+    proj = np.kron(np.eye(2), b.projector())
     p = float(np.trace(m @ proj).real)
     return min(1.0, max(0.0, p))

@@ -36,7 +36,7 @@ from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
 from .correlate import DEFAULT_BIN_US, DEFAULT_WINDOW_BINS
 from .fringes import clipped_wls, fringe_regressor
 from .sim import RateConfig, RunManifest, SequenceConfig
-from .tomography import TomographySetting, design_16
+from .tomography import DESIGN, TomographySetting
 
 ETA_TRIGGER = 0.1        # lumped trigger-arm transmission x APD efficiency
 ETA_HERALD = 0.07        # absorption probability given a trigger, pre-branching
@@ -322,7 +322,7 @@ def tomo_plan() -> TomoPlan:
                          cal.source.pair_rate)
     return TomoPlan(name="paper-tomo", source=source, rates=cal.rates,
                     sequence=cal.sequence, setting_minutes=TOMO_MINUTES,
-                    settings=tuple(design_16()))
+                    settings=DESIGN)
 
 
 PRESET_NAMES = ("paper-rl", "paper-hv", "paper-da", "paper-tomo")

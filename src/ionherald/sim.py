@@ -372,17 +372,26 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
     return stream
 
 
+def _stamp_range(t_start, w, k):
+    """First and last nanosecond stamp of the detection windows that open at
+    t_start (s) and last w (s), for k stamps each in one channel: the last
+    rounded nanosecond of a window plus k - 1 ns, the furthest that tie bumps
+    move a stamp (see the module docstring)."""
+    lo = np.rint(t_start * 1e9).astype(np.int64)
+    # t_start + u * w <= t_start + w in floating point for u < 1
+    return lo, np.rint((t_start + w) * 1e9).astype(np.int64) + k - 1
+
+
 def _reached_trials(t_start, w, per_trial, onset_ns, reach_ns) -> np.ndarray:
     """Per trial, whether one of its APD stamps can lie within reach_ns of
     an onset stamp (see the module docstring); all True where a tie bump
     could carry a stamp into the next trial's window."""
-    lo = np.rint(t_start * 1e9).astype(np.int64)
-    # t_start + u * w <= t_start + w in floating point for u < 1
-    hi = np.rint((t_start + w) * 1e9).astype(np.int64)
-    if len(lo) > 1 and np.min(lo[1:] - hi[:-1]) <= per_trial.max():
+    k = np.maximum(per_trial, 1)
+    lo, hi = _stamp_range(t_start, w, k)
+    # hi - (k - 1) is the window's own last nanosecond
+    if len(lo) > 1 and np.min(lo[1:] - hi[:-1] + k[:-1] - 1) \
+            <= per_trial.max():
         return np.ones(len(lo), dtype=bool)
-    # k tied stamps of one trial are bumped at most k - 1 ns past its window
-    hi += np.maximum(per_trial - 1, 0)
     first = np.searchsorted(hi, onset_ns - reach_ns, side="left")
     stop = np.searchsorted(lo, onset_ns + reach_ns, side="right")
     # trials first[j] .. stop[j] - 1 reach onset j
@@ -535,9 +544,8 @@ def _outside_window(stream: EventStream) -> np.ndarray:
         trials, index = np.unique(stream.trial, return_inverse=True)
     key = 2 * index + stream.channel
     t_start = np.repeat(trials * seq.period_s + seq.detect_offset_s, 2)
-    lo = np.rint(t_start * 1e9).astype(np.int64)
-    hi = np.rint((t_start + seq.detect_s) * 1e9).astype(np.int64) \
-        + np.bincount(key, minlength=len(lo)) - 1
+    lo, hi = _stamp_range(t_start, seq.detect_s,
+                          np.bincount(key, minlength=len(t_start)))
     return np.flatnonzero((stream.t_ns < lo[key]) | (stream.t_ns > hi[key]))
 
 

@@ -1,7 +1,8 @@
 """Two-qubit state reconstruction from 16 projective coincidence settings.
 
 The measurement design is {H, V, D, R} x {H, V, D, R} (absorber side x
-analyzer side), which spans the 16-dimensional operator space. Linear
+analyzer side), which spans the 16-dimensional operator space; it is fixed,
+and a counts table holds its rows in design order. Linear
 inversion solves the Born-rule system exactly; the maximum-likelihood
 estimator minimizes the Poisson negative log-likelihood over density
 matrices directly, by accelerated projected gradient from the physically
@@ -64,16 +65,24 @@ class CountsRow:
 
 @dataclass(frozen=True)
 class CountsTable:
+    """One row per design setting, given in any order and stored in design
+    order, so that row i pairs with PROJECTORS[i]."""
+
     rows: tuple
 
     def __post_init__(self):
         rows = tuple(self.rows)
         if len(rows) != 16:
             raise DataError(f"counts table needs 16 rows, got {len(rows)}")
+        for r in rows:
+            if r.setting not in _DESIGN_INDEX:
+                raise DataError(f"setting {r.setting.label!r} is not the "
+                                "design's setting for that label")
         labels = {r.setting.label for r in rows}
         if len(labels) != 16:
             raise DataError("counts table has duplicate settings")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(
+            sorted(rows, key=lambda r: _DESIGN_INDEX[r.setting])))
 
     def corrected(self) -> np.ndarray:
         return np.array([r.coincidences for r in self.rows], dtype=float)
@@ -105,15 +114,11 @@ def design_16() -> list[TomographySetting]:
     return out
 
 
-def design_projectors(settings=None) -> np.ndarray:
-    settings = design_16() if settings is None else settings
-    return np.stack([s.projector() for s in settings])
-
-
-def design_gram(settings=None) -> np.ndarray:
-    """Gram matrix of projector inner products Tr[P_i P_j]."""
-    proj = design_projectors(settings)
-    return np.real(np.einsum("aij,bji->ab", proj, proj))
+DESIGN = tuple(design_16())
+_DESIGN_INDEX = {s: i for i, s in enumerate(DESIGN)}
+# the projectors P_nu of the design, in design order
+PROJECTORS = np.stack([s.projector() for s in DESIGN])
+PROJECTORS.flags.writeable = False
 
 
 def settings_normalization(counts: CountsTable) -> float:
@@ -128,21 +133,18 @@ def settings_normalization(counts: CountsTable) -> float:
     return float(n)
 
 
-def expected_counts(rho, settings=None, normalization: float = 1.0) -> np.ndarray:
+def expected_counts(rho, normalization: float = 1.0) -> np.ndarray:
     """Noiseless synthetic counts N * Tr[rho P_nu] for each design setting."""
     m = rho.matrix if isinstance(rho, TwoQubitDensityMatrix) else np.asarray(rho)
-    proj = design_projectors(settings)
-    return normalization * np.real(np.einsum("ij,nji->n", m, proj))
+    return normalization * np.real(np.einsum("ij,nji->n", m, PROJECTORS))
 
 
 def counts_table_from_values(values, raw=None, background=None,
-                             duration_s: float = 1.0,
-                             settings=None) -> CountsTable:
+                             duration_s: float = 1.0) -> CountsTable:
     """Assemble a CountsTable from 16 corrected values in design order."""
-    settings = design_16() if settings is None else settings
     values = np.asarray(values, dtype=float)
     rows = []
-    for i, s in enumerate(settings):
+    for i, s in enumerate(DESIGN):
         rows.append(CountsRow(
             s, float(max(values[i], 0.0)),
             int(raw[i]) if raw is not None else int(round(max(values[i], 0.0))),
@@ -163,22 +165,19 @@ def _hermitian_basis() -> np.ndarray:
 
 
 _HBASIS = _hermitian_basis()
+# Born-rule system matrix Tr[B_m P_nu]; the design makes it full rank
+_INVERSION = np.real(np.einsum("mij,nji->nm", _HBASIS, PROJECTORS))
 
 
-def linear_inversion(counts: CountsTable, settings=None) -> np.ndarray:
+def linear_inversion(counts: CountsTable) -> np.ndarray:
     """Solve the Born-rule linear system for a Hermitian trace-1 matrix.
 
     Returns a raw 4x4 array: Hermitian and trace-1 but possibly not PSD, so
     it is deliberately not wrapped in TwoQubitDensityMatrix.
     """
-    settings = design_16() if settings is None else settings
-    proj = design_projectors(settings)
-    design = np.real(np.einsum("mij,nji->nm", _HBASIS, proj))
-    if np.linalg.matrix_rank(design, tol=1e-9) < 16:
-        raise DataError("rank-deficient tomography design; cannot invert")
     n_hat = settings_normalization(counts)
     probs = counts.corrected() / n_hat
-    coeff = np.linalg.solve(design, probs)
+    coeff = np.linalg.solve(_INVERSION, probs)
     rho = np.einsum("m,mij->ij", coeff, _HBASIS.astype(complex))
     rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
@@ -200,9 +199,13 @@ def project_to_physical(candidate: np.ndarray) -> TwoQubitDensityMatrix:
 
 # --- maximum-likelihood reconstruction ---------------------------------------
 
-def _probabilities(m: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    """Tr[m P_nu] floored at 1e-15; projectors holds the P_nu flattened."""
-    return np.maximum((projectors @ m.T.ravel()).real, 1e-15)
+# row nu holds P_nu flattened
+_PROJECTOR_ROWS = PROJECTORS.reshape(16, 16)
+
+
+def _probabilities(m: np.ndarray) -> np.ndarray:
+    """Tr[m P_nu] floored at 1e-15."""
+    return np.maximum((_PROJECTOR_ROWS @ m.T.ravel()).real, 1e-15)
 
 
 def _nll(p: np.ndarray, counts_vec: np.ndarray, normalization: float) -> float:
@@ -226,8 +229,7 @@ MAX_ITER = 100_000
 STEP_TOL = 1e-9
 
 
-def mle_reconstruct(counts: CountsTable, settings=None,
-                    return_info: bool = False):
+def mle_reconstruct(counts: CountsTable, return_info: bool = False):
     """Maximum-likelihood density matrix for one counts table.
 
     Minimizes the NLL of nll_of_state over density matrices by accelerated
@@ -246,25 +248,23 @@ def mle_reconstruct(counts: CountsTable, settings=None,
     1e-9 above the start's. return_info adds a dict of nll, start_nll,
     grad_norm and iterations.
     """
-    settings = design_16() if settings is None else settings
-    projectors = design_projectors(settings).reshape(len(settings), 16)
     n_hat = settings_normalization(counts)
     counts_vec = counts.corrected()
     scale = max(n_hat, float(counts_vec.max()))
     big_n, n = n_hat / scale, counts_vec / scale
 
-    rho = project_to_physical(linear_inversion(counts, settings)).matrix
-    p = p_y = _probabilities(rho, projectors)
+    rho = project_to_physical(linear_inversion(counts)).matrix
+    p = p_y = _probabilities(rho)
     start_nll = _nll(p, counts_vec, n_hat)
     y, theta, t = rho, 1.0, 1.0
     for iterations in range(1, MAX_ITER + 1):
-        grad = ((big_n - n / p_y) @ projectors).reshape(4, 4)
+        grad = ((big_n - n / p_y) @ _PROJECTOR_ROWS).reshape(4, 4)
         t *= 1.5
         while True:
             x = _state_projection(y - t * grad)
             step = x - y
             step_sq = np.vdot(step, step).real
-            p = _probabilities(x, projectors)
+            p = _probabilities(x)
             u = p / p_y - 1.0
             if np.sum(n * (u - np.log1p(u))) <= step_sq / (2.0 * t):
                 break
@@ -277,7 +277,7 @@ def mle_reconstruct(counts: CountsTable, settings=None,
         rho, theta = x, theta_next
         if grad_norm <= STEP_TOL * scale:
             break
-        p_y = _probabilities(y, projectors)
+        p_y = _probabilities(y)
     else:
         raise ConvergenceError(f"MLE did not converge in {MAX_ITER} "
                                f"iterations (|step| = {grad_norm:.3e})")
@@ -292,12 +292,10 @@ def mle_reconstruct(counts: CountsTable, settings=None,
     return rho
 
 
-def nll_of_state(rho, counts: CountsTable, settings=None) -> float:
+def nll_of_state(rho, counts: CountsTable) -> float:
     """Poisson NLL of an arbitrary physical state for the given counts."""
-    settings = design_16() if settings is None else settings
-    projectors = design_projectors(settings).reshape(len(settings), 16)
     m = rho.matrix if isinstance(rho, TwoQubitDensityMatrix) else rho
-    return _nll(_probabilities(np.asarray(m), projectors), counts.corrected(),
+    return _nll(_probabilities(np.asarray(m)), counts.corrected(),
                 settings_normalization(counts))
 
 
@@ -340,13 +338,12 @@ def trace_distance(a, b) -> float:
 # --- bootstrap ----------------------------------------------------------------
 
 def bootstrap_metrics(counts: CountsTable, rho_hat, n_replicas: int = 500,
-                      seed: int = 0, settings=None) -> EntanglementMetrics:
+                      seed: int = 0) -> EntanglementMetrics:
     """Parametric bootstrap: resample Poisson counts around the fitted model
     rho_hat (the MLE of counts), refit each replica, report standard
     deviations of F, C and T."""
-    settings = design_16() if settings is None else settings
     n_hat = settings_normalization(counts)
-    lam = np.maximum(expected_counts(rho_hat, settings, n_hat), 0.0)
+    lam = np.maximum(expected_counts(rho_hat, n_hat), 0.0)
     durations = [r.duration_s for r in counts.rows]
     backgrounds = [r.background for r in counts.rows]
 
@@ -357,10 +354,10 @@ def bootstrap_metrics(counts: CountsTable, rho_hat, n_replicas: int = 500,
         resampled = rng.poisson(lam).astype(float)
         table = CountsTable(tuple(
             CountsRow(s, float(v), int(v), bg, du)
-            for s, v, bg, du in zip(settings, resampled, backgrounds,
+            for s, v, bg, du in zip(DESIGN, resampled, backgrounds,
                                     durations)))
         try:
-            rho_b = mle_reconstruct(table, settings)
+            rho_b = mle_reconstruct(table)
         except (ConvergenceError, DataError):
             continue
         mb = metrics(rho_b)
@@ -389,7 +386,9 @@ def write_counts_table(counts: CountsTable, path) -> None:
 
 
 def read_counts_table(path) -> CountsTable:
-    by_label = {s.label: s for s in design_16()}
+    """Read a table written by write_counts_table; its rows may come in any
+    order."""
+    by_label = {s.label: s for s in DESIGN}
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -115,12 +115,26 @@ class TestConfig:
 
     @pytest.mark.parametrize("entry", [
         "[rates]\neta_trigger = abc", "[run]\nseed = nan",
-        "[run]\nseed = 1.5"])
-    def test_bad_config_value(self, tmp_path, entry):
+        "[run]\nseed = 1.5", "seed = 5", "[rates]\neta_trigger = 10%",
+        "[run]\nseed = 1\nseed = 2", "[run]\nseed = 1\n[run]\nseed = 2",
+        "[absorber]\nbasis = H\xff"])
+    def test_bad_config_value(self, tmp_path, capsys, entry):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(entry + "\n", encoding="utf-8")
+        # latin-1 turns the one non-ASCII character into a non-UTF-8 byte
+        cfg.write_bytes((entry + "\n").encode("latin-1"))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
+        assert "bad.ini" in capsys.readouterr().err
+
+    def test_config_sections_validated_whole(self, tmp_path):
+        # 20 Hz fits 30 + 15 + 5 ms, but not the 100 ms default phases
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[sequence]\nrep_rate = 20\nprep_ms = 15\n"
+                       "detect_ms = 5\n[rates]\npair_rate = 3\n",
+                       encoding="utf-8")
+        m = load_manifest_config(cfg)
+        assert (m.sequence.rep_rate, m.sequence.detect_ms) == (20.0, 5.0)
+        assert m.source.pair_rate == m.rates.pair_rate == 3.0
 
     def test_unknown_key_named_in_error(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -160,6 +174,15 @@ class TestConfig:
                      "--out", events]) == 0
         assert main(["g2", "--events", events, "--bin-us", "1e300",
                      "--out-prefix", str(tmp_path / "g")]) == EXIT_DATA
+
+    def test_lag_window_of_too_many_bins(self, tmp_path, capsys):
+        events = str(tmp_path / "e.txt")
+        assert main(["simulate", "--preset", "paper-rl", "--minutes", "0.05",
+                     "--out", events]) == 0
+        assert main(["g2", "--events", events, "--bin-us", "0.001",
+                     "--window-bins", "10000000000000",
+                     "--out-prefix", str(tmp_path / "g")]) == EXIT_DATA
+        assert "bins" in capsys.readouterr().err
 
     def test_negative_bootstrap_seed(self, tmp_path):
         from ionherald import tomography as tom
@@ -387,6 +410,27 @@ class TestPipeline:
                      "--bootstrap", "5", "--out-prefix",
                      str(tmp_path / "tb")]) == 0
         assert len(calls) == 6
+
+    def test_tomo_rows_in_any_order(self, tmp_path):
+        # the seed-42 paper-scale table of `reproduce`, rows shuffled
+        from ionherald import presets
+        from ionherald import tomography as tom
+        from ionherald.cli import _spawned_seeds, run_tomography
+        plan = presets.tomo_plan()
+        tom.write_counts_table(run_tomography(
+            plan, _spawned_seeds(42, len(plan.settings), 3),
+            plan.setting_minutes, {}), tmp_path / "counts.txt")
+        header, *rows = (tmp_path / "counts.txt").read_text().splitlines()
+        order = np.random.default_rng(1).permutation(len(rows))
+        (tmp_path / "shuffled.txt").write_text(
+            "\n".join([header] + [rows[i] for i in order]) + "\n")
+        for name in ("counts", "shuffled"):
+            assert main(["tomo", "--counts", str(tmp_path / f"{name}.txt"),
+                         "--bootstrap", "3",
+                         "--out-prefix", str(tmp_path / name)]) == 0
+        for suffix in (".rho.txt", ".metrics.txt"):
+            assert (tmp_path / f"shuffled{suffix}").read_bytes() == \
+                (tmp_path / f"counts{suffix}").read_bytes()
 
     def test_tomo_non_numeric_cell(self, tmp_path, capsys):
         from ionherald import tomography as tom

@@ -4,8 +4,8 @@ import pytest
 from ionherald import polarization as pol
 from ionherald.errors import DataError
 from ionherald.fringes import (FringeScan, ScanPoint, clipped_wls, fit_fringe,
-                               fringe_regressor, read_scan,
-                               subtract_background, write_scan)
+                               fringe_regressor, subtract_background,
+                               write_scan)
 
 
 def model_scan(angles, amplitude, offset, theta0=0.0, basis=pol.RL,
@@ -168,9 +168,14 @@ class TestScanIO:
         scan = subtract_background(scan)
         path = tmp_path / "scan.txt"
         write_scan(scan, path)
-        back = read_scan(path)
-        assert back.basis.label == scan.basis.label
-        for p, q in zip(back.points, scan.points):
-            assert p.hwp_angle_deg == q.hwp_angle_deg
-            assert p.coincidences == pytest.approx(q.coincidences)
-            assert p.sigma == pytest.approx(q.sigma)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [
+            "# basis=RL period_deg=90.0",
+            "hwp_angle_deg\tcoincidences\tbackground\tduration_s\tsigma"]
+        back = np.loadtxt(path, skiprows=2, ndmin=2)
+        assert len(back) == len(scan.points)
+        for row, p in zip(back, scan.points):
+            assert row[0] == p.hwp_angle_deg
+            assert row[1] == pytest.approx(p.coincidences, rel=1e-8)
+            assert (row[2], row[3]) == (0.0, 3600.0)
+            assert row[4] == pytest.approx(p.sigma, rel=1e-8)

@@ -27,7 +27,9 @@ class TestDesign:
         assert "HV" in labels and "RR" in labels
 
     def test_gram_matrix_full_rank(self):
-        gram = tom.design_gram()
+        # Tr[P_i P_j] over the design's projectors
+        proj = tom.PROJECTORS
+        gram = np.real(np.einsum("aij,bji->ab", proj, proj))
         assert gram.shape == (16, 16)
         assert np.linalg.matrix_rank(gram, tol=1e-9) == 16
         assert np.isfinite(np.linalg.cond(gram))
@@ -126,7 +128,7 @@ class TestMLE:
         # of the gradient G = sum((N - n/p) P_nu) and rho lives in its
         # eigenspace: lambda_min(G) >= mu and (G - mu I) rho = 0
         rng = np.random.default_rng(55)
-        proj = tom.design_projectors()
+        proj = tom.PROJECTORS
         tables = []
         for n_per in (50.0, 250.0, 1000.0):
             for _ in range(8):
@@ -354,3 +356,22 @@ class TestCountsTableIO:
     def test_wrong_row_count_rejected(self):
         with pytest.raises(DataError):
             tom.CountsTable(tuple())
+
+    @pytest.mark.parametrize("setting", [
+        tom.TomographySetting(pol.H, pol.V, label="HH"),
+        tom.TomographySetting(pol.A, pol.A, label="AA")])
+    def test_setting_outside_the_design_rejected(self, setting):
+        rows = list(tom.counts_table_from_values(np.full(16, 20.0)).rows)
+        rows[0] = tom.CountsRow(setting, 20.0, 20, 0.0, 1.0)
+        with pytest.raises(DataError, match="design"):
+            tom.CountsTable(tuple(rows))
+
+    def test_rows_in_any_order_give_the_same_state(self):
+        rng = np.random.default_rng(64)
+        lam = tom.expected_counts(pol.werner(0.8), normalization=200.0)
+        table = tom.counts_table_from_values(
+            rng.poisson(lam).astype(float), background=np.arange(16.0))
+        shuffled = tom.CountsTable(tuple(rng.permutation(table.rows)))
+        assert shuffled.rows == table.rows
+        np.testing.assert_array_equal(tom.mle_reconstruct(shuffled).matrix,
+                                      tom.mle_reconstruct(table).matrix)
