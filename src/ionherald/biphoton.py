@@ -136,11 +136,15 @@ def arm_probabilities(source: SourceModel, absorber: AbsorberSetting,
     is in the absorber's allowed state. The conditional absorption given a
     trigger is joint / marginal, undefined where marginal is zero.
     """
-    rho = source.effective_state()
-    marginal = np.array([pol.marginal_projection_probability(
-        rho, an.projector_state) for an in analyzers])
-    joint = np.array([pol.joint_projection_probability(
-        rho, absorber.allowed, an.projector_state) for an in analyzers])
+    rho = source.effective_state().matrix
+    # kron(a, b)[2i + j, 2k + l] = a[i, k] * b[j, l], for a in (I, allowed)
+    # and b over the analyzers: one (2, n, 4, 4) stack of projectors
+    a = np.stack([np.eye(2), absorber.allowed.projector()])
+    b = np.stack([an.projector_state.projector() for an in analyzers])
+    proj = (a[:, None, :, None, :, None]
+            * b[None, :, None, :, None, :]).reshape(2, len(b), 4, 4)
+    marginal, joint = np.clip(
+        np.trace(rho @ proj, axis1=2, axis2=3).real, 0.0, 1.0)
     return marginal, joint
 
 

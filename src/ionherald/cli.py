@@ -24,7 +24,8 @@ from .correlate import (DEFAULT_BIN_US, DEFAULT_WINDOW_BINS, extract,
                         histogram_from_stream, lag_reach_ns, write_histogram)
 from .fringes import (FringeScan, ScanPoint, fit_fringe, write_fit_record,
                       write_plot_data, write_scan)
-from .sim import RunManifest, read_events, simulate_run, write_events
+from .sim import (CHANNEL_APD, RunManifest, read_events, simulate_run,
+                  write_events)
 from . import tomography as tom
 
 EXIT_OK = 0
@@ -52,40 +53,53 @@ def load_manifest_config(path) -> RunManifest:
 
     [run], [absorber] and [analyzer] give the base manifest; the [source],
     [sequence] and [rates] entries apply to it as `section.key=value`
-    overrides, so unset keys keep the dataclass defaults.
+    overrides, so unset keys keep the dataclass defaults. Every error is a
+    ConfigError that names the file.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    # no [section] header can name the empty string, so a [DEFAULT] section
+    # is an ordinary, and unknown, section rather than one copied into all
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    try:
+        return _manifest_from_config(cp)
+    # a DataError here comes from a value of the file, such as a NaN angle
+    except (ConfigError, DataError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _manifest_from_config(cp: configparser.ConfigParser) -> RunManifest:
+    """The manifest of a parsed config file; its errors leave the path to
+    the caller."""
     for section in cp.sections():
         if section not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
             if key not in _CONFIG_KEYS[section]:
-                raise ConfigError(f"{path}: unknown key {section}.{key}")
+                raise ConfigError(f"unknown key {section}.{key}")
 
     def getf(section, key, default):
         try:
             return cp.getfloat(section, key, fallback=default)
         except ValueError:
-            raise ConfigError(f"{path}: {section}.{key} = "
+            raise ConfigError(f"{section}.{key} = "
                               f"{cp.get(section, key)!r} is not a number")
 
     seed = getf("run", "seed", 0)
     if not float(seed).is_integer():
-        raise ConfigError(f"{path}: run.seed must be an integer")
+        raise ConfigError("run.seed must be an integer")
     ab_basis = cp.get("absorber", "basis", fallback="RL")
     if ab_basis not in pol.BASES:
-        raise ConfigError(f"{path}: absorber.basis must be one of RL/HV/DA")
+        raise ConfigError("absorber.basis must be one of RL/HV/DA")
     absorber = absorber_for(pol.BASES[ab_basis],
                             cp.get("absorber", "allowed", fallback="plus"))
     an_basis = cp.get("analyzer", "basis", fallback=ab_basis)
     if an_basis not in pol.BASES:
-        raise ConfigError(f"{path}: analyzer.basis must be one of RL/HV/DA")
+        raise ConfigError("analyzer.basis must be one of RL/HV/DA")
     analyzer = scan_analyzer(pol.BASES[an_basis],
                              getf("analyzer", "hwp_deg", 45.0),
                              getf("analyzer", "theta_ref_deg", 0.0))
@@ -95,10 +109,7 @@ def load_manifest_config(path) -> RunManifest:
                  for section in ("source", "sequence", "rates")
                  if cp.has_section(section)
                  for key, value in cp[section].items()}
-    try:
-        return _apply_overrides(manifest, overrides)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _apply_overrides(manifest, overrides)
 
 
 def _apply_overrides(manifest: RunManifest, overrides: dict) -> RunManifest:
@@ -153,9 +164,9 @@ def cmd_simulate(args) -> int:
     manifest = _apply_overrides(manifest, _parse_override_args(args.override))
     stream = simulate_run(manifest)
     write_events(stream, args.out)
+    n_apd = np.count_nonzero(stream.channel == CHANNEL_APD)
     print(f"simulated {manifest.n_trials} trials: "
-          f"{len(stream.apd_times())} APD, {len(stream.onset_times())} onsets "
-          f"-> {args.out}")
+          f"{n_apd} APD, {len(stream) - n_apd} onsets -> {args.out}")
     return EXIT_OK
 
 

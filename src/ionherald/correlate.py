@@ -67,7 +67,7 @@ class CoincidenceResult:
 
 
 def _check_sorted(t: np.ndarray, name: str):
-    if len(t) > 1 and np.any(np.diff(t) < 0):
+    if np.any(t[1:] < t[:-1]):
         raise DataError(f"{name} events are not time-ordered")
 
 

@@ -213,10 +213,3 @@ def joint_projection_probability(rho, a: PolarizationState,
     p = float(np.trace(m @ proj).real)
     return min(1.0, max(0.0, p))
 
-
-def marginal_projection_probability(rho, b: PolarizationState) -> float:
-    """Tr[rho (I x |b><b|)]: probability that the second photon passes b."""
-    m = _as_matrix(rho)
-    proj = np.kron(np.eye(2), b.projector())
-    p = float(np.trace(m @ proj).real)
-    return min(1.0, max(0.0, p))

@@ -84,6 +84,7 @@ FILE_MAGIC = "#MANIFEST "
 MAX_DIGITS = 18             # of trial and t_ns, so every value fits int64
 WRITE_BLOCK = 1 << 14       # records per block in write_events
 READ_BLOCK = 1 << 20        # bytes per block in read_events
+CHECK_BLOCK = 1 << 16       # records per block in the stream checks
 MAX_EVENTS_PER_WINDOW = 1e18
 
 
@@ -226,45 +227,49 @@ class EventStream:
                 and self.apd_dropped == other.apd_dropped)
 
 
-def _strictly_increasing(t: np.ndarray) -> np.ndarray:
-    """Bump duplicate sorted integer timestamps (post-rounding ties) by +1 ns.
+def _strictly_increasing(t: np.ndarray) -> None:
+    """Bump duplicate sorted integer timestamps (post-rounding ties) by +1 ns,
+    in place.
 
     Each stamp becomes max(its own, the previous bumped stamp + 1), in one
     pass: t[k] - k is non-decreasing after the bumps, so it is the running
     maximum of the input's t[k] - k.
     """
     i = np.arange(len(t))
-    return np.maximum.accumulate(t - i) + i
+    t -= i
+    np.maximum.accumulate(t, out=t)
+    t += i
 
 
-def _sorted_column(trial, t_ns):
-    """One channel in time order: the trial of each event and its stamp.
-
-    Time order is trial order, so the trial column is the sorted trials.
-    """
-    per_trial = np.bincount(trial)
-    return (np.repeat(np.arange(len(per_trial)), per_trial),
-            _strictly_increasing(np.sort(t_ns)))
-
-
-def _finalize(apd_trial, apd_t_ns, onset_trial, onset_t_ns,
+def _finalize(apd_ns, apd_per_trial, onset_ns, onset_per_trial,
               manifest) -> EventStream:
     """Merge the APD and onset columns into one stream in the output order
-    (see the module docstring)."""
-    apd_trial, apd_t = _sorted_column(apd_trial, apd_t_ns)
-    onset_trial, onset_t = _sorted_column(onset_trial, onset_t_ns)
+    (see the module docstring).
+
+    apd_ns and onset_ns are int64 stamps in any order; each is sorted and
+    tie-bumped in place. *_per_trial count each trial's records in the
+    channel. Time order is trial order, so a channel's trial column is its
+    counts laid out in trial order: each record takes the trial of its
+    position within its own channel. At the peak, apd_ns, the trial column
+    and one more int64 column of the stream's length are held, besides the
+    channel column and one bool mask.
+    """
+    for t in (apd_ns, onset_ns):
+        t.sort()
+        _strictly_increasing(t)
     # each onset goes after every APD stamp <= its own
-    at = (np.searchsorted(apd_t, onset_t, side="right")
-          + np.arange(len(onset_t)))
-    channel = np.full(len(apd_t) + len(onset_t), CHANNEL_APD, dtype=np.int8)
+    at = (np.searchsorted(apd_ns, onset_ns, side="right")
+          + np.arange(len(onset_ns)))
+    n = len(apd_ns) + len(onset_ns)
+    channel = np.full(n, CHANNEL_APD, dtype=np.int8)
     channel[at] = CHANNEL_PMT_ONSET
     is_apd = channel == CHANNEL_APD
-    trial = np.empty(len(channel), dtype=np.int64)
-    trial[is_apd] = apd_trial
-    trial[at] = onset_trial
-    t_ns = np.empty(len(channel), dtype=np.int64)
-    t_ns[is_apd] = apd_t
-    t_ns[at] = onset_t
+    trial = np.empty(n, dtype=np.int64)
+    trial[is_apd] = np.repeat(np.arange(len(apd_per_trial)), apd_per_trial)
+    trial[at] = np.repeat(np.arange(len(onset_per_trial)), onset_per_trial)
+    t_ns = np.empty(n, dtype=np.int64)
+    t_ns[is_apd] = apd_ns
+    t_ns[at] = onset_ns
     return EventStream(trial, channel, t_ns, manifest)
 
 
@@ -359,15 +364,21 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
         apd_pair_trial = apd_pair_trial[kept_pair]
         n_dark = np.where(keep, n_dark, 0)
 
+    # the APD stamps: pair clicks, then dark triggers, whose float times are
+    # scaled and rounded in place and dropped once they are stamped
+    n_pair_apd = len(apd_pair_t)
+    apd_ns = np.empty(n_pair_apd + int(n_dark.sum()), dtype=np.int64)
+    apd_ns[:n_pair_apd] = np.rint(apd_pair_t * 1e9)
     rng.bit_generator.state = dark_at
-    dark_u = rng.random(int(n_dark.sum()))
-    dark_trial = np.repeat(np.arange(n_trials), n_dark)
-    dark_t = t_start[dark_trial] + dark_u * w
-
-    apd_t = np.concatenate([apd_pair_t, dark_t])
-    apd_trial = np.concatenate([apd_pair_trial, dark_trial])
-    stream = _finalize(apd_trial, np.rint(apd_t * 1e9).astype(np.int64),
-                       onset_trial, onset_ns, m)
+    dark_t = rng.random(len(apd_ns) - n_pair_apd)
+    dark_t *= w
+    dark_t += np.repeat(t_start, n_dark)
+    dark_t *= 1e9
+    apd_ns[n_pair_apd:] = np.rint(dark_t, out=dark_t)
+    del dark_t
+    stream = _finalize(
+        apd_ns, np.bincount(apd_pair_trial, minlength=n_trials) + n_dark,
+        onset_ns, np.bincount(onset_trial, minlength=n_trials), m)
     stream.apd_dropped = apd_dropped
     return stream
 
@@ -471,12 +482,12 @@ def write_events(stream: EventStream, path) -> None:
                                 and column.max() < 10 ** MAX_DIGITS):
             raise DataError(f"{name} outside [0, 1e{MAX_DIGITS}): not "
                             f"writable as 1 to {MAX_DIGITS} digits")
-    if not np.isin(stream.channel, (CHANNEL_APD, CHANNEL_PMT_ONSET)).all():
+    # the two codes are 0 and 1
+    if len(stream) and not (stream.channel.min() >= CHANNEL_APD
+                            and stream.channel.max() <= CHANNEL_PMT_ONSET):
         raise DataError("stream has a channel code other than APD/PMT_ONSET")
-    for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
-        t = stream.channel_times(code)
-        if len(t) > 1 and np.any(np.diff(t) <= 0):
-            raise DataError("stream not finalized: non-monotone timestamps")
+    if _unordered_channel(stream) is not None:
+        raise DataError("stream not finalized: non-monotone timestamps")
     header = FILE_MAGIC + json.dumps(manifest_to_dict(stream.manifest),
                                      sort_keys=True, separators=(",", ":"))
     with open(path, "wb") as fh:
@@ -490,43 +501,60 @@ def write_events(stream: EventStream, path) -> None:
 def read_events(path) -> EventStream:
     """Parse an event file back into a stream; validates format and ordering.
 
-    The records are read in blocks of READ_BLOCK bytes, each cut after its
-    last line end, so besides the parsed columns one block is held."""
-    columns = [(np.empty(0, np.int64), np.empty(0, np.int8),
-                np.empty(0, np.int64))]
+    The file is read twice, in blocks of READ_BLOCK bytes: once to count its
+    line ends, which bounds its number of records, and once to parse each
+    block, cut after its last line end, straight into the columns. Besides
+    the columns, one block and its parse are held; the order and window
+    checks then run CHECK_BLOCK records at a time. The path must name a
+    file that can be read again."""
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh.readline(), path)
         n_trials = manifest.n_trials
-        lineno, rest = 2, b""
+        start, lines, size = fh.tell(), 0, 0
+        while chunk := fh.read(READ_BLOCK):
+            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == _LF)
+            size += len(chunk)
+        fh.seek(start)
+        # a record is a line of at least _MIN_RECORD bytes with its line
+        # end, and the last line end is optional
+        n_max = min(lines + 1, (size + 1) // _MIN_RECORD)
+        columns = (np.empty(n_max, np.int64), np.empty(n_max, np.int8),
+                   np.empty(n_max, np.int64))
+        n, lineno, rest = 0, 2, b""
+
+        def parse(buf):
+            nonlocal n, lineno
+            records, k = _parse_records(buf, path, lineno, n_trials)
+            stop = n + len(records[0])
+            if stop > n_max:
+                raise DataError(f"{path}: changed while it was read")
+            for column, values in zip(columns, records):
+                column[n:stop] = values
+            n, lineno = stop, lineno + k
+
         while chunk := fh.read(READ_BLOCK):
             block = rest + chunk
             cut = block.rfind(b"\n") + 1
             rest = block[cut:]
             if cut:
-                records, lines = _parse_records(block[:cut], path, lineno,
-                                                n_trials)
-                columns.append(records)
-                lineno += lines
+                parse(block[:cut])
             if len(rest) > _MAX_LINE:
                 # longer than any record, so this raises
-                _parse_records(rest + b"\n", path, lineno, n_trials)
+                parse(rest + b"\n")
         if rest:                        # the last line end is optional
-            columns.append(
-                _parse_records(rest + b"\n", path, lineno, n_trials)[0])
-    stream = EventStream(*(np.concatenate(c) for c in zip(*columns)),
+            parse(rest + b"\n")
+    stream = EventStream(*(column[:n] for column in columns),
                          manifest=manifest)
-    for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
-        t = stream.channel_times(code)
-        if len(t) > 1 and np.any(np.diff(t) <= 0):
-            raise DataError(f"{path}: non-monotone timestamps in channel "
-                            f"{CHANNEL_NAMES[code]}")
+    code = _unordered_channel(stream)
+    if code is not None:
+        raise DataError(f"{path}: non-monotone timestamps in channel "
+                        f"{CHANNEL_NAMES[code]}")
     # at most one onset per trial is a hard invariant of the format
     onset_trials = stream.trial[stream.channel == CHANNEL_PMT_ONSET]
     if len(onset_trials) != len(np.unique(onset_trials)):
         raise DataError(f"{path}: multiple PMT_ONSET records in one trial")
-    outside = _outside_window(stream)
-    if len(outside):
-        i = outside[0]
+    i = _first_outside_window(stream)
+    if i is not None:
         raise DataError(f"{path}: line {_record_line(path, i)}: "
                         f"{CHANNEL_NAMES[stream.channel[i]]} stamp "
                         f"{stream.t_ns[i]} outside the detection window of "
@@ -534,19 +562,46 @@ def read_events(path) -> EventStream:
     return stream
 
 
-def _outside_window(stream: EventStream) -> np.ndarray:
-    """Indices of the records whose stamp lies outside its trial's detection
-    window, widened by k - 1 ns for k records of the trial in the channel."""
+def _chunks(n: int):
+    """Slices of CHECK_BLOCK records that cover n records."""
+    return (slice(i, i + CHECK_BLOCK) for i in range(0, n, CHECK_BLOCK))
+
+
+def _unordered_channel(stream: EventStream) -> int | None:
+    """The first channel, APD before PMT_ONSET, whose stamps do not strictly
+    increase, or None; the stamps must be >= 0."""
+    for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
+        last = np.array([-1])
+        for part in _chunks(len(stream)):
+            t = np.concatenate(
+                [last, stream.t_ns[part][stream.channel[part] == code]])
+            if np.any(t[1:] <= t[:-1]):
+                return code
+            last = t[-1:]
+    return None
+
+
+def _first_outside_window(stream: EventStream) -> int | None:
+    """Index of the first record whose stamp lies outside its trial's
+    detection window, widened by k - 1 ns for k records of the trial in the
+    channel, or None."""
     seq, n_trials = stream.manifest.sequence, stream.manifest.n_trials
     if n_trials <= len(stream):
         trials, index = np.arange(n_trials), stream.trial
     else:                   # fewer records than trials: number those seen
         trials, index = np.unique(stream.trial, return_inverse=True)
-    key = 2 * index + stream.channel
     t_start = np.repeat(trials * seq.period_s + seq.detect_offset_s, 2)
-    lo, hi = _stamp_range(t_start, seq.detect_s,
-                          np.bincount(key, minlength=len(t_start)))
-    return np.flatnonzero((stream.t_ns < lo[key]) | (stream.t_ns > hi[key]))
+    counts = np.zeros(len(t_start), np.int64)
+    for part in _chunks(len(stream)):
+        np.add.at(counts, 2 * index[part] + stream.channel[part], 1)
+    lo, hi = _stamp_range(t_start, seq.detect_s, counts)
+    for part in _chunks(len(stream)):
+        key = 2 * index[part] + stream.channel[part]
+        t = stream.t_ns[part]
+        outside = np.flatnonzero((t < lo[key]) | (t > hi[key]))
+        if len(outside):
+            return part.start + int(outside[0])
+    return None
 
 
 def _record_line(path, index: int) -> int:
@@ -560,7 +615,8 @@ def _record_line(path, index: int) -> int:
 # --- record text, a block at a time ----------------------------------------
 
 _TAB, _LF, _CR, _ZERO = 9, 10, 13, ord("0")
-# the longest line the grammar allows, less its LF
+# the shortest record line with its LF, and the longest less its LF
+_MIN_RECORD = len(b"0\tAPD\t0\tDETECT\n")
 _MAX_LINE = len(b"%s\tPMT_ONSET\t%s\tDETECT\r"
                 % (b"9" * MAX_DIGITS, b"9" * MAX_DIGITS))
 # "0000" ... "9999" as uint32, so that one take() places four digits

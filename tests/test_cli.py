@@ -117,7 +117,8 @@ class TestConfig:
         "[rates]\neta_trigger = abc", "[run]\nseed = nan",
         "[run]\nseed = 1.5", "seed = 5", "[rates]\neta_trigger = 10%",
         "[run]\nseed = 1\nseed = 2", "[run]\nseed = 1\n[run]\nseed = 2",
-        "[absorber]\nbasis = H\xff"])
+        "[absorber]\nbasis = H\xff", "[analyzer]\nhwp_deg = nan",
+        "[absorber]\nallowed = sideways", "[run]\nduration_s = -1"])
     def test_bad_config_value(self, tmp_path, capsys, entry):
         cfg = tmp_path / "bad.ini"
         # latin-1 turns the one non-ASCII character into a non-UTF-8 byte
@@ -125,6 +126,14 @@ class TestConfig:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
         assert "bad.ini" in capsys.readouterr().err
+
+    def test_default_section_rejected_by_name(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[DEFAULT]\nseed = 3\n[rates]\neta_trigger = 0.1\n",
+                       encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
+        assert "bad.ini: unknown section [DEFAULT]" in capsys.readouterr().err
 
     def test_config_sections_validated_whole(self, tmp_path):
         # 20 Hz fits 30 + 15 + 5 ms, but not the 100 ms default phases

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,8 +191,8 @@ class TestFinalize:
         m = make_manifest(seed=0, duration_s=0.1)
         # unsorted APD clicks: two tie at 200 ns, the later of them is bumped
         # to 201; onsets tie with an APD stamp at 100 and with the bumped one
-        stream = _finalize(ns(0, 0, 0, 0), ns(300, 200, 100, 200),
-                           ns(0, 0), ns(201, 100), m)
+        stream = _finalize(ns(300, 200, 100, 200), ns(4), ns(201, 100),
+                           ns(2), m)
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
         assert stream.t_ns.tolist() == [100, 100, 200, 201, 201, 300]
         assert stream.channel.tolist() == [apd, onset, apd, apd, onset, apd]
@@ -199,8 +200,8 @@ class TestFinalize:
 
     def test_trial_column_follows_time(self):
         m = make_manifest(seed=0, duration_s=0.3)
-        stream = _finalize(ns(2, 0, 1, 0), ns(250, 50, 150, 60),
-                           ns(1), ns(160), m)
+        stream = _finalize(ns(250, 50, 150, 60), ns(2, 1, 1), ns(160),
+                           ns(0, 1, 0), m)
         assert stream.t_ns.tolist() == [50, 60, 150, 160, 250]
         assert stream.trial.tolist() == [0, 0, 1, 1, 2]
         assert stream.channel.tolist() == [CHANNEL_APD] * 3 + [
@@ -217,8 +218,9 @@ class TestFinalize:
             cases.append(np.repeat(distinct,
                                    rng.integers(1, 40, size=len(distinct))))
         for t in cases:
-            assert np.array_equal(sim._strictly_increasing(t),
-                                  strictly_increasing_loop(t))
+            bumped = t.copy()
+            sim._strictly_increasing(bumped)
+            assert np.array_equal(bumped, strictly_increasing_loop(t))
 
 
 def strictly_increasing_loop(t):
@@ -354,8 +356,8 @@ class TestCountingMode:
         # clicks tied at 200 ns are bumped to 200, 201 and 202, and push
         # trial 1's click from 202 to 203, 87 ns before an onset at 290
         t_start, w = np.array([100e-9, 202e-9]), 100e-9
-        stream = _finalize(ns(0, 0, 0, 1), ns(200, 200, 200, 202),
-                           ns(1), ns(290), None)
+        stream = _finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
+                           ns(0, 1), None)
         assert stream.apd_times().tolist() == [200, 201, 202, 203]
         # trial 0 alone lies further than 87 ns from the onset, but without
         # it trial 1's click would stay at 202: every trial is kept
@@ -718,3 +720,70 @@ class TestWriterRefuses:
         with pytest.raises(DataError, match="left out"):
             write_events(stream, path)
         assert not path.exists()
+
+
+class TestChecksInBlocks:
+    # ~90 clicks per 100 ns window: the tie bumps carry ~3800 stamps past
+    # their window's last nanosecond, within the k - 1 ns that the counts of
+    # every block together allow
+    DENSE = make_manifest(seed=4, duration_s=1e-4, sequence=ONE_NS_GAP,
+                          dark_trigger_rate=9e8, false_onset_rate=3e6)
+
+    @pytest.mark.parametrize("block", [97, 1000])
+    def test_order_across_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+        stream = simulate_run(self.DENSE)
+        assert sim._unordered_channel(stream) is None
+        for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
+            at = np.flatnonzero(stream.channel == code)
+            for j in range(1, len(at), len(at) // 20):
+                t = stream.t_ns.copy()
+                t[at[j]] = t[at[j - 1]]
+                tied = EventStream(stream.trial, stream.channel, t,
+                                   stream.manifest)
+                assert sim._unordered_channel(tied) == code
+
+    @pytest.mark.parametrize("block", [97, 1000])
+    def test_first_record_outside_window(self, monkeypatch, block):
+        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+        stream = simulate_run(self.DENSE)
+        assert sim._first_outside_window(stream) is None
+        for i in range(0, len(stream) - 1, len(stream) // 20):
+            t = stream.t_ns.copy()
+            t[[i, -1]] = 0          # before every detection window
+            moved = EventStream(stream.trial, stream.channel, t,
+                                stream.manifest)
+            assert sim._first_outside_window(moved) == i
+
+
+class TestMemoryBound:
+    def test_full_stream_phases(self, tmp_path):
+        # a 30-min paper-hv stream, ~0.73 M records: each phase of the
+        # simulate -> write -> read -> histogram path allocates, at its peak,
+        # less than twice the stream's column bytes on top of what it holds
+        m = presets.preset_manifest("paper-hv", 11, angle_deg=45.0,
+                                    minutes=30.0)
+        path = tmp_path / "hv.events"
+        peaks = {}
+
+        def traced(name, call):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - held
+            return out
+
+        tracemalloc.start()
+        try:
+            stream = traced("simulate_run", lambda: simulate_run(m))
+            traced("write_events", lambda: write_events(stream, path))
+            back = traced("read_events", lambda: read_events(path))
+            traced("histogram_from_stream",
+                   lambda: histogram_from_stream(back))
+        finally:
+            tracemalloc.stop()
+        assert back == stream and len(back) > 500_000
+        column_bytes = back.trial.nbytes + back.channel.nbytes \
+            + back.t_ns.nbytes
+        for name, peak in peaks.items():
+            assert peak < 2 * column_bytes, (name, peak, column_bytes)
