@@ -212,6 +212,8 @@ def _read_kv(path) -> dict:
 
 
 def cmd_fringe(args) -> int:
+    if not np.isfinite(args.theta0):
+        raise DataError(f"--theta0 {args.theta0} is not a finite angle")
     res_files = sorted(Path(args.scan_dir).glob("*.res.txt"))
     if len(res_files) < 4:
         raise DataError(f"{args.scan_dir}: found {len(res_files)} scan points,"

@@ -10,14 +10,35 @@ exponential latency plus Gaussian detection jitter. The ion leaves the
 metastable manifold at its first onset, so a trial contains at most one
 PMT_ONSET record.
 
-Streams are reproducible: a manifest (including its seed) fully determines
-the byte content of the written event file. Random draws happen in a fixed
-documented order: pair counts, pair times, trigger uniforms, absorption
-uniforms, latencies, jitters, dark counts, then a block of one uniform per
-dark click that is skipped (one generator step per double), false-onset
-counts, false-onset times. The dark times are drawn last, from the
-generator state saved at the start of the skipped block, so they are the
-values that block would have held.
+By the colouring theorem for Poisson processes, the detection phase splits
+into three independent Poisson processes: (a) pairs that fire the APD and
+are absorbed, each an APD click and an onset candidate; (b) clicks only,
+fired pairs that are not absorbed and dark triggers; (c) false onsets.
+Pairs that do not fire are never observed and never drawn. The random draws
+happen in a fixed order:
+
+1. (a), then (c), over the whole run: a Poisson total, uniform trials,
+   uniform times in their windows, and for (a) the latencies and jitters.
+   The first in-window candidate of each trial is its onset.
+2. (b) on the regions, the times within reach + 1 ns of an onset stamp cut
+   at the window edges: a Poisson count per piece. A region may span the
+   windows of several trials.
+3. A Poisson total of the (b) clicks outside the regions.
+4. The times of the regions' clicks; in a full stream, then those of the
+   clicks outside, spread over their pieces by a multinomial draw.
+
+``simulate_run(m)`` is the full stream; its regions use the default reach,
+``correlate.lag_reach_ns()``. In counting mode, ``simulate_run(m,
+reach_ns)``, the stream keeps every onset, every (a) click and the (b)
+clicks of the regions at reach_ns, and ``apd_dropped`` counts the (b)
+clicks outside them, so total_apd is the full stream's in law. No click
+left out rounds to a stamp within reach_ns of an onset, so a coincidence
+histogram whose lags span at most reach_ns has the full stream's law. At
+the default reach, every draw of a counting stream is the full stream's: it
+is a sub-stream of the full stream, up to tie bumps. At another reach it
+shares the onsets and (a) clicks, and the (b) clicks only in law. An event
+file promises the full stream: ``write_events`` refuses a stream with
+``apd_dropped > 0``.
 
 A finalized stream is in time order. Where an APD and a PMT_ONSET record share
 a nanosecond stamp, the APD record comes first. Within one channel, stamps
@@ -25,25 +46,6 @@ that tie after rounding are bumped +1 ns until they strictly increase, so each
 channel's stamps are unique. Detection windows of adjacent trials are at least
 1 ns apart, so stamps only tie within one trial and time order is also trial
 order.
-
-In counting mode, ``simulate_run(m, reach_ns)``, a stream keeps only what a
-coincidence histogram whose lags span at most reach_ns nanoseconds can use.
-It keeps every onset. It keeps the APD clicks (pair clicks and dark
-triggers) of a trial only if an onset stamp lies within reach_ns of the
-trial's stamp range: from the first rounded nanosecond of its detection
-window to the last, plus k - 1 ns for a trial of k APD clicks (the furthest
-a tie bump can move a stamp). The other trials' clicks are never stamped,
-and ``apd_dropped`` counts them. Every draw up to the dark times is the full
-stream's, so the onsets, the pair clicks, each trial's number of clicks,
-``apd_dropped`` and total_apd are too. Only the kept trials' dark times are
-drawn, as the first values of the dark block: they differ from the full
-stream's, but they are independent uniforms like them, so a counting-mode
-histogram has the full stream's law, not its values (the restriction
-theorem for Poisson processes). Where the narrowest gap between windows, in
-ns, is not larger than the most APD clicks of any one trial, a tie bump
-could carry a stamp from one window into the next, so every trial is kept
-and the stream is the full stream. An event file promises the full stream:
-``write_events`` refuses a stream with ``apd_dropped > 0``.
 
 An event file is text. Its first line is ``#MANIFEST `` followed by the
 manifest as one JSON object. Every later line is a record or blank::
@@ -73,6 +75,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IonHeraldError
 from . import polarization as pol
+from .correlate import lag_reach_ns
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        arm_probabilities)
 
@@ -84,8 +87,8 @@ FILE_MAGIC = "#MANIFEST "
 MAX_DIGITS = 18             # of trial and t_ns, so every value fits int64
 WRITE_BLOCK = 1 << 14       # records per block in write_events
 READ_BLOCK = 1 << 20        # bytes per block in read_events
-CHECK_BLOCK = 1 << 16       # records per block in the stream checks
-MAX_EVENTS_PER_WINDOW = 1e18
+CHECK_BLOCK = 1 << 16       # records per block in the checks and draws
+MAX_PER_RUN = 1e18          # trials, or events of one kind, in a run
 
 
 @dataclass(frozen=True)
@@ -183,13 +186,15 @@ class RunManifest:
             raise ConfigError(
                 f"pair_rate mismatch: source {self.source.pair_rate} "
                 f"vs rates {self.rates.pair_rate}")
-        # numpy draws Poisson counts of mean below ~9.2e18 only
+        # numpy draws Poisson counts of mean below ~9.2e18 only, and the
+        # clicks and false onsets are drawn as totals over the whole run
+        if not self.duration_s * self.sequence.rep_rate <= MAX_PER_RUN:
+            raise ConfigError(f"duration_s: over {MAX_PER_RUN:.0e} trials")
         for name in ("pair_rate", "dark_trigger_rate", "false_onset_rate"):
             if getattr(self.rates, name) * self.sequence.detect_s \
-                    > MAX_EVENTS_PER_WINDOW:
-                raise ConfigError(
-                    f"{name} expects more than {MAX_EVENTS_PER_WINDOW:.0e} "
-                    f"events per detection window")
+                    * self.n_trials > MAX_PER_RUN:
+                raise ConfigError(f"{name} expects over {MAX_PER_RUN:.0e} "
+                                  f"events per run")
 
     @property
     def n_trials(self) -> int:
@@ -250,26 +255,28 @@ def _finalize(apd_ns, apd_per_trial, onset_ns, onset_per_trial,
     tie-bumped in place. *_per_trial count each trial's records in the
     channel. Time order is trial order, so a channel's trial column is its
     counts laid out in trial order: each record takes the trial of its
-    position within its own channel. At the peak, apd_ns, the trial column
-    and one more int64 column of the stream's length are held, besides the
-    channel column and one bool mask.
+    position within its own channel. Besides the output columns, one bool
+    mask of the stream's length is held at the peak.
     """
     for t in (apd_ns, onset_ns):
         t.sort()
         _strictly_increasing(t)
     # each onset goes after every APD stamp <= its own
-    at = (np.searchsorted(apd_ns, onset_ns, side="right")
-          + np.arange(len(onset_ns)))
-    n = len(apd_ns) + len(onset_ns)
-    channel = np.full(n, CHANNEL_APD, dtype=np.int8)
+    before = np.searchsorted(apd_ns, onset_ns, side="right")
+    at = before + np.arange(len(onset_ns))
+    t_ns = np.insert(apd_ns, before, onset_ns)
+    channel = np.full(len(t_ns), CHANNEL_APD, dtype=np.int8)
     channel[at] = CHANNEL_PMT_ONSET
-    is_apd = channel == CHANNEL_APD
-    trial = np.empty(n, dtype=np.int64)
-    trial[is_apd] = np.repeat(np.arange(len(apd_per_trial)), apd_per_trial)
-    trial[at] = np.repeat(np.arange(len(onset_per_trial)), onset_per_trial)
-    t_ns = np.empty(n, dtype=np.int64)
-    t_ns[is_apd] = apd_ns
-    t_ns[at] = onset_ns
+    # each trial's run of APD records, widened by the onsets that go into
+    # it or at its end; then each onset takes its own trial
+    runs = np.flatnonzero(apd_per_trial > 0)
+    width = apd_per_trial[runs] + np.bincount(
+        np.searchsorted(np.cumsum(apd_per_trial[runs]), before),
+        minlength=len(runs))
+    trial = np.repeat(runs, width) if len(runs) \
+        else np.empty(len(t_ns), dtype=np.int64)
+    onsets = np.flatnonzero(onset_per_trial > 0)
+    trial[at] = np.repeat(onsets, onset_per_trial[onsets])
     return EventStream(trial, channel, t_ns, manifest)
 
 
@@ -277,110 +284,119 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
     """Generate the event stream for one run. Deterministic given the manifest.
 
     With reach_ns, the stream is the counting-mode stream of the module
-    docstring: it keeps every onset, but only the APD clicks of the trials
-    that can reach an onset within reach_ns, and counts the rest in
-    apd_dropped."""
+    docstring: it keeps every onset and every APD click of an absorbed
+    pair, but of the other clicks only those within reach_ns of an onset,
+    and counts the rest in apd_dropped."""
     rng = np.random.default_rng(m.seed)
-    seq, rates = m.sequence, m.rates
-    n_trials = m.n_trials
-    w = seq.detect_s
-
-    if n_trials == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return _finalize(empty, empty, empty, empty, m)
-
+    seq, rates, n_trials = m.sequence, m.rates, m.n_trials
     (marginal,), (joint,) = arm_probabilities(m.source, m.absorber,
                                               [m.analyzer])
-    p_trig = rates.eta_trigger * marginal
-    if rates.eta_herald > 0.0 and marginal > 0.0:
-        p_abs = rates.eta_herald * (joint / marginal) * rates.branching_s
-    else:
-        p_abs = 0.0
-
-    t_start = (np.arange(n_trials, dtype=np.float64) * seq.period_s
-               + seq.detect_offset_s)
-
+    pair_clicks = m.source.pair_rate * rates.eta_trigger * marginal
+    p_abs = (rates.eta_herald * (joint / marginal) * rates.branching_s
+             if marginal > 0.0 else 0.0)
+    run_s = seq.detect_s * n_trials     # detection time of the whole run
     # fixed draw order (see module docstring)
-    n_pair = rng.poisson(m.source.pair_rate * w, n_trials)
-    total_pairs = int(n_pair.sum())
-    pair_u = rng.random(total_pairs)
-    u_trig = rng.random(total_pairs)
-    u_abs = rng.random(total_pairs)
-    # abs: a latency of -0.0 passes RateConfig, but numpy refuses its sign
-    latency_s = rng.exponential(abs(rates.onset_latency_us) * 1e-6,
-                                total_pairs)
-    jitter_s = rng.normal(0.0, rates.onset_jitter_ns * 1e-9, total_pairs) \
-        if rates.onset_jitter_ns > 0 else np.zeros(total_pairs)
-    n_dark = rng.poisson(rates.dark_trigger_rate * w, n_trials)
-    # the dark times are drawn last, from here; each random() double takes
-    # one step of the generator, so advance skips exactly their block
-    dark_at = rng.bit_generator.state
-    rng.bit_generator.advance(int(n_dark.sum()))
-    n_false = rng.poisson(rates.false_onset_rate * w, n_trials)
-    false_u = rng.random(int(n_false.sum()))
-
-    pair_trial = np.repeat(np.arange(n_trials), n_pair)
-    pair_t = t_start[pair_trial] + pair_u * w
-
-    fired = u_trig < p_trig
-    apd_pair_t = pair_t[fired]
-    apd_pair_trial = pair_trial[fired]
-
-    onset_mask = fired & (u_abs < p_abs)
-    delay = np.maximum(latency_s[onset_mask] + jitter_s[onset_mask], 1e-9)
-    cand_t = pair_t[onset_mask] + delay
-    cand_trial = pair_trial[onset_mask]
-
-    false_trial = np.repeat(np.arange(n_trials), n_false)
-    false_t = t_start[false_trial] + false_u * w
+    n_a = rng.poisson(pair_clicks * p_abs * run_s)
+    a_trial = rng.integers(n_trials, size=n_a)
+    a_t = _window_start(a_trial, seq) + rng.random(n_a) * seq.detect_s
+    # abs: -0.0 passes RateConfig, but numpy refuses its sign
+    latency_s = rng.exponential(abs(rates.onset_latency_us) * 1e-6, n_a)
+    jitter_s = rng.normal(0.0, abs(rates.onset_jitter_ns) * 1e-9, n_a)
+    n_c = rng.poisson(rates.false_onset_rate * run_s)
+    c_trial = rng.integers(n_trials, size=n_c)
+    c_t = _window_start(c_trial, seq) + rng.random(n_c) * seq.detect_s
 
     # first onset candidate per trial wins; later ones never happen because
     # the ion has already left the metastable manifold
-    all_cand_t = np.concatenate([cand_t, false_t])
-    all_cand_trial = np.concatenate([cand_trial, false_trial])
-    in_window = all_cand_t < t_start[all_cand_trial] + w
-    all_cand_t = all_cand_t[in_window]
-    all_cand_trial = all_cand_trial[in_window]
-    if len(all_cand_t):
-        order = np.lexsort((all_cand_t, all_cand_trial))
-        tr_sorted = all_cand_trial[order]
-        first = np.ones(len(tr_sorted), dtype=bool)
-        first[1:] = tr_sorted[1:] != tr_sorted[:-1]
-        onset_t = all_cand_t[order][first]
-        onset_trial = tr_sorted[first]
-    else:
-        onset_t = np.empty(0)
-        onset_trial = np.empty(0, dtype=np.int64)
+    cand_t = np.concatenate([a_t + np.maximum(latency_s + jitter_s, 1e-9),
+                             c_t])
+    cand_trial = np.concatenate([a_trial, c_trial])
+    inside = cand_t < _window_start(cand_trial, seq) + seq.detect_s
+    cand_t, cand_trial = cand_t[inside], cand_trial[inside]
+    order = np.argsort(cand_trial)
+    first = np.flatnonzero(np.diff(cand_trial[order], prepend=-1) > 0)
+    onset_trial = cand_trial[order][first]
+    onset_ns = np.rint(np.minimum.reduceat(cand_t[order], first)
+                       * 1e9).astype(np.int64)
 
-    onset_ns = np.rint(onset_t * 1e9).astype(np.int64)
+    # the (b) clicks: the regions' and the others' totals, the regions'
+    # times, and in a full stream the others' times
+    b_rate = pair_clicks * (1.0 - p_abs) + rates.dark_trigger_rate
+    full = reach_ns is None
+    lo, hi = _regions(onset_ns, lag_reach_ns() if full else reach_ns)
+    near = _pieces(lo, hi, seq, n_trials)
+    near_count = rng.poisson(b_rate * near[2])
+    n_near = int(near_count.sum())
+    n_far = rng.poisson(b_rate * max(run_s - near[2].sum(), 0.0))
 
-    apd_dropped = 0
-    if reach_ns is not None:
-        per_trial = np.bincount(apd_pair_trial, minlength=n_trials) + n_dark
-        keep = _reached_trials(t_start, w, per_trial, onset_ns, reach_ns)
-        apd_dropped = int(per_trial[~keep].sum())
-        kept_pair = keep[apd_pair_trial]
-        apd_pair_t = apd_pair_t[kept_pair]
-        apd_pair_trial = apd_pair_trial[kept_pair]
-        n_dark = np.where(keep, n_dark, 0)
-
-    # the APD stamps: pair clicks, then dark triggers, whose float times are
-    # scaled and rounded in place and dropped once they are stamped
-    n_pair_apd = len(apd_pair_t)
-    apd_ns = np.empty(n_pair_apd + int(n_dark.sum()), dtype=np.int64)
-    apd_ns[:n_pair_apd] = np.rint(apd_pair_t * 1e9)
-    rng.bit_generator.state = dark_at
-    dark_t = rng.random(len(apd_ns) - n_pair_apd)
-    dark_t *= w
-    dark_t += np.repeat(t_start, n_dark)
-    dark_t *= 1e9
-    apd_ns[n_pair_apd:] = np.rint(dark_t, out=dark_t)
-    del dark_t
-    stream = _finalize(
-        apd_ns, np.bincount(apd_pair_trial, minlength=n_trials) + n_dark,
-        onset_ns, np.bincount(onset_trial, minlength=n_trials), m)
-    stream.apd_dropped = apd_dropped
+    apd_ns = np.empty(n_a + n_near + (n_far if full else 0), dtype=np.int64)
+    apd_ns[:n_a] = np.rint(a_t * 1e9)
+    per_trial = np.bincount(a_trial, minlength=n_trials)
+    _stamp_uniform(rng, apd_ns[n_a:n_a + n_near], near, near_count, seq)
+    np.add.at(per_trial, near[0], near_count)
+    if full and n_far:
+        far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
+                      n_trials)
+        far_count = rng.multinomial(n_far, far[2] / far[2].sum())
+        _stamp_uniform(rng, apd_ns[n_a + n_near:], far, far_count, seq)
+        np.add.at(per_trial, far[0], far_count)
+    stream = _finalize(apd_ns, per_trial, onset_ns,
+                       np.bincount(onset_trial, minlength=n_trials), m)
+    stream.apd_dropped = 0 if full else n_far
     return stream
+
+
+def _window_start(trial, seq: SequenceConfig):
+    """Start (s) of the detection windows of the given trials."""
+    return trial * seq.period_s + seq.detect_offset_s
+
+
+def _regions(onset_ns, reach_ns: int):
+    """The times (s) within reach_ns + 1 ns of an onset stamp, as disjoint
+    ascending intervals [lo, hi]: no time outside them rounds to a stamp
+    within reach_ns of an onset."""
+    lo = (onset_ns - (reach_ns + 1.0)) * 1e-9
+    hi = (onset_ns + (reach_ns + 1.0)) * 1e-9
+    # overlapping ones are cut, so no time is drawn twice
+    lo[1:] = np.maximum(lo[1:], hi[:-1])
+    return lo, hi
+
+
+def _pieces(lo, hi, seq: SequenceConfig, n_trials: int):
+    """The parts of the disjoint ascending intervals [lo, hi] (s) that lie
+    in detection windows: the trial, window offset (s) and length of each."""
+    w = seq.detect_s
+    # from the first window that ends after lo to the last that starts
+    # before hi
+    first = np.clip(np.floor((lo - seq.detect_offset_s - w) / seq.period_s)
+                    + 1, 0, n_trials - 1)
+    last = np.clip(np.ceil((hi - seq.detect_offset_s) / seq.period_s) - 1,
+                   0, n_trials - 1)
+    n = np.maximum(last - first + 1, 0).astype(np.int64)
+    trial = np.repeat(first - np.cumsum(n) + n, n).astype(np.int64) \
+        + np.arange(n.sum())
+    start = _window_start(trial, seq)
+    off = np.clip(np.repeat(lo, n) - start, 0.0, w)
+    return trial, off, np.clip(np.repeat(hi, n) - start, 0.0, w) - off
+
+
+def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
+    """Stamp count[i] uniform times in piece i into out, in piece order,
+    CHECK_BLOCK at a time."""
+    trial, off, length = pieces
+    ends = np.cumsum(count)
+    for part in _chunks(len(out)):
+        # the pieces with points in this block, and how many
+        k = slice(np.searchsorted(ends, part.start, side="right"),
+                  np.searchsorted(ends, part.stop - 1, side="right") + 1)
+        c = (np.minimum(ends[k], part.stop)
+             - np.maximum(ends[k] - count[k], part.start))
+        t = np.repeat(off[k], c)
+        t += rng.random(len(t)) * np.repeat(length[k], c)
+        # within its window, whatever the rounding
+        np.minimum(t, seq.detect_s, out=t)
+        t += np.repeat(_window_start(trial[k], seq), c)
+        out[part] = np.rint(t * 1e9)
 
 
 def _stamp_range(t_start, w, k):
@@ -391,24 +407,6 @@ def _stamp_range(t_start, w, k):
     lo = np.rint(t_start * 1e9).astype(np.int64)
     # t_start + u * w <= t_start + w in floating point for u < 1
     return lo, np.rint((t_start + w) * 1e9).astype(np.int64) + k - 1
-
-
-def _reached_trials(t_start, w, per_trial, onset_ns, reach_ns) -> np.ndarray:
-    """Per trial, whether one of its APD stamps can lie within reach_ns of
-    an onset stamp (see the module docstring); all True where a tie bump
-    could carry a stamp into the next trial's window."""
-    k = np.maximum(per_trial, 1)
-    lo, hi = _stamp_range(t_start, w, k)
-    # hi - (k - 1) is the window's own last nanosecond
-    if len(lo) > 1 and np.min(lo[1:] - hi[:-1] + k[:-1] - 1) \
-            <= per_trial.max():
-        return np.ones(len(lo), dtype=bool)
-    first = np.searchsorted(hi, onset_ns - reach_ns, side="left")
-    stop = np.searchsorted(lo, onset_ns + reach_ns, side="right")
-    # trials first[j] .. stop[j] - 1 reach onset j
-    edges = (np.bincount(first, minlength=len(lo) + 1)
-             - np.bincount(stop, minlength=len(lo) + 1))
-    return np.cumsum(edges[:-1]) > 0
 
 
 # --- manifest and event-file serialization ----------------------------------
@@ -564,7 +562,8 @@ def read_events(path) -> EventStream:
 
 def _chunks(n: int):
     """Slices of CHECK_BLOCK records that cover n records."""
-    return (slice(i, i + CHECK_BLOCK) for i in range(0, n, CHECK_BLOCK))
+    return (slice(i, min(i + CHECK_BLOCK, n))
+            for i in range(0, n, CHECK_BLOCK))
 
 
 def _unordered_channel(stream: EventStream) -> int | None:
@@ -590,7 +589,7 @@ def _first_outside_window(stream: EventStream) -> int | None:
         trials, index = np.arange(n_trials), stream.trial
     else:                   # fewer records than trials: number those seen
         trials, index = np.unique(stream.trial, return_inverse=True)
-    t_start = np.repeat(trials * seq.period_s + seq.detect_offset_s, 2)
+    t_start = np.repeat(_window_start(trials, seq), 2)
     counts = np.zeros(len(t_start), np.int64)
     for part in _chunks(len(stream)):
         np.add.at(counts, 2 * index[part] + stream.channel[part], 1)

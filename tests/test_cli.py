@@ -17,11 +17,11 @@ GOLDEN_NUMPY = "2.4.6"
 GOLDEN_REPORT_KV = """\
 master_seed=42
 scale=0.1
-rl_coincidences_measured=4
+rl_coincidences_measured=5
 rl_coincidences_target=7.3
 rl_coincidences_tol=8.10555365
 rl_coincidences_verdict=PASS
-rl_background_measured=1.41584158
+rl_background_measured=1.38613861
 rl_background_target=1.5
 rl_background_tol=3.67423461
 rl_background_verdict=PASS
@@ -29,39 +29,39 @@ rl_visibility_measured=0
 rl_visibility_target=0.56
 rl_visibility_tol=0.18
 rl_visibility_verdict=FAIL
-hv_coincidences_measured=9
+hv_coincidences_measured=8
 hv_coincidences_target=9.2
 hv_coincidences_tol=9.09945053
 hv_coincidences_verdict=PASS
-hv_background_measured=2.13861386
+hv_background_measured=2.37623762
 hv_background_target=2.4
 hv_background_tol=4.64758002
 hv_background_verdict=PASS
-hv_visibility_measured=0
+hv_visibility_measured=0.588235294
 hv_visibility_target=0.52
 hv_visibility_tol=0.33
-hv_visibility_verdict=FAIL
-da_coincidences_measured=8
+hv_visibility_verdict=PASS
+da_coincidences_measured=9
 da_coincidences_target=6.7
 da_coincidences_tol=7.76530746
 da_coincidences_verdict=PASS
-da_background_measured=2.24752475
+da_background_measured=1.93069307
 da_background_target=2.1
 da_background_tol=4.34741302
 da_background_verdict=PASS
-da_visibility_measured=0
+da_visibility_measured=0.741935484
 da_visibility_target=0.5
 da_visibility_tol=0.27
-da_visibility_verdict=FAIL
-fidelity_measured=0.676267012
+da_visibility_verdict=PASS
+fidelity_measured=0.660766793
 fidelity_target=0.93
 fidelity_tol=0.12
 fidelity_verdict=FAIL
-concurrence_measured=0.463367557
+concurrence_measured=0.62888879
 concurrence_target=0.93
 concurrence_tol=0.18
 concurrence_verdict=FAIL
-tangle_measured=0.214709493
+tangle_measured=0.395501111
 tangle_target=0.86
 tangle_tol=0.33
 tangle_verdict=FAIL
@@ -209,6 +209,31 @@ class TestConfig:
                      "--override", "sequence.prep_ms=4e-7",
                      "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
         assert "cooling_ms + prep_ms" in capsys.readouterr().err
+
+    def test_clicks_per_run_beyond_numpy(self, tmp_path, capsys):
+        # legal per 50 ms window (5e17), not over the run's 600 trials
+        assert main(["simulate", "--preset", "paper-rl", "--minutes", "1",
+                     "--override", "rates.dark_trigger_rate=1e19",
+                     "--out", str(tmp_path / "e.txt")]) == EXIT_CONFIG
+        assert "events per run" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta0", ["inf", "-inf", "nan", "1e300"])
+    def test_fringe_theta0_not_finite(self, tmp_path, capsys, theta0):
+        # inf and nan are refused by name; 1e300 leaves one distinct
+        # regressor value, which the fit refuses
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        for angle, counts in zip((0, 15, 30, 45, 60, 75),
+                                 (9, 30, 70, 95, 72, 28)):
+            (scan / f"p{angle}.res.txt").write_text(
+                f"coincidences={counts}\nbackground_per_bin=4.5\n"
+                f"duration_s=3600.0\nbasis=RL\nhwp_angle_deg={angle}.0\n",
+                encoding="utf-8")
+        assert main(["fringe", "--scan-dir", str(scan), f"--theta0={theta0}",
+                     "--out-prefix", str(tmp_path / "f")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert ("--theta0" in err) == (theta0 != "1e300")
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "paper-rl", "--minutes", "nan", "--out"],

@@ -1,5 +1,6 @@
-"""Fuzzed input files: `g2` exits 0 or 3 on any bytes, `fringe` and `tomo`
-exit 0, 2, 3 or 4; none ends in a raw exception or reports a NaN."""
+"""Fuzzed input files: `g2` exits 0 or 3 on any bytes, `fringe`, `tomo` and
+`simulate --config` exit 0, 2, 3 or 4; none ends in a raw exception or
+reports a NaN."""
 
 import pytest
 
@@ -12,7 +13,8 @@ import numpy as np  # noqa: E402
 from ionherald import polarization as pol  # noqa: E402
 from ionherald import tomography as tom  # noqa: E402
 from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA,  # noqa
-                           EXIT_OK, main)
+                           EXIT_OK, load_manifest_config, main)
+from ionherald.errors import ConfigError  # noqa: E402
 
 # one edit: (position, kind, byte); bytes that JSON and the records use are
 # drawn as often as all the others together
@@ -107,6 +109,36 @@ def test_tomo_exits_0_2_3_or_4(tmp_path, capsys, counts_table, edits):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONVERGENCE)
     if code == EXIT_OK:
         assert_no_nan(tmp_path, capsys.readouterr().out)
+
+
+CONFIG = (b"[run]\nseed = 2\nduration_s = 2\n"
+          b"[source]\nsinglet_weight = 0.9\n[sequence]\ndetect_ms = 50\n"
+          b"[rates]\ndark_trigger_rate = 100\nfalse_onset_rate = 1\n"
+          b"[absorber]\nbasis = HV\n[analyzer]\nhwp_deg = 45\n")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(EDIT, min_size=1, max_size=8))
+def test_simulate_config_exits_0_2_3_or_4(tmp_path, capsys, edits):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(mutate(CONFIG, edits, len(CONFIG)))
+    argv = ["simulate", "--config", str(path),
+            "--out", str(tmp_path / "e.txt")]
+    try:
+        m = load_manifest_config(path)
+    except ConfigError:
+        assert main(argv) == EXIT_CONFIG
+    else:
+        # only runs that stay small: a mutated duration or rate could ask
+        # for any number of trials or clicks
+        events = (m.rates.pair_rate + m.rates.dark_trigger_rate
+                  + m.rates.false_onset_rate) * m.sequence.detect_s
+        if m.n_trials > 1000 or events * m.n_trials > 1e5:
+            return
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA,
+                              EXIT_CONVERGENCE)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- argv ---------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ionherald.correlate import (histogram, histogram_from_stream,
 from ionherald.errors import ConfigError, DataError
 from ionherald.sim import (CHANNEL_APD, CHANNEL_PMT_ONSET, EventStream,
                            RateConfig, RunManifest, SequenceConfig, _finalize,
-                           _reached_trials,
                            manifest_from_dict, manifest_to_dict, read_events,
                            simulate_run, write_events)
 
@@ -83,6 +82,20 @@ class TestRateConfig:
                         source=SourceModel(pol.singlet(), 1.0, 5.0),
                         rates=RateConfig(pair_rate=7.0))
 
+    def test_run_totals_within_numpy_poisson(self):
+        # 5e17 dark clicks per 50 ms window is legal for one trial, but the
+        # clicks are drawn as one total over the run: 10 trials expect 5e18
+        make_manifest(duration_s=0.1, dark_trigger_rate=1e19)
+        for rates in ({"dark_trigger_rate": 1e19}, {"false_onset_rate": 1e19},
+                      {"pair_rate": 1e19}):
+            with pytest.raises(ConfigError, match="events per run"):
+                make_manifest(duration_s=1.0, **rates)
+
+    def test_trials_within_int64(self):
+        # duration_s * rep_rate overflows to inf
+        with pytest.raises(ConfigError, match="trials"):
+            make_manifest(duration_s=1e308)
+
 
 class TestSimulateRun:
     def test_deterministic(self):
@@ -122,6 +135,20 @@ class TestSimulateRun:
         for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
             t = stream.channel_times(code)
             assert np.all(np.diff(t) > 0)
+
+    def test_stamps_stay_in_their_window(self):
+        # a piece whose offset plus length overshoots its window, as
+        # rounding can make it, still stamps inside the window
+        seq = SequenceConfig()
+        out = np.empty(1000, dtype=np.int64)
+        pieces = (ns(0, 1), np.array([0.03, 0.0]), np.array([0.03, 0.06]))
+        sim._stamp_uniform(np.random.default_rng(0), out, pieces,
+                           ns(500, 500), seq)
+        lo, hi = sim._stamp_range(sim._window_start(ns(0, 1), seq),
+                                  seq.detect_s, 1)
+        trial = np.repeat([0, 1], 500)
+        assert np.all(out >= lo[trial]) and np.all(out <= hi[trial])
+        assert np.sum(out == hi[trial]) > 100
 
     def test_apd_rate_matches_analytics(self):
         # duty_cycle * (pair_rate * eta * marginal + dark) within 3 SE
@@ -166,20 +193,20 @@ class TestStreamPins:
                         f"this is numpy {np.__version__}")
 
     def test_dense_dark_run(self):
-        # ~1 M APD stamps in 1 s of detection time: 524 of them tie after
+        # ~1 M APD stamps in 1 s of detection time: 525 of them tie after
         # rounding and are bumped
         stream = simulate_run(make_manifest(seed=3, duration_s=2.0,
                                             dark_trigger_rate=1e6))
-        assert len(stream) == 999_198
+        assert len(stream) == 1_000_957
         assert stream_digest(stream) == (
-            "aa4639701783351b36c97756a622cb1661c388286e55361cb01306f1f86cabee")
+            "cb72799ec14d110d456871d75ad007bd191f87002b477f2b5150f98dacf9ed1a")
 
     def test_paper_hv_run(self):
         stream = simulate_run(presets.preset_manifest(
             "paper-hv", 7, angle_deg=45.0, minutes=5.0))
-        assert (len(stream), len(stream.onset_times())) == (121_734, 134)
+        assert (len(stream), len(stream.onset_times())) == (121_809, 109)
         assert stream_digest(stream) == (
-            "6a01f49121afc250f31ecf301177bb9eb5e3cfcc7abbefd7e9eed003b1237084")
+            "ccc70c368bd202c30992128c6cf2a0ed9a72a3cf93254385d08957eed7f329ec")
 
 
 def ns(*values):
@@ -206,6 +233,56 @@ class TestFinalize:
         assert stream.trial.tolist() == [0, 0, 1, 1, 2]
         assert stream.channel.tolist() == [CHANNEL_APD] * 3 + [
             CHANNEL_PMT_ONSET, CHANNEL_APD]
+
+    def test_tie_cascade_across_windows(self):
+        # trial 0's window ends at 200 ns, trial 1's starts at 202 ns; three
+        # clicks tied at 200 ns are bumped to 200, 201 and 202, and push
+        # trial 1's click from 202 to 203; each record keeps the trial of
+        # its position in its channel
+        stream = _finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
+                           ns(0, 1), None)
+        assert stream.t_ns.tolist() == [200, 201, 202, 203, 290]
+        assert stream.trial.tolist() == [0, 0, 0, 1, 1]
+
+    def test_onset_inside_a_run_of_clicks(self):
+        # onsets between the clicks of one trial, one at the run's end and
+        # one before the next trial's clicks, with empty trials between
+        stream = _finalize(ns(10, 20, 30, 700, 710), ns(3, 0, 0, 2, 0),
+                           ns(15, 30, 705), ns(1, 0, 0, 1, 1), None)
+        apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
+        assert stream.t_ns.tolist() == [10, 15, 20, 30, 30, 700, 705, 710]
+        assert stream.channel.tolist() == [apd, onset, apd, apd, onset, apd,
+                                           onset, apd]
+        assert stream.trial.tolist() == [0, 0, 0, 0, 3, 3, 4, 3]
+
+    def test_no_record_sized_temporary(self):
+        # ~1 M records: besides its three output columns, _finalize holds
+        # less than one more int64 column
+        rng = np.random.default_rng(1)
+        n_trials = 20_000
+        apd_trial = np.sort(rng.integers(0, n_trials, 1_000_000))
+        apd_ns = apd_trial * 100_000 + rng.integers(0, 50_000, len(apd_trial))
+        onset_trial = np.unique(rng.integers(0, n_trials, 5_000))
+        onset_ns = onset_trial * 100_000 + 25_000
+        apd_per_trial = np.bincount(apd_trial, minlength=n_trials)
+        onset_per_trial = np.bincount(onset_trial, minlength=n_trials)
+        del apd_trial
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            stream = _finalize(apd_ns, apd_per_trial, onset_ns,
+                               onset_per_trial, None)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        outputs = (stream.trial.nbytes + stream.channel.nbytes
+                   + stream.t_ns.nbytes)
+        assert peak - outputs < 8 * len(stream), (peak, outputs)
+        # the labels of the per-channel layout
+        at = stream.channel == CHANNEL_APD
+        assert np.array_equal(stream.trial[at], np.repeat(
+            np.arange(n_trials), apd_per_trial))
+        assert np.array_equal(stream.trial[~at], onset_trial)
 
 
     def test_tie_bumps_match_pass_loop(self):
@@ -236,8 +313,7 @@ def strictly_increasing_loop(t):
 
 def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
     """The counting-mode histogram equals the full stream's in every field;
-    returns the counting-mode stream. This holds where counting mode keeps
-    every trial or the manifest has no dark clicks."""
+    returns the counting-mode stream."""
     counted = simulate_run(m, reach_ns=lag_reach_ns(bin_us, window_bins))
     got = histogram_from_stream(counted, bin_us, window_bins)
     want = histogram_from_stream(simulate_run(m), bin_us, window_bins)
@@ -254,39 +330,31 @@ def channel_columns(stream, code):
     return stream.trial[at], stream.t_ns[at]
 
 
-def assert_counting_matches_full(m, bin_us=10.0, window_bins=50):
-    """What counting mode shares with the full stream: the onsets, each kept
-    trial's number of APD clicks, total_apd, and a kept trial for every APD
-    click a histogram can use; where the manifest has no dark clicks, the
-    kept trials' stamps too. Returns the counting-mode stream."""
-    reach_ns = lag_reach_ns(bin_us, window_bins)
-    counted, full = simulate_run(m, reach_ns=reach_ns), simulate_run(m)
+def assert_records_in(part, whole, code):
+    """Every record of the channel in `part` is one of `whole`'s, with its
+    trial."""
+    trial, t_ns = channel_columns(part, code)
+    whole_trial, whole_t = channel_columns(whole, code)
+    at = np.minimum(np.searchsorted(whole_t, t_ns), len(whole_t) - 1)
+    assert np.array_equal(whole_t[at], t_ns)
+    assert np.array_equal(whole_trial[at], trial)
+
+
+def assert_counting_is_substream(m):
+    """At the default reach, counting mode draws what the full stream draws
+    up to the clicks outside the regions: its onsets are the full stream's,
+    its APD records are some of the full stream's, the others are counted in
+    apd_dropped, and the histogram is the full stream's. Tie bumps could
+    break this; these manifests have none near a kept click. Returns the
+    counting-mode stream."""
+    counted, full = simulate_run(m, reach_ns=lag_reach_ns()), simulate_run(m)
     for got, want in zip(channel_columns(counted, CHANNEL_PMT_ONSET),
                          channel_columns(full, CHANNEL_PMT_ONSET)):
         assert np.array_equal(got, want)
-    trial, t_ns = channel_columns(counted, CHANNEL_APD)
-    full_trial, full_t = channel_columns(full, CHANNEL_APD)
-    per_trial = np.bincount(trial, minlength=m.n_trials)
-    full_per_trial = np.bincount(full_trial, minlength=m.n_trials)
-    kept = per_trial > 0
-    assert np.array_equal(per_trial[kept], full_per_trial[kept])
-    assert len(t_ns) + counted.apd_dropped == len(full_t)
-    got = histogram_from_stream(counted, bin_us, window_bins)
-    want = histogram_from_stream(full, bin_us, window_bins)
-    assert (got.total_apd, got.total_onsets) == (want.total_apd,
-                                                 want.total_onsets)
-    # the full stream's clicks within reach_ns of their nearest onset
-    onsets = full.onset_times()
-    if len(onsets):
-        after = np.searchsorted(onsets, full_t)
-        gap = np.minimum(
-            np.abs(full_t - onsets[np.maximum(after - 1, 0)]),
-            np.abs(onsets[np.minimum(after, len(onsets) - 1)] - full_t))
-        assert kept[full_trial[gap <= reach_ns]].all()
-    if m.rates.dark_trigger_rate == 0.0:
-        in_kept = kept[full_trial]
-        assert np.array_equal(trial, full_trial[in_kept])
-        assert np.array_equal(t_ns, full_t[in_kept])
+    assert_records_in(counted, full, CHANNEL_APD)
+    assert len(counted.apd_times()) + counted.apd_dropped \
+        == len(full.apd_times())
+    assert_counting_equals_full(m)
     return counted
 
 
@@ -309,10 +377,11 @@ def chi2_critical(dof, z=3.719):
 
 
 class TestCountingMode:
-    """simulate_run(m, reach_ns) keeps only the trials an onset can reach.
-    It draws the same onsets and per-trial click counts as the full stream,
-    but the kept trials' dark stamps come from the start of the dark block,
-    so only the histogram law is that of the full stream."""
+    """simulate_run(m, reach_ns) keeps every onset and every click of an
+    absorbed pair, and of the other clicks only those drawn within reach_ns
+    of an onset. At the default reach it is a sub-stream of the full stream,
+    up to tie bumps; at any reach it shares the onsets and the absorbed
+    pairs' clicks with it, and the other clicks only in law."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ["hv", "rl", "tomo"])
@@ -324,10 +393,11 @@ class TestCountingMode:
         else:
             m = presets.manifest_for_angle(presets.fringe_plan(name),
                                            15.0 * seed, seed, minutes=30.0)
-        counted = assert_counting_matches_full(m)
-        # the onset's own trial is about 4 % of the detection time
-        assert 0 < len(counted.apd_times()) < 0.1 * counted.apd_dropped
-        assert_counting_matches_full(dataclasses.replace(
+        counted = assert_counting_is_substream(m)
+        # the regions, +-505 us about each onset, are ~0.1 % of the
+        # detection time
+        assert 0 < len(counted.apd_times()) < 0.01 * counted.apd_dropped
+        assert_counting_is_substream(dataclasses.replace(
             m, rates=dataclasses.replace(m.rates, dark_trigger_rate=0.0)))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -336,35 +406,37 @@ class TestCountingMode:
         # lag window reaches into the neighbouring trials
         seq = SequenceConfig(rep_rate=1000.0, cooling_ms=0.25, prep_ms=0.25,
                              detect_ms=0.5)
-        counted = assert_counting_matches_full(make_manifest(
+        counted = assert_counting_is_substream(make_manifest(
             seed=seed, duration_s=2.0, sequence=seq, dark_trigger_rate=2e4,
             false_onset_rate=20.0))
         assert counted.apd_dropped > 0
 
-    def test_one_ns_gap_keeps_every_trial(self):
-        # ~90 clicks per 100 ns window: tie cascades cross into the next
-        # trial, and dropping the trials no onset reaches would shift the
-        # stamps of the kept ones
+    def test_regions_covering_the_run(self):
+        # ~90 clicks per 100 ns window with tie cascades into the next
+        # trial; the run is 100 us, far shorter than the default reach, so
+        # the regions cover every window and the counting stream is the
+        # full stream
         m = make_manifest(seed=4, duration_s=1e-4, sequence=ONE_NS_GAP,
                           dark_trigger_rate=9e8, false_onset_rate=3e6)
-        counted = assert_counting_equals_full(m, bin_us=0.001, window_bins=3)
-        assert counted.apd_dropped == 0
+        counted = simulate_run(m, reach_ns=lag_reach_ns())
+        assert counted.apd_dropped == 0 and len(counted) > 80_000
         assert counted == simulate_run(m)
 
-    def test_tie_cascade_across_trials_keeps_every_trial(self):
-        # trial 0's window ends at 200 ns, trial 1's starts at 202 ns; three
-        # clicks tied at 200 ns are bumped to 200, 201 and 202, and push
-        # trial 1's click from 202 to 203, 87 ns before an onset at 290
-        t_start, w = np.array([100e-9, 202e-9]), 100e-9
-        stream = _finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
-                           ns(0, 1), None)
-        assert stream.apd_times().tolist() == [200, 201, 202, 203]
-        # trial 0 alone lies further than 87 ns from the onset, but without
-        # it trial 1's click would stay at 202: every trial is kept
-        keep = _reached_trials(t_start, w, ns(3, 1), ns(290), 87)
-        assert keep.tolist() == [True, True]
-        assert histogram(ns(203), ns(290), 0.001, 87).counts.sum() == 1
-        assert histogram(ns(202), ns(290), 0.001, 87).counts.sum() == 0
+    @pytest.mark.parametrize("seed", range(3))
+    def test_onsets_and_absorbed_clicks_at_any_reach(self, seed):
+        # at reach 0 the regions are 2 ns wide and hold almost no other
+        # click: the APD records are the absorbed pairs' clicks, which every
+        # reach keeps
+        m = make_manifest(seed=seed, duration_s=120.0, eta_herald=0.5)
+        absorbed = simulate_run(m, reach_ns=0)
+        assert len(absorbed.apd_times()) > 50
+        for other in (simulate_run(m, reach_ns=lag_reach_ns(10.0, 5)),
+                      simulate_run(m, reach_ns=lag_reach_ns()),
+                      simulate_run(m)):
+            for got, want in zip(channel_columns(absorbed, CHANNEL_PMT_ONSET),
+                                 channel_columns(other, CHANNEL_PMT_ONSET)):
+                assert np.array_equal(got, want)
+            assert_records_in(absorbed, other, CHANNEL_APD)
 
     def test_no_trials(self):
         counted = assert_counting_equals_full(make_manifest(duration_s=0.0))
@@ -376,48 +448,76 @@ class TestCountingMode:
         assert len(counted) == 0 and counted.apd_dropped > 0
 
     def test_no_dark_triggers(self):
-        assert_counting_matches_full(make_manifest(
+        assert_counting_is_substream(make_manifest(
             seed=6, duration_s=120.0, dark_trigger_rate=0.0))
 
     @pytest.mark.parametrize("side", ["after", "before"])
     @pytest.mark.parametrize("inside", [True, False])
     def test_clicks_on_the_lag_window_edges(self, side, inside):
-        # 1 us windows 20 us apart with ~1000 dark clicks each, so a click
-        # often sits on a window's first nanosecond; the lag window is set
-        # so that a click in the next or previous trial lies on its edge
+        # 1 us windows 20 us apart and an onset in trial 2; the lag window
+        # is set so that the first nanosecond of trial 3, or the last of
+        # trial 1, lies on its edge or just past it
         seq = SequenceConfig(rep_rate=5e4, cooling_ms=0.005, prep_ms=0.005,
                              detect_ms=0.001)
-        m = make_manifest(seed=8, duration_s=2e-3, sequence=seq,
-                          dark_trigger_rate=1e9, false_onset_rate=2e5)
-        stream = simulate_run(m)
-        t_start = (np.arange(m.n_trials) * seq.period_s
-                   + seq.detect_offset_s)
-        first_ns = np.rint(t_start * 1e9).astype(np.int64)
-        apd = stream.apd_times()
-        apd_trial = stream.trial[stream.channel == CHANNEL_APD]
-        on = stream.onset_times()
-        on_trial = stream.trial[stream.channel == CHANNEL_PMT_ONSET]
+        on_ns = 50_480
         if side == "after":
-            # onset j and a click on the first nanosecond of the next trial
-            j = next(j for j, k in enumerate(on_trial) if k + 1 < m.n_trials
-                     and first_ns[k + 1] in apd)
-            d = int(first_ns[on_trial[j] + 1] - on[j])
+            trial, edge = 3, 70_000     # its window's first nanosecond
+            d = edge - on_ns
             # below = bin // 2 holds d, or stops 1 ns short of it
             bin_ns = 2 * d + 1 if inside else 2 * d - 1
+            rounds_to_edge = (edge, edge + 0.5)
         else:
-            # onset j and the last click of the previous trial
-            j = next(j for j, k in enumerate(on_trial) if k > 0)
-            d = int(on[j] - apd[apd_trial == on_trial[j] - 1][-1])
+            trial, edge = 1, 31_000     # its window's last nanosecond
+            d = on_ns - edge
             # above = bin - bin // 2 holds d only if it exceeds it
             bin_ns = 2 * d + 1 if inside else 2 * d
-        assert_counting_matches_full(m, bin_us=bin_ns / 1000.0,
-                                     window_bins=0)
+            rounds_to_edge = (edge - 0.5, edge)
+        bin_us = bin_ns / 1000.0
+        assert histogram(ns(edge), ns(on_ns), bin_us, 0).counts.sum() \
+            == inside
+        reach = lag_reach_ns(bin_us, 0)
+        lo, hi = sim._regions(ns(on_ns), reach)
+        at, off, length = sim._pieces(lo, hi, seq, 5)
+        start_ns = (sim._window_start(at, seq) + off) * 1e9
+        stop_ns = start_ns + length * 1e9
+        # a click left out of the regions rounds to no stamp the histogram
+        # can use, and the regions reach at most 1.5 ns further
+        if inside:
+            k = np.flatnonzero(at == trial)
+            assert len(k) == 1
+            assert start_ns[k] <= rounds_to_edge[0] + 1e-3
+            assert stop_ns[k] >= rounds_to_edge[1] - 1e-3
+        assert start_ns.min() >= on_ns - reach - 1.5
+        assert stop_ns.max() <= on_ns + reach + 1.5
+
+    def test_regions_and_the_rest_tile_the_windows(self):
+        # regions of +-55 us about onsets in 10 us windows every 20 us span
+        # several windows, overlap each other and run past the run's ends;
+        # with the rest of the detection time they cover each window once
+        seq, n_trials = SHORT_WINDOWS, 40
+        lo, hi = sim._regions(ns(10_003, 15_000, 95_000, 410_000, 799_990),
+                              lag_reach_ns(10.0, 5))
+        pieces = [sim._pieces(lo, hi, seq, n_trials),
+                  sim._pieces(np.append(-np.inf, hi), np.append(lo, np.inf),
+                              seq, n_trials)]
+        trial, off, length = (np.concatenate(c) for c in zip(*pieces))
+        assert np.allclose(np.bincount(trial, length, n_trials),
+                           seq.detect_s, rtol=0.0, atol=1e-15)
+        # no two pieces of time overlap (empty pieces hold none)
+        order = np.lexsort((off, trial))
+        order = order[length[order] > 0]
+        trial, off, length = trial[order], off[order], length[order]
+        same = trial[1:] == trial[:-1]
+        assert np.all(off[1:][same] >= off[:-1][same] + length[:-1][same]
+                      - 1e-15)
+        # the regions reach into neighbouring windows, not only the onset's
+        assert len(np.unique(pieces[0][0])) > 5 * 3
 
     def test_histograms_agree_over_seeds(self):
-        # the same seeds in both modes: onsets and pair clicks cancel in
-        # counted - full, and each bin's difference has mean 0 and at most
-        # the variance counted + full; 5e3 to 1.5e4 coincidences per bin,
-        # with three in four APD clicks dropped
+        # the same seeds in both modes: onsets and absorbed pairs' clicks
+        # cancel in counted - full, and the other clicks within reach are
+        # independent draws, so each bin's difference has mean 0 and at most
+        # the variance counted + full; 5e3 to 1.5e4 coincidences per bin
         bin_us, window_bins = 10.0, 5
         reach_ns = lag_reach_ns(bin_us, window_bins)
         counted, full = 0, 0
@@ -432,22 +532,6 @@ class TestCountingMode:
                 simulate_run(m), bin_us, window_bins).counts
         chi2 = float(np.sum((counted - full) ** 2 / (counted + full)))
         assert chi2 < chi2_critical(len(full)), (chi2, counted, full)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 123_457])
-def test_advance_skips_random_doubles(n):
-    # simulate_run skips the dark times' block by advance and draws it last
-    # from the saved state: that needs one generator step per double
-    drawn, skipped = np.random.default_rng(9), np.random.default_rng(9)
-    for rng in (drawn, skipped):
-        rng.poisson(3.0, 100)
-    saved = skipped.bit_generator.state
-    block = drawn.random(n)
-    skipped.bit_generator.advance(n)
-    assert drawn.bit_generator.state == skipped.bit_generator.state
-    assert np.array_equal(drawn.poisson(3.0, 50), skipped.poisson(3.0, 50))
-    skipped.bit_generator.state = saved
-    assert np.array_equal(skipped.random(n), block)
 
 
 class TestEventFileRoundTrip:
