@@ -38,6 +38,8 @@ class SourceModel:
     ideal_state: TwoQubitDensityMatrix = field(default_factory=pol.singlet)
     singlet_weight: float = 1.0
     pair_rate: float = 1.0    # pairs/s reaching the beam-splitter outputs
+    _effective: TwoQubitDensityMatrix = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.singlet_weight <= 1.0:
@@ -46,12 +48,13 @@ class SourceModel:
         if not 0.0 < self.pair_rate < np.inf:
             raise ConfigError(
                 f"pair_rate must be finite and > 0, got {self.pair_rate}")
-        self.effective_state()  # validates the mixture
+        # built and validated once; the fields are frozen
+        w = self.singlet_weight
+        object.__setattr__(self, "_effective", TwoQubitDensityMatrix(
+            w * self.ideal_state.matrix + (1.0 - w) * np.eye(4) / 4.0))
 
     def effective_state(self) -> TwoQubitDensityMatrix:
-        w = self.singlet_weight
-        m = w * self.ideal_state.matrix + (1.0 - w) * np.eye(4) / 4.0
-        return TwoQubitDensityMatrix(m)
+        return self._effective
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,9 @@ class CoincidenceResult:
     signal_is_peak: bool
 
 
-def _check_sorted(t: np.ndarray, name: str):
-    if np.any(t[1:] < t[:-1]):
+def _check_sorted(t: np.ndarray, name: str, after=None):
+    """t must not decrease, nor start below `after`."""
+    if np.any(t[1:] < t[:-1]) or (after is not None and t[0] < after):
         raise DataError(f"{name} events are not time-ordered")
 
 
@@ -121,33 +122,63 @@ def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
     onsets = np.asarray(onset_events, dtype=np.int64)
     _check_sorted(apd, "APD")
     _check_sorted(onsets, "onset")
-    bin_ns, below, above = _lag_window_ns(bin_width_us, window_bins)
-    lags = np.arange(-window_bins, window_bins + 1, dtype=np.int64)
+    window = _lag_window_ns(bin_width_us, window_bins)
+    return CoincidenceHistogram(
+        bin_width_us, np.arange(-window_bins, window_bins + 1),
+        _lag_counts(apd, onsets, window),
+        int(total_apd if total_apd is not None else len(apd)),
+        int(total_onsets if total_onsets is not None else len(onsets)),
+        float(duration_s))
+
+
+def _lag_counts(apd, onsets, window) -> np.ndarray:
+    """Pairs per lag bin of the ascending int64 stamps apd and onsets;
+    window is _lag_window_ns's (bin_ns, below, above)."""
+    bin_ns, below, above = window
     lo = np.searchsorted(apd, onsets - above, side="right")
     n = np.searchsorted(apd, onsets + below, side="right") - lo
     # all pairs in the window: onset j meets apd[lo[j]:lo[j] + n[j]]
     first = np.cumsum(n) - n
     pair_apd = np.arange(n.sum()) + np.repeat(lo - first, n)
     tau = np.repeat(onsets, n) - apd[pair_apd]
-    # bin k starts at k * bin - half = (k + window_bins) * bin - below
-    counts = np.bincount((tau + below) // bin_ns, minlength=len(lags))
-
-    return CoincidenceHistogram(
-        bin_width_us, lags, counts,
-        int(total_apd if total_apd is not None else len(apd)),
-        int(total_onsets if total_onsets is not None else len(onsets)),
-        float(duration_s))
+    # bin k starts at k * bin - half = (k + window_bins) * bin - below, and
+    # the window holds (below + above) // bin = 2 * window_bins + 1 bins
+    return np.bincount((tau + below) // bin_ns,
+                       minlength=(below + above) // bin_ns)
 
 
 def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
                           window_bins: int = DEFAULT_WINDOW_BINS) -> CoincidenceHistogram:
-    """Histogram of a finalized stream; APD clicks a counting-mode stream
-    left out (``apd_dropped``) still count in total_apd."""
+    """Histogram of a stream whose channels are each in time order; the two
+    channels' records may interleave in any order. APD clicks a
+    counting-mode stream left out (``apd_dropped``) still count in
+    total_apd.
+
+    The onsets are gathered first. Then each block of records
+    (``stream.blocks()``) has its APD stamps binned against the onsets
+    within the lag window of them, so no array of the stream's length is
+    made."""
+    _, below, above = window = _lag_window_ns(bin_width_us, window_bins)
+    blocks = list(stream.blocks())
+    onsets = np.concatenate([np.empty(0, np.int64)] + [
+        stream.onset_times(part) for part in blocks])
+    _check_sorted(onsets, "onset")
+    counts = np.zeros(2 * window_bins + 1, np.int64)
+    n_apd, last = 0, None
+    for part in blocks:
+        apd = np.asarray(stream.apd_times(part), dtype=np.int64)
+        if len(apd):
+            _check_sorted(apd, "APD", last)
+            # onsets outside [apd[0] - below, apd[-1] + above) meet no click
+            near = onsets[np.searchsorted(onsets, apd[0] - below):
+                          np.searchsorted(onsets, apd[-1] + above)]
+            counts += _lag_counts(apd, near, window)
+            n_apd, last = n_apd + len(apd), apd[-1]
+        del apd     # before the next block's stamps are taken
     duration = stream.manifest.duration_s if stream.manifest else 0.0
-    apd = stream.apd_times()
-    return histogram(apd, stream.onset_times(), bin_width_us, window_bins,
-                     total_apd=len(apd) + stream.apd_dropped,
-                     duration_s=duration)
+    return CoincidenceHistogram(
+        bin_width_us, np.arange(-window_bins, window_bins + 1), counts,
+        int(n_apd + stream.apd_dropped), len(onsets), float(duration))
 
 
 def extract(hist: CoincidenceHistogram) -> CoincidenceResult:

@@ -127,10 +127,6 @@ class SequenceConfig:
     def detect_offset_s(self) -> float:
         return (self.cooling_ms + self.prep_ms) / 1000.0
 
-    @property
-    def duty_cycle(self) -> float:
-        return self.detect_ms * self.rep_rate / 1000.0
-
 
 @dataclass(frozen=True)
 class RateConfig:
@@ -214,14 +210,17 @@ class EventStream:
     def __len__(self):
         return len(self.t_ns)
 
-    def channel_times(self, code: int) -> np.ndarray:
-        return self.t_ns[self.channel == code]
+    def blocks(self):
+        """Slices of CHECK_BLOCK records that cover the stream."""
+        return _chunks(len(self))
 
-    def apd_times(self) -> np.ndarray:
-        return self.channel_times(CHANNEL_APD)
+    def apd_times(self, part: slice = slice(None)) -> np.ndarray:
+        """The APD stamps of the records in part, by default of all."""
+        return self.t_ns[part][self.channel[part] == CHANNEL_APD]
 
-    def onset_times(self) -> np.ndarray:
-        return self.channel_times(CHANNEL_PMT_ONSET)
+    def onset_times(self, part: slice = slice(None)) -> np.ndarray:
+        """The PMT_ONSET stamps of the records in part, by default of all."""
+        return self.t_ns[part][self.channel[part] == CHANNEL_PMT_ONSET]
 
     def __eq__(self, other):
         if not isinstance(other, EventStream):
@@ -238,33 +237,55 @@ def _strictly_increasing(t: np.ndarray) -> None:
 
     Each stamp becomes max(its own, the previous bumped stamp + 1), in one
     pass: t[k] - k is non-decreasing after the bumps, so it is the running
-    maximum of the input's t[k] - k.
+    maximum of the input's t[k] - k, carried from block to block of
+    CHECK_BLOCK stamps.
     """
-    i = np.arange(len(t))
-    t -= i
-    np.maximum.accumulate(t, out=t)
-    t += i
+    top = np.iinfo(np.int64).min
+    for part in _chunks(len(t)):
+        i = np.arange(part.start, part.stop)
+        block = t[part]
+        block -= i
+        block[0] = max(block[0], top)
+        np.maximum.accumulate(block, out=block)
+        top = block[-1]
+        block += i
 
 
-def _finalize(apd_ns, apd_per_trial, onset_ns, onset_per_trial,
+def _finalize(t_ns, apd_per_trial, onset_ns, onset_per_trial,
               manifest) -> EventStream:
-    """Merge the APD and onset columns into one stream in the output order
+    """Merge the APD and onset stamps into one stream in the output order
     (see the module docstring).
 
-    apd_ns and onset_ns are int64 stamps in any order; each is sorted and
-    tie-bumped in place. *_per_trial count each trial's records in the
-    channel. Time order is trial order, so a channel's trial column is its
-    counts laid out in trial order: each record takes the trial of its
-    position within its own channel. Besides the output columns, one bool
-    mask of the stream's length is held at the peak.
+    t_ns holds the APD stamps in its head, in any order, and room for the
+    onset_ns stamps at its tail; it becomes the stream's t_ns column. The
+    APD head and onset_ns are sorted and tie-bumped in place. Then the
+    onsets are merged in, CHECK_BLOCK APD stamps at a time from the end:
+    APD stamp i moves right by the number of onsets that go before it, and
+    the onsets fill the gaps. Besides the output columns, only a block of
+    stamps and arrays of one entry per onset or per trial are held.
+
+    *_per_trial count each trial's records in the channel. Time order is
+    trial order, so a channel's trial column is its counts laid out in trial
+    order: each record takes the trial of its position within its own
+    channel.
     """
-    for t in (apd_ns, onset_ns):
+    n_apd = len(t_ns) - len(onset_ns)
+    for t in (t_ns[:n_apd], onset_ns):
         t.sort()
         _strictly_increasing(t)
     # each onset goes after every APD stamp <= its own
-    before = np.searchsorted(apd_ns, onset_ns, side="right")
+    before = np.searchsorted(t_ns[:n_apd], onset_ns, side="right")
     at = before + np.arange(len(onset_ns))
-    t_ns = np.insert(apd_ns, before, onset_ns)
+    # the onsets after every APD stamp end the column; each block of APD
+    # stamps takes in the onsets that go just before one of its stamps, and
+    # moves right by the number of onsets before the block. No stamp moves
+    # left, so going from the end overwrites only stamps already moved.
+    tail = np.searchsorted(before, n_apd)
+    t_ns[n_apd + tail:] = onset_ns[tail:]
+    for part in reversed(list(_chunks(n_apd))):
+        k0, k1 = np.searchsorted(before, [part.start, part.stop])
+        t_ns[part.start + k0:part.stop + k1] = np.insert(
+            t_ns[part], before[k0:k1] - part.start, onset_ns[k0:k1])
     channel = np.full(len(t_ns), CHANNEL_APD, dtype=np.int8)
     channel[at] = CHANNEL_PMT_ONSET
     # each trial's run of APD records, widened by the onsets that go into
@@ -329,18 +350,20 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
     n_near = int(near_count.sum())
     n_far = rng.poisson(b_rate * max(run_s - near[2].sum(), 0.0))
 
-    apd_ns = np.empty(n_a + n_near + (n_far if full else 0), dtype=np.int64)
-    apd_ns[:n_a] = np.rint(a_t * 1e9)
+    # the APD stamps go into the head of the stream's t_ns column
+    n_apd = n_a + n_near + (n_far if full else 0)
+    t_ns = np.empty(n_apd + len(onset_ns), dtype=np.int64)
+    t_ns[:n_a] = np.rint(a_t * 1e9)
     per_trial = np.bincount(a_trial, minlength=n_trials)
-    _stamp_uniform(rng, apd_ns[n_a:n_a + n_near], near, near_count, seq)
+    _stamp_uniform(rng, t_ns[n_a:n_a + n_near], near, near_count, seq)
     np.add.at(per_trial, near[0], near_count)
     if full and n_far:
         far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
                       n_trials)
         far_count = rng.multinomial(n_far, far[2] / far[2].sum())
-        _stamp_uniform(rng, apd_ns[n_a + n_near:], far, far_count, seq)
+        _stamp_uniform(rng, t_ns[n_a + n_near:n_apd], far, far_count, seq)
         np.add.at(per_trial, far[0], far_count)
-    stream = _finalize(apd_ns, per_trial, onset_ns,
+    stream = _finalize(t_ns, per_trial, onset_ns,
                        np.bincount(onset_trial, minlength=n_trials), m)
     stream.apd_dropped = 0 if full else n_far
     return stream

@@ -96,10 +96,11 @@ hwp_deg = 45
 
 def read_kv(path):
     out = {}
-    for line in open(path, encoding="utf-8"):
-        if "=" in line:
-            k, v = line.strip().split("=", 1)
-            out[k] = v
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if "=" in line:
+                k, v = line.strip().split("=", 1)
+                out[k] = v
     return out
 
 

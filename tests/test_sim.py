@@ -40,7 +40,7 @@ def make_manifest(seed=0, duration_s=60.0, weight=1.0, analyzer=None,
 class TestSequenceConfig:
     def test_defaults_fit_period(self):
         seq = SequenceConfig()
-        assert seq.duty_cycle == pytest.approx(0.5)
+        assert seq.detect_s / seq.period_s == pytest.approx(0.5)
 
     def test_rejects_overlong_phases(self):
         with pytest.raises(ConfigError):
@@ -132,8 +132,7 @@ class TestSimulateRun:
     def test_timestamps_strictly_increasing_per_channel(self):
         m = make_manifest(seed=8, duration_s=60.0, dark_trigger_rate=3000.0)
         stream = simulate_run(m)
-        for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
-            t = stream.channel_times(code)
+        for t in (stream.apd_times(), stream.onset_times()):
             assert np.all(np.diff(t) > 0)
 
     def test_stamps_stay_in_their_window(self):
@@ -151,12 +150,12 @@ class TestSimulateRun:
         assert np.sum(out == hi[trial]) > 100
 
     def test_apd_rate_matches_analytics(self):
-        # duty_cycle * (pair_rate * eta * marginal + dark) within 3 SE
+        # detection time * (pair_rate * eta * marginal + dark) within 3 SE
         m = make_manifest(seed=9, duration_s=600.0)
         stream = simulate_run(m)
         rate = (m.rates.pair_rate * m.rates.eta_trigger * 0.5
                 + m.rates.dark_trigger_rate)
-        expected = m.sequence.duty_cycle * rate * m.duration_s
+        expected = m.n_trials * m.sequence.detect_s * rate
         n = len(stream.apd_times())
         assert abs(n - expected) < 3.0 * np.sqrt(expected)
 
@@ -213,13 +212,20 @@ def ns(*values):
     return np.array(values, dtype=np.int64)
 
 
+def finalize(apd_ns, apd_per_trial, onset_ns, onset_per_trial, manifest):
+    """_finalize of APD stamps that head a column with room for the onsets."""
+    t_ns = np.concatenate([apd_ns, np.zeros_like(onset_ns)])
+    return _finalize(t_ns, apd_per_trial, onset_ns, onset_per_trial,
+                     manifest)
+
+
 class TestFinalize:
     def test_output_order(self):
         m = make_manifest(seed=0, duration_s=0.1)
         # unsorted APD clicks: two tie at 200 ns, the later of them is bumped
         # to 201; onsets tie with an APD stamp at 100 and with the bumped one
-        stream = _finalize(ns(300, 200, 100, 200), ns(4), ns(201, 100),
-                           ns(2), m)
+        stream = finalize(ns(300, 200, 100, 200), ns(4), ns(201, 100),
+                          ns(2), m)
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
         assert stream.t_ns.tolist() == [100, 100, 200, 201, 201, 300]
         assert stream.channel.tolist() == [apd, onset, apd, apd, onset, apd]
@@ -227,8 +233,8 @@ class TestFinalize:
 
     def test_trial_column_follows_time(self):
         m = make_manifest(seed=0, duration_s=0.3)
-        stream = _finalize(ns(250, 50, 150, 60), ns(2, 1, 1), ns(160),
-                           ns(0, 1, 0), m)
+        stream = finalize(ns(250, 50, 150, 60), ns(2, 1, 1), ns(160),
+                          ns(0, 1, 0), m)
         assert stream.t_ns.tolist() == [50, 60, 150, 160, 250]
         assert stream.trial.tolist() == [0, 0, 1, 1, 2]
         assert stream.channel.tolist() == [CHANNEL_APD] * 3 + [
@@ -239,16 +245,16 @@ class TestFinalize:
         # clicks tied at 200 ns are bumped to 200, 201 and 202, and push
         # trial 1's click from 202 to 203; each record keeps the trial of
         # its position in its channel
-        stream = _finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
-                           ns(0, 1), None)
+        stream = finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
+                          ns(0, 1), None)
         assert stream.t_ns.tolist() == [200, 201, 202, 203, 290]
         assert stream.trial.tolist() == [0, 0, 0, 1, 1]
 
     def test_onset_inside_a_run_of_clicks(self):
         # onsets between the clicks of one trial, one at the run's end and
         # one before the next trial's clicks, with empty trials between
-        stream = _finalize(ns(10, 20, 30, 700, 710), ns(3, 0, 0, 2, 0),
-                           ns(15, 30, 705), ns(1, 0, 0, 1, 1), None)
+        stream = finalize(ns(10, 20, 30, 700, 710), ns(3, 0, 0, 2, 0),
+                          ns(15, 30, 705), ns(1, 0, 0, 1, 1), None)
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
         assert stream.t_ns.tolist() == [10, 15, 20, 30, 30, 700, 705, 710]
         assert stream.channel.tolist() == [apd, onset, apd, apd, onset, apd,
@@ -256,13 +262,16 @@ class TestFinalize:
         assert stream.trial.tolist() == [0, 0, 0, 0, 3, 3, 4, 3]
 
     def test_no_record_sized_temporary(self):
-        # ~1 M records: besides its three output columns, _finalize holds
-        # less than one more int64 column
+        # ~1 M records: the column that holds the APD stamps becomes the
+        # stream's t_ns, and besides the trial and channel columns _finalize
+        # holds a few blocks of CHECK_BLOCK stamps
         rng = np.random.default_rng(1)
         n_trials = 20_000
         apd_trial = np.sort(rng.integers(0, n_trials, 1_000_000))
-        apd_ns = apd_trial * 100_000 + rng.integers(0, 50_000, len(apd_trial))
         onset_trial = np.unique(rng.integers(0, n_trials, 5_000))
+        t_ns = np.empty(len(apd_trial) + len(onset_trial), dtype=np.int64)
+        t_ns[:len(apd_trial)] = apd_trial * 100_000 + rng.integers(
+            0, 50_000, len(apd_trial))
         onset_ns = onset_trial * 100_000 + 25_000
         apd_per_trial = np.bincount(apd_trial, minlength=n_trials)
         onset_per_trial = np.bincount(onset_trial, minlength=n_trials)
@@ -270,20 +279,19 @@ class TestFinalize:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            stream = _finalize(apd_ns, apd_per_trial, onset_ns,
+            stream = _finalize(t_ns, apd_per_trial, onset_ns,
                                onset_per_trial, None)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        outputs = (stream.trial.nbytes + stream.channel.nbytes
-                   + stream.t_ns.nbytes)
-        assert peak - outputs < 8 * len(stream), (peak, outputs)
+        assert stream.t_ns is t_ns
+        outputs = stream.trial.nbytes + stream.channel.nbytes
+        assert peak - outputs < 4 * 8 * sim.CHECK_BLOCK, (peak, outputs)
         # the labels of the per-channel layout
         at = stream.channel == CHANNEL_APD
         assert np.array_equal(stream.trial[at], np.repeat(
             np.arange(n_trials), apd_per_trial))
         assert np.array_equal(stream.trial[~at], onset_trial)
-
 
     def test_tie_bumps_match_pass_loop(self):
         # sorted stamps with long tie runs, some cascading into the next
@@ -298,6 +306,26 @@ class TestFinalize:
             bumped = t.copy()
             sim._strictly_increasing(bumped)
             assert np.array_equal(bumped, strictly_increasing_loop(t))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_bumps_and_merge_in_blocks(self, monkeypatch, block):
+        # tie runs across the block edges, onsets before, between, tied
+        # with and after the APD stamps, against the pass-per-nanosecond
+        # bumps and one np.insert of the whole column
+        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for _ in range(300):
+            apd = rng.integers(0, 60, size=rng.integers(0, 80))
+            onsets = rng.integers(-5, 90, size=rng.integers(0, 12))
+            a = strictly_increasing_loop(np.sort(apd))
+            o = strictly_increasing_loop(np.sort(onsets))
+            before = np.searchsorted(a, o, side="right")
+            stream = finalize(apd, ns(len(apd)), onsets, ns(len(onsets)),
+                              None)
+            assert np.array_equal(stream.t_ns, np.insert(a, before, o))
+            assert np.array_equal(
+                np.flatnonzero(stream.channel == CHANNEL_PMT_ONSET),
+                before + np.arange(len(o)))
 
 
 def strictly_increasing_loop(t):
@@ -828,6 +856,42 @@ class TestChecksInBlocks:
                 assert sim._unordered_channel(tied) == code
 
     @pytest.mark.parametrize("block", [97, 1000])
+    def test_stream_independent_of_block(self, monkeypatch, block):
+        # the tie cascades and the onsets cross the block edges of the
+        # bumps and of the merge
+        whole = simulate_run(self.DENSE)
+        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+        assert simulate_run(self.DENSE) == whole
+
+    @pytest.mark.parametrize("block", [97, 1000, sim.CHECK_BLOCK])
+    def test_histogram_of_onset_first_file(self, tmp_path, monkeypatch,
+                                           block):
+        # every PMT_ONSET line moved ahead of the first APD line: each
+        # channel is still in time order, so the file is valid, and it bins
+        # as the ordered file does; ~250 onsets among ~240 k clicks, so
+        # binning the records in their merged order would lose their pairs
+        m = presets.preset_manifest("paper-hv", 5, angle_deg=45.0,
+                                    minutes=10.0)
+        ordered = tmp_path / "ordered.events"
+        write_events(simulate_run(m), ordered)
+        header, *records = ordered.read_bytes().splitlines(keepends=True)
+        onset_first = tmp_path / "onset-first.events"
+        onset_first.write_bytes(header + b"".join(sorted(
+            records, key=lambda line: b"\tPMT_ONSET\t" not in line)))
+        stream, moved = read_events(ordered), read_events(onset_first)
+        assert np.all(moved.channel[:len(moved.onset_times())]
+                      == CHANNEL_PMT_ONSET)
+        want = histogram(stream.apd_times(), stream.onset_times(),
+                         duration_s=m.duration_s)
+        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+        for got in (histogram_from_stream(stream),
+                    histogram_from_stream(moved)):
+            assert np.array_equal(got.counts, want.counts)
+            assert (got.total_apd, got.total_onsets, got.duration_s) == (
+                want.total_apd, want.total_onsets, want.duration_s)
+        assert want.counts[len(want.counts) // 2] > 0
+
+    @pytest.mark.parametrize("block", [97, 1000])
     def test_first_record_outside_window(self, monkeypatch, block):
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         stream = simulate_run(self.DENSE)
@@ -844,7 +908,9 @@ class TestMemoryBound:
     def test_full_stream_phases(self, tmp_path):
         # a 30-min paper-hv stream, ~0.73 M records: each phase of the
         # simulate -> write -> read -> histogram path allocates, at its peak,
-        # less than twice the stream's column bytes on top of what it holds
+        # less than twice the stream's column bytes on top of what it holds;
+        # simulate_run holds each column once, and the histogram bins the
+        # stream a block at a time
         m = presets.preset_manifest("paper-hv", 11, angle_deg=45.0,
                                     minutes=30.0)
         path = tmp_path / "hv.events"
@@ -871,3 +937,5 @@ class TestMemoryBound:
             + back.t_ns.nbytes
         for name, peak in peaks.items():
             assert peak < 2 * column_bytes, (name, peak, column_bytes)
+        assert peaks["simulate_run"] < 1.3 * column_bytes, peaks
+        assert peaks["histogram_from_stream"] < 0.1 * column_bytes, peaks
