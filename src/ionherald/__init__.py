@@ -9,9 +9,8 @@ presets (paper-calibrated configurations), cli (batch front-end).
 __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, DataError, IonHeraldError
-from .polarization import (BASES, DA, HV, RL, PoincareVector,
-                           PolarizationBasis, PolarizationState,
-                           TwoQubitDensityMatrix, joint_projection_probability,
+from .polarization import (BASES, DA, HV, RL, PolarizationBasis,
+                           PolarizationState, TwoQubitDensityMatrix,
                            maximally_mixed, overlap, singlet, to_poincare,
                            werner)
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
@@ -20,19 +19,17 @@ from .sim import (EventStream, RateConfig, RunManifest, SequenceConfig,
                   read_events, simulate_run, write_events)
 from .correlate import (CoincidenceHistogram, CoincidenceResult, extract,
                         histogram, histogram_from_stream)
-from .fringes import FringeFit, FringeScan, ScanPoint, fit_fringe, \
-    subtract_background
+from .fringes import FringeFit, FringeScan, ScanPoint, fit_fringe
 from .tomography import (CountsRow, CountsTable, EntanglementMetrics,
                          TomographySetting, bootstrap_metrics, concurrence,
-                         design_16, fidelity_singlet, linear_inversion,
-                         metrics, mle_reconstruct, trace_distance)
+                         fidelity_singlet, linear_inversion, metrics,
+                         mle_reconstruct, trace_distance)
 
 __all__ = [
     "ConfigError", "ConvergenceError", "DataError", "IonHeraldError",
     "__version__",
-    "BASES", "DA", "HV", "RL", "PoincareVector", "PolarizationBasis",
-    "PolarizationState", "TwoQubitDensityMatrix",
-    "joint_projection_probability", "maximally_mixed", "overlap", "singlet",
+    "BASES", "DA", "HV", "RL", "PolarizationBasis", "PolarizationState",
+    "TwoQubitDensityMatrix", "maximally_mixed", "overlap", "singlet",
     "to_poincare", "werner",
     "AbsorberSetting", "AnalyzerSetting", "SourceModel", "absorber_for",
     "arm_probabilities", "scan_analyzer",
@@ -41,8 +38,7 @@ __all__ = [
     "CoincidenceHistogram", "CoincidenceResult", "extract", "histogram",
     "histogram_from_stream",
     "FringeFit", "FringeScan", "ScanPoint", "fit_fringe",
-    "subtract_background",
     "CountsRow", "CountsTable", "EntanglementMetrics", "TomographySetting",
-    "bootstrap_metrics", "concurrence", "design_16", "fidelity_singlet",
+    "bootstrap_metrics", "concurrence", "fidelity_singlet",
     "linear_inversion", "metrics", "mle_reconstruct", "trace_distance",
 ]

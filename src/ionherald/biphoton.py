@@ -124,7 +124,7 @@ def scan_analyzer(basis: PolarizationBasis, hwp_deg: float,
         raise DataError(f"HWP angles must be finite: {hwp_deg}, "
                         f"reference {theta_ref_deg}")
     phi = np.radians(4.0 * (hwp_deg - theta_ref_deg))
-    n_plus = pol.to_poincare(basis.plus).as_array()
+    n_plus = pol.to_poincare(basis.plus)
     n_mid = _SCAN_MERIDIAN[basis.label]
     n = np.cos(phi) * n_plus + np.sin(phi) * n_mid
     return AnalyzerSetting(pol.from_poincare(n), hwp_angle=float(hwp_deg))

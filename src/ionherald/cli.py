@@ -21,7 +21,7 @@ from . import presets
 from .biphoton import (SourceModel, absorber_for, fringe_params,
                        scan_analyzer)
 from .correlate import (DEFAULT_BIN_US, DEFAULT_WINDOW_BINS, extract,
-                        histogram_from_stream, lag_reach_ns, write_histogram)
+                        histogram_from_stream, write_histogram)
 from .fringes import (FringeScan, ScanPoint, fit_fringe, write_fit_record,
                       write_plot_data, write_scan)
 from .sim import (CHANNEL_APD, RunManifest, read_events, simulate_run,
@@ -289,7 +289,7 @@ def _verdict(measured: float, target: float, tol: float) -> str:
 def _extract_run(manifest: RunManifest, overrides: dict):
     """tau=0 coincidences and background of one overridden, simulated run."""
     return extract(histogram_from_stream(simulate_run(
-        _apply_overrides(manifest, overrides), reach_ns=lag_reach_ns())))
+        _apply_overrides(manifest, overrides), counting=True)))
 
 
 def run_scan(plan: presets.FringePlan, seeds, minutes: float,

@@ -105,8 +105,8 @@ def lag_reach_ns(bin_width_us: float = DEFAULT_BIN_US,
 
 
 def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
-              window_bins: int = DEFAULT_WINDOW_BINS, total_apd=None,
-              total_onsets=None, duration_s: float = 0.0) -> CoincidenceHistogram:
+              window_bins: int = DEFAULT_WINDOW_BINS,
+              duration_s: float = 0.0) -> CoincidenceHistogram:
     """Count (onset, trigger) pairs per lag bin.
 
     Parameters
@@ -125,9 +125,7 @@ def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
     window = _lag_window_ns(bin_width_us, window_bins)
     return CoincidenceHistogram(
         bin_width_us, np.arange(-window_bins, window_bins + 1),
-        _lag_counts(apd, onsets, window),
-        int(total_apd if total_apd is not None else len(apd)),
-        int(total_onsets if total_onsets is not None else len(onsets)),
+        _lag_counts(apd, onsets, window), len(apd), len(onsets),
         float(duration_s))
 
 
@@ -175,10 +173,10 @@ def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
             counts += _lag_counts(apd, near, window)
             n_apd, last = n_apd + len(apd), apd[-1]
         del apd     # before the next block's stamps are taken
-    duration = stream.manifest.duration_s if stream.manifest else 0.0
     return CoincidenceHistogram(
         bin_width_us, np.arange(-window_bins, window_bins + 1), counts,
-        int(n_apd + stream.apd_dropped), len(onsets), float(duration))
+        int(n_apd + stream.apd_dropped), len(onsets),
+        float(stream.manifest.duration_s))
 
 
 def extract(hist: CoincidenceHistogram) -> CoincidenceResult:

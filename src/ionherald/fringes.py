@@ -23,15 +23,13 @@ PERIOD_DEG = 90.0
 @dataclass(frozen=True)
 class ScanPoint:
     hwp_angle_deg: float
-    coincidences: float       # integer for raw scans, real after subtraction
+    coincidences: float
     background: float
     duration_s: float
-    sigma: float | None = None    # populated by subtract_background
 
     def __post_init__(self):
-        sigma = 0.0 if self.sigma is None else self.sigma
         if not np.all(np.isfinite([self.hwp_angle_deg, self.coincidences,
-                                   self.background, self.duration_s, sigma])):
+                                   self.background, self.duration_s])):
             raise DataError(f"non-finite scan-point field in {self}")
         if self.coincidences < 0:
             raise DataError("negative coincidence count")
@@ -145,33 +143,16 @@ def fit_fringe(scan: FringeScan, theta0_deg: float) -> FringeFit:
                      visibility_err, chi2_per_dof)
 
 
-def subtract_background(scan: FringeScan) -> FringeScan:
-    """Background-corrected scan: counts' = max(0, N - bg), clamped at zero.
-
-    The per-point error combines both Poisson variances in quadrature,
-    sigma = sqrt(N + bg), and rides along on the point (the clamp never
-    shrinks it).
-    """
-    pts = []
-    for p in scan.points:
-        corrected = max(0.0, p.coincidences - p.background)
-        sigma = float(np.sqrt(p.coincidences + p.background))
-        pts.append(ScanPoint(p.hwp_angle_deg, corrected, 0.0,
-                             p.duration_s, sigma))
-    return FringeScan(scan.basis, tuple(pts))
-
-
 # --- scan/fit file formats ---------------------------------------------------
 
 
 def write_scan(scan: FringeScan, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# basis={scan.basis.label} period_deg={PERIOD_DEG}\n")
-        fh.write("hwp_angle_deg\tcoincidences\tbackground\tduration_s\tsigma\n")
+        fh.write("hwp_angle_deg\tcoincidences\tbackground\tduration_s\n")
         for p in scan.points:
-            sig = "" if p.sigma is None else f"{p.sigma:.9g}"
             fh.write(f"{p.hwp_angle_deg:.9g}\t{p.coincidences:.9g}\t"
-                     f"{p.background:.9g}\t{p.duration_s:.9g}\t{sig}\n")
+                     f"{p.background:.9g}\t{p.duration_s:.9g}\n")
 
 
 def write_fit_record(fit: FringeFit, path, extra: dict | None = None) -> None:

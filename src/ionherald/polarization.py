@@ -92,18 +92,6 @@ DA = PolarizationBasis("DA", D, A)
 BASES = {"RL": RL, "HV": HV, "DA": DA}
 
 
-@dataclass(frozen=True)
-class PoincareVector:
-    """Stokes vector of a pure state; unit length, orthogonal states antipodal."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3])
-
-
 def overlap(a: PolarizationState, b: PolarizationState) -> float:
     """Projection probability |<a|b>|^2 between two pure states."""
     amp = np.vdot(a.vector, b.vector)
@@ -112,19 +100,18 @@ def overlap(a: PolarizationState, b: PolarizationState) -> float:
     return min(1.0, max(0.0, p))
 
 
-def to_poincare(s: PolarizationState) -> PoincareVector:
+def to_poincare(s: PolarizationState) -> np.ndarray:
+    """Stokes vector (s1, s2, s3) of a pure state: unit length, orthogonal
+    states antipodal."""
     ch, cv = s.c_h, s.c_v
     cross = np.conj(ch) * cv
-    return PoincareVector(
-        float(abs(ch) ** 2 - abs(cv) ** 2),
-        float(2.0 * cross.real),
-        float(2.0 * cross.imag),
-    )
+    return np.array([abs(ch) ** 2 - abs(cv) ** 2, 2.0 * cross.real,
+                     2.0 * cross.imag])
 
 
 def from_poincare(v) -> PolarizationState:
     """Inverse of to_poincare on the unit sphere (pure states mod phase)."""
-    arr = v.as_array() if isinstance(v, PoincareVector) else np.asarray(v, float)
+    arr = np.asarray(v, float)
     n = np.linalg.norm(arr)
     if not abs(n - 1.0) <= 1e-6:      # also rejects a NaN norm
         raise DataError(f"Poincare vector not on the unit sphere: |s| = {n!r}")
@@ -197,19 +184,3 @@ def werner(weight: float) -> TwoQubitDensityMatrix:
         raise DataError(f"Werner weight outside [0, 1]: {weight}")
     return TwoQubitDensityMatrix(
         weight * singlet().matrix + (1.0 - weight) * _I4 / 4.0)
-
-
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, TwoQubitDensityMatrix):
-        return rho.matrix
-    return TwoQubitDensityMatrix(rho).matrix   # validates raw arrays
-
-
-def joint_projection_probability(rho, a: PolarizationState,
-                                 b: PolarizationState) -> float:
-    """Tr[rho (|a><a| x |b><b|)]: probability of the joint projective outcome."""
-    m = _as_matrix(rho)
-    proj = np.kron(a.projector(), b.projector())
-    p = float(np.trace(m @ proj).real)
-    return min(1.0, max(0.0, p))
-

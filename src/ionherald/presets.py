@@ -93,7 +93,7 @@ def expected_scan(source: SourceModel, absorber: AbsorberSetting,
     coincidences, the window-edge loss on the background mean, and the
     signal peak's bias on that mean.
     """
-    n_trials = int(np.floor(minutes * 60.0 * sequence.rep_rate + 1e-9))
+    n_trials = sequence.n_trials(minutes * 60.0)
     w = sequence.detect_s
     bin_s = bin_us * 1e-6
     n_bins = 2 * window_bins + 1

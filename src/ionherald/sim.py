@@ -27,16 +27,15 @@ happen in a fixed order:
 4. The times of the regions' clicks; in a full stream, then those of the
    clicks outside, spread over their pieces by a multinomial draw.
 
-``simulate_run(m)`` is the full stream; its regions use the default reach,
-``correlate.lag_reach_ns()``. In counting mode, ``simulate_run(m,
-reach_ns)``, the stream keeps every onset, every (a) click and the (b)
-clicks of the regions at reach_ns, and ``apd_dropped`` counts the (b)
-clicks outside them, so total_apd is the full stream's in law. No click
-left out rounds to a stamp within reach_ns of an onset, so a coincidence
-histogram whose lags span at most reach_ns has the full stream's law. At
-the default reach, every draw of a counting stream is the full stream's: it
-is a sub-stream of the full stream, up to tie bumps. At another reach it
-shares the onsets and (a) clicks, and the (b) clicks only in law. An event
+The regions use the reach of the default lag window,
+``correlate.lag_reach_ns()``. ``simulate_run(m)`` is the full stream. The
+counting stream, ``simulate_run(m, counting=True)``, makes the same draws
+but stops before the times of the clicks outside the regions. It keeps
+every onset, every (a) click and the (b) clicks of the regions, and
+``apd_dropped`` counts the (b) clicks outside them. So it is a sub-stream
+of the full stream, up to tie bumps, with the same total_apd. No click left
+out rounds to a stamp within the reach of an onset, so a coincidence
+histogram whose lags span at most that reach is the full stream's. An event
 file promises the full stream: ``write_events`` refuses a stream with
 ``apd_dropped > 0``.
 
@@ -127,6 +126,10 @@ class SequenceConfig:
     def detect_offset_s(self) -> float:
         return (self.cooling_ms + self.prep_ms) / 1000.0
 
+    def n_trials(self, duration_s: float) -> int:
+        """Trials in a run of duration_s: the whole periods it holds."""
+        return int(np.floor(duration_s * self.rep_rate + 1e-9))
+
 
 @dataclass(frozen=True)
 class RateConfig:
@@ -194,7 +197,7 @@ class RunManifest:
 
     @property
     def n_trials(self) -> int:
-        return int(np.floor(self.duration_s * self.sequence.rep_rate + 1e-9))
+        return self.sequence.n_trials(self.duration_s)
 
 
 @dataclass
@@ -204,7 +207,7 @@ class EventStream:
     trial: np.ndarray       # int64
     channel: np.ndarray     # int8, CHANNEL_APD / CHANNEL_PMT_ONSET
     t_ns: np.ndarray        # int64
-    manifest: RunManifest | None = None
+    manifest: RunManifest
     apd_dropped: int = 0    # APD clicks left out in counting mode
 
     def __len__(self):
@@ -301,12 +304,13 @@ def _finalize(t_ns, apd_per_trial, onset_ns, onset_per_trial,
     return EventStream(trial, channel, t_ns, manifest)
 
 
-def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
+def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     """Generate the event stream for one run. Deterministic given the manifest.
 
-    With reach_ns, the stream is the counting-mode stream of the module
-    docstring: it keeps every onset and every APD click of an absorbed
-    pair, but of the other clicks only those within reach_ns of an onset,
+    With counting, the stream is the counting stream of the module
+    docstring: a sub-stream of the full stream, up to tie bumps. It keeps
+    every onset and every APD click of an absorbed pair, but of the other
+    clicks only those within the default lag window's reach of an onset,
     and counts the rest in apd_dropped."""
     rng = np.random.default_rng(m.seed)
     seq, rates, n_trials = m.sequence, m.rates, m.n_trials
@@ -343,21 +347,20 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
     # the (b) clicks: the regions' and the others' totals, the regions'
     # times, and in a full stream the others' times
     b_rate = pair_clicks * (1.0 - p_abs) + rates.dark_trigger_rate
-    full = reach_ns is None
-    lo, hi = _regions(onset_ns, lag_reach_ns() if full else reach_ns)
+    lo, hi = _regions(onset_ns, lag_reach_ns())
     near = _pieces(lo, hi, seq, n_trials)
     near_count = rng.poisson(b_rate * near[2])
     n_near = int(near_count.sum())
     n_far = rng.poisson(b_rate * max(run_s - near[2].sum(), 0.0))
 
     # the APD stamps go into the head of the stream's t_ns column
-    n_apd = n_a + n_near + (n_far if full else 0)
+    n_apd = n_a + n_near + (0 if counting else n_far)
     t_ns = np.empty(n_apd + len(onset_ns), dtype=np.int64)
     t_ns[:n_a] = np.rint(a_t * 1e9)
     per_trial = np.bincount(a_trial, minlength=n_trials)
     _stamp_uniform(rng, t_ns[n_a:n_a + n_near], near, near_count, seq)
     np.add.at(per_trial, near[0], near_count)
-    if full and n_far:
+    if not counting and n_far:
         far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
                       n_trials)
         far_count = rng.multinomial(n_far, far[2] / far[2].sum())
@@ -365,7 +368,7 @@ def simulate_run(m: RunManifest, reach_ns: int | None = None) -> EventStream:
         np.add.at(per_trial, far[0], far_count)
     stream = _finalize(t_ns, per_trial, onset_ns,
                        np.bincount(onset_trial, minlength=n_trials), m)
-    stream.apd_dropped = 0 if full else n_far
+    stream.apd_dropped = n_far if counting else 0
     return stream
 
 
@@ -493,8 +496,6 @@ def write_events(stream: EventStream, path) -> None:
 
     A stream whose records the grammar in the module docstring cannot hold
     is refused before the file is opened."""
-    if stream.manifest is None:
-        raise DataError("stream has no manifest; cannot write a valid file")
     if stream.apd_dropped:
         raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
                         "APD clicks; its manifest promises them all")

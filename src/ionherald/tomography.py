@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from . import polarization as pol
 from .polarization import (STATE_BY_LABEL, PolarizationState,
                            TwoQubitDensityMatrix)
 
@@ -104,17 +103,9 @@ class EntanglementMetrics:
     tangle_err: float | None = None
 
 
-def design_16() -> list[TomographySetting]:
-    """The {H,V,D,R} x {H,V,D,R} informationally complete design, row-major."""
-    out = []
-    for a in DESIGN_LABELS:
-        for b in DESIGN_LABELS:
-            out.append(TomographySetting(STATE_BY_LABEL[a], STATE_BY_LABEL[b],
-                                         label=a + b))
-    return out
-
-
-DESIGN = tuple(design_16())
+# the {H,V,D,R} x {H,V,D,R} informationally complete design, row-major
+DESIGN = tuple(TomographySetting(STATE_BY_LABEL[a], STATE_BY_LABEL[b], a + b)
+               for a in DESIGN_LABELS for b in DESIGN_LABELS)
 _DESIGN_INDEX = {s: i for i, s in enumerate(DESIGN)}
 # the projectors P_nu of the design, in design order
 PROJECTORS = np.stack([s.projector() for s in DESIGN])

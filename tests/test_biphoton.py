@@ -13,6 +13,14 @@ def src(weight=1.0, pair_rate=1.0):
     return SourceModel(pol.singlet(), weight, pair_rate)
 
 
+def joint_probability(rho, a, b):
+    """Tr[rho (|a><a| x |b><b|)] of a TwoQubitDensityMatrix: the probability
+    that qubit A is found in a and qubit B in b, by the Kronecker product
+    (the oracle of arm_probabilities)."""
+    proj = np.kron(a.projector(), b.projector())
+    return float(np.trace(rho.matrix @ proj).real)
+
+
 class TestSourceModel:
     def test_effective_state_valid(self):
         rho = src(0.8).effective_state().matrix
@@ -119,6 +127,28 @@ class TestHeraldedAbsorption:
             assert m1 == pytest.approx(m2, abs=1e-15)
             assert j1 + j2 == pytest.approx(m1, abs=1e-10)
 
+    def test_joint_matches_kronecker_oracle(self):
+        # random mixed ideal states, weights, absorbers and analyzers
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = g @ g.conj().T
+            s = SourceModel(pol.TwoQubitDensityMatrix(m / np.trace(m).real),
+                            rng.uniform(0.0, 1.0), 1.0)
+            ab = absorber_for(pol.BASES[rng.choice(list(pol.BASES))],
+                              rng.choice(["plus", "minus"]))
+            ans = [AnalyzerSetting(pol.from_poincare(v / np.linalg.norm(v)))
+                   for v in rng.normal(size=(5, 3))]
+            marginal, joint = arm_probabilities(s, ab, ans)
+            rho = s.effective_state()
+            assert joint == pytest.approx(
+                [joint_probability(rho, ab.allowed, an.projector_state)
+                 for an in ans], abs=1e-12)
+            assert marginal == pytest.approx(
+                [joint_probability(rho, ab.allowed, an.projector_state)
+                 + joint_probability(rho, ab.blocked, an.projector_state)
+                 for an in ans], abs=1e-12)
+
     @pytest.mark.filterwarnings("error")
     def test_undefined_conditional(self):
         # |HH> never fires a V trigger: the conditional is undefined, and the
@@ -147,7 +177,7 @@ class TestFringePrediction:
         rng = np.random.default_rng(12)
         for w in (1.0, 0.63):
             s = src(w, pair_rate=2.5)
-            rho = s.effective_state().matrix
+            rho = s.effective_state()
             for basis in (pol.RL, pol.HV, pol.DA):
                 ab = absorber_for(basis, "plus")
                 theta0 = fringe_params(s, ab, 0.0)
@@ -159,9 +189,8 @@ class TestFringePrediction:
                 _, joint = arm_probabilities(s, ab, ans)
                 sinusoid = lo + (hi - lo) * np.sin(
                     np.radians(2.0 * (angles - theta0))) ** 2
-                brute = [np.trace(rho @ np.kron(
-                    ab.allowed.projector(), an.projector_state.projector())
-                    ).real for an in ans]
+                brute = [joint_probability(rho, ab.allowed,
+                                           an.projector_state) for an in ans]
                 assert joint == pytest.approx(brute, abs=1e-12)
                 assert sinusoid == pytest.approx(brute, abs=1e-9)
 

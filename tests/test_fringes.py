@@ -4,8 +4,7 @@ import pytest
 from ionherald import polarization as pol
 from ionherald.errors import DataError
 from ionherald.fringes import (FringeScan, ScanPoint, clipped_wls, fit_fringe,
-                               fringe_regressor, subtract_background,
-                               write_scan)
+                               fringe_regressor, write_scan)
 
 
 def model_scan(angles, amplitude, offset, theta0=0.0, basis=pol.RL,
@@ -123,59 +122,23 @@ class TestClippedWLS:
             assert fit.amplitude == a and fit.offset == o
 
 
-class TestSubtractBackground:
-    def test_paper_point(self):
-        scan = FringeScan(pol.RL, (
-            ScanPoint(0.0, 73.0, 15.0, 3600.0),
-            ScanPoint(15.0, 40.0, 15.0, 3600.0),
-            ScanPoint(30.0, 20.0, 15.0, 3600.0),
-            ScanPoint(45.0, 16.0, 15.0, 3600.0)))
-        out = subtract_background(scan)
-        assert out.points[0].coincidences == pytest.approx(58.0)
-        assert out.points[0].sigma == pytest.approx(np.sqrt(73.0 + 15.0))
-
-    def test_zero_point(self):
-        scan = FringeScan(pol.RL, tuple(
-            ScanPoint(a, 0.0, 0.0, 1.0) for a in ANGLES))
-        out = subtract_background(scan)
-        assert out.points[0].coincidences == 0.0
-
-    def test_clamped_at_zero_keeps_error(self):
-        scan = FringeScan(pol.RL, (
-            ScanPoint(0.0, 5.0, 8.0, 1.0),
-            ScanPoint(10.0, 5.0, 8.0, 1.0),
-            ScanPoint(20.0, 5.0, 8.0, 1.0),
-            ScanPoint(30.0, 5.0, 8.0, 1.0)))
-        out = subtract_background(scan)
-        assert out.points[0].coincidences == 0.0
-        assert out.points[0].sigma == pytest.approx(np.sqrt(13.0))
-
-    def test_ideal_singlet_visibility_goes_to_one(self):
-        # after subtracting a flat background the fringe becomes ideal
-        bg = 12.0
-        pts = []
-        for th in ANGLES:
-            y = bg + 50.0 * np.sin(np.radians(2 * th)) ** 2
-            pts.append(ScanPoint(th, y, bg, 3600.0))
-        out = subtract_background(FringeScan(pol.RL, tuple(pts)))
-        fit = fit_fringe(out, 0.0)
-        assert fit.visibility == pytest.approx(1.0, abs=1e-9)
-
-
 class TestScanIO:
     def test_round_trip(self, tmp_path):
-        scan = model_scan(ANGLES, 20.0, 5.0)
-        scan = subtract_background(scan)
+        scan = FringeScan(pol.RL, tuple(
+            ScanPoint(th, 5.0 + 20.0 * np.sin(np.radians(2 * th)) ** 2,
+                      1.5 * k, 3600.0) for k, th in enumerate(ANGLES)))
         path = tmp_path / "scan.txt"
         write_scan(scan, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[:2] == [
             "# basis=RL period_deg=90.0",
-            "hwp_angle_deg\tcoincidences\tbackground\tduration_s\tsigma"]
+            "hwp_angle_deg\tcoincidences\tbackground\tduration_s"]
+        # four fields a row, with no trailing tab
+        assert [len(line.split("\t")) for line in lines[2:]] \
+            == [4] * len(scan.points)
         back = np.loadtxt(path, skiprows=2, ndmin=2)
         assert len(back) == len(scan.points)
         for row, p in zip(back, scan.points):
             assert row[0] == p.hwp_angle_deg
             assert row[1] == pytest.approx(p.coincidences, rel=1e-8)
-            assert (row[2], row[3]) == (0.0, 3600.0)
-            assert row[4] == pytest.approx(p.sigma, rel=1e-8)
+            assert (row[2], row[3]) == (p.background, 3600.0)

@@ -3,6 +3,7 @@ import pytest
 
 from ionherald import polarization as pol
 from ionherald.errors import DataError
+from test_biphoton import joint_probability
 
 
 def random_state(rng):
@@ -87,27 +88,27 @@ class TestBases:
 
 class TestPoincare:
     def test_convention_anchors(self):
-        np.testing.assert_allclose(pol.to_poincare(pol.H).as_array(),
+        np.testing.assert_allclose(pol.to_poincare(pol.H),
                                    [1, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(pol.to_poincare(pol.V).as_array(),
+        np.testing.assert_allclose(pol.to_poincare(pol.V),
                                    [-1, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(pol.to_poincare(pol.D).as_array(),
+        np.testing.assert_allclose(pol.to_poincare(pol.D),
                                    [0, 1, 0], atol=1e-12)
 
     def test_circular_handedness(self):
         # (H + iV)/sqrt(2) maps to the north pole by convention
-        np.testing.assert_allclose(pol.to_poincare(pol.R).as_array(),
+        np.testing.assert_allclose(pol.to_poincare(pol.R),
                                    [0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(pol.to_poincare(pol.L).as_array(),
+        np.testing.assert_allclose(pol.to_poincare(pol.L),
                                    [0, 0, -1], atol=1e-12)
 
     def test_unit_length_and_antipodal(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             s = random_state(rng)
-            v = pol.to_poincare(s).as_array()
+            v = pol.to_poincare(s)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-            w = pol.to_poincare(s.orthogonal()).as_array()
+            w = pol.to_poincare(s.orthogonal())
             assert float(v @ w) == pytest.approx(-1.0, abs=1e-9)
 
     def test_round_trip(self):
@@ -133,8 +134,8 @@ class TestPoincare:
             s2 = pol.PolarizationState(s.c_h * phase, s.c_v * phase)
             np.testing.assert_allclose(s2.projector(), s.projector(),
                                        atol=1e-12)
-            np.testing.assert_allclose(pol.to_poincare(s2).as_array(),
-                                       pol.to_poincare(s).as_array(),
+            np.testing.assert_allclose(pol.to_poincare(s2),
+                                       pol.to_poincare(s),
                                        atol=1e-12)
 
 
@@ -146,13 +147,13 @@ class TestSinglet:
         assert m[1, 2] == pytest.approx(-0.5, abs=1e-12)
 
     def test_joint_hh_is_zero(self):
-        assert pol.joint_projection_probability(
+        assert joint_probability(
             pol.singlet(), pol.H, pol.H) == pytest.approx(0.0, abs=1e-12)
 
     def test_joint_da(self):
         # <DA|Psi-><Psi-|DA> by direct arithmetic:
         # <DA|Psi-> = (<HV|DA> - <VH|DA>)/sqrt2 = (1/2-(-1/2))/sqrt2 = 1/sqrt2
-        assert pol.joint_projection_probability(
+        assert joint_probability(
             pol.singlet(), pol.D, pol.A) == pytest.approx(0.5, abs=1e-12)
 
     def test_anticorrelated_in_every_basis(self):
@@ -160,7 +161,7 @@ class TestSinglet:
         rho = pol.singlet()
         for _ in range(100):
             a = random_state(rng)
-            assert pol.joint_projection_probability(rho, a, a) < 1e-10
+            assert joint_probability(rho, a, a) < 1e-10
 
     def test_u_tensor_u_invariance(self):
         rng = np.random.default_rng(6)
@@ -173,7 +174,7 @@ class TestSinglet:
 
 class TestJointProjection:
     def test_singlet_hv(self):
-        assert pol.joint_projection_probability(
+        assert joint_probability(
             pol.singlet(), pol.H, pol.V) == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed(self):
@@ -181,7 +182,7 @@ class TestJointProjection:
         rho = pol.maximally_mixed()
         for _ in range(20):
             a, b = random_state(rng), random_state(rng)
-            assert pol.joint_projection_probability(rho, a, b) == \
+            assert joint_probability(rho, a, b) == \
                 pytest.approx(0.25, abs=1e-12)
 
     def test_sums_to_one_over_joint_basis(self):
@@ -192,15 +193,15 @@ class TestJointProjection:
             rho = pol.TwoQubitDensityMatrix(m / np.trace(m).real)
             a, b = random_state(rng), random_state(rng)
             total = sum(
-                pol.joint_projection_probability(rho, x, y)
+                joint_probability(rho, x, y)
                 for x in (a, a.orthogonal()) for y in (b, b.orthogonal()))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_rho_rejected(self):
         with pytest.raises(DataError):
             pol.TwoQubitDensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]))
-        with pytest.raises(DataError):
-            pol.joint_projection_probability(np.eye(4), pol.H, pol.V)
+        with pytest.raises(DataError, match="trace"):
+            pol.TwoQubitDensityMatrix(np.eye(4))
 
 
 class TestDensityMatrixInvariants:

@@ -340,9 +340,10 @@ def strictly_increasing_loop(t):
 
 
 def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
-    """The counting-mode histogram equals the full stream's in every field;
-    returns the counting-mode stream."""
-    counted = simulate_run(m, reach_ns=lag_reach_ns(bin_us, window_bins))
+    """The counting-mode histogram, on a lag window that reaches no further
+    than the default one, equals the full stream's in every field; returns
+    the counting-mode stream."""
+    counted = simulate_run(m, counting=True)
     got = histogram_from_stream(counted, bin_us, window_bins)
     want = histogram_from_stream(simulate_run(m), bin_us, window_bins)
     assert np.array_equal(got.counts, want.counts)
@@ -369,13 +370,13 @@ def assert_records_in(part, whole, code):
 
 
 def assert_counting_is_substream(m):
-    """At the default reach, counting mode draws what the full stream draws
-    up to the clicks outside the regions: its onsets are the full stream's,
-    its APD records are some of the full stream's, the others are counted in
-    apd_dropped, and the histogram is the full stream's. Tie bumps could
-    break this; these manifests have none near a kept click. Returns the
-    counting-mode stream."""
-    counted, full = simulate_run(m, reach_ns=lag_reach_ns()), simulate_run(m)
+    """Counting mode draws what the full stream draws up to the clicks
+    outside the regions: its onsets are the full stream's, its APD records
+    are some of the full stream's, the others are counted in apd_dropped,
+    and the histogram is the full stream's. Tie bumps could break this;
+    these manifests have none near a kept click. Returns the counting-mode
+    stream."""
+    counted, full = simulate_run(m, counting=True), simulate_run(m)
     for got, want in zip(channel_columns(counted, CHANNEL_PMT_ONSET),
                          channel_columns(full, CHANNEL_PMT_ONSET)):
         assert np.array_equal(got, want)
@@ -397,19 +398,11 @@ SHORT_WINDOWS = SequenceConfig(rep_rate=5e4, cooling_ms=0.005, prep_ms=0.005,
                                detect_ms=0.01)
 
 
-def chi2_critical(dof, z=3.719):
-    """The chi-square quantile at the standard normal quantile z (3.719 for
-    p = 1e-4), by the Wilson-Hilferty approximation."""
-    a = 2.0 / (9.0 * dof)
-    return dof * (1.0 - a + z * np.sqrt(a)) ** 3
-
-
 class TestCountingMode:
-    """simulate_run(m, reach_ns) keeps every onset and every click of an
-    absorbed pair, and of the other clicks only those drawn within reach_ns
-    of an onset. At the default reach it is a sub-stream of the full stream,
-    up to tie bumps; at any reach it shares the onsets and the absorbed
-    pairs' clicks with it, and the other clicks only in law."""
+    """simulate_run(m, counting=True) keeps every onset and every click of
+    an absorbed pair, and of the other clicks only those drawn within the
+    default lag window's reach of an onset. It is a sub-stream of the full
+    stream, up to tie bumps."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ["hv", "rl", "tomo"])
@@ -446,25 +439,9 @@ class TestCountingMode:
         # full stream
         m = make_manifest(seed=4, duration_s=1e-4, sequence=ONE_NS_GAP,
                           dark_trigger_rate=9e8, false_onset_rate=3e6)
-        counted = simulate_run(m, reach_ns=lag_reach_ns())
+        counted = simulate_run(m, counting=True)
         assert counted.apd_dropped == 0 and len(counted) > 80_000
         assert counted == simulate_run(m)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_onsets_and_absorbed_clicks_at_any_reach(self, seed):
-        # at reach 0 the regions are 2 ns wide and hold almost no other
-        # click: the APD records are the absorbed pairs' clicks, which every
-        # reach keeps
-        m = make_manifest(seed=seed, duration_s=120.0, eta_herald=0.5)
-        absorbed = simulate_run(m, reach_ns=0)
-        assert len(absorbed.apd_times()) > 50
-        for other in (simulate_run(m, reach_ns=lag_reach_ns(10.0, 5)),
-                      simulate_run(m, reach_ns=lag_reach_ns()),
-                      simulate_run(m)):
-            for got, want in zip(channel_columns(absorbed, CHANNEL_PMT_ONSET),
-                                 channel_columns(other, CHANNEL_PMT_ONSET)):
-                assert np.array_equal(got, want)
-            assert_records_in(absorbed, other, CHANNEL_APD)
 
     def test_no_trials(self):
         counted = assert_counting_equals_full(make_manifest(duration_s=0.0))
@@ -542,24 +519,14 @@ class TestCountingMode:
         assert len(np.unique(pieces[0][0])) > 5 * 3
 
     def test_histograms_agree_over_seeds(self):
-        # the same seeds in both modes: onsets and absorbed pairs' clicks
-        # cancel in counted - full, and the other clicks within reach are
-        # independent draws, so each bin's difference has mean 0 and at most
-        # the variance counted + full; 5e3 to 1.5e4 coincidences per bin
-        bin_us, window_bins = 10.0, 5
-        reach_ns = lag_reach_ns(bin_us, window_bins)
-        counted, full = 0, 0
+        # +-5 bins of 10 us reach ~55 us, well inside the regions: the
+        # counting streams leave out ~2.8e3 to ~4.8e3 clicks each, and every
+        # bin, 550 to 2000 coincidences, is the full stream's
         for seed in range(8):
-            m = make_manifest(seed=seed, duration_s=0.5,
-                              sequence=SHORT_WINDOWS, dark_trigger_rate=2e5,
-                              false_onset_rate=5e3)
-            counted = counted + histogram_from_stream(
-                simulate_run(m, reach_ns=reach_ns), bin_us,
-                window_bins).counts
-            full = full + histogram_from_stream(
-                simulate_run(m), bin_us, window_bins).counts
-        chi2 = float(np.sum((counted - full) ** 2 / (counted + full)))
-        assert chi2 < chi2_critical(len(full)), (chi2, counted, full)
+            counted = assert_counting_equals_full(make_manifest(
+                seed=seed, duration_s=0.5, sequence=SHORT_WINDOWS,
+                dark_trigger_rate=2e5, false_onset_rate=5e3), 10.0, 5)
+            assert counted.apd_dropped > 1000
 
 
 class TestEventFileRoundTrip:
@@ -826,7 +793,7 @@ class TestWriterRefuses:
 
     def test_counting_mode_stream(self, tmp_path):
         stream = simulate_run(make_manifest(seed=1, duration_s=10.0),
-                              reach_ns=lag_reach_ns())
+                              counting=True)
         assert stream.apd_dropped > 0
         path = tmp_path / "never.txt"
         with pytest.raises(DataError, match="left out"):

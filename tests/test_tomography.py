@@ -20,10 +20,10 @@ def random_unitary(rng):
 
 class TestDesign:
     def test_sixteen_settings(self):
-        assert len(tom.design_16()) == 16
+        assert len(tom.DESIGN) == 16
 
     def test_contains_expected_pairs(self):
-        labels = {s.label for s in tom.design_16()}
+        labels = {s.label for s in tom.DESIGN}
         assert "HV" in labels and "RR" in labels
 
     def test_gram_matrix_full_rank(self):
