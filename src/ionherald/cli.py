@@ -24,8 +24,7 @@ from .correlate import (DEFAULT_BIN_US, DEFAULT_WINDOW_BINS, extract,
                         histogram_from_stream, write_histogram)
 from .fringes import (FringeScan, ScanPoint, fit_fringe, write_fit_record,
                       write_plot_data, write_scan)
-from .sim import (CHANNEL_APD, RunManifest, read_events, simulate_run,
-                  write_events)
+from .sim import RunManifest, read_events, simulate_run, write_events
 from . import tomography as tom
 
 EXIT_OK = 0
@@ -164,9 +163,9 @@ def cmd_simulate(args) -> int:
     manifest = _apply_overrides(manifest, _parse_override_args(args.override))
     stream = simulate_run(manifest)
     write_events(stream, args.out)
-    n_apd = np.count_nonzero(stream.channel == CHANNEL_APD)
     print(f"simulated {manifest.n_trials} trials: "
-          f"{n_apd} APD, {len(stream) - n_apd} onsets -> {args.out}")
+          f"{len(stream.apd_ns)} APD, {len(stream.onset_ns)} onsets "
+          f"-> {args.out}")
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ the background is the mean over the whole histogram window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,9 +66,9 @@ class CoincidenceResult:
     signal_is_peak: bool
 
 
-def _check_sorted(t: np.ndarray, name: str, after=None):
-    """t must not decrease, nor start below `after`."""
-    if np.any(t[1:] < t[:-1]) or (after is not None and t[0] < after):
+def _check_sorted(t: np.ndarray, name: str):
+    """t must not decrease."""
+    if np.any(t[1:] < t[:-1]):
         raise DataError(f"{name} events are not time-ordered")
 
 
@@ -147,36 +147,12 @@ def _lag_counts(apd, onsets, window) -> np.ndarray:
 
 def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
                           window_bins: int = DEFAULT_WINDOW_BINS) -> CoincidenceHistogram:
-    """Histogram of a stream whose channels are each in time order; the two
-    channels' records may interleave in any order. APD clicks a
-    counting-mode stream left out (``apd_dropped``) still count in
-    total_apd.
-
-    The onsets are gathered first. Then each block of records
-    (``stream.blocks()``) has its APD stamps binned against the onsets
-    within the lag window of them, so no array of the stream's length is
-    made."""
-    _, below, above = window = _lag_window_ns(bin_width_us, window_bins)
-    blocks = list(stream.blocks())
-    onsets = np.concatenate([np.empty(0, np.int64)] + [
-        stream.onset_times(part) for part in blocks])
-    _check_sorted(onsets, "onset")
-    counts = np.zeros(2 * window_bins + 1, np.int64)
-    n_apd, last = 0, None
-    for part in blocks:
-        apd = np.asarray(stream.apd_times(part), dtype=np.int64)
-        if len(apd):
-            _check_sorted(apd, "APD", last)
-            # onsets outside [apd[0] - below, apd[-1] + above) meet no click
-            near = onsets[np.searchsorted(onsets, apd[0] - below):
-                          np.searchsorted(onsets, apd[-1] + above)]
-            counts += _lag_counts(apd, near, window)
-            n_apd, last = n_apd + len(apd), apd[-1]
-        del apd     # before the next block's stamps are taken
-    return CoincidenceHistogram(
-        bin_width_us, np.arange(-window_bins, window_bins + 1), counts,
-        int(n_apd + stream.apd_dropped), len(onsets),
-        float(stream.manifest.duration_s))
+    """Histogram of a stream's two channels, each in time order, over the
+    run's duration. APD clicks a counting-mode stream left out
+    (``apd_dropped``) still count in total_apd."""
+    hist = histogram(stream.apd_ns, stream.onset_ns, bin_width_us,
+                     window_bins, stream.manifest.duration_s)
+    return replace(hist, total_apd=hist.total_apd + int(stream.apd_dropped))
 
 
 def extract(hist: CoincidenceHistogram) -> CoincidenceResult:

@@ -53,10 +53,6 @@ class PolarizationState:
     def vector(self) -> np.ndarray:
         return np.array([self.c_h, self.c_v], dtype=complex)
 
-    def orthogonal(self) -> "PolarizationState":
-        """The unique (up to phase) state with zero overlap."""
-        return PolarizationState(-np.conj(self.c_v), np.conj(self.c_h))
-
     def projector(self) -> np.ndarray:
         v = self.vector
         return np.outer(v, v.conj())
@@ -155,11 +151,6 @@ class TwoQubitDensityMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return self.entries
-
-    def rotated(self, u_a: np.ndarray, u_b: np.ndarray) -> "TwoQubitDensityMatrix":
-        """Apply local unitaries: rho -> (Ua x Ub) rho (Ua x Ub)^dagger."""
-        u = np.kron(u_a, u_b)
-        return TwoQubitDensityMatrix(u @ self.entries @ u.conj().T)
 
 
 def pure_state_dm(amplitudes) -> TwoQubitDensityMatrix:

@@ -39,12 +39,14 @@ histogram whose lags span at most that reach is the full stream's. An event
 file promises the full stream: ``write_events`` refuses a stream with
 ``apd_dropped > 0``.
 
-A finalized stream is in time order. Where an APD and a PMT_ONSET record share
-a nanosecond stamp, the APD record comes first. Within one channel, stamps
-that tie after rounding are bumped +1 ns until they strictly increase, so each
-channel's stamps are unique. Detection windows of adjacent trials are at least
-1 ns apart, so stamps only tie within one trial and time order is also trial
-order.
+A finalized stream holds one (trial, t_ns) column pair per channel, each
+in time order. Within one channel, stamps that tie after rounding are bumped
++1 ns until they strictly increase, so each channel's stamps are unique.
+Detection windows of adjacent trials are at least 1 ns apart, so stamps only
+tie within one trial and time order is also trial order. ``write_events``
+interleaves the two channels into one time-ordered file; where an APD and a
+PMT_ONSET record share a nanosecond stamp, the APD record comes first.
+``read_events`` takes the two channels' records interleaved in any order.
 
 An event file is text. Its first line is ``#MANIFEST `` followed by the
 manifest as one JSON object. Every later line is a record or blank::
@@ -202,36 +204,39 @@ class RunManifest:
 
 @dataclass
 class EventStream:
-    """Column-oriented event stream (one run), time-ordered after finalize()."""
+    """One run's records: a (trial, t_ns) column pair per channel, each in
+    time order after finalize()."""
 
-    trial: np.ndarray       # int64
-    channel: np.ndarray     # int8, CHANNEL_APD / CHANNEL_PMT_ONSET
-    t_ns: np.ndarray        # int64
+    apd_trial: np.ndarray   # int64
+    apd_ns: np.ndarray      # int64
+    onset_trial: np.ndarray
+    onset_ns: np.ndarray
     manifest: RunManifest
     apd_dropped: int = 0    # APD clicks left out in counting mode
 
     def __len__(self):
-        return len(self.t_ns)
+        return len(self.apd_ns) + len(self.onset_ns)
 
-    def blocks(self):
-        """Slices of CHECK_BLOCK records that cover the stream."""
-        return _chunks(len(self))
+    def apd_times(self) -> np.ndarray:
+        return self.apd_ns
 
-    def apd_times(self, part: slice = slice(None)) -> np.ndarray:
-        """The APD stamps of the records in part, by default of all."""
-        return self.t_ns[part][self.channel[part] == CHANNEL_APD]
+    def onset_times(self) -> np.ndarray:
+        return self.onset_ns
 
-    def onset_times(self, part: slice = slice(None)) -> np.ndarray:
-        """The PMT_ONSET stamps of the records in part, by default of all."""
-        return self.t_ns[part][self.channel[part] == CHANNEL_PMT_ONSET]
+    def channels(self):
+        """(code, trial, t_ns) of each channel, APD first."""
+        return ((CHANNEL_APD, self.apd_trial, self.apd_ns),
+                (CHANNEL_PMT_ONSET, self.onset_trial, self.onset_ns))
 
     def __eq__(self, other):
         if not isinstance(other, EventStream):
             return NotImplemented
-        return (np.array_equal(self.trial, other.trial)
-                and np.array_equal(self.channel, other.channel)
-                and np.array_equal(self.t_ns, other.t_ns)
-                and self.apd_dropped == other.apd_dropped)
+        return (all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("apd_trial", "apd_ns", "onset_trial",
+                                 "onset_ns"))
+                and self.apd_dropped == other.apd_dropped
+                and manifest_to_dict(self.manifest)
+                == manifest_to_dict(other.manifest))
 
 
 def _strictly_increasing(t: np.ndarray) -> None:
@@ -254,54 +259,27 @@ def _strictly_increasing(t: np.ndarray) -> None:
         block += i
 
 
-def _finalize(t_ns, apd_per_trial, onset_ns, onset_per_trial,
+def _finalize(apd_ns, apd_per_trial, onset_ns, onset_per_trial,
               manifest) -> EventStream:
-    """Merge the APD and onset stamps into one stream in the output order
-    (see the module docstring).
+    """The stream of the APD and onset stamps, given in any order, and of
+    each channel's records per trial (see the module docstring).
 
-    t_ns holds the APD stamps in its head, in any order, and room for the
-    onset_ns stamps at its tail; it becomes the stream's t_ns column. The
-    APD head and onset_ns are sorted and tie-bumped in place. Then the
-    onsets are merged in, CHECK_BLOCK APD stamps at a time from the end:
-    APD stamp i moves right by the number of onsets that go before it, and
-    the onsets fill the gaps. Besides the output columns, only a block of
-    stamps and arrays of one entry per onset or per trial are held.
-
-    *_per_trial count each trial's records in the channel. Time order is
-    trial order, so a channel's trial column is its counts laid out in trial
-    order: each record takes the trial of its position within its own
-    channel.
-    """
-    n_apd = len(t_ns) - len(onset_ns)
-    for t in (t_ns[:n_apd], onset_ns):
+    Each channel's stamps are sorted and tie-bumped in place and become its
+    t_ns column. Time order is trial order, so its trial column is its
+    counts laid out in trial order: each record takes the trial of its
+    position within its channel."""
+    for t in (apd_ns, onset_ns):
         t.sort()
         _strictly_increasing(t)
-    # each onset goes after every APD stamp <= its own
-    before = np.searchsorted(t_ns[:n_apd], onset_ns, side="right")
-    at = before + np.arange(len(onset_ns))
-    # the onsets after every APD stamp end the column; each block of APD
-    # stamps takes in the onsets that go just before one of its stamps, and
-    # moves right by the number of onsets before the block. No stamp moves
-    # left, so going from the end overwrites only stamps already moved.
-    tail = np.searchsorted(before, n_apd)
-    t_ns[n_apd + tail:] = onset_ns[tail:]
-    for part in reversed(list(_chunks(n_apd))):
-        k0, k1 = np.searchsorted(before, [part.start, part.stop])
-        t_ns[part.start + k0:part.stop + k1] = np.insert(
-            t_ns[part], before[k0:k1] - part.start, onset_ns[k0:k1])
-    channel = np.full(len(t_ns), CHANNEL_APD, dtype=np.int8)
-    channel[at] = CHANNEL_PMT_ONSET
-    # each trial's run of APD records, widened by the onsets that go into
-    # it or at its end; then each onset takes its own trial
-    runs = np.flatnonzero(apd_per_trial > 0)
-    width = apd_per_trial[runs] + np.bincount(
-        np.searchsorted(np.cumsum(apd_per_trial[runs]), before),
-        minlength=len(runs))
-    trial = np.repeat(runs, width) if len(runs) \
-        else np.empty(len(t_ns), dtype=np.int64)
-    onsets = np.flatnonzero(onset_per_trial > 0)
-    trial[at] = np.repeat(onsets, onset_per_trial[onsets])
-    return EventStream(trial, channel, t_ns, manifest)
+    return EventStream(_trial_column(apd_per_trial), apd_ns,
+                       _trial_column(onset_per_trial), onset_ns, manifest)
+
+
+def _trial_column(per_trial):
+    """Each trial laid out as many times as it has records, in trial
+    order."""
+    trials = np.flatnonzero(per_trial)
+    return np.repeat(trials, per_trial[trials])
 
 
 def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
@@ -353,20 +331,20 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     n_near = int(near_count.sum())
     n_far = rng.poisson(b_rate * max(run_s - near[2].sum(), 0.0))
 
-    # the APD stamps go into the head of the stream's t_ns column
+    # the APD stamps, drawn straight into the stream's column
     n_apd = n_a + n_near + (0 if counting else n_far)
-    t_ns = np.empty(n_apd + len(onset_ns), dtype=np.int64)
-    t_ns[:n_a] = np.rint(a_t * 1e9)
+    apd_ns = np.empty(n_apd, dtype=np.int64)
+    apd_ns[:n_a] = np.rint(a_t * 1e9)
     per_trial = np.bincount(a_trial, minlength=n_trials)
-    _stamp_uniform(rng, t_ns[n_a:n_a + n_near], near, near_count, seq)
+    _stamp_uniform(rng, apd_ns[n_a:n_a + n_near], near, near_count, seq)
     np.add.at(per_trial, near[0], near_count)
     if not counting and n_far:
         far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
                       n_trials)
         far_count = rng.multinomial(n_far, far[2] / far[2].sum())
-        _stamp_uniform(rng, t_ns[n_a + n_near:n_apd], far, far_count, seq)
+        _stamp_uniform(rng, apd_ns[n_a + n_near:n_apd], far, far_count, seq)
         np.add.at(per_trial, far[0], far_count)
-    stream = _finalize(t_ns, per_trial, onset_ns,
+    stream = _finalize(apd_ns, per_trial, onset_ns,
                        np.bincount(onset_trial, minlength=n_trials), m)
     stream.apd_dropped = n_far if counting else 0
     return stream
@@ -494,30 +472,39 @@ def write_events(stream: EventStream, path) -> None:
     """Write a finalized stream: manifest line, then one tab-separated record
     per line (trial, channel, t_ns, phase). Timestamps stay exact integers.
 
-    A stream whose records the grammar in the module docstring cannot hold
-    is refused before the file is opened."""
+    The two channels are interleaved in time order, WRITE_BLOCK records at
+    a time: each onset goes after every APD stamp <= its own. A stream
+    whose records the grammar in the module docstring cannot hold is
+    refused before the file is opened."""
     if stream.apd_dropped:
         raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
                         "APD clicks; its manifest promises them all")
-    for name, column in (("trial", stream.trial), ("t_ns", stream.t_ns)):
-        if len(column) and not (column.min() >= 0
-                                and column.max() < 10 ** MAX_DIGITS):
-            raise DataError(f"{name} outside [0, 1e{MAX_DIGITS}): not "
-                            f"writable as 1 to {MAX_DIGITS} digits")
-    # the two codes are 0 and 1
-    if len(stream) and not (stream.channel.min() >= CHANNEL_APD
-                            and stream.channel.max() <= CHANNEL_PMT_ONSET):
-        raise DataError("stream has a channel code other than APD/PMT_ONSET")
+    for _, *columns in stream.channels():
+        for name, column in zip(("trial", "t_ns"), columns):
+            if len(column) and not (column.min() >= 0
+                                    and column.max() < 10 ** MAX_DIGITS):
+                raise DataError(f"{name} outside [0, 1e{MAX_DIGITS}): not "
+                                f"writable as 1 to {MAX_DIGITS} digits")
     if _unordered_channel(stream) is not None:
         raise DataError("stream not finalized: non-monotone timestamps")
     header = FILE_MAGIC + json.dumps(manifest_to_dict(stream.manifest),
                                      sort_keys=True, separators=(",", ":"))
+    before = np.searchsorted(stream.apd_ns, stream.onset_ns, side="right")
+    at = before + np.arange(len(before))    # the onsets' places in the file
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for i in range(0, len(stream), WRITE_BLOCK):
-            block = slice(i, i + WRITE_BLOCK)
-            fh.write(_record_text(stream.trial[block], stream.channel[block],
-                                  stream.t_ns[block]))
+            # the onsets and APD records of this block of records
+            k0, k1 = np.searchsorted(at, [i, i + WRITE_BLOCK])
+            a0, a1 = i - k0, min(i + WRITE_BLOCK, len(stream)) - k1
+            gaps = before[k0:k1] - a0
+            onset = np.zeros(a1 - a0 + k1 - k0, bool)
+            onset[at[k0:k1] - i] = True
+            fh.write(_record_text(
+                np.insert(stream.apd_trial[a0:a1], gaps,
+                          stream.onset_trial[k0:k1]),
+                onset,
+                np.insert(stream.apd_ns[a0:a1], gaps, stream.onset_ns[k0:k1])))
 
 
 def read_events(path) -> EventStream:
@@ -525,7 +512,8 @@ def read_events(path) -> EventStream:
 
     The file is read twice, in blocks of READ_BLOCK bytes: once to count its
     line ends, which bounds its number of records, and once to parse each
-    block, cut after its last line end, straight into the columns. Besides
+    block, cut after its last line end, straight into each channel's
+    columns. The onset columns hold one record per trial at most. Besides
     the columns, one block and its parse are held; the order and window
     checks then run CHECK_BLOCK records at a time. The path must name a
     file that can be read again."""
@@ -540,19 +528,28 @@ def read_events(path) -> EventStream:
         # a record is a line of at least _MIN_RECORD bytes with its line
         # end, and the last line end is optional
         n_max = min(lines + 1, (size + 1) // _MIN_RECORD)
-        columns = (np.empty(n_max, np.int64), np.empty(n_max, np.int8),
-                   np.empty(n_max, np.int64))
-        n, lineno, rest = 0, 2, b""
+        columns = [(np.empty(n, np.int64), np.empty(n, np.int64))
+                   for n in (n_max, min(n_max, n_trials))]
+        filled, lineno, rest = [0, 0], 2, b""   # records of each channel
 
         def parse(buf):
-            nonlocal n, lineno
-            records, k = _parse_records(buf, path, lineno, n_trials)
-            stop = n + len(records[0])
-            if stop > n_max:
+            nonlocal lineno
+            (trial, onset, t_ns), k = _parse_records(buf, path, lineno,
+                                                     n_trials)
+            if sum(filled) + len(trial) > n_max:
                 raise DataError(f"{path}: changed while it was read")
-            for column, values in zip(columns, records):
-                column[n:stop] = values
-            n, lineno = stop, lineno + k
+            for code, pick in ((CHANNEL_APD, ~onset),
+                               (CHANNEL_PMT_ONSET, onset)):
+                n = filled[code]
+                stop = n + np.count_nonzero(pick)
+                # more onsets than trials
+                if stop > len(columns[code][0]):
+                    raise DataError(f"{path}: multiple PMT_ONSET records in "
+                                    f"one trial")
+                for column, values in zip(columns[code], (trial, t_ns)):
+                    column[n:stop] = values[pick]
+                filled[code] = stop
+            lineno += k
 
         while chunk := fh.read(READ_BLOCK):
             block = rest + chunk
@@ -565,22 +562,25 @@ def read_events(path) -> EventStream:
                 parse(rest + b"\n")
         if rest:                        # the last line end is optional
             parse(rest + b"\n")
-    stream = EventStream(*(column[:n] for column in columns),
-                         manifest=manifest)
+    stream = EventStream(*(column[:n] for pair, n in zip(columns, filled)
+                           for column in pair), manifest=manifest)
     code = _unordered_channel(stream)
     if code is not None:
         raise DataError(f"{path}: non-monotone timestamps in channel "
                         f"{CHANNEL_NAMES[code]}")
     # at most one onset per trial is a hard invariant of the format
-    onset_trials = stream.trial[stream.channel == CHANNEL_PMT_ONSET]
-    if len(onset_trials) != len(np.unique(onset_trials)):
+    if len(stream.onset_trial) != len(np.unique(stream.onset_trial)):
         raise DataError(f"{path}: multiple PMT_ONSET records in one trial")
-    i = _first_outside_window(stream)
-    if i is not None:
-        raise DataError(f"{path}: line {_record_line(path, i)}: "
-                        f"{CHANNEL_NAMES[stream.channel[i]]} stamp "
-                        f"{stream.t_ns[i]} outside the detection window of "
-                        f"trial {stream.trial[i]}")
+    outside = []
+    for code, trial, t_ns in stream.channels():
+        i = _first_outside_window(manifest, trial, t_ns)
+        if i is not None:
+            outside.append((_record_line(path, code, i), code, trial[i],
+                            t_ns[i]))
+    if outside:
+        line, code, trial, t = min(outside)
+        raise DataError(f"{path}: line {line}: {CHANNEL_NAMES[code]} stamp "
+                        f"{t} outside the detection window of trial {trial}")
     return stream
 
 
@@ -592,46 +592,40 @@ def _chunks(n: int):
 
 def _unordered_channel(stream: EventStream) -> int | None:
     """The first channel, APD before PMT_ONSET, whose stamps do not strictly
-    increase, or None; the stamps must be >= 0."""
-    for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
-        last = np.array([-1])
-        for part in _chunks(len(stream)):
-            t = np.concatenate(
-                [last, stream.t_ns[part][stream.channel[part] == code]])
-            if np.any(t[1:] <= t[:-1]):
+    increase, or None."""
+    for code, _, t in stream.channels():
+        # stamp k + 1 against stamp k
+        for part in _chunks(len(t) - 1):
+            if np.any(t[part.start + 1:part.stop + 1] <= t[part]):
                 return code
-            last = t[-1:]
     return None
 
 
-def _first_outside_window(stream: EventStream) -> int | None:
-    """Index of the first record whose stamp lies outside its trial's
-    detection window, widened by k - 1 ns for k records of the trial in the
+def _first_outside_window(m: RunManifest, trial, t_ns) -> int | None:
+    """Index of a channel's first stamp that lies outside its trial's
+    detection window, widened by k - 1 ns for k stamps of the trial in the
     channel, or None."""
-    seq, n_trials = stream.manifest.sequence, stream.manifest.n_trials
-    if n_trials <= len(stream):
-        trials, index = np.arange(n_trials), stream.trial
+    if m.n_trials <= len(trial):
+        trials, index = np.arange(m.n_trials), trial
     else:                   # fewer records than trials: number those seen
-        trials, index = np.unique(stream.trial, return_inverse=True)
-    t_start = np.repeat(_window_start(trials, seq), 2)
-    counts = np.zeros(len(t_start), np.int64)
-    for part in _chunks(len(stream)):
-        np.add.at(counts, 2 * index[part] + stream.channel[part], 1)
-    lo, hi = _stamp_range(t_start, seq.detect_s, counts)
-    for part in _chunks(len(stream)):
-        key = 2 * index[part] + stream.channel[part]
-        t = stream.t_ns[part]
+        trials, index = np.unique(trial, return_inverse=True)
+    lo, hi = _stamp_range(_window_start(trials, m.sequence),
+                          m.sequence.detect_s,
+                          np.bincount(index, minlength=len(trials)))
+    for part in _chunks(len(t_ns)):
+        key, t = index[part], t_ns[part]
         outside = np.flatnonzero((t < lo[key]) | (t > hi[key]))
         if len(outside):
             return part.start + int(outside[0])
     return None
 
 
-def _record_line(path, index: int) -> int:
-    """File line number of the record at `index`; blank lines are skipped."""
+def _record_line(path, code: int, index: int) -> int:
+    """File line number of the channel's record at `index`."""
+    name = b"\t%s\t" % CHANNEL_NAMES[code].encode()
     with open(path, "rb") as fh:
         lines = (k for k, text in enumerate(fh, start=1)
-                 if k > 1 and text.strip(b"\r\n"))
+                 if k > 1 and name in text)
         return next(itertools.islice(lines, index, None))
 
 
@@ -668,15 +662,15 @@ def _put_digits(rows: np.ndarray, v: np.ndarray, stop: int, width: int):
     rows[:, stop - width:stop] = quads.view(np.uint8)[:, -width:]
 
 
-def _record_text(trial, channel, t_ns) -> np.ndarray:
-    """The file text of a block of records, as uint8.
+def _record_text(trial, onset, t_ns) -> np.ndarray:
+    """The file text of a block of records, as uint8; onset marks the
+    PMT_ONSET records.
 
     Each record is laid out in a row wide enough for the block's longest
     trial, channel name and t_ns; then the bytes that pad shorter ones are
     dropped."""
     n_trial, w_trial = _digit_counts(trial)
     n_t, w_t = _digit_counts(t_ns)
-    onset = channel == CHANNEL_PMT_ONSET
     at = np.flatnonzero(onset)
     w_name = len(_PMT_ONSET) if len(at) else len("APD")
     layout = b"%s\t%s\t%s\tDETECT\n" % (b"0" * w_trial, b"APD".ljust(w_name),
@@ -717,8 +711,8 @@ def _reject_non_finite(name: str):
 
 
 def _parse_records(buf: bytes, path, lineno: int, n_trials: int):
-    """The trial, channel and t_ns columns of the records in `buf`, whose
-    every line ends in LF, and its number of lines; `lineno` is the file
+    """The trial, PMT_ONSET mask and t_ns columns of the records in `buf`,
+    whose every line ends in LF, and its number of lines; `lineno` is the file
     line number of its first line. A trial must be below n_trials.
 
     Each check runs over all lines at once; DataError names the first line
@@ -775,9 +769,7 @@ def _parse_records(buf: bytes, path, lineno: int, n_trials: int):
         i = late[0]
         raise DataError(f"{path}: line {lineno + line[i]}: trial {trial[i]} "
                         f"outside the manifest's {n_trials} trials")
-    return (trial,
-            np.where(onset, CHANNEL_PMT_ONSET, CHANNEL_APD).astype(np.int8),
-            _field_values(a, tab3, n_t)), len(ends)
+    return (trial, onset, _field_values(a, tab3, n_t)), len(ends)
 
 
 def _field_values(a: np.ndarray, stop: np.ndarray, length: np.ndarray):

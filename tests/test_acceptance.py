@@ -20,8 +20,7 @@ from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
 from ionherald.cli import reproduce_paper, run_scan, run_tomography
 from ionherald.correlate import extract, histogram, histogram_from_stream
 from ionherald.fringes import FringeScan, ScanPoint, fit_fringe
-from ionherald.sim import (CHANNEL_PMT_ONSET, RateConfig, RunManifest,
-                           SequenceConfig, simulate_run)
+from ionherald.sim import RateConfig, RunManifest, SequenceConfig, simulate_run
 
 N_SEEDS = 20
 
@@ -194,7 +193,7 @@ def test_criterion_6_correlator_property_suite():
                          false_onset_rate=2.0))
     assert manifest.n_trials == 1_000_000
     stream = simulate_run(manifest)
-    onset_trials = stream.trial[stream.channel == CHANNEL_PMT_ONSET]
+    onset_trials = stream.onset_trial
     one_onset_ok = len(np.unique(onset_trials)) == len(onset_trials)
     assert one_onset_ok, "a trial produced two fluorescence onsets"
     record_acceptance(

@@ -18,6 +18,17 @@ def random_unitary(rng, n=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def orthogonal(s):
+    """The unique (up to phase) state with zero overlap."""
+    return pol.PolarizationState(-np.conj(s.c_v), np.conj(s.c_h))
+
+
+def rotated(rho, u_a, u_b):
+    """Apply local unitaries: rho -> (Ua x Ub) rho (Ua x Ub)^dagger."""
+    u = np.kron(u_a, u_b)
+    return pol.TwoQubitDensityMatrix(u @ rho.matrix @ u.conj().T)
+
+
 class TestPolarizationState:
     def test_normalization_enforced(self):
         s = pol.PolarizationState(1.0 + 1e-8, 0.0)
@@ -38,7 +49,7 @@ class TestPolarizationState:
         rng = np.random.default_rng(0)
         for _ in range(50):
             s = random_state(rng)
-            assert pol.overlap(s, s.orthogonal()) < 1e-24
+            assert pol.overlap(s, orthogonal(s)) < 1e-24
 
 
 class TestOverlap:
@@ -67,7 +78,7 @@ class TestOverlap:
         rng = np.random.default_rng(2)
         for _ in range(100):
             a, b = random_state(rng), random_state(rng)
-            total = pol.overlap(a, b) + pol.overlap(a, b.orthogonal())
+            total = pol.overlap(a, b) + pol.overlap(a, orthogonal(b))
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -108,7 +119,7 @@ class TestPoincare:
             s = random_state(rng)
             v = pol.to_poincare(s)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
-            w = pol.to_poincare(s.orthogonal())
+            w = pol.to_poincare(orthogonal(s))
             assert float(v @ w) == pytest.approx(-1.0, abs=1e-9)
 
     def test_round_trip(self):
@@ -168,8 +179,8 @@ class TestSinglet:
         rho = pol.singlet()
         for _ in range(20):
             u = random_unitary(rng)
-            rotated = rho.rotated(u, u)
-            np.testing.assert_allclose(rotated.matrix, rho.matrix, atol=1e-10)
+            rot = rotated(rho, u, u)
+            np.testing.assert_allclose(rot.matrix, rho.matrix, atol=1e-10)
 
 
 class TestJointProjection:
@@ -194,7 +205,7 @@ class TestJointProjection:
             a, b = random_state(rng), random_state(rng)
             total = sum(
                 joint_probability(rho, x, y)
-                for x in (a, a.orthogonal()) for y in (b, b.orthogonal()))
+                for x in (a, orthogonal(a)) for y in (b, orthogonal(b)))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_rho_rejected(self):

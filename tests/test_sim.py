@@ -117,15 +117,15 @@ class TestSimulateRun:
         m = make_manifest(seed=5, duration_s=30.0)
         stream = simulate_run(m)
         seq = m.sequence
-        t = stream.t_ns / 1e9
-        offset = t - stream.trial * seq.period_s
-        assert np.all(offset >= seq.detect_offset_s - 1e-9)
-        assert np.all(offset <= seq.detect_offset_s + seq.detect_s + 1e-6)
+        for _, trial, t_ns in stream.channels():
+            offset = t_ns / 1e9 - trial * seq.period_s
+            assert np.all(offset >= seq.detect_offset_s - 1e-9)
+            assert np.all(offset <= seq.detect_offset_s + seq.detect_s + 1e-6)
 
     def test_at_most_one_onset_per_trial(self):
         m = make_manifest(seed=7, duration_s=120.0, false_onset_rate=20.0)
         stream = simulate_run(m)
-        trials = stream.trial[stream.channel == CHANNEL_PMT_ONSET]
+        trials = stream.onset_trial
         assert len(trials) > 100
         assert len(np.unique(trials)) == len(trials)
 
@@ -174,16 +174,28 @@ class TestSimulateRun:
         assert abs(ratio - expected) < 3.0 * sigma
 
 
+def file_columns(stream):
+    """The trial, channel and t_ns columns of the stream's records in file
+    order: one np.insert of each whole column, each onset after every APD
+    stamp <= its own."""
+    before = np.searchsorted(stream.apd_ns, stream.onset_ns, side="right")
+    channel = np.full(len(stream.apd_ns), CHANNEL_APD, np.int8)
+    return (np.insert(stream.apd_trial, before, stream.onset_trial),
+            np.insert(channel, before, CHANNEL_PMT_ONSET),
+            np.insert(stream.apd_ns, before, stream.onset_ns))
+
+
 def stream_digest(stream):
     h = hashlib.sha256()
-    for column in (stream.trial, stream.channel, stream.t_ns):
+    for column in file_columns(stream):
         h.update(column.tobytes())
     return h.hexdigest()
 
 
 class TestStreamPins:
-    """Byte digests of the trial, channel and t_ns columns: any change to the
-    random draws or to the output order of a stream fails here."""
+    """Byte digests of the trial, channel and t_ns columns in file order: any
+    change to the random draws or to the output order of a stream fails
+    here."""
 
     @pytest.fixture(autouse=True)
     def _pinned_numpy(self):
@@ -212,32 +224,31 @@ def ns(*values):
     return np.array(values, dtype=np.int64)
 
 
-def finalize(apd_ns, apd_per_trial, onset_ns, onset_per_trial, manifest):
-    """_finalize of APD stamps that head a column with room for the onsets."""
-    t_ns = np.concatenate([apd_ns, np.zeros_like(onset_ns)])
-    return _finalize(t_ns, apd_per_trial, onset_ns, onset_per_trial,
-                     manifest)
-
-
 class TestFinalize:
     def test_output_order(self):
         m = make_manifest(seed=0, duration_s=0.1)
         # unsorted APD clicks: two tie at 200 ns, the later of them is bumped
         # to 201; onsets tie with an APD stamp at 100 and with the bumped one
-        stream = finalize(ns(300, 200, 100, 200), ns(4), ns(201, 100),
-                          ns(2), m)
+        stream = _finalize(ns(300, 200, 100, 200), ns(4), ns(201, 100),
+                           ns(2), m)
+        assert stream.apd_ns.tolist() == [100, 200, 201, 300]
+        assert stream.onset_ns.tolist() == [100, 201]
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
-        assert stream.t_ns.tolist() == [100, 100, 200, 201, 201, 300]
-        assert stream.channel.tolist() == [apd, onset, apd, apd, onset, apd]
-        assert stream.trial.tolist() == [0] * 6
+        trial, channel, t_ns = file_columns(stream)
+        assert t_ns.tolist() == [100, 100, 200, 201, 201, 300]
+        assert channel.tolist() == [apd, onset, apd, apd, onset, apd]
+        assert trial.tolist() == [0] * 6
 
     def test_trial_column_follows_time(self):
         m = make_manifest(seed=0, duration_s=0.3)
-        stream = finalize(ns(250, 50, 150, 60), ns(2, 1, 1), ns(160),
-                          ns(0, 1, 0), m)
-        assert stream.t_ns.tolist() == [50, 60, 150, 160, 250]
-        assert stream.trial.tolist() == [0, 0, 1, 1, 2]
-        assert stream.channel.tolist() == [CHANNEL_APD] * 3 + [
+        stream = _finalize(ns(250, 50, 150, 60), ns(2, 1, 1), ns(160),
+                           ns(0, 1, 0), m)
+        assert stream.apd_trial.tolist() == [0, 0, 1, 2]
+        assert stream.onset_trial.tolist() == [1]
+        trial, channel, t_ns = file_columns(stream)
+        assert t_ns.tolist() == [50, 60, 150, 160, 250]
+        assert trial.tolist() == [0, 0, 1, 1, 2]
+        assert channel.tolist() == [CHANNEL_APD] * 3 + [
             CHANNEL_PMT_ONSET, CHANNEL_APD]
 
     def test_tie_cascade_across_windows(self):
@@ -245,33 +256,34 @@ class TestFinalize:
         # clicks tied at 200 ns are bumped to 200, 201 and 202, and push
         # trial 1's click from 202 to 203; each record keeps the trial of
         # its position in its channel
-        stream = finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
-                          ns(0, 1), None)
-        assert stream.t_ns.tolist() == [200, 201, 202, 203, 290]
-        assert stream.trial.tolist() == [0, 0, 0, 1, 1]
+        stream = _finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
+                           ns(0, 1), None)
+        assert stream.apd_ns.tolist() == [200, 201, 202, 203]
+        assert stream.apd_trial.tolist() == [0, 0, 0, 1]
+        assert (stream.onset_trial.tolist(), stream.onset_ns.tolist()) \
+            == ([1], [290])
 
     def test_onset_inside_a_run_of_clicks(self):
         # onsets between the clicks of one trial, one at the run's end and
         # one before the next trial's clicks, with empty trials between
-        stream = finalize(ns(10, 20, 30, 700, 710), ns(3, 0, 0, 2, 0),
-                          ns(15, 30, 705), ns(1, 0, 0, 1, 1), None)
+        stream = _finalize(ns(10, 20, 30, 700, 710), ns(3, 0, 0, 2, 0),
+                           ns(15, 30, 705), ns(1, 0, 0, 1, 1), None)
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
-        assert stream.t_ns.tolist() == [10, 15, 20, 30, 30, 700, 705, 710]
-        assert stream.channel.tolist() == [apd, onset, apd, apd, onset, apd,
-                                           onset, apd]
-        assert stream.trial.tolist() == [0, 0, 0, 0, 3, 3, 4, 3]
+        trial, channel, t_ns = file_columns(stream)
+        assert t_ns.tolist() == [10, 15, 20, 30, 30, 700, 705, 710]
+        assert channel.tolist() == [apd, onset, apd, apd, onset, apd, onset,
+                                    apd]
+        assert trial.tolist() == [0, 0, 0, 0, 3, 3, 4, 3]
 
     def test_no_record_sized_temporary(self):
-        # ~1 M records: the column that holds the APD stamps becomes the
-        # stream's t_ns, and besides the trial and channel columns _finalize
-        # holds a few blocks of CHECK_BLOCK stamps
+        # ~1 M records: the arrays of stamps become the stream's t_ns
+        # columns, and besides the trial columns _finalize holds a few
+        # blocks of CHECK_BLOCK stamps
         rng = np.random.default_rng(1)
         n_trials = 20_000
         apd_trial = np.sort(rng.integers(0, n_trials, 1_000_000))
         onset_trial = np.unique(rng.integers(0, n_trials, 5_000))
-        t_ns = np.empty(len(apd_trial) + len(onset_trial), dtype=np.int64)
-        t_ns[:len(apd_trial)] = apd_trial * 100_000 + rng.integers(
-            0, 50_000, len(apd_trial))
+        apd_ns = apd_trial * 100_000 + rng.integers(0, 50_000, len(apd_trial))
         onset_ns = onset_trial * 100_000 + 25_000
         apd_per_trial = np.bincount(apd_trial, minlength=n_trials)
         onset_per_trial = np.bincount(onset_trial, minlength=n_trials)
@@ -279,19 +291,17 @@ class TestFinalize:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            stream = _finalize(t_ns, apd_per_trial, onset_ns,
+            stream = _finalize(apd_ns, apd_per_trial, onset_ns,
                                onset_per_trial, None)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert stream.t_ns is t_ns
-        outputs = stream.trial.nbytes + stream.channel.nbytes
+        assert stream.apd_ns is apd_ns and stream.onset_ns is onset_ns
+        outputs = stream.apd_trial.nbytes + stream.onset_trial.nbytes
         assert peak - outputs < 4 * 8 * sim.CHECK_BLOCK, (peak, outputs)
-        # the labels of the per-channel layout
-        at = stream.channel == CHANNEL_APD
-        assert np.array_equal(stream.trial[at], np.repeat(
+        assert np.array_equal(stream.apd_trial, np.repeat(
             np.arange(n_trials), apd_per_trial))
-        assert np.array_equal(stream.trial[~at], onset_trial)
+        assert np.array_equal(stream.onset_trial, onset_trial)
 
     def test_tie_bumps_match_pass_loop(self):
         # sorted stamps with long tie runs, some cascading into the next
@@ -308,24 +318,28 @@ class TestFinalize:
             assert np.array_equal(bumped, strictly_increasing_loop(t))
 
     @pytest.mark.parametrize("block", [1, 3, 7, 64])
-    def test_bumps_and_merge_in_blocks(self, monkeypatch, block):
-        # tie runs across the block edges, onsets before, between, tied
-        # with and after the APD stamps, against the pass-per-nanosecond
-        # bumps and one np.insert of the whole column
+    def test_bumps_and_merge_in_blocks(self, tmp_path, monkeypatch, block):
+        # tie runs across the block edges of the bumps, and onsets before,
+        # between, tied with and after the APD stamps across the writer's
+        # blocks, against the pass-per-nanosecond bumps and one np.insert of
+        # each whole column
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+        monkeypatch.setattr(sim, "WRITE_BLOCK", block)
         rng = np.random.default_rng(block)
+        m = make_manifest(duration_s=0.1)
+        path = tmp_path / "merged.events"
         for _ in range(300):
-            apd = rng.integers(0, 60, size=rng.integers(0, 80))
-            onsets = rng.integers(-5, 90, size=rng.integers(0, 12))
-            a = strictly_increasing_loop(np.sort(apd))
-            o = strictly_increasing_loop(np.sort(onsets))
-            before = np.searchsorted(a, o, side="right")
-            stream = finalize(apd, ns(len(apd)), onsets, ns(len(onsets)),
-                              None)
-            assert np.array_equal(stream.t_ns, np.insert(a, before, o))
-            assert np.array_equal(
-                np.flatnonzero(stream.channel == CHANNEL_PMT_ONSET),
-                before + np.arange(len(o)))
+            apd = rng.integers(5, 65, size=rng.integers(0, 80))
+            onsets = rng.integers(0, 150, size=rng.integers(0, 12))
+            stream = _finalize(apd.copy(), ns(len(apd)), onsets.copy(),
+                               ns(len(onsets)), m)
+            assert np.array_equal(stream.apd_ns,
+                                  strictly_increasing_loop(np.sort(apd)))
+            assert np.array_equal(stream.onset_ns,
+                                  strictly_increasing_loop(np.sort(onsets)))
+            write_events(stream, path)
+            assert path.read_bytes().split(b"\n", 1)[1] \
+                == reference_text(stream)
 
 
 def strictly_increasing_loop(t):
@@ -355,8 +369,7 @@ def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
 
 
 def channel_columns(stream, code):
-    at = stream.channel == code
-    return stream.trial[at], stream.t_ns[at]
+    return stream.channels()[code][1:]
 
 
 def assert_records_in(part, whole, code):
@@ -542,13 +555,12 @@ class TestEventFileRoundTrip:
 
     def test_single_record(self, tmp_path):
         m = make_manifest(seed=0, duration_s=0.1)
-        stream = EventStream(np.array([0]), np.array([CHANNEL_APD], np.int8),
-                             np.array([50_000_123]), m)
+        stream = EventStream(ns(0), ns(50_000_123), ns(), ns(), m)
         path = tmp_path / "one.txt"
         write_events(stream, path)
         back = read_events(path)
         assert back == stream
-        assert int(back.t_ns[0]) == 50_000_123
+        assert int(back.apd_ns[0]) == 50_000_123
 
     def test_round_trip_exact(self, tmp_path):
         m = make_manifest(seed=11, duration_s=60.0)
@@ -557,6 +569,18 @@ class TestEventFileRoundTrip:
         write_events(stream, path)
         back = read_events(path)
         assert back == stream
+
+    def test_edited_manifest_reads_back_unequal(self, tmp_path):
+        m = make_manifest(seed=3, duration_s=10.0)
+        stream = simulate_run(m)
+        path = tmp_path / "run.txt"
+        write_events(stream, path)
+        path.write_bytes(path.read_bytes().replace(b'"seed":3', b'"seed":4',
+                                                   1))
+        back = read_events(path)
+        assert back.manifest.seed == 4
+        assert back != stream
+        assert back == dataclasses.replace(stream, manifest=back.manifest)
 
     def test_manifest_round_trip(self):
         m = make_manifest(seed=13, weight=0.83)
@@ -622,7 +646,7 @@ class TestEventFileRoundTrip:
     def test_bad_record_names_its_line(self, tmp_path, line, message):
         # two records, a blank line, then the bad one on line 5
         path = tmp_path / "bad.txt"
-        write_events(EventStream(ns(0, 0), np.zeros(2, np.int8), ns(3, 4),
+        write_events(EventStream(ns(0, 0), ns(3, 4), ns(), ns(),
                                  make_manifest(duration_s=0.1)), path)
         path.write_bytes(path.read_bytes() + b"\r\n" + line + b"\n")
         with pytest.raises(DataError, match=f"bad.txt: line 5: {message}"):
@@ -645,7 +669,7 @@ class TestEventFileRoundTrip:
     def test_line_longer_than_any_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sim, "READ_BLOCK", 64)
         path = tmp_path / "long.txt"
-        write_events(EventStream(ns(0), np.zeros(1, np.int8), ns(3),
+        write_events(EventStream(ns(0), ns(3), ns(), ns(),
                                  make_manifest(duration_s=0.1)), path)
         path.write_bytes(path.read_bytes() + b"7" * 10_000)
         with pytest.raises(DataError,
@@ -661,6 +685,34 @@ class TestEventFileRoundTrip:
         n = path.read_bytes().count(b"\n")
         with pytest.raises(DataError, match=rf"late.txt: line {n}: trial 3 "
                            "outside the manifest's 3 trials"):
+            read_events(path)
+
+    @pytest.mark.parametrize("late", [b"APD", b"PMT_ONSET"])
+    def test_stamp_outside_window_names_the_first_line(self, tmp_path,
+                                                        late):
+        # trial 1's window is [150 ms, 200 ms]: one record of each channel
+        # lies past it, and the error names the earlier line
+        path = tmp_path / "outside.txt"
+        write_events(simulate_run(make_manifest(duration_s=0.0)), path)
+        first = b"APD" if late == b"PMT_ONSET" else b"PMT_ONSET"
+        with open(path, "ab") as fh:
+            fh.write(b"0\tAPD\t60000000\tDETECT\n"
+                     b"1\t%s\t210000000\tDETECT\n\n"
+                     b"1\t%s\t220000000\tDETECT\n" % (first, late))
+        path.write_bytes(path.read_bytes().replace(b'"duration_s":0.0',
+                                                   b'"duration_s":0.2'))
+        with pytest.raises(DataError, match=(
+                f"outside.txt: line 3: {first.decode()} stamp 210000000 "
+                "outside the detection window of trial 1$")):
+            read_events(path)
+
+    def test_more_onsets_than_trials(self, tmp_path):
+        path = tmp_path / "onsets.txt"
+        write_events(simulate_run(make_manifest(duration_s=0.1)), path)
+        with open(path, "ab") as fh:
+            fh.write(b"0\tPMT_ONSET\t60000000\tDETECT\n"
+                     b"0\tPMT_ONSET\t60000001\tDETECT\n")
+        with pytest.raises(DataError, match="multiple PMT_ONSET"):
             read_events(path)
 
     def test_non_monotone_rejected(self, tmp_path):
@@ -683,10 +735,11 @@ class TestEventFileRoundTrip:
 
 
 def reference_records(path):
-    """Line-by-line reading of the record grammar in the sim docstring; the
-    block-wise reader must agree with it."""
+    """Line-by-line reading of the record grammar in the sim docstring: the
+    trial and t_ns columns of each channel, APD first. The block-wise reader
+    must agree with it."""
     names = {b"APD": CHANNEL_APD, b"PMT_ONSET": CHANNEL_PMT_ONSET}
-    columns = ([], [], [])
+    columns = (([], []), ([], []))
     with open(path, "rb") as fh:
         fh.readline()
         for line in fh:
@@ -697,19 +750,24 @@ def reference_records(path):
             assert phase == b"DETECT"
             for field in (trial, t):
                 assert 1 <= len(field) <= 18 and field.isdigit()
-            for column, value in zip(columns, (int(trial), names[name],
-                                               int(t))):
-                column.append(value)
-    return (np.array(columns[0], np.int64), np.array(columns[1], np.int8),
-            np.array(columns[2], np.int64))
+            for column, value in zip(columns[names[name]], (trial, t)):
+                column.append(int(value))
+    return [[np.array(column, np.int64) for column in pair]
+            for pair in columns]
+
+
+def assert_reads_as_reference(stream, path):
+    for (_, *got), want in zip(stream.channels(), reference_records(path)):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def reference_text(stream):
-    """The records of a stream as the per-line writer formatted them."""
+    """The records of a stream in file order, as the per-line writer
+    formatted them."""
     names = {CHANNEL_APD: "APD", CHANNEL_PMT_ONSET: "PMT_ONSET"}
     return "".join(f"{tr}\t{names[ch]}\t{t}\tDETECT\n" for tr, ch, t in zip(
-        stream.trial.tolist(), stream.channel.tolist(),
-        stream.t_ns.tolist())).encode()
+        *(column.tolist() for column in file_columns(stream)))).encode()
 
 
 def random_stream(rng, n, onset_share):
@@ -729,9 +787,11 @@ def random_stream(rng, n, onset_share):
     u = rng.random(n)
     u[:1] = 0.0                         # trial 0 stamped at 2 ns
     t_ns = lo + 1 + (u * (hi - lo - 2)).astype(np.int64)
+    onset = rng.random(n) < onset_share
     # 1e10 trials, so that every trial is in the run
-    return EventStream(trial, (rng.random(n) < onset_share).astype(np.int8),
-                       t_ns, make_manifest(duration_s=1e9, sequence=seq))
+    return EventStream(trial[~onset], t_ns[~onset], trial[onset],
+                       t_ns[onset],
+                       make_manifest(duration_s=1e9, sequence=seq))
 
 
 class TestAgainstLineReference:
@@ -746,9 +806,7 @@ class TestAgainstLineReference:
         assert body == reference_text(stream)
         back = read_events(path)
         assert back == stream
-        for got, want in zip((back.trial, back.channel, back.t_ns),
-                             reference_records(path)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_reads_as_reference(back, path)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_line_ends_and_blocks(self, tmp_path, monkeypatch, seed):
@@ -771,21 +829,21 @@ class TestAgainstLineReference:
             text = text.rstrip(b"\r\n")
         path.write_bytes(header + b"\n" + text)
         back = read_events(path)
-        for got, want in zip((back.trial, back.channel, back.t_ns),
-                             reference_records(path)):
-            assert np.array_equal(got, want)
+        assert_reads_as_reference(back, path)
         assert back == stream
 
 
 class TestWriterRefuses:
     @pytest.mark.parametrize("column, at, value", [
         ("trial", 0, -1), ("t_ns", 0, -1), ("t_ns", 1, 10 ** 18),
-        ("trial", 1, 10 ** 18), ("channel", 1, 2)])
+        ("trial", 1, 10 ** 18)])
     def test_unwritable_stream(self, tmp_path, column, at, value):
-        # each stream keeps both channels in time order
-        stream = EventStream(ns(0, 1), np.zeros(2, np.int8), ns(5, 6),
+        # record 0 is an APD record, record 1 an onset; each stream keeps
+        # both channels in time order
+        stream = EventStream(ns(0), ns(5), ns(1), ns(6),
                              make_manifest(duration_s=0.1))
-        getattr(stream, column)[at] = value
+        field = {"trial": "trial", "t_ns": "ns"}[column]
+        getattr(stream, ("apd_", "onset_")[at] + field)[0] = value
         path = tmp_path / "never.txt"
         with pytest.raises(DataError):
             write_events(stream, path)
@@ -813,19 +871,17 @@ class TestChecksInBlocks:
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         stream = simulate_run(self.DENSE)
         assert sim._unordered_channel(stream) is None
-        for code in (CHANNEL_APD, CHANNEL_PMT_ONSET):
-            at = np.flatnonzero(stream.channel == code)
-            for j in range(1, len(at), len(at) // 20):
-                t = stream.t_ns.copy()
-                t[at[j]] = t[at[j - 1]]
-                tied = EventStream(stream.trial, stream.channel, t,
-                                   stream.manifest)
+        for code, _, t_ns in stream.channels():
+            for j in range(1, len(t_ns), len(t_ns) // 20):
+                t = t_ns.copy()
+                t[j] = t[j - 1]
+                tied = dataclasses.replace(
+                    stream, **{("apd_ns", "onset_ns")[code]: t})
                 assert sim._unordered_channel(tied) == code
 
     @pytest.mark.parametrize("block", [97, 1000])
     def test_stream_independent_of_block(self, monkeypatch, block):
-        # the tie cascades and the onsets cross the block edges of the
-        # bumps and of the merge
+        # the tie cascades cross the block edges of the bumps
         whole = simulate_run(self.DENSE)
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         assert simulate_run(self.DENSE) == whole
@@ -834,9 +890,9 @@ class TestChecksInBlocks:
     def test_histogram_of_onset_first_file(self, tmp_path, monkeypatch,
                                            block):
         # every PMT_ONSET line moved ahead of the first APD line: each
-        # channel is still in time order, so the file is valid, and it bins
-        # as the ordered file does; ~250 onsets among ~240 k clicks, so
-        # binning the records in their merged order would lose their pairs
+        # channel is still in time order, so the file is valid, reads back
+        # as the ordered file does, writes back byte for byte as it and bins
+        # as it does; ~250 onsets among ~240 k clicks
         m = presets.preset_manifest("paper-hv", 5, angle_deg=45.0,
                                     minutes=10.0)
         ordered = tmp_path / "ordered.events"
@@ -845,12 +901,15 @@ class TestChecksInBlocks:
         onset_first = tmp_path / "onset-first.events"
         onset_first.write_bytes(header + b"".join(sorted(
             records, key=lambda line: b"\tPMT_ONSET\t" not in line)))
+        assert onset_first.read_bytes() != ordered.read_bytes()
+        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         stream, moved = read_events(ordered), read_events(onset_first)
-        assert np.all(moved.channel[:len(moved.onset_times())]
-                      == CHANNEL_PMT_ONSET)
+        assert moved == stream
+        rewritten = tmp_path / "rewritten.events"
+        write_events(moved, rewritten)
+        assert rewritten.read_bytes() == ordered.read_bytes()
         want = histogram(stream.apd_times(), stream.onset_times(),
                          duration_s=m.duration_s)
-        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         for got in (histogram_from_stream(stream),
                     histogram_from_stream(moved)):
             assert np.array_equal(got.counts, want.counts)
@@ -862,13 +921,13 @@ class TestChecksInBlocks:
     def test_first_record_outside_window(self, monkeypatch, block):
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         stream = simulate_run(self.DENSE)
-        assert sim._first_outside_window(stream) is None
-        for i in range(0, len(stream) - 1, len(stream) // 20):
-            t = stream.t_ns.copy()
-            t[[i, -1]] = 0          # before every detection window
-            moved = EventStream(stream.trial, stream.channel, t,
-                                stream.manifest)
-            assert sim._first_outside_window(moved) == i
+        m = stream.manifest
+        for _, trial, t_ns in stream.channels():
+            assert sim._first_outside_window(m, trial, t_ns) is None
+            for i in range(0, len(t_ns) - 1, len(t_ns) // 20):
+                t = t_ns.copy()
+                t[[i, -1]] = 0          # before every detection window
+                assert sim._first_outside_window(m, trial, t) == i
 
 
 class TestMemoryBound:
@@ -876,8 +935,8 @@ class TestMemoryBound:
         # a 30-min paper-hv stream, ~0.73 M records: each phase of the
         # simulate -> write -> read -> histogram path allocates, at its peak,
         # less than twice the stream's column bytes on top of what it holds;
-        # simulate_run holds each column once, and the histogram bins the
-        # stream a block at a time
+        # simulate_run holds each column once, and the histogram makes no
+        # array of the stream's length but a mask of its APD stamps' order
         m = presets.preset_manifest("paper-hv", 11, angle_deg=45.0,
                                     minutes=30.0)
         path = tmp_path / "hv.events"
@@ -900,8 +959,8 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert back == stream and len(back) > 500_000
-        column_bytes = back.trial.nbytes + back.channel.nbytes \
-            + back.t_ns.nbytes
+        column_bytes = sum(column.nbytes for _, *pair in back.channels()
+                           for column in pair)
         for name, peak in peaks.items():
             assert peak < 2 * column_bytes, (name, peak, column_bytes)
         assert peaks["simulate_run"] < 1.3 * column_bytes, peaks

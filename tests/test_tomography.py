@@ -4,6 +4,7 @@ import pytest
 from ionherald import polarization as pol
 from ionherald import tomography as tom
 from ionherald.errors import DataError
+from test_polarization import rotated
 
 
 def random_density_matrix(rng):
@@ -276,7 +277,7 @@ class TestMetrics:
         base = tom.metrics(rho)
         for _ in range(10):
             u = random_unitary(rng)
-            rot = rho.rotated(u, u)
+            rot = rotated(rho, u, u)
             m = tom.metrics(rot)
             # singlet is U(x)U invariant, so F too; C and T always
             assert m.fidelity_singlet == pytest.approx(base.fidelity_singlet,
@@ -284,7 +285,7 @@ class TestMetrics:
             assert m.concurrence == pytest.approx(base.concurrence, abs=1e-9)
         for _ in range(10):
             ua, ub = random_unitary(rng), random_unitary(rng)
-            m = tom.metrics(rho.rotated(ua, ub))
+            m = tom.metrics(rotated(rho, ua, ub))
             assert m.concurrence == pytest.approx(base.concurrence, abs=1e-9)
             assert m.tangle == pytest.approx(base.tangle, abs=1e-9)
 
