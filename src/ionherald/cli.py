@@ -114,6 +114,8 @@ def _manifest_from_config(cp: configparser.ConfigParser) -> RunManifest:
 def _apply_overrides(manifest: RunManifest, overrides: dict) -> RunManifest:
     """Apply `section.key=value` overrides to a manifest; each section is
     replaced, and so validated, once, with all of its overrides."""
+    if not overrides:
+        return manifest
     changes = {"source": {}, "sequence": {}, "rates": {}}
     for dotted, value in overrides.items():
         try:

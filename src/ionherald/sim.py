@@ -259,27 +259,25 @@ def _strictly_increasing(t: np.ndarray) -> None:
         block += i
 
 
-def _finalize(apd_ns, apd_per_trial, onset_ns, onset_per_trial,
+def _finalize(apd_ns, apd_runs, onset_ns, onset_trial,
               manifest) -> EventStream:
-    """The stream of the APD and onset stamps, given in any order, and of
-    each channel's records per trial (see the module docstring).
+    """The stream of the APD stamps, with their records as (trial, count)
+    runs in any order, and of the onset stamps and their ascending trials.
 
     Each channel's stamps are sorted and tie-bumped in place and become its
-    t_ns column. Time order is trial order, so its trial column is its
-    counts laid out in trial order: each record takes the trial of its
-    position within its channel."""
+    t_ns column. Time order is trial order (see the module docstring), so a
+    record takes the trial of its position within its channel."""
     for t in (apd_ns, onset_ns):
         t.sort()
         _strictly_increasing(t)
-    return EventStream(_trial_column(apd_per_trial), apd_ns,
-                       _trial_column(onset_per_trial), onset_ns, manifest)
+    return EventStream(_trial_column(*apd_runs), apd_ns, onset_trial,
+                       onset_ns, manifest)
 
 
-def _trial_column(per_trial):
-    """Each trial laid out as many times as it has records, in trial
-    order."""
-    trials = np.flatnonzero(per_trial)
-    return np.repeat(trials, per_trial[trials])
+def _trial_column(trials, counts):
+    """The trials of the (trial, count) runs, laid out in trial order."""
+    order = np.argsort(trials, kind="stable")
+    return np.repeat(trials[order], counts[order])
 
 
 def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
@@ -335,17 +333,16 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     n_apd = n_a + n_near + (0 if counting else n_far)
     apd_ns = np.empty(n_apd, dtype=np.int64)
     apd_ns[:n_a] = np.rint(a_t * 1e9)
-    per_trial = np.bincount(a_trial, minlength=n_trials)
     _stamp_uniform(rng, apd_ns[n_a:n_a + n_near], near, near_count, seq)
-    np.add.at(per_trial, near[0], near_count)
+    runs = [(a_trial, np.ones(n_a, np.int64)), (near[0], near_count)]
     if not counting and n_far:
         far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
                       n_trials)
         far_count = rng.multinomial(n_far, far[2] / far[2].sum())
         _stamp_uniform(rng, apd_ns[n_a + n_near:n_apd], far, far_count, seq)
-        np.add.at(per_trial, far[0], far_count)
-    stream = _finalize(apd_ns, per_trial, onset_ns,
-                       np.bincount(onset_trial, minlength=n_trials), m)
+        runs.append((far[0], far_count))
+    stream = _finalize(apd_ns, [np.concatenate(c) for c in zip(*runs)],
+                       onset_ns, onset_trial, m)
     stream.apd_dropped = n_far if counting else 0
     return stream
 
@@ -510,31 +507,36 @@ def write_events(stream: EventStream, path) -> None:
 def read_events(path) -> EventStream:
     """Parse an event file back into a stream; validates format and ordering.
 
-    The file is read twice, in blocks of READ_BLOCK bytes: once to count its
-    line ends, which bounds its number of records, and once to parse each
-    block, cut after its last line end, straight into each channel's
-    columns. The onset columns hold one record per trial at most. Besides
-    the columns, one block and its parse are held; the order and window
-    checks then run CHECK_BLOCK records at a time. The path must name a
-    file that can be read again."""
+    The file is read twice, in blocks of READ_BLOCK bytes, into one buffer:
+    once to count its line ends, which bounds its number of records, and
+    once to parse each block, cut after its last line end, straight into
+    each channel's columns; the partial line after the cut moves to the
+    buffer's front. The onset columns hold one record per trial at most.
+    Besides the columns, the buffer and one block's parse are held; the
+    order and window checks then run CHECK_BLOCK records at a time. The
+    path must name a file that can be read again."""
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh.readline(), path)
         n_trials = manifest.n_trials
+        # room for a partial line of up to _MAX_LINE bytes, a block and LF
+        buf = bytearray(READ_BLOCK + _MAX_LINE + 1)
+        view = memoryview(buf)
         start, lines, size = fh.tell(), 0, 0
-        while chunk := fh.read(READ_BLOCK):
-            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == _LF)
-            size += len(chunk)
+        while got := fh.readinto(view[:READ_BLOCK]):
+            block = np.frombuffer(buf, np.uint8, got)
+            lines += np.count_nonzero(block == _LF)
+            size += got
         fh.seek(start)
         # a record is a line of at least _MIN_RECORD bytes with its line
         # end, and the last line end is optional
         n_max = min(lines + 1, (size + 1) // _MIN_RECORD)
         columns = [(np.empty(n, np.int64), np.empty(n, np.int64))
                    for n in (n_max, min(n_max, n_trials))]
-        filled, lineno, rest = [0, 0], 2, b""   # records of each channel
+        filled, lineno, kept = [0, 0], 2, 0     # kept: bytes of a partial line
 
-        def parse(buf):
+        def parse(a):
             nonlocal lineno
-            (trial, onset, t_ns), k = _parse_records(buf, path, lineno,
+            (trial, onset, t_ns), k = _parse_records(a, path, lineno,
                                                      n_trials)
             if sum(filled) + len(trial) > n_max:
                 raise DataError(f"{path}: changed while it was read")
@@ -551,17 +553,18 @@ def read_events(path) -> EventStream:
                 filled[code] = stop
             lineno += k
 
-        while chunk := fh.read(READ_BLOCK):
-            block = rest + chunk
-            cut = block.rfind(b"\n") + 1
-            rest = block[cut:]
+        while got := fh.readinto(view[kept:kept + READ_BLOCK]):
+            end = kept + got
+            cut = buf.rfind(b"\n", 0, end) + 1
             if cut:
-                parse(block[:cut])
-            if len(rest) > _MAX_LINE:
-                # longer than any record, so this raises
-                parse(rest + b"\n")
-        if rest:                        # the last line end is optional
-            parse(rest + b"\n")
+                parse(np.frombuffer(buf, np.uint8, cut))
+            kept = end - cut
+            view[:kept] = view[cut:end]
+            if kept > _MAX_LINE:        # longer than any record: raises below
+                break
+        if kept:                        # the last line end is optional
+            buf[kept] = _LF
+            parse(np.frombuffer(buf, np.uint8, kept + 1))
     stream = EventStream(*(column[:n] for pair, n in zip(columns, filled)
                            for column in pair), manifest=manifest)
     code = _unordered_channel(stream)
@@ -710,21 +713,19 @@ def _reject_non_finite(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _parse_records(buf: bytes, path, lineno: int, n_trials: int):
-    """The trial, PMT_ONSET mask and t_ns columns of the records in `buf`,
-    whose every line ends in LF, and its number of lines; `lineno` is the file
-    line number of its first line. A trial must be below n_trials.
+def _parse_records(a: np.ndarray, path, lineno: int, n_trials: int):
+    """The trial, PMT_ONSET mask and t_ns columns of the records in the text
+    `a` (uint8), whose every line ends in LF, and its number of lines;
+    `lineno` is the file line number of its first line. A trial must be
+    below n_trials.
 
     Each check runs over all lines at once; DataError names the first line
     that breaks the grammar."""
-    a = np.frombuffer(buf, np.uint8)
     ends = np.flatnonzero(a == _LF)
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    stops = ends
-    if b"\r" in buf:
-        stops = ends - ((a[ends - 1] == _CR) & (ends > starts))
+    stops = ends - ((a[ends - 1] == _CR) & (ends > starts))
     line = np.flatnonzero(stops > starts)           # blank lines are skipped
     starts, stops = starts[line], stops[line]
     tabs = np.flatnonzero(a == _TAB)
@@ -757,7 +758,8 @@ def _parse_records(buf: bytes, path, lineno: int, n_trials: int):
         i = int(np.argmax(bad)) if bad.any() else n
         where = f"{path}: line {lineno + line[i]}"
         if i == n or malformed[i]:
-            text = buf[starts[i]:stops[i]].decode("utf-8", "backslashreplace")
+            text = a[starts[i]:stops[i]].tobytes().decode("utf-8",
+                                                          "backslashreplace")
             raise DataError(f"{where}: malformed record {text[:80]!r}")
         if not_integer[i]:
             raise DataError(f"{where}: non-integer field")

@@ -1,6 +1,7 @@
 """Fuzzed input files: `g2` exits 0 or 3 on any bytes, `fringe`, `tomo` and
 `simulate --config` exit 0, 2, 3 or 4; none ends in a raw exception or
-reports a NaN."""
+reports a NaN. Fuzzed (trial, count) runs lay out the trial column that a
+dense per-trial count would."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from ionherald import polarization as pol  # noqa: E402
+from ionherald import sim  # noqa: E402
 from ionherald import tomography as tom  # noqa: E402
 from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA,  # noqa
                            EXIT_OK, load_manifest_config, main)
@@ -242,3 +244,17 @@ def test_argv_exits_0_2_3_or_4(capsys, argv_inputs, data):
         code = exc.code
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONVERGENCE), argv
     assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)),
+                     max_size=60))
+def test_trial_column_from_runs(runs):
+    # unsorted, repeated and empty runs against the dense per-trial layout
+    trials = np.array([t for t, _ in runs], np.int64)
+    counts = np.array([c for _, c in runs], np.int64)
+    per_trial = np.zeros(41, np.int64)
+    np.add.at(per_trial, trials, counts)
+    column = sim._trial_column(trials, counts)
+    assert column.dtype == np.int64
+    assert np.array_equal(column, np.repeat(np.arange(41), per_trial))

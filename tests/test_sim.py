@@ -229,8 +229,8 @@ class TestFinalize:
         m = make_manifest(seed=0, duration_s=0.1)
         # unsorted APD clicks: two tie at 200 ns, the later of them is bumped
         # to 201; onsets tie with an APD stamp at 100 and with the bumped one
-        stream = _finalize(ns(300, 200, 100, 200), ns(4), ns(201, 100),
-                           ns(2), m)
+        stream = _finalize(ns(300, 200, 100, 200), (ns(0), ns(4)),
+                           ns(201, 100), ns(0, 0), m)
         assert stream.apd_ns.tolist() == [100, 200, 201, 300]
         assert stream.onset_ns.tolist() == [100, 201]
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
@@ -241,8 +241,8 @@ class TestFinalize:
 
     def test_trial_column_follows_time(self):
         m = make_manifest(seed=0, duration_s=0.3)
-        stream = _finalize(ns(250, 50, 150, 60), ns(2, 1, 1), ns(160),
-                           ns(0, 1, 0), m)
+        stream = _finalize(ns(250, 50, 150, 60), (ns(2, 0, 1), ns(1, 2, 1)),
+                           ns(160), ns(1), m)
         assert stream.apd_trial.tolist() == [0, 0, 1, 2]
         assert stream.onset_trial.tolist() == [1]
         trial, channel, t_ns = file_columns(stream)
@@ -256,8 +256,8 @@ class TestFinalize:
         # clicks tied at 200 ns are bumped to 200, 201 and 202, and push
         # trial 1's click from 202 to 203; each record keeps the trial of
         # its position in its channel
-        stream = _finalize(ns(200, 200, 200, 202), ns(3, 1), ns(290),
-                           ns(0, 1), None)
+        stream = _finalize(ns(200, 200, 200, 202), (ns(0, 1), ns(3, 1)),
+                           ns(290), ns(1), None)
         assert stream.apd_ns.tolist() == [200, 201, 202, 203]
         assert stream.apd_trial.tolist() == [0, 0, 0, 1]
         assert (stream.onset_trial.tolist(), stream.onset_ns.tolist()) \
@@ -265,9 +265,11 @@ class TestFinalize:
 
     def test_onset_inside_a_run_of_clicks(self):
         # onsets between the clicks of one trial, one at the run's end and
-        # one before the next trial's clicks, with empty trials between
-        stream = _finalize(ns(10, 20, 30, 700, 710), ns(3, 0, 0, 2, 0),
-                           ns(15, 30, 705), ns(1, 0, 0, 1, 1), None)
+        # one before the next trial's clicks, with empty trials between;
+        # the runs come unsorted, with an empty one and a trial split in two
+        stream = _finalize(ns(10, 20, 30, 700, 710),
+                           (ns(3, 0, 1, 0), ns(2, 1, 0, 2)),
+                           ns(15, 30, 705), ns(0, 3, 4), None)
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
         trial, channel, t_ns = file_columns(stream)
         assert t_ns.tolist() == [10, 15, 20, 30, 30, 700, 705, 710]
@@ -278,7 +280,7 @@ class TestFinalize:
     def test_no_record_sized_temporary(self):
         # ~1 M records: the arrays of stamps become the stream's t_ns
         # columns, and besides the trial columns _finalize holds a few
-        # blocks of CHECK_BLOCK stamps
+        # blocks of CHECK_BLOCK stamps and its runs' order
         rng = np.random.default_rng(1)
         n_trials = 20_000
         apd_trial = np.sort(rng.integers(0, n_trials, 1_000_000))
@@ -286,13 +288,14 @@ class TestFinalize:
         apd_ns = apd_trial * 100_000 + rng.integers(0, 50_000, len(apd_trial))
         onset_ns = onset_trial * 100_000 + 25_000
         apd_per_trial = np.bincount(apd_trial, minlength=n_trials)
-        onset_per_trial = np.bincount(onset_trial, minlength=n_trials)
+        runs = np.unique(apd_trial, return_counts=True)
+        shuffle = rng.permutation(len(runs[0]))
+        runs = tuple(column[shuffle] for column in runs)
         del apd_trial
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            stream = _finalize(apd_ns, apd_per_trial, onset_ns,
-                               onset_per_trial, None)
+            stream = _finalize(apd_ns, runs, onset_ns, onset_trial, None)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -331,8 +334,9 @@ class TestFinalize:
         for _ in range(300):
             apd = rng.integers(5, 65, size=rng.integers(0, 80))
             onsets = rng.integers(0, 150, size=rng.integers(0, 12))
-            stream = _finalize(apd.copy(), ns(len(apd)), onsets.copy(),
-                               ns(len(onsets)), m)
+            stream = _finalize(apd.copy(), (ns(0), ns(len(apd))),
+                               onsets.copy(), np.zeros(len(onsets), np.int64),
+                               m)
             assert np.array_equal(stream.apd_ns,
                                   strictly_increasing_loop(np.sort(apd)))
             assert np.array_equal(stream.onset_ns,
@@ -416,6 +420,21 @@ class TestCountingMode:
     an absorbed pair, and of the other clicks only those drawn within the
     default lag window's reach of an onset. It is a sub-stream of the full
     stream, up to tie bumps."""
+
+    def test_memory_follows_records_not_trials(self):
+        # 10^7 trials and ~500 records: a per-trial array would be 80 MB
+        m = make_manifest(seed=2, duration_s=1e6, pair_rate=1e-3,
+                          dark_trigger_rate=1e-3, false_onset_rate=1e-3)
+        assert m.n_trials == 10_000_000
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            stream = simulate_run(m, counting=True)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert 100 < len(stream) < 2000 and stream.apd_dropped > 100
+        assert peak < 1e6, peak
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("name", ["hv", "rl", "tomo"])
