@@ -328,8 +328,10 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
     ``scale`` shrinks all run durations (and the count targets with them) for
     cheap smoke runs; 1.0 is the paper scale. Returns the report rows.
     """
-    if scale <= 0.0:
-        raise ConfigError("scale must be > 0")
+    if master_seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    if not 0.0 < scale < np.inf:
+        raise ConfigError("scale must be finite and > 0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     overrides = overrides or {}

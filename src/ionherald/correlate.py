@@ -157,9 +157,11 @@ def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
 
 def extract(hist: CoincidenceHistogram) -> CoincidenceResult:
     """Coincidences = tau=0 bin count; background = mean over the whole
-    window, the peak bin included."""
-    if len(hist.counts) == 0:
-        raise DataError("empty histogram")
+    window, the peak bin included. A window of the tau=0 bin alone has no
+    background to take."""
+    if len(hist.counts) < 2:
+        raise DataError("histogram has no side bin to take the background "
+                        "from; window_bins must be >= 1")
     coincidences = int(hist.counts[hist.zero_bin_index])
     background = float(hist.counts.sum()) / len(hist.counts)
     # Poisson deviation of a single bin at the background level (the same

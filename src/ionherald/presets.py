@@ -20,6 +20,11 @@ fit-estimator mean evaluated on fixed-seed Poisson replicas of the expected
 curve (the weights on observed counts bias a naive expectation target).
 ``expected_scan`` evaluates a whole scan in one call and takes its per-pair
 probabilities from ``biphoton.arm_probabilities``, as the simulator does.
+
+The three solutions ship as exact constants, so no process solves anything
+to build a preset and the presets are the same bits on every numpy release.
+``_solve_fringe_preset`` is the derivation they come from; the tests re-run
+it and require its output bit for bit.
 """
 
 from __future__ import annotations
@@ -160,6 +165,17 @@ class Calibration:
     targets: FringeTargets
 
 
+def _source_and_rates(pair_rate: float, singlet_weight: float,
+                      dark_trigger_rate: float):
+    """The source and rates of a calibration's three solved values."""
+    source = SourceModel(pol.singlet(), singlet_weight, pair_rate=pair_rate)
+    rates = RateConfig(pair_rate=pair_rate, eta_trigger=ETA_TRIGGER,
+                       eta_herald=ETA_HERALD, branching_s=BRANCHING_S,
+                       dark_trigger_rate=dark_trigger_rate,
+                       false_onset_rate=FALSE_ONSET_RATE)
+    return source, rates
+
+
 def _closed_form_seed(t: FringeTargets, sequence: SequenceConfig):
     """First-order starting point for the root solve."""
     n_trials = t.minutes * 60.0 * sequence.rep_rate
@@ -204,12 +220,33 @@ def _newton_root(residuals, x, lower, upper):
     return x, r
 
 
+# (pair_rate, singlet_weight, dark_trigger_rate) per preset, as float.hex:
+# what _solve_fringe_preset returns (numpy 2.4)
+_SOLVED_HEX = {
+    "rl": ("0x1.6b42ba5ef611bp+3", "0x1.941be53ae42ddp-1",
+           "0x1.eccce9de31aa9p+9"),
+    "hv": ("0x1.a0caf2f2e4246p+2", "0x1.a7569f7d76d40p-1",
+           "0x1.952b88116eba5p+9"),
+    "da": ("0x1.0df6844cde7b7p+2", "0x1.d031e0170edf8p-1",
+           "0x1.67a6a33354e73p+9"),
+}
+
+
 @lru_cache(maxsize=None)
 def calibrate_fringe_preset(name: str) -> Calibration:
-    """Solve the rate equations so the named basis reproduces its targets."""
+    """The named basis's calibration: the rate-equation solution that
+    reproduces its targets, from the shipped constants."""
     if name not in PAPER_FRINGE_TARGETS:
         raise ConfigError(f"unknown fringe preset {name!r}; "
                           f"choose from {sorted(PAPER_FRINGE_TARGETS)}")
+    values = (float.fromhex(h) for h in _SOLVED_HEX[name])
+    return Calibration(*_source_and_rates(*values), SequenceConfig(),
+                       PAPER_FRINGE_TARGETS[name])
+
+
+def _solve_fringe_preset(name: str) -> Calibration:
+    """Solve the rate equations so the named basis reproduces its targets.
+    The reference derivation of ``_SOLVED_HEX``."""
     t = PAPER_FRINGE_TARGETS[name]
     sequence = SequenceConfig()
     basis = pol.BASES[t.basis_label]
@@ -220,14 +257,9 @@ def calibrate_fringe_preset(name: str) -> Calibration:
 
     def build(x):
         pair_eta, weight, dark = x
-        source = SourceModel(pol.singlet(), float(np.clip(weight, 0.0, 1.0)),
-                             pair_rate=pair_eta / ETA_TRIGGER)
-        rates = RateConfig(pair_rate=source.pair_rate,
-                           eta_trigger=ETA_TRIGGER, eta_herald=ETA_HERALD,
-                           branching_s=BRANCHING_S,
-                           dark_trigger_rate=max(float(dark), 0.0),
-                           false_onset_rate=FALSE_ONSET_RATE)
-        return source, rates
+        return _source_and_rates(pair_eta / ETA_TRIGGER,
+                                 float(np.clip(weight, 0.0, 1.0)),
+                                 max(float(dark), 0.0))
 
     def curve(x):
         """Expected scan of x and its noiseless-curve visibility."""

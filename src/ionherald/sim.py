@@ -639,9 +639,12 @@ _TAB, _LF, _CR, _ZERO = 9, 10, 13, ord("0")
 _MIN_RECORD = len(b"0\tAPD\t0\tDETECT\n")
 _MAX_LINE = len(b"%s\tPMT_ONSET\t%s\tDETECT\r"
                 % (b"9" * MAX_DIGITS, b"9" * MAX_DIGITS))
-# "0000" ... "9999" as uint32, so that one take() places four digits
-_DIGIT_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
-                             np.uint32)
+# "0000" ... "9999" as uint32, so that one take() places four digits. In
+# uint16 each temporary stays under glibc's 128 KiB mmap threshold; freeing a
+# larger one raises that threshold, and the process's peak RSS by ~0.5 MB.
+_DIGIT_QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
+                // np.array([1000, 100, 10, 1], np.uint16) % 10
+                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 _POW10 = 10 ** np.arange(1, MAX_DIGITS, dtype=np.int64)
 _PMT_ONSET = np.frombuffer(b"PMT_ONSET", np.uint8)
 

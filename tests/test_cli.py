@@ -194,6 +194,15 @@ class TestConfig:
                      "--out-prefix", str(tmp_path / "g")]) == EXIT_DATA
         assert "bins" in capsys.readouterr().err
 
+    def test_lag_window_of_no_side_bin(self, tmp_path, capsys):
+        events = str(tmp_path / "e.txt")
+        assert main(["simulate", "--preset", "paper-rl", "--minutes", "0.05",
+                     "--out", events]) == 0
+        assert main(["g2", "--events", events, "--window-bins", "0",
+                     "--out-prefix", str(tmp_path / "g")]) == EXIT_DATA
+        assert "no side bin" in capsys.readouterr().err
+        assert not (tmp_path / "g.res.txt").exists()
+
     def test_negative_bootstrap_seed(self, tmp_path):
         from ionherald import tomography as tom
         from ionherald import polarization as pol
@@ -527,6 +536,16 @@ class TestReproduce:
         for name in ("report.txt", "report.kv", "scan_rl.txt", "fit_hv.txt",
                      "tomo_counts.txt", "tomo_rho.txt"):
             assert (tmp_path / "r" / name).exists()
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"],
+                                      ["--scale", "nan"], ["--scale", "inf"]])
+    def test_bad_seed_or_scale_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "r"
+        assert main(["reproduce", "--out-dir", str(out), "--quiet",
+                     *argv]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        # refused before the output directory is made
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         r1 = reproduce_paper(33, tmp_path / "x", scale=0.05, quiet=True)

@@ -186,6 +186,13 @@ class TestExtract:
             np.sqrt(res.background_per_bin))
         assert res.signal_is_peak
 
+    def test_window_without_side_bins_refused(self):
+        # the tau=0 bin alone would be its own background
+        h = histogram([1_000_000], [1_000_000], window_bins=0)
+        assert h.counts.tolist() == [1]
+        with pytest.raises(DataError, match="no side bin"):
+            extract(h)
+
 
 class TestHistogramIO:
     def test_round_trip(self, tmp_path):

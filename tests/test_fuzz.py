@@ -1,6 +1,7 @@
 """Fuzzed input files: `g2` exits 0 or 3 on any bytes, `fringe`, `tomo` and
 `simulate --config` exit 0, 2, 3 or 4; none ends in a raw exception or
-reports a NaN. Fuzzed (trial, count) runs lay out the trial column that a
+reports a NaN. Fuzzed argv of every command, `reproduce` included, exits 0,
+2, 3 or 4. Fuzzed (trial, count) runs lay out the trial column that a
 dense per-trial count would."""
 
 import pytest
@@ -241,6 +242,26 @@ def test_argv_exits_0_2_3_or_4(capsys, argv_inputs, data):
     try:
         code = main(argv)
     except SystemExit as exc:       # argparse: a usage error or --help
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONVERGENCE), argv
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# reproduce runs all 34 runs of the paper, so its scales are few and small
+SCALE = st.sampled_from(["0", "1e-9", "nan", "0.005", "0.02"])
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=NUMBER, scale=SCALE, overrides=st.lists(OVERRIDE, max_size=2))
+def test_reproduce_argv_exits_0_2_3_or_4(tmp_path, capsys, seed, scale,
+                                         overrides):
+    argv = ["reproduce", "--seed", seed, "--scale", scale, "--quiet",
+            "--out-dir", str(tmp_path / "r")]
+    argv += [a for o in overrides for a in ("--override", o)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse: a seed that is no integer
         code = exc.code
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONVERGENCE), argv
     assert "Traceback" not in capsys.readouterr().err

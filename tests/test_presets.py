@@ -41,12 +41,25 @@ class TestCalibration:
 
     @pytest.mark.parametrize("name", ["rl", "hv", "da"])
     def test_calibration_is_pinned(self, name):
-        if np.__version__.split(".")[:2] != CALIBRATION_NUMPY.split(".")[:2]:
-            pytest.skip(f"calibration recorded with numpy {CALIBRATION_NUMPY},"
-                        f" this is numpy {np.__version__}")
+        # the shipped constants: the same bits on every numpy release
         cal = presets.calibrate_fringe_preset(name)
         assert (cal.source.pair_rate.hex(), cal.source.singlet_weight.hex(),
                 cal.rates.dark_trigger_rate.hex()) == CALIBRATION_HEX[name]
+
+    @pytest.mark.parametrize("name", ["rl", "hv", "da"])
+    def test_solve_reproduces_pinned_calibration(self, name):
+        if np.__version__.split(".")[:2] != CALIBRATION_NUMPY.split(".")[:2]:
+            pytest.skip(f"calibration recorded with numpy {CALIBRATION_NUMPY},"
+                        f" this is numpy {np.__version__}")
+        solved = presets._solve_fringe_preset(name)
+        assert (solved.source.pair_rate.hex(),
+                solved.source.singlet_weight.hex(),
+                solved.rates.dark_trigger_rate.hex()) == CALIBRATION_HEX[name]
+        # the shipped calibration has the solve's rates, sequence and targets
+        shipped = presets.calibrate_fringe_preset(name)
+        assert shipped.rates == solved.rates
+        assert shipped.sequence == solved.sequence
+        assert shipped.targets == solved.targets
 
     def test_calibration_deterministic(self):
         a = presets.calibrate_fringe_preset("rl")

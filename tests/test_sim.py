@@ -814,6 +814,12 @@ def random_stream(rng, n, onset_share):
 
 
 class TestAgainstLineReference:
+    def test_digit_quads_table(self):
+        # the writer's four-digit table against its text definition
+        text = b"".join(b"%04d" % i for i in range(10000))
+        assert sim._DIGIT_QUADS.dtype == np.uint32
+        assert sim._DIGIT_QUADS.tobytes() == text
+
     @pytest.mark.parametrize("n, onset_share", [
         (0, 0.0), (1, 0.0), (1, 1.0), (50, 0.0), (50, 1.0), (3000, 0.3)])
     def test_writer_and_reader_match_reference(self, tmp_path, n,
