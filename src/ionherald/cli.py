@@ -283,10 +283,6 @@ def _spawned_seeds(master_seed: int, n: int, stream_id: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in grand]
 
 
-def _verdict(measured: float, target: float, tol: float) -> str:
-    return "PASS" if abs(measured - target) <= tol else "FAIL"
-
-
 def _extract_run(manifest: RunManifest, overrides: dict):
     """tau=0 coincidences and background of one overridden, simulated run."""
     return extract(histogram_from_stream(simulate_run(
@@ -326,32 +322,25 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
     every reproduced number against its published value, and write a report.
 
     ``scale`` shrinks all run durations (and the count targets with them) for
-    cheap smoke runs; 1.0 is the paper scale. Returns the report rows.
+    cheap smoke runs; 1.0 is the paper scale. The whole result is computed
+    before ``out_dir`` is made: a scan that cannot be fit or a tomography
+    that cannot be reconstructed raises DataError or ConvergenceError, as in
+    `fringe` and `tomo`, and writes nothing. Unless ``quiet``, prints the
+    report table. Returns the report rows.
     """
     if master_seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     if not 0.0 < scale < np.inf:
         raise ConfigError("scale must be finite and > 0")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     overrides = overrides or {}
-    rows = []
-
-    def log(msg):
-        if not quiet:
-            print(msg)
-
+    fringes, rows = [], []
     for stage, name in enumerate(("rl", "hv", "da")):
         plan = presets.fringe_plan(name)
         seeds = _spawned_seeds(master_seed, len(plan.angles), stage)
         scan = run_scan(plan, seeds, plan.point_minutes * scale, overrides)
-        write_scan(scan, out / f"scan_{name}.txt")
-        theta0 = fringe_params(plan.source, plan.absorber,
-                               plan.theta_ref_deg)
-        fit = fit_fringe(scan, theta0)
-        write_fit_record(fit, out / f"fit_{name}.txt",
-                         extra={"basis": plan.basis_label})
-        write_plot_data(scan, fit, out / f"fit_{name}.plot.txt")
+        fit = fit_fringe(scan, fringe_params(plan.source, plan.absorber,
+                                             plan.theta_ref_deg))
+        fringes.append((name, plan, scan, fit))
 
         t = plan.targets
         at_max = scan.points[list(plan.angles).index(
@@ -368,31 +357,16 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
         rows.append((f"{name}_visibility",
                      fit.visibility if resolved else 0.0, t.visibility,
                      3.0 * presets.PAPER_VISIBILITY_QUOTED_ERR[name]))
-        log(f"[{name}] max point {at_max.coincidences:.0f} counts, "
-            f"background {at_max.background:.1f}, "
-            f"visibility {fit.visibility:.3f}")
 
     plan = presets.tomo_plan()
     seeds = _spawned_seeds(master_seed, len(plan.settings), 3)
     counts = run_tomography(plan, seeds, plan.setting_minutes * scale,
                             overrides)
-    tom.write_counts_table(counts, out / "tomo_counts.txt")
-    try:
-        rho = tom.mle_reconstruct(counts)
-        tom.write_density_matrix(rho, out / "tomo_rho.txt")
-        m = tom.metrics(rho)
-        measured_metrics = (("fidelity", m.fidelity_singlet),
-                            ("concurrence", m.concurrence),
-                            ("tangle", m.tangle))
-        log(f"[tomo] F = {m.fidelity_singlet:.3f}, C = {m.concurrence:.3f}, "
-            f"T = {m.tangle:.3f}")
-    except (DataError, ConvergenceError) as exc:
-        # unreconstructable counts (e.g. no signal at all) fail the rows
-        log(f"[tomo] reconstruction failed: {exc}")
-        measured_metrics = (("fidelity", float("nan")),
-                            ("concurrence", float("nan")),
-                            ("tangle", float("nan")))
-    for key, measured in measured_metrics:
+    rho = tom.mle_reconstruct(counts)
+    m = tom.metrics(rho)
+    for key, measured in (("fidelity", m.fidelity_singlet),
+                          ("concurrence", m.concurrence),
+                          ("tangle", m.tangle)):
         rows.append((key, measured, presets.PAPER_METRIC_TARGETS[key],
                      3.0 * presets.PAPER_METRIC_QUOTED_ERR[key]))
 
@@ -401,7 +375,7 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
     kv_lines = [f"master_seed={master_seed}", f"scale={scale:.9g}"]
     all_pass = True
     for key, measured, target, tol in rows:
-        verdict = _verdict(measured, target, tol)
+        verdict = "PASS" if abs(measured - target) <= tol else "FAIL"
         all_pass &= verdict == "PASS"
         lines.append(f"{key:<18}{measured:>12.3f}{target:>12.3f}"
                      f"{tol:>12.3f}  {verdict}")
@@ -411,10 +385,21 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
                      f"{key}_verdict={verdict}"]
     kv_lines.append(f"all_pass={all_pass}")
     report = "\n".join(lines)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, plan, scan, fit in fringes:
+        write_scan(scan, out / f"scan_{name}.txt")
+        write_fit_record(fit, out / f"fit_{name}.txt",
+                         extra={"basis": plan.basis_label})
+        write_plot_data(scan, fit, out / f"fit_{name}.plot.txt")
+    tom.write_counts_table(counts, out / "tomo_counts.txt")
+    tom.write_density_matrix(rho, out / "tomo_rho.txt")
     (out / "report.txt").write_text(report + "\n", encoding="utf-8")
     (out / "report.kv").write_text("\n".join(kv_lines) + "\n",
                                    encoding="utf-8")
-    log(report)
+    if not quiet:
+        print(report)
     return rows
 
 

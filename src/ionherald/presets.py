@@ -89,10 +89,10 @@ PAPER_METRIC_QUOTED_ERR = {"fidelity": 0.04, "concurrence": 0.06,
 
 def expected_scan(source: SourceModel, absorber: AbsorberSetting,
                   analyzers, rates: RateConfig, sequence: SequenceConfig,
-                  minutes: float, bin_us: float = DEFAULT_BIN_US,
-                  window_bins: int = DEFAULT_WINDOW_BINS):
+                  minutes: float):
     """Expected (tau=0 counts, extracted background) arrays, one entry per
-    analyzer setting, each for one run of ``minutes``.
+    analyzer setting, each for one run of ``minutes`` histogrammed in the
+    default bins and window.
 
     Includes first-onset truncation, bin-0 latency capture, accidental
     coincidences, the window-edge loss on the background mean, and the
@@ -100,8 +100,8 @@ def expected_scan(source: SourceModel, absorber: AbsorberSetting,
     """
     n_trials = sequence.n_trials(minutes * 60.0)
     w = sequence.detect_s
-    bin_s = bin_us * 1e-6
-    n_bins = 2 * window_bins + 1
+    bin_s = DEFAULT_BIN_US * 1e-6
+    n_bins = 2 * DEFAULT_WINDOW_BINS + 1
 
     marginal, joint = arm_probabilities(source, absorber, analyzers)
 
@@ -121,7 +121,7 @@ def expected_scan(source: SourceModel, absorber: AbsorberSetting,
     accidental_bin0 = n_onsets * apd_rate * bin_s
     bin0 = n_signal * kappa + accidental_bin0
 
-    span = (window_bins + 0.5) * bin_s
+    span = (DEFAULT_WINDOW_BINS + 0.5) * bin_s
     acc_mean = n_onsets * apd_rate * bin_s * (1.0 - span / (2.0 * w))
     background = acc_mean + n_signal / n_bins
     return bin0, background
@@ -139,9 +139,9 @@ def _fitted_visibility(y, angles, theta_ref_deg):
 _VIS_REPLICAS = 4000
 
 
-def _mean_fitted_visibility(expected_bin0, angles, theta_ref_deg,
-                            n_replicas: int = _VIS_REPLICAS) -> float:
-    """Ensemble mean of the fitted visibility over Poisson replicas.
+def _mean_fitted_visibility(expected_bin0, angles, theta_ref_deg) -> float:
+    """Ensemble mean of the fitted visibility over _VIS_REPLICAS Poisson
+    replicas.
 
     The fit weights use the observed counts (max(N, 1)), which biases the
     fitted offset low on noisy scans and the visibility high; calibrating on
@@ -151,7 +151,7 @@ def _mean_fitted_visibility(expected_bin0, angles, theta_ref_deg,
     """
     lam = np.asarray(expected_bin0, dtype=float)
     y = np.random.default_rng(20260808).poisson(
-        lam, size=(n_replicas, len(lam))).astype(float)
+        lam, size=(_VIS_REPLICAS, len(lam))).astype(float)
     return float(np.mean(_fitted_visibility(y, angles, theta_ref_deg)))
 
 

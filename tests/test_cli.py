@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from ionherald.cli import (EXIT_CONFIG, EXIT_DATA, load_manifest_config, main,
-                           reproduce_paper)
+from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK,
+                           load_manifest_config, main, reproduce_paper)
 from ionherald.sim import FILE_MAGIC, read_events
 
 
@@ -119,7 +119,9 @@ class TestConfig:
         "[run]\nseed = 1.5", "seed = 5", "[rates]\neta_trigger = 10%",
         "[run]\nseed = 1\nseed = 2", "[run]\nseed = 1\n[run]\nseed = 2",
         "[absorber]\nbasis = H\xff", "[analyzer]\nhwp_deg = nan",
-        "[absorber]\nallowed = sideways", "[run]\nduration_s = -1"])
+        "[absorber]\nallowed = sideways", "[run]\nduration_s = -1",
+        "[run]\nseed = abc", "[absorber]\nbasis = XY",
+        "[analyzer]\nbasis = XY"])
     def test_bad_config_value(self, tmp_path, capsys, entry):
         cfg = tmp_path / "bad.ini"
         # latin-1 turns the one non-ASCII character into a non-UTF-8 byte
@@ -455,6 +457,40 @@ class TestPipeline:
                      str(tmp_path / "tb")]) == 0
         assert len(calls) == 6
 
+    @pytest.mark.parametrize("failed, code", [({2, 5}, EXIT_OK),
+                                              ({1, 3, 4, 6, 8, 10},
+                                               EXIT_CONVERGENCE)])
+    def test_tomo_bootstrap_failed_replicas(self, tmp_path, monkeypatch,
+                                            capsys, failed, code):
+        # fit 0 is the table itself, fits 1..10 the replicas: a failed
+        # replica is skipped, and fewer than half converged is an error
+        from ionherald import tomography as tom
+        from ionherald import polarization as pol
+        from ionherald.errors import ConvergenceError
+        lam = tom.expected_counts(pol.singlet(), normalization=130.0)
+        table = tom.counts_table_from_values(
+            np.random.default_rng(9).poisson(lam).astype(float))
+        tom.write_counts_table(table, tmp_path / "counts.txt")
+        fit = tom.mle_reconstruct
+        calls = []
+
+        def failing(*a, **k):
+            calls.append(1)
+            if len(calls) - 1 in failed:
+                raise ConvergenceError("replica did not converge")
+            return fit(*a, **k)
+        monkeypatch.setattr(tom, "mle_reconstruct", failing)
+        assert main(["tomo", "--counts", str(tmp_path / "counts.txt"),
+                     "--bootstrap", "10", "--out-prefix",
+                     str(tmp_path / "tb")]) == code
+        assert len(calls) == 11
+        if code == EXIT_OK:
+            kv = read_kv(tmp_path / "tb.metrics.txt")
+            assert 0.0 < float(kv["fidelity_err"]) < 0.2
+        else:
+            assert "only 4/10 replicas converged" in capsys.readouterr().err
+            assert not (tmp_path / "tb.metrics.txt").exists()
+
     def test_tomo_rows_in_any_order(self, tmp_path):
         # the seed-42 paper-scale table of `reproduce`, rows shuffled
         from ionherald import presets
@@ -506,8 +542,9 @@ class TestPipeline:
 
 
 class TestReproduce:
-    # half-scale runs keep the verdict tolerances comfortably above the
-    # seed noise; the seeds are fixed like any other golden input
+    # at half scale every verdict passes for most master seeds, not all:
+    # the concurrence row fails for ~5 % of them (10 of 200), so the seeds
+    # are fixed like any other golden input
     SCALE = 0.5
 
     def test_verdicts_identical_across_seeds(self, tmp_path):
@@ -545,6 +582,19 @@ class TestReproduce:
                      *argv]) == EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
         # refused before the output directory is made
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, error", [
+        ("1", "degenerate fit: all counts are zero"),
+        ("3", "normalization subset has no counts")])
+    def test_degenerate_run_writes_nothing(self, tmp_path, capsys, seed,
+                                           error):
+        # seed 1 leaves a fringe scan that cannot be fit, seed 3 a
+        # tomography that cannot be reconstructed: both are data errors
+        out = tmp_path / "r"
+        assert main(["reproduce", "--seed", seed, "--scale", "0.004",
+                     "--quiet", "--out-dir", str(out)]) == EXIT_DATA
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic(self, tmp_path):

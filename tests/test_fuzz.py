@@ -1,8 +1,12 @@
 """Fuzzed input files: `g2` exits 0 or 3 on any bytes, `fringe`, `tomo` and
 `simulate --config` exit 0, 2, 3 or 4; none ends in a raw exception or
 reports a NaN. Fuzzed argv of every command, `reproduce` included, exits 0,
-2, 3 or 4. Fuzzed (trial, count) runs lay out the trial column that a
-dense per-trial count would."""
+2, 3 or 4, and `reproduce` leaves a complete report or no directory.
+Fuzzed (trial, count) runs lay out the trial column that a dense per-trial
+count would."""
+
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -256,8 +260,10 @@ SCALE = st.sampled_from(["0", "1e-9", "nan", "0.005", "0.02"])
 @given(seed=NUMBER, scale=SCALE, overrides=st.lists(OVERRIDE, max_size=2))
 def test_reproduce_argv_exits_0_2_3_or_4(tmp_path, capsys, seed, scale,
                                          overrides):
+    # a fresh directory per example: a complete report or none at all
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "r"
     argv = ["reproduce", "--seed", seed, "--scale", scale, "--quiet",
-            "--out-dir", str(tmp_path / "r")]
+            "--out-dir", str(out)]
     argv += [a for o in overrides for a in ("--override", o)]
     try:
         code = main(argv)
@@ -265,6 +271,10 @@ def test_reproduce_argv_exits_0_2_3_or_4(tmp_path, capsys, seed, scale,
         code = exc.code
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_CONVERGENCE), argv
     assert "Traceback" not in capsys.readouterr().err
+    if code == EXIT_OK:
+        assert (out / "report.kv").exists() and (out / "tomo_rho.txt").exists()
+    else:
+        assert not out.exists(), argv
 
 
 @settings(max_examples=300, deadline=None)
