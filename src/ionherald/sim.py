@@ -64,11 +64,18 @@ nanosecond to its last plus k - 1 ns for a trial with k records in the
 channel (the tie bumps above).
 ``write_events`` refuses a stream it cannot write in this grammar, and
 ``read_events`` names the first line that breaks it.
+
+Within one channel, trials and stamps only grow, so their digit counts
+change only a few times per file, and nearly every line is a row of one of
+two templates, ``<digits>\tAPD\t<digits>\tDETECT\n`` or the same with
+PMT_ONSET. Both directions work by that record shape: the writer fills rows
+of a template four digits at a time, and the reader checks each block's
+rows against the template of their first line in one compare. A block that
+does not fit goes to the general parse of the grammar above.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -470,9 +477,12 @@ def write_events(stream: EventStream, path) -> None:
     per line (trial, channel, t_ns, phase). Timestamps stay exact integers.
 
     The two channels are interleaved in time order, WRITE_BLOCK records at
-    a time: each onset goes after every APD stamp <= its own. A stream
-    whose records the grammar in the module docstring cannot hold is
-    refused before the file is opened."""
+    a time: each onset goes after every APD stamp <= its own. Each
+    channel's records of a block are formatted by record shape, as rows of
+    one template per run of equal digit counts, and the onset lines are
+    then spliced into the APD text. A stream whose records the grammar in
+    the module docstring cannot hold is refused before the file is
+    opened."""
     if stream.apd_dropped:
         raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
                         "APD clicks; its manifest promises them all")
@@ -494,14 +504,23 @@ def write_events(stream: EventStream, path) -> None:
             # the onsets and APD records of this block of records
             k0, k1 = np.searchsorted(at, [i, i + WRITE_BLOCK])
             a0, a1 = i - k0, min(i + WRITE_BLOCK, len(stream)) - k1
-            gaps = before[k0:k1] - a0
-            onset = np.zeros(a1 - a0 + k1 - k0, bool)
-            onset[at[k0:k1] - i] = True
-            fh.write(_record_text(
-                np.insert(stream.apd_trial[a0:a1], gaps,
-                          stream.onset_trial[k0:k1]),
-                onset,
-                np.insert(stream.apd_ns[a0:a1], gaps, stream.onset_ns[k0:k1])))
+            _write_records(fh, stream.apd_trial[a0:a1], stream.apd_ns[a0:a1],
+                           stream.onset_trial[k0:k1], stream.onset_ns[k0:k1],
+                           before[k0:k1] - a0)
+
+
+def _write_records(fh, apd_trial, apd_ns, onset_trial, onset_ns, gaps):
+    """Write the APD records with the onset records spliced in: onset k
+    goes ahead of APD record gaps[k]."""
+    apd, apd_runs = _record_text(b"APD", apd_trial, apd_ns)
+    onset, onset_runs = _record_text(b"PMT_ONSET", onset_trial, onset_ns)
+    cuts = _line_starts(apd_runs, gaps).tolist()
+    ends = _line_starts(onset_runs, np.arange(len(gaps) + 1)).tolist()
+    apd, onset = memoryview(apd), memoryview(onset)
+    for a, b, o0, o1 in zip([0, *cuts], cuts, ends, ends[1:]):
+        fh.write(apd[a:b])
+        fh.write(onset[o0:o1])
+    fh.write(apd[cuts[-1] if cuts else 0:])
 
 
 def read_events(path) -> EventStream:
@@ -509,12 +528,19 @@ def read_events(path) -> EventStream:
 
     The file is read twice, in blocks of READ_BLOCK bytes, into one buffer:
     once to count its line ends, which bounds its number of records, and
-    once to parse each block, cut after its last line end, straight into
-    each channel's columns; the partial line after the cut moves to the
-    buffer's front. The onset columns hold one record per trial at most.
-    Besides the columns, the buffer and one block's parse are held; the
-    order and window checks then run CHECK_BLOCK records at a time. The
-    path must name a file that can be read again."""
+    once to parse each block, cut after its last line end, into each
+    channel's columns; the partial line after the cut moves to the buffer's
+    front. The onset columns hold one record per trial at most.
+
+    A block is parsed by record shape when each channel's lines in it are
+    rows of one template, as nearly all are: every byte is checked against
+    the template, and the digit columns are decoded straight into the
+    channel's columns. Any other block (a digit count that changes, CRLF,
+    a blank line, a line that breaks the grammar, a trial past the
+    manifest's) goes to the general parse, _parse_records, which alone
+    names a bad line. Besides the columns, the buffer and one block's parse
+    are held; the order and window checks then run CHECK_BLOCK records at a
+    time. The path must name a file that can be read again."""
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh.readline(), path)
         n_trials = manifest.n_trials
@@ -534,10 +560,36 @@ def read_events(path) -> EventStream:
                    for n in (n_max, min(n_max, n_trials))]
         filled, lineno, kept = [0, 0], 2, 0     # kept: bytes of a partial line
 
-        def parse(a):
+        def parse_shaped(end) -> bool:
+            # the block buf[:end] by record shape, straight into the columns;
+            # False for a block that is not all lines of its channels' two
+            # shapes, or whose records break a rule that parse() reports
             nonlocal lineno
-            (trial, onset, t_ns), k = _parse_records(a, path, lineno,
-                                                     n_trials)
+            shaped = _shaped_lines(buf, end)
+            if shaped is None:
+                return False
+            counts = [len(digits) for digits, _, _ in shaped]
+            if (sum(filled) + sum(counts) > n_max
+                    or filled[CHANNEL_PMT_ONSET] + counts[CHANNEL_PMT_ONSET]
+                    > len(columns[CHANNEL_PMT_ONSET][0])):
+                return False
+            for (digits, *fields), pair, n in zip(shaped, columns, filled):
+                if not len(digits):
+                    continue
+                for f, column in zip(fields, pair):
+                    _decode_digits(digits, f, column[n:n + len(digits)])
+                if pair[0][n:n + len(digits)].max() >= n_trials:
+                    return False
+            filled[:] = [n + k for n, k in zip(filled, counts)]
+            lineno += sum(counts)
+            return True
+
+        def parse(end):
+            nonlocal lineno
+            if parse_shaped(end):
+                return
+            (trial, onset, t_ns), k = _parse_records(
+                np.frombuffer(buf, np.uint8, end), path, lineno, n_trials)
             if sum(filled) + len(trial) > n_max:
                 raise DataError(f"{path}: changed while it was read")
             for code, pick in ((CHANNEL_APD, ~onset),
@@ -557,14 +609,14 @@ def read_events(path) -> EventStream:
             end = kept + got
             cut = buf.rfind(b"\n", 0, end) + 1
             if cut:
-                parse(np.frombuffer(buf, np.uint8, cut))
+                parse(cut)
             kept = end - cut
             view[:kept] = view[cut:end]
             if kept > _MAX_LINE:        # longer than any record: raises below
                 break
         if kept:                        # the last line end is optional
             buf[kept] = _LF
-            parse(np.frombuffer(buf, np.uint8, kept + 1))
+            parse(kept + 1)
     stream = EventStream(*(column[:n] for pair, n in zip(columns, filled)
                            for column in pair), manifest=manifest)
     code = _unordered_channel(stream)
@@ -624,12 +676,32 @@ def _first_outside_window(m: RunManifest, trial, t_ns) -> int | None:
 
 
 def _record_line(path, code: int, index: int) -> int:
-    """File line number of the channel's record at `index`."""
+    """File line number of the channel's record at `index`, in a file that
+    has been parsed: each of its lines holds its channel's name once.
+
+    The name is counted a READ_BLOCK at a time, each block cut after its
+    last line end, up to the block that holds the record; the record is
+    then found in that block."""
     name = b"\t%s\t" % CHANNEL_NAMES[code].encode()
     with open(path, "rb") as fh:
-        lines = (k for k, text in enumerate(fh, start=1)
-                 if k > 1 and name in text)
-        return next(itertools.islice(lines, index, None))
+        fh.readline()
+        lineno, rest = 2, b""
+        while True:
+            data = fh.read(READ_BLOCK)
+            block = rest + data
+            # the last line end is optional
+            cut = block.rfind(b"\n") + 1 if data else len(block)
+            count = block.count(name, 0, cut)
+            if index < count:
+                at = -1
+                for _ in range(index + 1):
+                    at = block.find(name, at + 1, cut)
+                return lineno + block.count(b"\n", 0, at)
+            if not data:
+                raise DataError(f"{path}: changed while it was read")
+            index -= count
+            lineno += block.count(b"\n", 0, cut)
+            rest = block[cut:]
 
 
 # --- record text, a block at a time ----------------------------------------
@@ -645,57 +717,79 @@ _MAX_LINE = len(b"%s\tPMT_ONSET\t%s\tDETECT\r"
 _DIGIT_QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
                 // np.array([1000, 100, 10, 1], np.uint16) % 10
                 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_DIGIT_BYTES = _DIGIT_QUADS.view(np.uint8).reshape(-1, 4)
 _POW10 = 10 ** np.arange(1, MAX_DIGITS, dtype=np.int64)
 _PMT_ONSET = np.frombuffer(b"PMT_ONSET", np.uint8)
+# _decode_digits' steps over eight digits, one a byte: the shift to the next
+# group, the scale of a group and the mask of the sums of pairs, fours and
+# eights
+_DIGIT_SUMS = [(np.uint64(8), np.uint64(10), np.uint64(0x00FF00FF00FF00FF)),
+               (np.uint64(16), np.uint64(100), np.uint64(0x0000FFFF0000FFFF)),
+               (np.uint64(32), np.uint64(10000), np.uint64(0xFFFFFFFF))]
 
 
-def _digit_counts(v: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """Number of digits of each value (None if all have the same number),
-    and the largest."""
-    width = len(str(v.max()))
-    if len(str(v.min())) == width:
-        return None, width
-    return np.searchsorted(_POW10, v, side="right") + 1, width
+def _record_text(name: bytes, trial, t_ns):
+    """The lines of one channel's records, as uint8, and its runs of lines
+    of one shape: the first line of each run, its byte offset in the text
+    and its line length, with a last entry one past the end.
+
+    Within a run, every trial and every t_ns has the same number of digits,
+    so each line is a row of one template. A run ends where a column
+    crosses a power of ten."""
+    # t_ns is in order (write_events checks it); trial need not be
+    first = np.union1d([0, len(t_ns)], np.concatenate(
+        [_width_cuts(trial), np.searchsorted(t_ns, _POW10)]))
+    starts = first[:-1]
+    w_trial = np.searchsorted(_POW10, trial[starts], side="right") + 1
+    w_t = np.searchsorted(_POW10, t_ns[starts], side="right") + 1
+    length = w_trial + len(name) + w_t + len(b"\t\t\tDETECT\n")
+    offset = np.append(0, np.cumsum(np.diff(first) * length))
+    text = np.empty(offset[-1], np.uint8)
+    for j0, j1, b0, b1, wa, wb in zip(first.tolist(), first[1:].tolist(),
+                                      offset.tolist(), offset[1:].tolist(),
+                                      w_trial.tolist(), w_t.tolist()):
+        template = b"%s\t%s\t%s\tDETECT\n" % (b"0" * wa, name, b"0" * wb)
+        text[b0:b1] = np.frombuffer(template * (j1 - j0), np.uint8)
+        rows = text[b0:b1].reshape(j1 - j0, -1)
+        _put_digits(rows, trial[j0:j1], wa, wa)
+        _put_digits(rows, t_ns[j0:j1], wa + len(name) + 2 + wb, wb)
+    return text, (first, offset, np.append(length, 0))
+
+
+def _width_cuts(v: np.ndarray) -> np.ndarray:
+    """The indices at which the number of digits of v changes: where it
+    crosses a power of ten, if v is in order."""
+    if np.all(v[:-1] <= v[1:]):
+        return np.searchsorted(v, _POW10)
+    width = np.searchsorted(_POW10, v, side="right")
+    return np.flatnonzero(width[:-1] != width[1:]) + 1
+
+
+def _line_starts(runs, j: np.ndarray) -> np.ndarray:
+    """Byte offsets of the lines j (up to one past the last) in a text of
+    the runs that _record_text returned."""
+    first, offset, length = runs
+    r = np.searchsorted(first, j, side="right") - 1
+    return offset[r] + (j - first[r]) * length[r]
 
 
 def _put_digits(rows: np.ndarray, v: np.ndarray, stop: int, width: int):
-    """Write v zero-padded to `width` digits in rows[:, stop - width:stop]."""
-    quads = np.empty((len(v), -(-width // 4)), np.uint32)
-    for k in range(quads.shape[1] - 1, -1, -1):
+    """Write v, each of `width` digits, in rows[:, stop - width:stop].
+
+    Four digits at a time, from the right, through a uint32 view of the
+    rows; the leftmost four overlap the ones on their right when width is
+    not a multiple of four."""
+    if width < 4:
+        rows[:, stop - width:stop] = _DIGIT_BYTES[v, 4 - width:]
+        return
+    top = v // 10 ** (width - 4)
+    for start in range(stop - 4, stop - width, -4):
         high = v // 10000
-        quads[:, k] = _DIGIT_QUADS.take(v - high * 10000)
+        rows[:, start:start + 4].view(np.uint32)[:, 0] = _DIGIT_QUADS.take(
+            v - high * 10000)
         v = high
-    rows[:, stop - width:stop] = quads.view(np.uint8)[:, -width:]
-
-
-def _record_text(trial, onset, t_ns) -> np.ndarray:
-    """The file text of a block of records, as uint8; onset marks the
-    PMT_ONSET records.
-
-    Each record is laid out in a row wide enough for the block's longest
-    trial, channel name and t_ns; then the bytes that pad shorter ones are
-    dropped."""
-    n_trial, w_trial = _digit_counts(trial)
-    n_t, w_t = _digit_counts(t_ns)
-    at = np.flatnonzero(onset)
-    w_name = len(_PMT_ONSET) if len(at) else len("APD")
-    layout = b"%s\t%s\t%s\tDETECT\n" % (b"0" * w_trial, b"APD".ljust(w_name),
-                                       b"0" * w_t)
-    name = w_trial + 1                  # first column of the channel name
-    t_col = name + w_name + 1           # first column of t_ns
-    rows = np.empty((len(t_ns), len(layout)), np.uint8)
-    rows[:] = np.frombuffer(layout, np.uint8)
-    _put_digits(rows, trial, w_trial, w_trial)
-    _put_digits(rows, t_ns, t_col + w_t, w_t)
-    if len(at):
-        rows[at, name:name + w_name] = _PMT_ONSET
-    keep = np.ones(rows.shape, bool)
-    keep[:, name + 3:name + w_name] = onset[:, None]
-    if n_trial is not None:
-        keep[:, :w_trial] = np.arange(w_trial) >= (w_trial - n_trial)[:, None]
-    if n_t is not None:
-        keep[:, t_col:t_col + w_t] = np.arange(w_t) >= (w_t - n_t)[:, None]
-    return rows[keep]
+    rows[:, stop - width:stop - width + 4].view(np.uint32)[:, 0] = \
+        _DIGIT_QUADS.take(top)
 
 
 def _read_manifest(line: bytes, path) -> RunManifest:
@@ -714,6 +808,95 @@ def _read_manifest(line: bytes, path) -> RunManifest:
 
 def _reject_non_finite(name: str):
     raise ValueError(f"non-finite number {name}")
+
+
+def _shaped_lines(buf: bytearray, end: int):
+    """The APD and the PMT_ONSET lines of the block buf[:end], which ends in
+    LF, if each channel's lines all have the shape of its first: per channel,
+    what _shaped_rows returns. None if a line does not have that shape.
+
+    The onset lines are found with bytearray.find, a run of adjacent ones
+    at a time: of the two names, only PMT_ONSET holds a "_" and only APD an
+    "A".
+    The find only splits the block; the shape check then reads every line.
+    Past one run of onsets per KiB, the general parse is the faster one."""
+    a = np.frombuffer(buf, np.uint8, end)
+    runs = [0]          # the bounds of the APD and onset runs, alternating
+    while (at := buf.find(b"_", runs[-1], end)) >= 0:
+        if len(runs) // 2 > end >> 10:
+            return None
+        start = buf.rfind(b"\n", 0, at) + 1
+        apd = buf.find(b"A", at, end)
+        stop = buf.rfind(b"\n", 0, apd) + 1 if apd >= 0 else end
+        if stop <= start:
+            return None
+        runs += [start, stop]
+    runs.append(end)
+    shaped = []
+    for name, first in ((b"APD", 0), (b"PMT_ONSET", 1)):
+        pieces = [a[i:j] for i, j in zip(runs[first::2], runs[first + 1::2])]
+        lines = _shaped_rows(pieces[0] if len(pieces) == 1
+                             else np.concatenate([a[:0], *pieces]), name)
+        if lines is None:
+            return None
+        shaped.append(lines)
+    return shaped
+
+
+def _shaped_rows(text: np.ndarray, name: bytes):
+    """The lines of text (uint8, each ending in LF) as rows less their
+    template, which hold the digits in the digit columns and 0 elsewhere,
+    and the trial and t_ns columns; if every line has the shape of the
+    first, a record of the channel `name`. Else None.
+
+    Every byte is checked against the first line in one compare: the rows
+    less the template, with '0' in the digit columns, lie within 9 of 0 in
+    the digit columns and are 0 in the others."""
+    if not len(text):
+        return text.reshape(0, 0), slice(0), slice(0)
+    head = text[:_MAX_LINE + 1].tobytes()
+    width = head.find(b"\n") + 1
+    fields = head[:width].split(b"\t")
+    if (len(fields) != 4 or fields[1] != name or fields[3] != b"DETECT\n"
+            or len(text) % width
+            or not all(len(f) <= MAX_DIGITS and f.isdigit()
+                       for f in fields[::2])):
+        return None
+    trial = slice(0, len(fields[0]))
+    t_ns = slice(width - len(b"\tDETECT\n") - len(fields[2]),
+                 width - len(b"\tDETECT\n"))
+    template = np.frombuffer(head, np.uint8, width).copy()
+    span = np.zeros(width, np.uint8)
+    for f in (trial, t_ns):
+        template[f], span[f] = _ZERO, 9
+    digits = text.reshape(-1, width) - template
+    if not (digits <= span).all():
+        return None
+    return digits, trial, t_ns
+
+
+def _decode_digits(digits: np.ndarray, field: slice, out: np.ndarray):
+    """The values of the decimal digits digits[:, field] into out.
+
+    Eight digits at a time: their bytes, read as one little-endian uint64
+    (first digit lowest) and shifted left until the last of them is the top
+    byte, are summed in pairs, fours and eights by multiply, shift and mask.
+    A field is followed by at least eight bytes of its row."""
+    x, low = np.empty(len(digits), np.uint64), np.empty(len(digits), np.uint64)
+    for start in range(field.start, field.stop, 8):
+        k = min(8, field.stop - start)
+        np.left_shift(digits[:, start:start + 8].view("<u8")[:, 0],
+                      np.uint64(64 - 8 * k), out=x)
+        for shift, scale, mask in _DIGIT_SUMS:
+            np.right_shift(x, shift, out=low)
+            x *= scale
+            x += low
+            x &= mask
+        if start > field.start:
+            out *= 10 ** k
+            out += x.view(np.int64)
+        else:
+            out[:] = x
 
 
 def _parse_records(a: np.ndarray, path, lineno: int, n_trials: int):

@@ -3,8 +3,10 @@
 reports a NaN. Fuzzed argv of every command, `reproduce` included, exits 0,
 2, 3 or 4, and `reproduce` leaves a complete report or no directory.
 Fuzzed (trial, count) runs lay out the trial column that a dense per-trial
-count would."""
+count would. A fuzzed event file reads the same by record shape as by the
+general parse."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -17,11 +19,11 @@ from hypothesis import strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from ionherald import polarization as pol  # noqa: E402
-from ionherald import sim  # noqa: E402
+from ionherald import presets, sim  # noqa: E402
 from ionherald import tomography as tom  # noqa: E402
 from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA,  # noqa
                            EXIT_OK, load_manifest_config, main)
-from ionherald.errors import ConfigError  # noqa: E402
+from ionherald.errors import ConfigError, DataError  # noqa: E402
 
 # one edit: (position, kind, byte); bytes that JSON and the records use are
 # drawn as often as all the others together
@@ -62,6 +64,45 @@ def test_g2_exits_0_or_3(tmp_path, event_file, edits, in_header):
     path.write_bytes(mutate(event_file, edits, span))
     assert main(["g2", "--events", str(path),
                  "--out-prefix", str(tmp_path / "g")]) in (0, EXIT_DATA)
+
+
+@pytest.fixture(scope="module")
+def onset_event_file(tmp_path_factory):
+    # 30 trials, ~1250 APD lines, and an onset in most trials; trials of one
+    # and two digits, stamps of eight to ten
+    m = presets.preset_manifest("paper-hv", 3, angle_deg=45.0, minutes=0.05)
+    m = dataclasses.replace(m, rates=dataclasses.replace(
+        m.rates, false_onset_rate=40.0))
+    path = tmp_path_factory.mktemp("fuzz") / "onsets.txt"
+    sim.write_events(sim.simulate_run(m), path)
+    return path.read_bytes()
+
+
+def read_outcome(path):
+    """What read_events makes of a file: its stream, or its error's text."""
+    try:
+        return sim.read_events(path)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(EDIT, min_size=1, max_size=8),
+       block=st.integers(64, 4096))
+def test_shape_path_reads_as_the_general_parse(tmp_path, onset_event_file,
+                                               edits, block):
+    # a file of several blocks, edited in its records: read by record shape
+    # where a block fits, it gives the stream or the error text, line number
+    # included, that the general parse of every block gives
+    header, records = onset_event_file.split(b"\n", 1)
+    path = tmp_path / "fuzzed.txt"
+    path.write_bytes(header + b"\n" + mutate(records, edits, len(records)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "READ_BLOCK", block)
+        shaped = read_outcome(path)
+        m.setattr(sim, "_shaped_lines", lambda buf, end: None)
+        assert read_outcome(path) == shaped
 
 
 def assert_no_nan(tmp_path, out: str) -> None:

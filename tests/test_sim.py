@@ -833,6 +833,17 @@ class TestAgainstLineReference:
         assert back == stream
         assert_reads_as_reference(back, path)
 
+    def test_trials_out_of_order(self, tmp_path):
+        # a stream whose trials fall and rise across powers of ten, though
+        # its stamps increase, is written as the per-line writer wrote it
+        stream = EventStream(ns(5, 30, 7, 100, 9, 0), ns(1, 20, 300, 4000,
+                                                         50000, 600000),
+                             ns(12, 3), ns(25, 70000),
+                             make_manifest(duration_s=0.1))
+        path = tmp_path / "r.txt"
+        write_events(stream, path)
+        assert path.read_bytes().split(b"\n", 1)[1] == reference_text(stream)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_line_ends_and_blocks(self, tmp_path, monkeypatch, seed):
         # CRLF and blank lines anywhere, maybe no final line end, and reader
@@ -955,6 +966,158 @@ class TestChecksInBlocks:
                 assert sim._first_outside_window(m, trial, t) == i
 
 
+def read_outcome(path):
+    """What read_events makes of a file: its stream, or its error's text."""
+    try:
+        return read_events(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def general_outcome(path, monkeypatch):
+    """read_outcome with every block sent to the general parse."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_shaped_lines", lambda buf, end: None)
+        return read_outcome(path)
+
+
+class TestShapePath:
+    # 1000 trials: past trial 99 every trial has three digits and every
+    # stamp eleven, so each channel's lines have one shape; ~25 clicks and
+    # ~0.1 onsets per trial
+    M = make_manifest(seed=8, duration_s=100.0, dark_trigger_rate=500.0)
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """Per block read by shape or not, in the order read."""
+        taken = []
+        shaped_lines = sim._shaped_lines
+
+        def counted(buf, end):
+            lines = shaped_lines(buf, end)
+            taken.append(lines is not None)
+            return lines
+        monkeypatch.setattr(sim, "_shaped_lines", counted)
+        return taken
+
+    def one_shape(self, stop=1000):
+        # the records of trials 100 to stop - 1
+        stream = simulate_run(self.M)
+        a, o = ((trial >= 100) & (trial < stop)
+                for trial in (stream.apd_trial, stream.onset_trial))
+        return dataclasses.replace(
+            stream, apd_trial=stream.apd_trial[a], apd_ns=stream.apd_ns[a],
+            onset_trial=stream.onset_trial[o], onset_ns=stream.onset_ns[o])
+
+    @pytest.mark.parametrize("kind", ["interleaved", "no-onset", "onset-only",
+                                      "onset-first"])
+    def test_blocks_that_fit(self, tmp_path, monkeypatch, taken, kind):
+        monkeypatch.setattr(sim, "READ_BLOCK", 1 << 14)
+        stream = self.one_shape()
+        assert len(stream.apd_ns) > 20_000 and len(stream.onset_ns) > 50
+        if kind == "no-onset":
+            stream = dataclasses.replace(stream, onset_trial=ns(),
+                                         onset_ns=ns())
+        if kind == "onset-only":
+            stream = dataclasses.replace(stream, apd_trial=ns(), apd_ns=ns())
+        path = tmp_path / "shape.events"
+        write_events(stream, path)
+        if kind == "onset-first":
+            header, *records = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(header + b"".join(sorted(
+                records, key=lambda line: b"\tPMT_ONSET\t" not in line)))
+        assert read_outcome(path) == stream
+        assert taken and all(taken)
+        assert general_outcome(path, monkeypatch) == stream
+
+    def test_widest_fields(self, tmp_path, taken):
+        # ten-digit trials, and stamps of eighteen digits: three chunks of
+        # the decode; a few onsets, so that the block is read by shape
+        stream = random_stream(np.random.default_rng(5), 3000, 0.05)
+        a, o = stream.apd_trial >= 10 ** 9, stream.onset_trial >= 10 ** 9
+        stream = dataclasses.replace(
+            stream, apd_trial=stream.apd_trial[a], apd_ns=stream.apd_ns[a],
+            onset_trial=stream.onset_trial[o], onset_ns=stream.onset_ns[o])
+        assert len(stream.apd_ns) > 100 and len(stream.onset_ns) > 5
+        assert min(stream.apd_ns.min(), stream.onset_ns.min()) >= 10 ** 17
+        path = tmp_path / "wide.events"
+        write_events(stream, path)
+        assert read_outcome(path) == stream
+        assert taken == [True]
+
+    def test_width_change_inside_a_block(self, tmp_path, monkeypatch,
+                                         taken):
+        # the first block holds trials of one, two and three digits
+        stream = simulate_run(self.M)
+        path = tmp_path / "widths.events"
+        write_events(stream, path)
+        assert read_outcome(path) == stream
+        assert taken == [False]
+        monkeypatch.setattr(sim, "READ_BLOCK", 1 << 12)
+        taken.clear()
+        assert read_outcome(path) == stream
+        assert 0 < taken.count(False) < len(taken) // 4
+        assert general_outcome(path, monkeypatch) == stream
+
+    def test_trial_past_the_manifest(self, tmp_path, monkeypatch, taken):
+        # well-formed records of trial 999 under a manifest of 999 trials
+        monkeypatch.setattr(sim, "READ_BLOCK", 1 << 14)
+        path = tmp_path / "late.events"
+        write_events(self.one_shape(), path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"duration_s":100.0',
+                                      b'"duration_s":99.9', 1))
+        line = data.count(b"\n", 0, data.index(b"\n999\t")) + 2
+        outcome = read_outcome(path)
+        assert outcome == (f"{path}: line {line}: trial 999 outside the "
+                           "manifest's 999 trials")
+        # every block has the shape; the last one's trials send it to the
+        # general parse
+        assert all(taken)
+        assert general_outcome(path, monkeypatch) == outcome
+
+    @pytest.mark.parametrize("name", [b"APD", b"PMT_ONSET"])
+    def test_each_byte_of_a_line(self, tmp_path, monkeypatch, name):
+        # each byte of a record line replaced by a digit, a letter, a tab or
+        # a line end, or dropped; the APD line lies inside a block, the
+        # onset line is the first of its run
+        monkeypatch.setattr(sim, "READ_BLOCK", 2048)
+        path = tmp_path / "edited.events"
+        write_events(self.one_shape(stop=120), path)
+        data = path.read_bytes()
+        at = data.index(b"\t%s\t" % name, len(data) // 2 if name == b"APD"
+                        else data.index(b"\n") + 1)
+        start = data.rindex(b"\n", 0, at) + 1
+        for i in range(start, data.index(b"\n", at) + 1):
+            for byte in (b"5", b"x", b"\t", b"\n", b""):
+                path.write_bytes(data[:i] + byte + data[i + 1:])
+                assert read_outcome(path) == general_outcome(
+                    path, monkeypatch), (i - start, byte)
+
+    @pytest.mark.parametrize("name", ["APD", "PMT_ONSET"])
+    def test_stamp_outside_window_in_a_late_block(self, tmp_path,
+                                                  monkeypatch, name):
+        # the first record of the channel in a late trial, moved 10 ms
+        # ahead of its window: still in time order in its channel
+        monkeypatch.setattr(sim, "READ_BLOCK", 256)
+        stream = self.one_shape()
+        trial, t_ns = ((stream.apd_trial, stream.apd_ns) if name == "APD"
+                       else (stream.onset_trial, stream.onset_ns))
+        i = int(np.searchsorted(trial, trial[-1]))
+        t_ns[i] = trial[i] * 100_000_000 + 40_000_000
+        path = tmp_path / "outside.events"
+        write_events(stream, path)
+        data = path.read_bytes()
+        at = data.index(b"\t%s\t%d\t" % (name.encode(), t_ns[i]))
+        line = data.count(b"\n", 0, at) + 1
+        assert line > 20_000
+        outcome = read_outcome(path)
+        assert outcome == (f"{path}: line {line}: {name} stamp {t_ns[i]} "
+                           f"outside the detection window of trial "
+                           f"{trial[i]}")
+        assert general_outcome(path, monkeypatch) == outcome
+
+
 class TestMemoryBound:
     def test_full_stream_phases(self, tmp_path):
         # a 30-min paper-hv stream, ~0.73 M records: each phase of the
@@ -989,4 +1152,6 @@ class TestMemoryBound:
         for name, peak in peaks.items():
             assert peak < 2 * column_bytes, (name, peak, column_bytes)
         assert peaks["simulate_run"] < 1.3 * column_bytes, peaks
+        assert peaks["write_events"] < 0.3 * column_bytes, peaks
+        assert peaks["read_events"] < 1.6 * column_bytes, peaks
         assert peaks["histogram_from_stream"] < 0.1 * column_bytes, peaks
