@@ -391,7 +391,7 @@ def reproduce_paper(master_seed: int, out_dir, scale: float = 1.0,
     for name, plan, scan, fit in fringes:
         write_scan(scan, out / f"scan_{name}.txt")
         write_fit_record(fit, out / f"fit_{name}.txt",
-                         extra={"basis": plan.basis_label})
+                         extra={"basis": plan.targets.basis_label})
         write_plot_data(scan, fit, out / f"fit_{name}.plot.txt")
     tom.write_counts_table(counts, out / "tomo_counts.txt")
     tom.write_density_matrix(rho, out / "tomo_rho.txt")

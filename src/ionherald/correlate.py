@@ -149,7 +149,14 @@ def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
                           window_bins: int = DEFAULT_WINDOW_BINS) -> CoincidenceHistogram:
     """Histogram of a stream's two channels, each in time order, over the
     run's duration. APD clicks a counting-mode stream left out
-    (``apd_dropped``) still count in total_apd."""
+    (``apd_dropped``) still count in total_apd; such a stream holds every
+    pair only within ``lag_reach_ns()``, so a wider window is refused."""
+    if stream.apd_dropped and \
+            lag_reach_ns(bin_width_us, window_bins) > lag_reach_ns():
+        raise DataError("counting-mode stream holds the clicks within "
+                        f"{lag_reach_ns()} ns of an onset only; the lag "
+                        f"window of {window_bins} bins of {bin_width_us} us "
+                        "reaches further")
     hist = histogram(stream.apd_ns, stream.onset_ns, bin_width_us,
                      window_bins, stream.manifest.duration_s)
     return replace(hist, total_apd=hist.total_apd + int(stream.apd_dropped))

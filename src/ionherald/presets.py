@@ -25,12 +25,19 @@ The three solutions ship as exact constants, so no process solves anything
 to build a preset and the presets are the same bits on every numpy release.
 ``_solve_fringe_preset`` is the derivation they come from; the tests re-run
 it and require its output bit for bit.
+
+A basis's calibration is its ``FringePlan``: the solved source and rates
+and the targets they reproduce. Everything else of the paper's plan (the
+six HWP angles, the sequence, the 16-setting design and its run length) is
+the same for every preset and lives on the plan classes. The tomography's
+absorber for each setting is the basis that holds its ``DESIGN`` state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -158,11 +165,27 @@ def _mean_fitted_visibility(expected_bin0, angles, theta_ref_deg) -> float:
 # --- calibration --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Calibration:
+class FringePlan:
+    """One basis's calibration, which is also its six-angle fringe scan.
+    Its ``absorber``, the ion absorbing the basis's plus state, is built
+    once per plan."""
+
     source: SourceModel
     rates: RateConfig
-    sequence: SequenceConfig
     targets: FringeTargets
+
+    angles: ClassVar[tuple] = SCAN_ANGLES_DEG
+    theta_ref_deg: ClassVar[float] = THETA_REF_DEG
+    sequence: ClassVar[SequenceConfig] = SequenceConfig()
+
+    def __post_init__(self):
+        # built once; the fields are frozen
+        object.__setattr__(self, "absorber", absorber_for(
+            pol.BASES[self.targets.basis_label], "plus"))
+
+    @property
+    def point_minutes(self) -> float:
+        return self.targets.minutes
 
 
 def _source_and_rates(pair_rate: float, singlet_weight: float,
@@ -233,22 +256,21 @@ _SOLVED_HEX = {
 
 
 @lru_cache(maxsize=None)
-def calibrate_fringe_preset(name: str) -> Calibration:
+def calibrate_fringe_preset(name: str) -> FringePlan:
     """The named basis's calibration: the rate-equation solution that
     reproduces its targets, from the shipped constants."""
     if name not in PAPER_FRINGE_TARGETS:
         raise ConfigError(f"unknown fringe preset {name!r}; "
                           f"choose from {sorted(PAPER_FRINGE_TARGETS)}")
     values = (float.fromhex(h) for h in _SOLVED_HEX[name])
-    return Calibration(*_source_and_rates(*values), SequenceConfig(),
-                       PAPER_FRINGE_TARGETS[name])
+    return FringePlan(*_source_and_rates(*values), PAPER_FRINGE_TARGETS[name])
 
 
-def _solve_fringe_preset(name: str) -> Calibration:
+def _solve_fringe_preset(name: str) -> FringePlan:
     """Solve the rate equations so the named basis reproduces its targets.
     The reference derivation of ``_SOLVED_HEX``."""
     t = PAPER_FRINGE_TARGETS[name]
-    sequence = SequenceConfig()
+    sequence = FringePlan.sequence
     basis = pol.BASES[t.basis_label]
     absorber = absorber_for(basis, "plus")
     analyzers = [scan_analyzer(basis, th, THETA_REF_DEG)
@@ -298,88 +320,64 @@ def _solve_fringe_preset(name: str) -> Calibration:
     if abs(v_mc - t.visibility) > 3e-3:
         raise ConfigError(f"calibration for {name!r}: estimator-mean "
                           f"visibility {v_mc:.4f} missed {t.visibility}")
-    return Calibration(*build(x), sequence, t)
+    return FringePlan(*build(x), t)
 
 
 # --- preset plans --------------------------------------------------------------
 
-_ABSORBER_BASIS_FOR_STATE = {"H": ("HV", "plus"), "V": ("HV", "minus"),
-                             "D": ("DA", "plus"), "R": ("RL", "plus")}
-
-
-def absorber_for_design_state(label: str) -> AbsorberSetting:
-    basis_label, which = _ABSORBER_BASIS_FOR_STATE[label]
-    return absorber_for(pol.BASES[basis_label], which,
-                        geometry_note=f"tomography: ion absorbs {label}")
-
-
-@dataclass(frozen=True)
-class FringePlan:
-    name: str
-    basis_label: str
-    source: SourceModel
-    rates: RateConfig
-    sequence: SequenceConfig
-    absorber: AbsorberSetting
-    angles: tuple
-    theta_ref_deg: float
-    point_minutes: float
-    targets: FringeTargets
+def fringe_plan(name: str) -> FringePlan:
+    return calibrate_fringe_preset(name)
 
 
 @dataclass(frozen=True)
 class TomoPlan:
-    name: str
+    """The 16-setting tomography, one run of TOMO_MINUTES per setting."""
+
     source: SourceModel
     rates: RateConfig
-    sequence: SequenceConfig
-    setting_minutes: float
-    settings: tuple
 
-
-def fringe_plan(name: str) -> FringePlan:
-    cal = calibrate_fringe_preset(name)
-    basis = pol.BASES[cal.targets.basis_label]
-    return FringePlan(
-        name=f"paper-{name}", basis_label=cal.targets.basis_label,
-        source=cal.source, rates=cal.rates, sequence=cal.sequence,
-        absorber=absorber_for(basis, "plus"), angles=SCAN_ANGLES_DEG,
-        theta_ref_deg=THETA_REF_DEG, point_minutes=cal.targets.minutes,
-        targets=cal.targets)
+    settings: ClassVar[tuple] = DESIGN
+    setting_minutes: ClassVar[float] = TOMO_MINUTES
+    sequence: ClassVar[SequenceConfig] = SequenceConfig()
 
 
 def tomo_plan() -> TomoPlan:
     cal = calibrate_fringe_preset("rl")   # rates; the state weight is its own
     source = SourceModel(pol.singlet(), TOMO_SINGLET_WEIGHT,
                          cal.source.pair_rate)
-    return TomoPlan(name="paper-tomo", source=source, rates=cal.rates,
-                    sequence=cal.sequence, setting_minutes=TOMO_MINUTES,
-                    settings=DESIGN)
+    return TomoPlan(source, cal.rates)
 
 
 PRESET_NAMES = ("paper-rl", "paper-hv", "paper-da", "paper-tomo")
 
 
-def manifest_for_angle(plan: FringePlan, angle_deg: float, seed: int,
-                       minutes: float | None = None) -> RunManifest:
-    minutes = plan.point_minutes if minutes is None else minutes
-    analyzer = scan_analyzer(pol.BASES[plan.basis_label], angle_deg,
-                             plan.theta_ref_deg)
-    return RunManifest(seed=int(seed), duration_s=minutes * 60.0,
-                       absorber=plan.absorber, analyzer=analyzer,
-                       source=plan.source, sequence=plan.sequence,
-                       rates=plan.rates)
-
-
-def manifest_for_setting(plan: TomoPlan, setting: TomographySetting,
-                         seed: int, minutes: float | None = None) -> RunManifest:
-    minutes = plan.setting_minutes if minutes is None else minutes
-    absorber = absorber_for_design_state(setting.label[0])
-    analyzer = AnalyzerSetting(setting.analyzer_state, hwp_angle=None)
+def _manifest(plan, absorber: AbsorberSetting, analyzer: AnalyzerSetting,
+              seed: int, minutes: float) -> RunManifest:
+    """One run of ``minutes`` of the plan's source, sequence and rates."""
     return RunManifest(seed=int(seed), duration_s=minutes * 60.0,
                        absorber=absorber, analyzer=analyzer,
                        source=plan.source, sequence=plan.sequence,
                        rates=plan.rates)
+
+
+def manifest_for_angle(plan: FringePlan, angle_deg: float, seed: int,
+                       minutes: float | None = None) -> RunManifest:
+    analyzer = scan_analyzer(plan.absorber.basis, angle_deg,
+                             plan.theta_ref_deg)
+    return _manifest(plan, plan.absorber, analyzer, seed,
+                     plan.point_minutes if minutes is None else minutes)
+
+
+def manifest_for_setting(plan: TomoPlan, setting: TomographySetting,
+                         seed: int, minutes: float | None = None) -> RunManifest:
+    state = setting.absorber_state
+    basis = next(b for b in pol.BASES.values() if state in (b.plus, b.minus))
+    absorber = absorber_for(basis, "plus" if state == basis.plus else "minus",
+                            geometry_note=f"tomography: ion absorbs "
+                                          f"{setting.label[0]}")
+    analyzer = AnalyzerSetting(setting.analyzer_state, hwp_angle=None)
+    return _manifest(plan, absorber, analyzer, seed,
+                     plan.setting_minutes if minutes is None else minutes)
 
 
 def preset_manifest(name: str, seed: int, angle_deg: float | None = None,

@@ -62,8 +62,12 @@ digit. A record's trial is one of the manifest's, below its n_trials, and
 its stamp lies in that trial's detection window, from its first rounded
 nanosecond to its last plus k - 1 ns for a trial with k records in the
 channel (the tie bumps above).
-``write_events`` refuses a stream it cannot write in this grammar, and
-``read_events`` names the first line that breaks it.
+``write_events`` refuses a stream that the record syntax and channel order
+cannot hold: a trial or stamp outside 1 to 18 digits, or a channel out of
+time order. The manifest rules (the trial range, at most one onset per
+trial, the windows) are checked on read, so the writer can write a file
+that ``read_events`` refuses. ``read_events`` names the first line that
+breaks the grammar or a rule.
 
 Within one channel, trials and stamps only grow, so their digit counts
 change only a few times per file, and nearly every line is a row of one of
@@ -480,9 +484,10 @@ def write_events(stream: EventStream, path) -> None:
     a time: each onset goes after every APD stamp <= its own. Each
     channel's records of a block are formatted by record shape, as rows of
     one template per run of equal digit counts, and the onset lines are
-    then spliced into the APD text. A stream whose records the grammar in
-    the module docstring cannot hold is refused before the file is
-    opened."""
+    then spliced into the APD text. A stream whose records the record
+    syntax or channel order cannot hold is refused before the file is
+    opened; the manifest rules (trial range, one onset per trial, the
+    windows) are checked on read only."""
     if stream.apd_dropped:
         raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
                         "APD clicks; its manifest promises them all")

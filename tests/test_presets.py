@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ionherald import polarization as pol
 from ionherald import presets
 from ionherald.biphoton import scan_analyzer
 from ionherald.errors import ConfigError
+from ionherald.tomography import DESIGN
 
 
 # float.hex of (pair_rate, singlet_weight, dark_trigger_rate) per preset,
@@ -105,11 +108,24 @@ class TestPlans:
         assert pol.overlap(m.analyzer.projector_state, pol.V) == \
             pytest.approx(1.0, abs=1e-12)
 
-    def test_absorber_map_covers_design_states(self):
-        for label in ("H", "V", "D", "R"):
-            ab = presets.absorber_for_design_state(label)
-            assert pol.overlap(ab.allowed, pol.STATE_BY_LABEL[label]) == \
+    def test_setting_absorbers_follow_the_design(self):
+        plan = presets.tomo_plan()
+        assert len(DESIGN) == 16
+        for s in DESIGN:
+            ab = presets.manifest_for_setting(plan, s, 0).absorber
+            assert pol.overlap(ab.allowed, s.absorber_state) == \
                 pytest.approx(1.0, abs=1e-12)
+            assert ab.geometry_note == f"tomography: ion absorbs {s.label[0]}"
+
+    @pytest.mark.parametrize("name", ["rl", "hv", "da"])
+    def test_fringe_plan_is_the_calibration(self, name):
+        assert presets.fringe_plan(name) is \
+            presets.calibrate_fringe_preset(name)
+
+    def test_plans_hold_only_what_varies(self):
+        names = [[f.name for f in dataclasses.fields(cls)]
+                 for cls in (presets.FringePlan, presets.TomoPlan)]
+        assert names == [["source", "rates", "targets"], ["source", "rates"]]
 
     def test_scan_angles_distinct_modulo_period(self):
         angles = np.asarray(presets.SCAN_ANGLES_DEG) % 90.0

@@ -475,6 +475,28 @@ class TestCountingMode:
         assert counted.apd_dropped == 0 and len(counted) > 80_000
         assert counted == simulate_run(m)
 
+    def test_lag_windows_within_reach(self):
+        # 49 bins of 5 us reach 247.5 us, inside the default 505 us
+        counted = assert_counting_equals_full(make_manifest(
+            seed=7, duration_s=120.0, dark_trigger_rate=2000.0), 5.0, 49)
+        assert counted.apd_dropped > 0
+
+    def test_lag_window_beyond_reach_refused(self):
+        # 51 bins of 10.5 us reach 540.75 us: the counting stream left out
+        # clicks that such a window would bin
+        m = make_manifest(seed=7, duration_s=120.0, dark_trigger_rate=2000.0)
+        assert lag_reach_ns(10.5, 51) > lag_reach_ns()
+        counted, full = simulate_run(m, counting=True), simulate_run(m)
+        def pairs(s):
+            return histogram(s.apd_ns, s.onset_ns, 10.5, 51).counts.sum()
+        assert pairs(counted) < pairs(full)
+        with pytest.raises(DataError, match="reaches further"):
+            histogram_from_stream(counted, 10.5, 51)
+        # the full stream holds every click and takes any window
+        for bin_us, window_bins in ((10.5, 51), (10.0, 500), (1.0, 5)):
+            hist = histogram_from_stream(full, bin_us, window_bins)
+            assert len(hist.counts) == 2 * window_bins + 1
+
     def test_no_trials(self):
         counted = assert_counting_equals_full(make_manifest(duration_s=0.0))
         assert len(counted) == 0 and counted.apd_dropped == 0
