@@ -73,9 +73,13 @@ Within one channel, trials and stamps only grow, so their digit counts
 change only a few times per file, and nearly every line is a row of one of
 two templates, ``<digits>\tAPD\t<digits>\tDETECT\n`` or the same with
 PMT_ONSET. Both directions work by that record shape: the writer fills rows
-of a template four digits at a time, and the reader checks each block's
-rows against the template of their first line in one compare. A block that
-does not fit goes to the general parse of the grammar above.
+of a template four digits at a time, and the reader splits each block's
+lines of one channel into runs of one line length and checks each run's
+rows against the template of its first line in one compare. A CRLF
+template is the LF one with CR before LF; a block with blank lines or line
+ends that switch is read by shape once more with plain LF line ends. Only
+a block that breaks the grammar or a rule goes to a line-at-a-time reading
+of the grammar above, which names the bad line.
 """
 
 from __future__ import annotations
@@ -537,15 +541,17 @@ def read_events(path) -> EventStream:
     channel's columns; the partial line after the cut moves to the buffer's
     front. The onset columns hold one record per trial at most.
 
-    A block is parsed by record shape when each channel's lines in it are
-    rows of one template, as nearly all are: every byte is checked against
-    the template, and the digit columns are decoded straight into the
-    channel's columns. Any other block (a digit count that changes, CRLF,
-    a blank line, a line that breaks the grammar, a trial past the
-    manifest's) goes to the general parse, _parse_records, which alone
-    names a bad line. Besides the columns, the buffer and one block's parse
-    are held; the order and window checks then run CHECK_BLOCK records at a
-    time. The path must name a file that can be read again."""
+    Each block is read by record shape: each channel's lines in it are
+    split into runs of one line length, every byte of a run is checked
+    against the template of its first line, and the digit columns are
+    decoded straight into the channel's columns. A block with blank lines,
+    or line ends that switch between LF and CRLF, is read by shape once
+    more with its line ends rewritten as plain LF. A block that still does
+    not fit breaks the grammar or a rule (a trial past the manifest's), and
+    goes to _parse_records, a line-at-a-time reading of the grammar that
+    names the bad line. Besides the columns, the buffer and one block's
+    digit rows are held; the order and window checks then run CHECK_BLOCK
+    records at a time. The path must name a file that can be read again."""
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh.readline(), path)
         n_trials = manifest.n_trials
@@ -567,46 +573,47 @@ def read_events(path) -> EventStream:
 
         def parse_shaped(end) -> bool:
             # the block buf[:end] by record shape, straight into the columns;
-            # False for a block that is not all lines of its channels' two
-            # shapes, or whose records break a rule that parse() reports
+            # False for a block that does not fit, or whose records break a
+            # rule that parse() reports
             nonlocal lineno
             shaped = _shaped_lines(buf, end)
             if shaped is None:
                 return False
-            counts = [len(digits) for digits, _, _ in shaped]
+            n_lines, runs = shaped
+            counts = [sum(len(digits) for digits, _, _ in r) for r in runs]
             if (sum(filled) + sum(counts) > n_max
                     or filled[CHANNEL_PMT_ONSET] + counts[CHANNEL_PMT_ONSET]
                     > len(columns[CHANNEL_PMT_ONSET][0])):
                 return False
-            for (digits, *fields), pair, n in zip(shaped, columns, filled):
-                if not len(digits):
-                    continue
-                for f, column in zip(fields, pair):
-                    _decode_digits(digits, f, column[n:n + len(digits)])
-                if pair[0][n:n + len(digits)].max() >= n_trials:
-                    return False
+            for channel_runs, pair, n in zip(runs, columns, filled):
+                for digits, *fields in channel_runs:
+                    k = n + len(digits)
+                    for f, column in zip(fields, pair):
+                        _decode_digits(digits, f, column[n:k])
+                    if pair[0][n:k].max() >= n_trials:
+                        return False
+                    n = k
             filled[:] = [n + k for n, k in zip(filled, counts)]
-            lineno += sum(counts)
+            lineno += n_lines
             return True
 
         def parse(end):
             nonlocal lineno
             if parse_shaped(end):
                 return
-            (trial, onset, t_ns), k = _parse_records(
-                np.frombuffer(buf, np.uint8, end), path, lineno, n_trials)
-            if sum(filled) + len(trial) > n_max:
+            records, k = _parse_records(bytes(view[:end]), path, lineno,
+                                        n_trials)
+            if sum(filled) + sum(len(trial) for trial, _ in records) > n_max:
                 raise DataError(f"{path}: changed while it was read")
-            for code, pick in ((CHANNEL_APD, ~onset),
-                               (CHANNEL_PMT_ONSET, onset)):
+            for code, (trial, t_ns) in enumerate(records):
                 n = filled[code]
-                stop = n + np.count_nonzero(pick)
+                stop = n + len(trial)
                 # more onsets than trials
                 if stop > len(columns[code][0]):
                     raise DataError(f"{path}: multiple PMT_ONSET records in "
                                     f"one trial")
-                for column, values in zip(columns[code], (trial, t_ns)):
-                    column[n:stop] = values[pick]
+                columns[code][0][n:stop] = trial
+                columns[code][1][n:stop] = t_ns
                 filled[code] = stop
             lineno += k
 
@@ -711,7 +718,7 @@ def _record_line(path, code: int, index: int) -> int:
 
 # --- record text, a block at a time ----------------------------------------
 
-_TAB, _LF, _CR, _ZERO = 9, 10, 13, ord("0")
+_LF, _ZERO = 10, ord("0")
 # the shortest record line with its LF, and the longest less its LF
 _MIN_RECORD = len(b"0\tAPD\t0\tDETECT\n")
 _MAX_LINE = len(b"%s\tPMT_ONSET\t%s\tDETECT\r"
@@ -723,8 +730,8 @@ _DIGIT_QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
                 // np.array([1000, 100, 10, 1], np.uint16) % 10
                 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 _DIGIT_BYTES = _DIGIT_QUADS.view(np.uint8).reshape(-1, 4)
+_CHANNEL_CODES = {name.encode(): code for code, name in CHANNEL_NAMES.items()}
 _POW10 = 10 ** np.arange(1, MAX_DIGITS, dtype=np.int64)
-_PMT_ONSET = np.frombuffer(b"PMT_ONSET", np.uint8)
 # _decode_digits' steps over eight digits, one a byte: the shift to the next
 # group, the scale of a group and the mask of the sums of pairs, fours and
 # eights
@@ -815,21 +822,38 @@ def _reject_non_finite(name: str):
     raise ValueError(f"non-finite number {name}")
 
 
-def _shaped_lines(buf: bytearray, end: int):
-    """The APD and the PMT_ONSET lines of the block buf[:end], which ends in
-    LF, if each channel's lines all have the shape of its first: per channel,
-    what _shaped_rows returns. None if a line does not have that shape.
+def _shaped_lines(buf, end: int):
+    """The block buf[:end], which ends in LF, by record shape: its number of
+    lines and, per channel, APD first, the runs of lines of one shape that
+    _shaped_rows returns. None if the block does not fit.
 
-    The onset lines are found with bytearray.find, a run of adjacent ones
-    at a time: of the two names, only PMT_ONSET holds a "_" and only APD an
-    "A".
-    The find only splits the block; the shape check then reads every line.
-    Past one run of onsets per KiB, the general parse is the faster one."""
+    A block that does not fit as it is, for blank lines or line ends that
+    switch between LF and CRLF, is read once more with each CRLF rewritten
+    as LF and its blank lines dropped; a CR left after that is not a line
+    end, and the block does not fit."""
+    runs = _channel_runs(buf, end)
+    if runs is not None:
+        return sum(len(digits) for r in runs for digits, _, _ in r), runs
+    text = bytes(memoryview(buf)[:end]).replace(b"\r\n", b"\n")
+    while b"\n\n" in text:
+        text = text.replace(b"\n\n", b"\n")
+    text = text.removeprefix(b"\n")
+    if len(text) == end or b"\r" in text:
+        return None
+    runs = _channel_runs(text, len(text))
+    return None if runs is None else (buf.count(b"\n", 0, end), runs)
+
+
+def _channel_runs(buf, end: int):
+    """Per channel, APD first, what _shaped_rows returns for its lines of
+    the block buf[:end], which ends in LF; None if either is None.
+
+    The onset lines are found with find, a run of adjacent ones at a time:
+    of the two names, only PMT_ONSET holds a "_" and only APD an "A". The
+    find only splits the block; the shape check then reads every line."""
     a = np.frombuffer(buf, np.uint8, end)
     runs = [0]          # the bounds of the APD and onset runs, alternating
     while (at := buf.find(b"_", runs[-1], end)) >= 0:
-        if len(runs) // 2 > end >> 10:
-            return None
         start = buf.rfind(b"\n", 0, at) + 1
         apd = buf.find(b"A", at, end)
         stop = buf.rfind(b"\n", 0, apd) + 1 if apd >= 0 else end
@@ -849,35 +873,47 @@ def _shaped_lines(buf: bytearray, end: int):
 
 
 def _shaped_rows(text: np.ndarray, name: bytes):
-    """The lines of text (uint8, each ending in LF) as rows less their
-    template, which hold the digits in the digit columns and 0 elsewhere,
-    and the trial and t_ns columns; if every line has the shape of the
-    first, a record of the channel `name`. Else None.
+    """The lines of text (uint8, each ending in LF), split into runs where
+    the line length changes, if every line has the shape of its run's
+    first, a record of the channel `name` that ends in LF or CRLF. Per run,
+    its rows less their template, which hold the digits in the digit
+    columns and 0 elsewhere, and the trial and t_ns columns. Else None, and
+    None past 2 * MAX_DIGITS runs: a channel in time order changes its
+    digit counts fewer times, and each run scans the rest of the text.
 
-    Every byte is checked against the first line in one compare: the rows
-    less the template, with '0' in the digit columns, lie within 9 of 0 in
-    the digit columns and are 0 in the others."""
-    if not len(text):
-        return text.reshape(0, 0), slice(0), slice(0)
-    head = text[:_MAX_LINE + 1].tobytes()
-    width = head.find(b"\n") + 1
-    fields = head[:width].split(b"\t")
-    if (len(fields) != 4 or fields[1] != name or fields[3] != b"DETECT\n"
-            or len(text) % width
-            or not all(len(f) <= MAX_DIGITS and f.isdigit()
-                       for f in fields[::2])):
-        return None
-    trial = slice(0, len(fields[0]))
-    t_ns = slice(width - len(b"\tDETECT\n") - len(fields[2]),
-                 width - len(b"\tDETECT\n"))
-    template = np.frombuffer(head, np.uint8, width).copy()
-    span = np.zeros(width, np.uint8)
-    for f in (trial, t_ns):
-        template[f], span[f] = _ZERO, 9
-    digits = text.reshape(-1, width) - template
-    if not (digits <= span).all():
-        return None
-    return digits, trial, t_ns
+    Every byte of a run is checked against its first line in one compare:
+    the rows less the template, with '0' in the digit columns, lie within 9
+    of 0 in the digit columns and are 0 in the others."""
+    runs, start = [], 0
+    while start < len(text):
+        if len(runs) == 2 * MAX_DIGITS:
+            return None
+        head = text[start:start + _MAX_LINE + 1].tobytes()
+        width = head.find(b"\n") + 1
+        fields = head[:width].split(b"\t")
+        if (len(fields) != 4 or fields[1] != name
+                or fields[3] not in (b"DETECT\n", b"DETECT\r\n")
+                or not all(len(f) <= MAX_DIGITS and f.isdigit()
+                           for f in fields[::2])):
+            return None
+        # the run ends at the first row that does not end in LF
+        rest = text[start:]
+        n = len(rest) // width
+        stops = np.flatnonzero(rest[width - 1:n * width:width] != _LF)
+        n = int(stops[0]) if len(stops) else n
+        t_stop = width - len(fields[3]) - 1
+        trial = slice(0, len(fields[0]))
+        t_ns = slice(t_stop - len(fields[2]), t_stop)
+        template = np.frombuffer(head, np.uint8, width).copy()
+        span = np.zeros(width, np.uint8)
+        for f in (trial, t_ns):
+            template[f], span[f] = _ZERO, 9
+        digits = rest[:n * width].reshape(n, width) - template
+        if not (digits <= span).all():
+            return None
+        runs.append((digits, trial, t_ns))
+        start += n * width
+    return runs
 
 
 def _decode_digits(digits: np.ndarray, field: slice, out: np.ndarray):
@@ -904,83 +940,40 @@ def _decode_digits(digits: np.ndarray, field: slice, out: np.ndarray):
             out[:] = x
 
 
-def _parse_records(a: np.ndarray, path, lineno: int, n_trials: int):
-    """The trial, PMT_ONSET mask and t_ns columns of the records in the text
-    `a` (uint8), whose every line ends in LF, and its number of lines;
-    `lineno` is the file line number of its first line. A trial must be
-    below n_trials.
+def _parse_records(text: bytes, path, lineno: int, n_trials: int):
+    """Per channel, APD first, the trial and t_ns columns (lists) of the
+    records in `text`, whose every line ends in LF, and its number of lines;
+    `lineno` is the file line number of its first line.
 
-    Each check runs over all lines at once; DataError names the first line
-    that breaks the grammar."""
-    ends = np.flatnonzero(a == _LF)
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    stops = ends - ((a[ends - 1] == _CR) & (ends > starts))
-    line = np.flatnonzero(stops > starts)           # blank lines are skipped
-    starts, stops = starts[line], stops[line]
-    tabs = np.flatnonzero(a == _TAB)
-    n = len(line)
-    # with 3n tabs, every line holds three if its group of three lies in it
-    if len(tabs) != 3 * n or not (np.all(tabs[0::3] >= starts)
-                                  and np.all(tabs[2::3] < stops)):
-        count = np.searchsorted(tabs, stops) - np.searchsorted(tabs, starts)
-        n = int(np.argmax(count != 3))      # check the lines before it
-    tab1, tab2, tab3 = tabs[:3 * n].reshape(n, 3).T
-    first, stop = starts[:n], stops[:n]
-    onset = tab2 - tab1 == len(_PMT_ONSET) + 1
-    malformed = ~onset & (tab2 - tab1 != len("APD") + 1) | (stop - tab3 != 7)
-    for k, c in enumerate(b"APD", 1):
-        malformed |= ~onset & (a[k:].take(tab1) != c)
-    at = np.flatnonzero(onset)
-    malformed[at] |= (a.take(tab1[at, None] + np.arange(1, 10))
-                      != _PMT_ONSET).any(axis=1)
-    for k, c in enumerate(b"DETECT", 1):
-        malformed |= a[k:].take(tab3, mode="clip") != c
-    # a well-formed line holds no digit outside its two number fields
-    n_trial, n_t = tab1 - first, tab3 - tab2 - 1
-    is_digit = a[:stop[-1] if n else 0] - np.uint8(_ZERO) <= 9
-    not_integer = (n_trial == 0) | (n_t == 0)
-    if np.count_nonzero(is_digit) != (n_trial + n_t).sum():
-        not_integer |= np.add.reduceat(is_digit, first) != n_trial + n_t
-    too_long = (n_trial > MAX_DIGITS) | (n_t > MAX_DIGITS)
-    bad = malformed | not_integer | too_long
-    if bad.any() or n < len(line):
-        i = int(np.argmax(bad)) if bad.any() else n
-        where = f"{path}: line {lineno + line[i]}"
-        if i == n or malformed[i]:
-            text = a[starts[i]:stops[i]].tobytes().decode("utf-8",
-                                                          "backslashreplace")
-            raise DataError(f"{where}: malformed record {text[:80]!r}")
-        if not_integer[i]:
-            raise DataError(f"{where}: non-integer field")
-        raise DataError(f"{where}: integer field longer than {MAX_DIGITS} "
-                        f"digits")
-    trial = _field_values(a, tab1, n_trial)
-    late = np.flatnonzero(trial >= n_trials)
-    if len(late):
-        i = late[0]
-        raise DataError(f"{path}: line {lineno + line[i]}: trial {trial[i]} "
-                        f"outside the manifest's {n_trials} trials")
-    return (trial, onset, _field_values(a, tab3, n_t)), len(ends)
-
-
-def _field_values(a: np.ndarray, stop: np.ndarray, length: np.ndarray):
-    """Values of the decimal fields a[stop - length:stop], which the caller
-    has checked are 1 to MAX_DIGITS ASCII digits; one pass per digit
-    position."""
-    width = int(length.max(initial=0))
-    full = int(length.min(initial=width))   # digits every field has
-    at = stop - width
-    value = np.zeros(len(stop), np.int64)
-    for k in range(width):
-        if k < width - full:    # some fields start after this position
-            digit = np.where(length >= width - k,
-                             a.take(at, mode="clip"), _ZERO)
-        else:
-            digit = a.take(at)
-        value *= 10
-        value += digit
-        at += 1
-    # each position added its ASCII offset: subtract 48 * 11...1
-    return value - _ZERO * ((10 ** width - 1) // 9)
+    One line at a time, by the grammar of the module docstring; DataError
+    names the first line that breaks it, else the first whose trial is not
+    below n_trials."""
+    columns = (([], []), ([], []))
+    late = None
+    lines = text.split(b"\n")[:-1]
+    for i, line in enumerate(lines, lineno):
+        line = line.removesuffix(b"\r")
+        if not line:                # blank lines are skipped
+            continue
+        fields = line.split(b"\t")
+        if (len(fields) != 4 or fields[1] not in _CHANNEL_CODES
+                or fields[3] != b"DETECT"):
+            shown = line.decode("utf-8", "backslashreplace")
+            raise DataError(f"{path}: line {i}: malformed record "
+                            f"{shown[:80]!r}")
+        trial, name, t_ns, _ = fields
+        if not (trial.isdigit() and t_ns.isdigit()):
+            raise DataError(f"{path}: line {i}: non-integer field")
+        if max(len(trial), len(t_ns)) > MAX_DIGITS:
+            raise DataError(f"{path}: line {i}: integer field longer than "
+                            f"{MAX_DIGITS} digits")
+        trial = int(trial)
+        if trial >= n_trials and late is None:
+            late = i, trial
+        for column, value in zip(columns[_CHANNEL_CODES[name]],
+                                 (trial, int(t_ns))):
+            column.append(value)
+    if late is not None:
+        raise DataError(f"{path}: line {late[0]}: trial {late[1]} outside "
+                        f"the manifest's {n_trials} trials")
+    return columns, len(lines)

@@ -4,7 +4,7 @@ reports a NaN. Fuzzed argv of every command, `reproduce` included, exits 0,
 2, 3 or 4, and `reproduce` leaves a complete report or no directory.
 Fuzzed (trial, count) runs lay out the trial column that a dense per-trial
 count would. A fuzzed event file reads the same by record shape as by the
-general parse."""
+line-at-a-time reference parse."""
 
 import dataclasses
 import tempfile
@@ -94,7 +94,7 @@ def test_shape_path_reads_as_the_general_parse(tmp_path, onset_event_file,
                                                edits, block):
     # a file of several blocks, edited in its records: read by record shape
     # where a block fits, it gives the stream or the error text, line number
-    # included, that the general parse of every block gives
+    # included, that the line-at-a-time reference parse of every block gives
     header, records = onset_event_file.split(b"\n", 1)
     path = tmp_path / "fuzzed.txt"
     path.write_bytes(header + b"\n" + mutate(records, edits, len(records)))
