@@ -58,16 +58,14 @@ manifest as one JSON object. Every later line is a record or blank::
 
 Lines end in LF or CRLF, the last line end is optional, and blank lines are
 skipped. Nothing else is a record: no sign, space, separator or non-ASCII
-digit. A record's trial is one of the manifest's, below its n_trials, and
-its stamp lies in that trial's detection window, from its first rounded
-nanosecond to its last plus k - 1 ns for a trial with k records in the
-channel (the tie bumps above).
-``write_events`` refuses a stream that the record syntax and channel order
-cannot hold: a trial or stamp outside 1 to 18 digits, or a channel out of
-time order. The manifest rules (the trial range, at most one onset per
-trial, the windows) are checked on read, so the writer can write a file
-that ``read_events`` refuses. ``read_events`` names the first line that
-breaks the grammar or a rule.
+digit. In a legal stream, each trial is below the manifest's n_trials, each
+channel's stamps strictly increase, a trial has at most one PMT_ONSET
+record, and each stamp lies in its trial's detection window, from its first
+rounded nanosecond to its last plus k - 1 ns for a trial with k records in
+the channel (the tie bumps above). Both ends check them with one function:
+``write_events`` refuses a stream that breaks one before it opens the file,
+``read_events`` names the first line that breaks the grammar or trial range,
+else the first rule broken. A stream the writer takes reads back as itself.
 
 Within one channel, trials and stamps only grow, so their digit counts
 change only a few times per file, and nearly every line is a row of one of
@@ -486,23 +484,16 @@ def write_events(stream: EventStream, path) -> None:
 
     The two channels are interleaved in time order, WRITE_BLOCK records at
     a time: each onset goes after every APD stamp <= its own. Each
-    channel's records of a block are formatted by record shape, as rows of
-    one template per run of equal digit counts, and the onset lines are
-    then spliced into the APD text. A stream whose records the record
-    syntax or channel order cannot hold is refused before the file is
-    opened; the manifest rules (trial range, one onset per trial, the
-    windows) are checked on read only."""
+    channel's records of a block are formatted by record shape, and the
+    onset lines are spliced into the APD text. A stream that breaks a rule
+    (_stream_fault) is refused before the file is opened, with read_events'
+    message less its path and line, such as "non-monotone timestamps in
+    channel APD"; so a stream it writes reads back as itself."""
     if stream.apd_dropped:
         raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
                         "APD clicks; its manifest promises them all")
-    for _, *columns in stream.channels():
-        for name, column in zip(("trial", "t_ns"), columns):
-            if len(column) and not (column.min() >= 0
-                                    and column.max() < 10 ** MAX_DIGITS):
-                raise DataError(f"{name} outside [0, 1e{MAX_DIGITS}): not "
-                                f"writable as 1 to {MAX_DIGITS} digits")
-    if _unordered_channel(stream) is not None:
-        raise DataError("stream not finalized: non-monotone timestamps")
+    if fault := _stream_fault(stream):
+        raise DataError(fault[0])
     header = FILE_MAGIC + json.dumps(manifest_to_dict(stream.manifest),
                                      sort_keys=True, separators=(",", ":"))
     before = np.searchsorted(stream.apd_ns, stream.onset_ns, side="right")
@@ -533,25 +524,21 @@ def _write_records(fh, apd_trial, apd_ns, onset_trial, onset_ns, gaps):
 
 
 def read_events(path) -> EventStream:
-    """Parse an event file back into a stream; validates format and ordering.
+    """Parse an event file back into a stream, refused unless it is legal.
 
     The file is read twice, in blocks of READ_BLOCK bytes, into one buffer:
     once to count its line ends, which bounds its number of records, and
     once to parse each block, cut after its last line end, into each
     channel's columns; the partial line after the cut moves to the buffer's
-    front. The onset columns hold one record per trial at most.
-
-    Each block is read by record shape: each channel's lines in it are
-    split into runs of one line length, every byte of a run is checked
-    against the template of its first line, and the digit columns are
-    decoded straight into the channel's columns. A block with blank lines,
-    or line ends that switch between LF and CRLF, is read by shape once
-    more with its line ends rewritten as plain LF. A block that still does
-    not fit breaks the grammar or a rule (a trial past the manifest's), and
-    goes to _parse_records, a line-at-a-time reading of the grammar that
-    names the bad line. Besides the columns, the buffer and one block's
-    digit rows are held; the order and window checks then run CHECK_BLOCK
-    records at a time. The path must name a file that can be read again."""
+    front. The onset columns hold one record per trial, and grow only in a
+    file that breaks a rule. Each block is read by record shape (see the
+    module docstring), its digit columns decoded straight into the
+    channel's columns; a block that does not fit goes to _parse_records,
+    which names the bad line. Besides the columns, the buffer and one
+    block's digit rows are held. Then _stream_fault, the writer's check,
+    runs on the whole stream, CHECK_BLOCK records at a time, and
+    _record_line finds the line of a record at fault: the path must name a
+    file that can be read again."""
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh.readline(), path)
         n_trials = manifest.n_trials
@@ -573,8 +560,8 @@ def read_events(path) -> EventStream:
 
         def parse_shaped(end) -> bool:
             # the block buf[:end] by record shape, straight into the columns;
-            # False for a block that does not fit, or whose records break a
-            # rule that parse() reports
+            # False for a block that does not fit, or that parse() reads line
+            # by line: a trial past the manifest's, onsets past their columns
             nonlocal lineno
             shaped = _shaped_lines(buf, end)
             if shaped is None:
@@ -608,10 +595,10 @@ def read_events(path) -> EventStream:
             for code, (trial, t_ns) in enumerate(records):
                 n = filled[code]
                 stop = n + len(trial)
-                # more onsets than trials
+                # more onsets than trials: read on, _stream_fault names why
                 if stop > len(columns[code][0]):
-                    raise DataError(f"{path}: multiple PMT_ONSET records in "
-                                    f"one trial")
+                    columns[code] = tuple(np.resize(c, n_max)
+                                          for c in columns[code])
                 columns[code][0][n:stop] = trial
                 columns[code][1][n:stop] = t_ns
                 filled[code] = stop
@@ -631,23 +618,10 @@ def read_events(path) -> EventStream:
             parse(kept + 1)
     stream = EventStream(*(column[:n] for pair, n in zip(columns, filled)
                            for column in pair), manifest=manifest)
-    code = _unordered_channel(stream)
-    if code is not None:
-        raise DataError(f"{path}: non-monotone timestamps in channel "
-                        f"{CHANNEL_NAMES[code]}")
-    # at most one onset per trial is a hard invariant of the format
-    if len(stream.onset_trial) != len(np.unique(stream.onset_trial)):
-        raise DataError(f"{path}: multiple PMT_ONSET records in one trial")
-    outside = []
-    for code, trial, t_ns in stream.channels():
-        i = _first_outside_window(manifest, trial, t_ns)
-        if i is not None:
-            outside.append((_record_line(path, code, i), code, trial[i],
-                            t_ns[i]))
-    if outside:
-        line, code, trial, t = min(outside)
-        raise DataError(f"{path}: line {line}: {CHANNEL_NAMES[code]} stamp "
-                        f"{t} outside the detection window of trial {trial}")
+    if fault := _stream_fault(stream, lambda *at: _record_line(path, *at)):
+        message, at = fault
+        line = "" if at is None else f"line {_record_line(path, *at)}: "
+        raise DataError(f"{path}: {line}{message}")
     return stream
 
 
@@ -657,14 +631,43 @@ def _chunks(n: int):
             for i in range(0, n, CHECK_BLOCK))
 
 
-def _unordered_channel(stream: EventStream) -> int | None:
-    """The first channel, APD before PMT_ONSET, whose stamps do not strictly
-    increase, or None."""
-    for code, _, t in stream.channels():
-        # stamp k + 1 against stamp k
-        for part in _chunks(len(t) - 1):
+def _stream_fault(stream: EventStream, line=lambda code, index: code):
+    """The first rule of a legal stream (module docstring) that `stream`
+    breaks: its message, and the (channel, index) of the record at fault or
+    None for a rule of a whole channel; None if it breaks none. The rules
+    run in order: digits, trial range, each channel's order (APD first), one
+    onset per trial, the windows. Where records of both channels break the
+    trial or window rule, the first of each that does is a candidate, and
+    the lower line(code, index) wins: read_events passes the file line,
+    write_events takes the APD record."""
+    m, channels = stream.manifest, stream.channels()
+
+    def first(found):       # the trial and t_ns of the winner, and its place
+        code, i = min(found, key=lambda at: line(*at))
+        return channels[code][1][i], channels[code][2][i], (code, i)
+    for _, *columns in channels:
+        for name, column in zip(("trial", "t_ns"), columns):
+            if len(column) and not (column.min() >= 0
+                                    and column.max() < 10 ** MAX_DIGITS):
+                return (f"{name} outside [0, 1e{MAX_DIGITS}): not writable "
+                        f"as 1 to {MAX_DIGITS} digits"), None
+    if late := [(code, int(np.argmax(trial >= m.n_trials)))
+                for code, trial, _ in channels
+                if len(trial) and trial.max() >= m.n_trials]:
+        trial, _, at = first(late)
+        return f"trial {trial} outside the manifest's {m.n_trials} trials", at
+    for code, _, t in channels:
+        for part in _chunks(len(t) - 1):    # stamp k + 1 against stamp k
             if np.any(t[part.start + 1:part.stop + 1] <= t[part]):
-                return code
+                return (f"non-monotone timestamps in channel "
+                        f"{CHANNEL_NAMES[code]}"), None
+    if len(stream.onset_trial) != len(np.unique(stream.onset_trial)):
+        return "multiple PMT_ONSET records in one trial", None
+    if outside := [(code, i) for code, trial, t_ns in channels if (
+            i := _first_outside_window(m, trial, t_ns)) is not None]:
+        trial, t, at = first(outside)
+        return (f"{CHANNEL_NAMES[at[0]]} stamp {t} outside the detection "
+                f"window of trial {trial}"), at
     return None
 
 
@@ -946,10 +949,9 @@ def _parse_records(text: bytes, path, lineno: int, n_trials: int):
     `lineno` is the file line number of its first line.
 
     One line at a time, by the grammar of the module docstring; DataError
-    names the first line that breaks it, else the first whose trial is not
-    below n_trials."""
+    names the first line that breaks it or whose trial is not below
+    n_trials."""
     columns = (([], []), ([], []))
-    late = None
     lines = text.split(b"\n")[:-1]
     for i, line in enumerate(lines, lineno):
         line = line.removesuffix(b"\r")
@@ -968,12 +970,10 @@ def _parse_records(text: bytes, path, lineno: int, n_trials: int):
             raise DataError(f"{path}: line {i}: integer field longer than "
                             f"{MAX_DIGITS} digits")
         trial = int(trial)
-        if trial >= n_trials and late is None:
-            late = i, trial
+        if trial >= n_trials:
+            raise DataError(f"{path}: line {i}: trial {trial} outside the "
+                            f"manifest's {n_trials} trials")
         for column, value in zip(columns[_CHANNEL_CODES[name]],
                                  (trial, int(t_ns))):
             column.append(value)
-    if late is not None:
-        raise DataError(f"{path}: line {late[0]}: trial {late[1]} outside "
-                        f"the manifest's {n_trials} trials")
     return columns, len(lines)

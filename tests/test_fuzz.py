@@ -4,9 +4,12 @@ reports a NaN. Fuzzed argv of every command, `reproduce` included, exits 0,
 2, 3 or 4, and `reproduce` leaves a complete report or no directory.
 Fuzzed (trial, count) runs lay out the trial column that a dense per-trial
 count would. A fuzzed event file reads the same by record shape as by the
-line-at-a-time reference parse."""
+line-at-a-time reference parse. A small stream, legal or not, is refused by
+`write_events` exactly when `read_events` refuses its records."""
 
 import dataclasses
+import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -103,6 +106,72 @@ def test_shape_path_reads_as_the_general_parse(tmp_path, onset_event_file,
         shaped = read_outcome(path)
         m.setattr(sim, "_shaped_lines", lambda buf, end: None)
         assert read_outcome(path) == shaped
+
+
+# a record near an edge of a detection window of the 3-trial manifest below,
+# where trial j detects from j * 100 ms + 50 ms to (j + 1) * 100 ms: its
+# trial (one time in 31 trial 3, past the manifest's), the trial of the
+# window (one time in five its neighbour's), the edge, and the stamp's offset
+# from it in ns
+RECORD = st.tuples(st.sampled_from([0, 1, 2] * 10 + [3]),
+                   st.sampled_from([0] * 8 + [-1, 1]), st.booleans(),
+                   st.integers(-2, 2)).map(
+    lambda r: (r[0], (r[0] + r[1]) * 100_000_000
+               + (100_000_000 if r[2] else 50_000_000) + r[3]))
+# one time in four, a value that no record can hold, for one of the four
+# columns
+UNWRITABLE = st.sampled_from([None] * 24 + [
+    (column, value) for column in range(4) for value in (-1, 10 ** 18)])
+
+
+@pytest.fixture(scope="module")
+def three_trials():
+    return presets.preset_manifest("paper-hv", 3, angle_deg=45.0,
+                                   minutes=0.005)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(apd=st.lists(RECORD, max_size=6), onset=st.lists(RECORD, max_size=5),
+       in_order=st.sampled_from([True] * 3 + [False]),
+       unwritable=UNWRITABLE)
+def test_writer_refuses_what_the_reader_refuses(tmp_path, three_trials, apd,
+                                                onset, in_order, unwritable):
+    # the stream's raw file is the manifest line, then each channel's lines
+    # in column order, APD first. Where every value is writable, the
+    # writer's message is the reader's less its path and line; a stream the
+    # writer takes reads back as itself
+    if in_order:        # ties stay
+        apd, onset = (sorted(r, key=lambda record: record[1])
+                      for r in (apd, onset))
+    columns = [np.array([record[k] for record in records], np.int64)
+               for records in (apd, onset) for k in (0, 1)]
+    if unwritable is not None and len(columns[unwritable[0]]):
+        columns[unwritable[0]][0] = unwritable[1]
+    stream = sim.EventStream(*columns, manifest=three_trials)
+    raw = tmp_path / "raw.events"
+    raw.write_bytes((sim.FILE_MAGIC + json.dumps(sim.manifest_to_dict(
+        three_trials)) + "\n").encode() + "".join(
+        f"{trial}\t{sim.CHANNEL_NAMES[code]}\t{t}\tDETECT\n"
+        for code, *pair in stream.channels()
+        for trial, t in zip(*(column.tolist() for column in pair))).encode())
+    written = tmp_path / "written.events"
+    written.unlink(missing_ok=True)
+    try:
+        sim.write_events(stream, written)
+    except DataError as exc:
+        refused = str(exc)
+    else:
+        refused = None
+    outcome = read_outcome(raw)
+    if refused is None:
+        assert outcome == stream and sim.read_events(written) == stream
+        return
+    assert isinstance(outcome, str) and not written.exists()
+    if all(0 <= column.min() and column.max() < 10 ** 18
+           for column in columns if len(column)):
+        assert re.sub(r"^line \d+: ", "", outcome.removeprefix(
+            f"{raw}: ")) == refused
 
 
 def assert_no_nan(tmp_path, out: str) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import re
 import tracemalloc
 
@@ -325,9 +326,12 @@ class TestFinalize:
         # tie runs across the block edges of the bumps, and onsets before,
         # between, tied with and after the APD stamps across the writer's
         # blocks, against the pass-per-nanosecond bumps and one np.insert of
-        # each whole column
+        # each whole column. The writer's merge alone: these streams lie
+        # before trial 0's window and hold many onsets in it, so the rules
+        # of a legal stream are not run
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         monkeypatch.setattr(sim, "WRITE_BLOCK", block)
+        monkeypatch.setattr(sim, "_stream_fault", lambda stream: None)
         rng = np.random.default_rng(block)
         m = make_manifest(duration_s=0.1)
         path = tmp_path / "merged.events"
@@ -689,8 +693,8 @@ class TestEventFileRoundTrip:
     def test_bad_record_names_its_line(self, tmp_path, line, message):
         # two records, a blank line, then the bad one on line 5
         path = tmp_path / "bad.txt"
-        write_events(EventStream(ns(0, 0), ns(3, 4), ns(), ns(),
-                                 make_manifest(duration_s=0.1)), path)
+        write_events(EventStream(ns(0, 0), ns(50_000_003, 50_000_004), ns(),
+                                 ns(), make_manifest(duration_s=0.1)), path)
         path.write_bytes(path.read_bytes() + b"\r\n" + line + b"\n")
         with pytest.raises(DataError, match=f"bad.txt: line 5: {message}"):
             read_events(path)
@@ -712,7 +716,7 @@ class TestEventFileRoundTrip:
     def test_line_longer_than_any_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sim, "READ_BLOCK", 64)
         path = tmp_path / "long.txt"
-        write_events(EventStream(ns(0), ns(3), ns(), ns(),
+        write_events(EventStream(ns(0), ns(50_000_003), ns(), ns(),
                                  make_manifest(duration_s=0.1)), path)
         path.write_bytes(path.read_bytes() + b"7" * 10_000)
         with pytest.raises(DataError,
@@ -728,6 +732,25 @@ class TestEventFileRoundTrip:
         n = path.read_bytes().count(b"\n")
         with pytest.raises(DataError, match=rf"late.txt: line {n}: trial 3 "
                            "outside the manifest's 3 trials"):
+            read_events(path)
+
+    @pytest.mark.parametrize("block", [sim.READ_BLOCK, 256])
+    def test_trial_past_the_manifest_before_a_bad_line(self, tmp_path,
+                                                       monkeypatch, block):
+        # 30 trials: trial 31 on line 11 is named before the malformed line
+        # 21, whether both lie in one block or not
+        path = tmp_path / "late.txt"
+        write_events(simulate_run(presets.preset_manifest(
+            "paper-hv", 3, angle_deg=45.0, minutes=0.05)), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[10] = b"31" + lines[10][lines[10].index(b"\t"):]
+        assert b"\tAPD\t" in lines[20]
+        lines[20] = lines[20].replace(b"\tAPD\t", b"\tADP\t")
+        path.write_bytes(b"\n".join(lines))
+        monkeypatch.setattr(sim, "READ_BLOCK", block)
+        with pytest.raises(DataError, match=(
+                "late.txt: line 11: trial 31 outside the manifest's 30 "
+                "trials$")):
             read_events(path)
 
     @pytest.mark.parametrize("late", [b"APD", b"PMT_ONSET"])
@@ -813,6 +836,13 @@ def reference_text(stream):
         *(column.tolist() for column in file_columns(stream)))).encode()
 
 
+def write_raw(stream, path):
+    """The records that write_events would write, without its checks: for
+    streams that break a rule of a legal stream."""
+    header = sim.FILE_MAGIC + json.dumps(manifest_to_dict(stream.manifest))
+    path.write_bytes(header.encode() + b"\n" + reference_text(stream))
+
+
 def random_stream(rng, n, onset_share):
     """A stream that keeps the file's invariants: distinct trials of 1 to 10
     digits (0 and 10**10 - 1 included), each with one stamp inside its
@@ -859,11 +889,17 @@ class TestAgainstLineReference:
 
     def test_trials_out_of_order(self, tmp_path):
         # a stream whose trials fall and rise across powers of ten, though
-        # its stamps increase, is written as the per-line writer wrote it
-        stream = EventStream(ns(5, 30, 7, 100, 9, 0), ns(1, 20, 300, 4000,
-                                                         50000, 600000),
-                             ns(12, 3), ns(25, 70000),
-                             make_manifest(duration_s=0.1))
+        # its stamps increase, is written as the per-line writer wrote it.
+        # It is legal: trial j detects in [2j + 1, 2j + 2] ns, and trials 9
+        # and 99 hold three clicks each, so the tie bumps stretch their
+        # windows 2 ns, over those of trials 10 and 100
+        seq = SequenceConfig(rep_rate=5e8, cooling_ms=5e-7, prep_ms=5e-7,
+                             detect_ms=1e-6)
+        stream = EventStream(ns(9, 9, 10, 9, 99, 99, 100, 99),
+                             ns(19, 20, 21, 22, 199, 200, 201, 202),
+                             ns(9, 100), ns(20, 202),
+                             make_manifest(duration_s=101 * 2e-9,
+                                           sequence=seq))
         path = tmp_path / "r.txt"
         write_events(stream, path)
         assert path.read_bytes().split(b"\n", 1)[1] == reference_text(stream)
@@ -918,6 +954,23 @@ class TestWriterRefuses:
             write_events(stream, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("columns, message", [
+        ((ns(5), ns(550_000_000), ns(), ns()),
+         "trial 5 outside the manifest's 1 trials"),
+        ((ns(0), ns(3), ns(), ns()),
+         "APD stamp 3 outside the detection window of trial 0"),
+        ((ns(), ns(), ns(0, 0), ns(60_000_000, 70_000_000)),
+         "multiple PMT_ONSET records in one trial")])
+    def test_stream_that_reads_back_refused(self, tmp_path, columns,
+                                            message):
+        # one trial, detecting from 50 ms to 100 ms: each stream keeps
+        # both channels in time order, but breaks a rule of the reader
+        stream = EventStream(*columns, make_manifest(duration_s=0.1))
+        path = tmp_path / "never.txt"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            write_events(stream, path)
+        assert not path.exists()
+
 
 class TestChecksInBlocks:
     # ~90 clicks per 100 ns window: the tie bumps carry ~3800 stamps past
@@ -930,14 +983,16 @@ class TestChecksInBlocks:
     def test_order_across_blocks(self, monkeypatch, block):
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         stream = simulate_run(self.DENSE)
-        assert sim._unordered_channel(stream) is None
+        assert sim._stream_fault(stream) is None
         for code, _, t_ns in stream.channels():
             for j in range(1, len(t_ns), len(t_ns) // 20):
                 t = t_ns.copy()
                 t[j] = t[j - 1]
                 tied = dataclasses.replace(
                     stream, **{("apd_ns", "onset_ns")[code]: t})
-                assert sim._unordered_channel(tied) == code
+                assert sim._stream_fault(tied) == (
+                    "non-monotone timestamps in channel "
+                    f"{sim.CHANNEL_NAMES[code]}", None)
 
     @pytest.mark.parametrize("block", [97, 1000])
     def test_stream_independent_of_block(self, monkeypatch, block):
@@ -1156,7 +1211,7 @@ class TestShapePath:
         i = int(np.searchsorted(trial, trial[-1]))
         t_ns[i] = trial[i] * 100_000_000 + 40_000_000
         path = tmp_path / "outside.events"
-        write_events(stream, path)
+        write_raw(stream, path)
         data = path.read_bytes()
         at = data.index(b"\t%s\t%d\t" % (name.encode(), t_ns[i]))
         line = data.count(b"\n", 0, at) + 1
