@@ -390,4 +390,6 @@ def preset_manifest(name: str, seed: int, angle_deg: float | None = None,
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     plan = fringe_plan(name[len("paper-"):])
     angle = ORTHOGONAL_ANGLE_DEG if angle_deg is None else angle_deg
+    if not np.isfinite(angle):      # a setting, not data
+        raise ConfigError(f"angle {angle} is not a finite HWP angle")
     return manifest_for_angle(plan, angle, seed, minutes)

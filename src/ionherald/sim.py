@@ -39,9 +39,11 @@ histogram whose lags span at most that reach is the full stream's. An event
 file promises the full stream: ``write_events`` refuses a stream with
 ``apd_dropped > 0``.
 
-A finalized stream holds one (trial, t_ns) column pair per channel, each
-in time order. Within one channel, stamps that tie after rounding are bumped
-+1 ns until they strictly increase, so each channel's stamps are unique.
+A finalized stream holds per channel a t_ns column in time order and its
+records' trials as (trial, count) runs: the maximal runs of equal trials in
+record order, each count at least 1. Within one channel, stamps that tie
+after rounding are bumped +1 ns until they strictly increase, so each
+channel's stamps are unique.
 Detection windows of adjacent trials are at least 1 ns apart, so stamps only
 tie within one trial and time order is also trial order. ``write_events``
 interleaves the two channels into one time-ordered file; where an APD and a
@@ -217,12 +219,12 @@ class RunManifest:
 
 @dataclass
 class EventStream:
-    """One run's records: a (trial, t_ns) column pair per channel, each in
-    time order after finalize()."""
+    """One run's records: per channel, after finalize(), a t_ns column in
+    time order and its trials as (trial, count) runs (module docstring)."""
 
-    apd_trial: np.ndarray   # int64
+    apd_runs: tuple         # (trial, count), int64 arrays
     apd_ns: np.ndarray      # int64
-    onset_trial: np.ndarray
+    onset_runs: tuple
     onset_ns: np.ndarray
     manifest: RunManifest
     apd_dropped: int = 0    # APD clicks left out in counting mode
@@ -237,16 +239,16 @@ class EventStream:
         return self.onset_ns
 
     def channels(self):
-        """(code, trial, t_ns) of each channel, APD first."""
-        return ((CHANNEL_APD, self.apd_trial, self.apd_ns),
-                (CHANNEL_PMT_ONSET, self.onset_trial, self.onset_ns))
+        """(code, (trial, count) runs, t_ns) of each channel, APD first."""
+        return ((CHANNEL_APD, self.apd_runs, self.apd_ns),
+                (CHANNEL_PMT_ONSET, self.onset_runs, self.onset_ns))
 
     def __eq__(self, other):
         if not isinstance(other, EventStream):
             return NotImplemented
-        return (all(np.array_equal(getattr(self, name), getattr(other, name))
-                    for name in ("apd_trial", "apd_ns", "onset_trial",
-                                 "onset_ns"))
+        mine, theirs = ([*s.apd_runs, s.apd_ns, *s.onset_runs, s.onset_ns]
+                        for s in (self, other))
+        return (all(map(np.array_equal, mine, theirs))
                 and self.apd_dropped == other.apd_dropped
                 and manifest_to_dict(self.manifest)
                 == manifest_to_dict(other.manifest))
@@ -272,25 +274,33 @@ def _strictly_increasing(t: np.ndarray) -> None:
         block += i
 
 
-def _finalize(apd_ns, apd_runs, onset_ns, onset_trial,
+def _finalize(apd_ns, apd_runs, onset_ns, onset_runs,
               manifest) -> EventStream:
     """The stream of the APD stamps, with their records as (trial, count)
-    runs in any order, and of the onset stamps and their ascending trials.
+    runs in any order, and of the onset stamps, with the stream's runs.
 
     Each channel's stamps are sorted and tie-bumped in place and become its
-    t_ns column. Time order is trial order (see the module docstring), so a
-    record takes the trial of its position within its channel."""
+    t_ns column; the APD runs are stably sorted by trial and merged. Time
+    order is trial order (see the module docstring), so a record takes the
+    trial of its position within its channel."""
     for t in (apd_ns, onset_ns):
         t.sort()
         _strictly_increasing(t)
-    return EventStream(_trial_column(*apd_runs), apd_ns, onset_trial,
-                       onset_ns, manifest)
+    order = np.argsort(apd_runs[0], kind="stable")
+    return EventStream(_runs(*(c[order] for c in apd_runs)), apd_ns,
+                       onset_runs, onset_ns, manifest)
 
 
-def _trial_column(trials, counts):
-    """The trials of the (trial, count) runs, laid out in trial order."""
-    order = np.argsort(trials, kind="stable")
-    return np.repeat(trials[order], counts[order])
+def _runs(trial, count=None):
+    """The maximal (trial, count) runs of records given in order, one each
+    (count None) or as runs: zero counts dropped, equal neighbours summed."""
+    if count is not None:
+        kept = np.flatnonzero(count)
+        trial, count = trial[kept], count[kept]
+    first = np.flatnonzero(np.diff(trial, prepend=trial[:1] - 1))
+    if count is None:
+        return trial[first], np.diff(first, append=len(trial))
+    return trial[first], np.add.reduceat(count, first)
 
 
 def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
@@ -355,7 +365,7 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
         _stamp_uniform(rng, apd_ns[n_a + n_near:n_apd], far, far_count, seq)
         runs.append((far[0], far_count))
     stream = _finalize(apd_ns, [np.concatenate(c) for c in zip(*runs)],
-                       onset_ns, onset_trial, m)
+                       onset_ns, (onset_trial, np.ones_like(onset_trial)), m)
     stream.apd_dropped = n_far if counting else 0
     return stream
 
@@ -401,16 +411,21 @@ def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
     ends = np.cumsum(count)
     for part in _chunks(len(out)):
         # the pieces with points in this block, and how many
-        k = slice(np.searchsorted(ends, part.start, side="right"),
-                  np.searchsorted(ends, part.stop - 1, side="right") + 1)
-        c = (np.minimum(ends[k], part.stop)
-             - np.maximum(ends[k] - count[k], part.start))
+        k, c = _runs_within(ends, count, part.start, part.stop)
         t = np.repeat(off[k], c)
         t += rng.random(len(t)) * np.repeat(length[k], c)
         # within its window, whatever the rounding
         np.minimum(t, seq.detect_s, out=t)
         t += np.repeat(_window_start(trial[k], seq), c)
         out[part] = np.rint(t * 1e9)
+
+
+def _runs_within(ends, count, start, stop):
+    """The runs of count[i] items, the last one before ends[i], with items
+    start to stop - 1: as a slice of them, and how many each holds there."""
+    k = slice(np.searchsorted(ends, start, side="right"),
+              np.searchsorted(ends, stop - 1, side="right") + 1)
+    return k, np.minimum(ends[k], stop) - np.maximum(ends[k] - count[k], start)
 
 
 def _stamp_range(t_start, w, k):
@@ -498,22 +513,25 @@ def write_events(stream: EventStream, path) -> None:
                                      sort_keys=True, separators=(",", ":"))
     before = np.searchsorted(stream.apd_ns, stream.onset_ns, side="right")
     at = before + np.arange(len(before))    # the onsets' places in the file
+    channels = [(CHANNEL_NAMES[code].encode(), runs, np.cumsum(runs[1]), t)
+                for code, runs, t in stream.channels()]
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for i in range(0, len(stream), WRITE_BLOCK):
-            # the onsets and APD records of this block of records
+            # the APD records a0:a1 and the onsets k0:k1 of this block
             k0, k1 = np.searchsorted(at, [i, i + WRITE_BLOCK])
             a0, a1 = i - k0, min(i + WRITE_BLOCK, len(stream)) - k1
-            _write_records(fh, stream.apd_trial[a0:a1], stream.apd_ns[a0:a1],
-                           stream.onset_trial[k0:k1], stream.onset_ns[k0:k1],
-                           before[k0:k1] - a0)
+            texts = []
+            for (name, (trial, count), ends, t_ns), (j0, j1) in zip(
+                    channels, ((a0, a1), (k0, k1))):
+                k, c = _runs_within(ends, count, j0, j1)
+                texts += _record_text(name, trial[k], c, t_ns[j0:j1])
+            _write_records(fh, *texts, before[k0:k1] - a0)
 
 
-def _write_records(fh, apd_trial, apd_ns, onset_trial, onset_ns, gaps):
-    """Write the APD records with the onset records spliced in: onset k
-    goes ahead of APD record gaps[k]."""
-    apd, apd_runs = _record_text(b"APD", apd_trial, apd_ns)
-    onset, onset_runs = _record_text(b"PMT_ONSET", onset_trial, onset_ns)
+def _write_records(fh, apd, apd_runs, onset, onset_runs, gaps):
+    """Write the APD lines with the onset lines spliced in, onset k ahead of
+    APD record gaps[k]: each channel's text and runs from _record_text."""
     cuts = _line_starts(apd_runs, gaps).tolist()
     ends = _line_starts(onset_runs, np.arange(len(gaps) + 1)).tolist()
     apd, onset = memoryview(apd), memoryview(onset)
@@ -530,13 +548,14 @@ def read_events(path) -> EventStream:
     once to count its line ends, which bounds its number of records, and
     once to parse each block, cut after its last line end, into each
     channel's columns; the partial line after the cut moves to the buffer's
-    front. The onset columns hold one record per trial, and grow only in a
-    file that breaks a rule. Each block is read by record shape (see the
-    module docstring), its digit columns decoded straight into the
-    channel's columns; a block that does not fit goes to _parse_records,
-    which names the bad line. Besides the columns, the buffer and one
-    block's digit rows are held. Then _stream_fault, the writer's check,
-    runs on the whole stream, CHECK_BLOCK records at a time, and
+    front. The onset t_ns column holds one record per trial, and grows only
+    in a file that breaks a rule. Each block is read by record shape (see
+    the module docstring): per run of lines of one shape, its trials are
+    decoded into its stamps' place in the t_ns column and kept as (trial,
+    count) runs, then its stamps are decoded there; a block that does not
+    fit goes to _parse_records, which names the bad line. Besides the
+    columns and runs, the buffer and one block's digit rows are held. Then
+    _stream_fault, the writer's check, runs on the whole stream, and
     _record_line finds the line of a record at fault: the path must name a
     file that can be read again."""
     with open(path, "rb") as fh:
@@ -554,8 +573,8 @@ def read_events(path) -> EventStream:
         # a record is a line of at least _MIN_RECORD bytes with its line
         # end, and the last line end is optional
         n_max = min(lines + 1, (size + 1) // _MIN_RECORD)
-        columns = [(np.empty(n, np.int64), np.empty(n, np.int64))
-                   for n in (n_max, min(n_max, n_trials))]
+        columns = [np.empty(n, np.int64) for n in (n_max, min(n_max, n_trials))]
+        runs = tuple([_runs(c[:0])] for c in columns)  # per channel, by piece
         filled, lineno, kept = [0, 0], 2, 0     # kept: bytes of a partial line
 
         def parse_shaped(end) -> bool:
@@ -566,20 +585,25 @@ def read_events(path) -> EventStream:
             shaped = _shaped_lines(buf, end)
             if shaped is None:
                 return False
-            n_lines, runs = shaped
-            counts = [sum(len(digits) for digits, _, _ in r) for r in runs]
+            n_lines, shapes = shaped
+            counts = [sum(len(digits) for digits, _, _ in r) for r in shapes]
             if (sum(filled) + sum(counts) > n_max
                     or filled[CHANNEL_PMT_ONSET] + counts[CHANNEL_PMT_ONSET]
-                    > len(columns[CHANNEL_PMT_ONSET][0])):
+                    > len(columns[CHANNEL_PMT_ONSET])):
                 return False
-            for channel_runs, pair, n in zip(runs, columns, filled):
-                for digits, *fields in channel_runs:
+            found = ([], [])
+            for channel_runs, column, n, pieces in zip(shapes, columns,
+                                                       filled, found):
+                for digits, trial, t_ns in channel_runs:
                     k = n + len(digits)
-                    for f, column in zip(fields, pair):
-                        _decode_digits(digits, f, column[n:k])
-                    if pair[0][n:k].max() >= n_trials:
+                    _decode_digits(digits, trial, column[n:k])
+                    if column[n:k].max() >= n_trials:
                         return False
+                    pieces.append(_runs(column[n:k]))
+                    _decode_digits(digits, t_ns, column[n:k])
                     n = k
+            for pieces, more in zip(runs, found):
+                pieces += more
             filled[:] = [n + k for n, k in zip(filled, counts)]
             lineno += n_lines
             return True
@@ -596,11 +620,10 @@ def read_events(path) -> EventStream:
                 n = filled[code]
                 stop = n + len(trial)
                 # more onsets than trials: read on, _stream_fault names why
-                if stop > len(columns[code][0]):
-                    columns[code] = tuple(np.resize(c, n_max)
-                                          for c in columns[code])
-                columns[code][0][n:stop] = trial
-                columns[code][1][n:stop] = t_ns
+                if stop > len(columns[code]):
+                    columns[code] = np.resize(columns[code], n_max)
+                columns[code][n:stop] = t_ns
+                runs[code].append(_runs(np.array(trial, np.int64)))
                 filled[code] = stop
             lineno += k
 
@@ -616,8 +639,9 @@ def read_events(path) -> EventStream:
         if kept:                        # the last line end is optional
             buf[kept] = _LF
             parse(kept + 1)
-    stream = EventStream(*(column[:n] for pair, n in zip(columns, filled)
-                           for column in pair), manifest=manifest)
+    stream = EventStream(*(x for pieces, column, n in zip(runs, columns, filled)
+                           for x in (_runs(*map(np.concatenate, zip(*pieces))),
+                                     column[:n])), manifest=manifest)
     if fault := _stream_fault(stream, lambda *at: _record_line(path, *at)):
         message, at = fault
         line = "" if at is None else f"line {_record_line(path, *at)}: "
@@ -643,17 +667,17 @@ def _stream_fault(stream: EventStream, line=lambda code, index: code):
     m, channels = stream.manifest, stream.channels()
 
     def first(found):       # the trial and t_ns of the winner, and its place
-        code, i = min(found, key=lambda at: line(*at))
-        return channels[code][1][i], channels[code][2][i], (code, i)
-    for _, *columns in channels:
-        for name, column in zip(("trial", "t_ns"), columns):
+        code, i, trial = min(found, key=lambda at: line(*at[:2]))
+        return trial, channels[code][2][i], (code, i)
+    for _, (trial, _), t_ns in channels:
+        for name, column in zip(("trial", "t_ns"), (trial, t_ns)):
             if len(column) and not (column.min() >= 0
                                     and column.max() < 10 ** MAX_DIGITS):
                 return (f"{name} outside [0, 1e{MAX_DIGITS}): not writable "
                         f"as 1 to {MAX_DIGITS} digits"), None
-    if late := [(code, int(np.argmax(trial >= m.n_trials)))
-                for code, trial, _ in channels
-                if len(trial) and trial.max() >= m.n_trials]:
+    if late := [(code, int(count[:r].sum()), trial[r])
+                for code, (trial, count), _ in channels
+                for r in np.flatnonzero(trial >= m.n_trials)[:1]]:
         trial, _, at = first(late)
         return f"trial {trial} outside the manifest's {m.n_trials} trials", at
     for code, _, t in channels:
@@ -661,32 +685,33 @@ def _stream_fault(stream: EventStream, line=lambda code, index: code):
             if np.any(t[part.start + 1:part.stop + 1] <= t[part]):
                 return (f"non-monotone timestamps in channel "
                         f"{CHANNEL_NAMES[code]}"), None
-    if len(stream.onset_trial) != len(np.unique(stream.onset_trial)):
+    if len(np.unique(stream.onset_runs[0])) < len(stream.onset_ns):
         return "multiple PMT_ONSET records in one trial", None
-    if outside := [(code, i) for code, trial, t_ns in channels if (
-            i := _first_outside_window(m, trial, t_ns)) is not None]:
+    if outside := [(code, *at) for code, runs, t_ns in channels
+                   if (at := _first_outside_window(m, runs, t_ns))]:
         trial, t, at = first(outside)
         return (f"{CHANNEL_NAMES[at[0]]} stamp {t} outside the detection "
                 f"window of trial {trial}"), at
     return None
 
 
-def _first_outside_window(m: RunManifest, trial, t_ns) -> int | None:
-    """Index of a channel's first stamp that lies outside its trial's
+def _first_outside_window(m: RunManifest, runs, t_ns):
+    """The index and trial of a channel's first stamp outside its trial's
     detection window, widened by k - 1 ns for k stamps of the trial in the
-    channel, or None."""
-    if m.n_trials <= len(trial):
-        trials, index = np.arange(m.n_trials), trial
-    else:                   # fewer records than trials: number those seen
-        trials, index = np.unique(trial, return_inverse=True)
-    lo, hi = _stamp_range(_window_start(trials, m.sequence),
-                          m.sequence.detect_s,
-                          np.bincount(index, minlength=len(trials)))
-    for part in _chunks(len(t_ns)):
-        key, t = index[part], t_ns[part]
-        outside = np.flatnonzero((t < lo[key]) | (t > hi[key]))
-        if len(outside):
-            return part.start + int(outside[0])
+    channel, or None. The stamps increase (the order rule), so only a run
+    whose first or last stamp is outside is searched, for the first."""
+    trial, count = runs
+    index = np.unique(trial, return_inverse=True)[1]
+    k = np.bincount(index, count).astype(np.int64)   # the stamps of a trial
+    lo, hi = _stamp_range(_window_start(trial, m.sequence),
+                          m.sequence.detect_s, k[index])
+    end = np.cumsum(count)
+    start = end - count
+    for r in np.flatnonzero((t_ns[start] < lo) | (t_ns[end - 1] > hi))[:1]:
+        i = start[r]
+        if t_ns[i] >= lo[r]:
+            i += np.searchsorted(t_ns[i:end[r]], hi[r], side="right")
+        return int(i), trial[r]
     return None
 
 
@@ -743,19 +768,23 @@ _DIGIT_SUMS = [(np.uint64(8), np.uint64(10), np.uint64(0x00FF00FF00FF00FF)),
                (np.uint64(32), np.uint64(10000), np.uint64(0xFFFFFFFF))]
 
 
-def _record_text(name: bytes, trial, t_ns):
-    """The lines of one channel's records, as uint8, and its runs of lines
-    of one shape: the first line of each run, its byte offset in the text
-    and its line length, with a last entry one past the end.
+def _record_text(name: bytes, trial, count, t_ns):
+    """The lines of one channel's records, of trials (trial, count) runs, as
+    uint8, and its runs of lines of one shape: the first line of each run,
+    its byte offset in the text and its line length, with a last entry one
+    past the end.
 
     Within a run, every trial and every t_ns has the same number of digits,
     so each line is a row of one template. A run ends where a column
-    crosses a power of ten."""
-    # t_ns is in order (write_events checks it); trial need not be
+    crosses a power of ten: between two trial runs, or in t_ns, which is in
+    order (write_events checks it). A trial run's digits are made once."""
+    ends = np.cumsum(count)
+    width = np.searchsorted(_POW10, trial, side="right") + 1
     first = np.union1d([0, len(t_ns)], np.concatenate(
-        [_width_cuts(trial), np.searchsorted(t_ns, _POW10)]))
+        [(ends - count)[1:][width[1:] != width[:-1]],
+         np.searchsorted(t_ns, _POW10)]))
     starts = first[:-1]
-    w_trial = np.searchsorted(_POW10, trial[starts], side="right") + 1
+    w_trial = width[np.searchsorted(ends, starts, side="right")]
     w_t = np.searchsorted(_POW10, t_ns[starts], side="right") + 1
     length = w_trial + len(name) + w_t + len(b"\t\t\tDETECT\n")
     offset = np.append(0, np.cumsum(np.diff(first) * length))
@@ -766,18 +795,12 @@ def _record_text(name: bytes, trial, t_ns):
         template = b"%s\t%s\t%s\tDETECT\n" % (b"0" * wa, name, b"0" * wb)
         text[b0:b1] = np.frombuffer(template * (j1 - j0), np.uint8)
         rows = text[b0:b1].reshape(j1 - j0, -1)
-        _put_digits(rows, trial[j0:j1], wa, wa)
+        k, c = _runs_within(ends, count, j0, j1)
+        digits = np.empty((len(c), wa), np.uint8)
+        _put_digits(digits, trial[k], wa, wa)
+        rows[:, :wa] = np.repeat(digits, c, axis=0)
         _put_digits(rows, t_ns[j0:j1], wa + len(name) + 2 + wb, wb)
     return text, (first, offset, np.append(length, 0))
-
-
-def _width_cuts(v: np.ndarray) -> np.ndarray:
-    """The indices at which the number of digits of v changes: where it
-    crosses a power of ten, if v is in order."""
-    if np.all(v[:-1] <= v[1:]):
-        return np.searchsorted(v, _POW10)
-    width = np.searchsorted(_POW10, v, side="right")
-    return np.flatnonzero(width[:-1] != width[1:]) + 1
 
 
 def _line_starts(runs, j: np.ndarray) -> np.ndarray:

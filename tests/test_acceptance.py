@@ -193,7 +193,7 @@ def test_criterion_6_correlator_property_suite():
                          false_onset_rate=2.0))
     assert manifest.n_trials == 1_000_000
     stream = simulate_run(manifest)
-    onset_trials = stream.onset_trial
+    onset_trials = np.repeat(*stream.onset_runs)
     one_onset_ok = len(np.unique(onset_trials)) == len(onset_trials)
     assert one_onset_ok, "a trial produced two fluorescence onsets"
     record_acceptance(

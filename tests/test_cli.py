@@ -253,6 +253,16 @@ class TestConfig:
     def test_non_finite_duration(self, tmp_path, argv):
         assert main(argv + [str(tmp_path / "out")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle(self, tmp_path, capsys, angle):
+        # a command-line setting: a config error that names the angle, and
+        # no file
+        out = tmp_path / "e.txt"
+        assert main(["simulate", "--preset", "paper-hv", "--minutes", "1",
+                     f"--angle={angle}", "--out", str(out)]) == EXIT_CONFIG
+        assert f"angle {float(angle)} is not a finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_config_run(self, tmp_path):

@@ -3,9 +3,12 @@
 reports a NaN. Fuzzed argv of every command, `reproduce` included, exits 0,
 2, 3 or 4, and `reproduce` leaves a complete report or no directory.
 Fuzzed (trial, count) runs lay out the trial column that a dense per-trial
-count would. A fuzzed event file reads the same by record shape as by the
-line-at-a-time reference parse. A small stream, legal or not, is refused by
-`write_events` exactly when `read_events` refuses its records."""
+count would, and a trial column encoded as runs lays out as itself. On
+small streams, the stream check names the record that a record-by-record
+reading of the trial range and window rules names. A fuzzed event file
+reads the same by record shape as by the line-at-a-time reference parse.
+A small stream, legal or not, is refused by `write_events` exactly when
+`read_events` refuses its records."""
 
 import dataclasses
 import json
@@ -21,6 +24,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from conftest import (columns_of, reference_outside_window,  # noqa: E402
+                      stream_of)
 from ionherald import polarization as pol  # noqa: E402
 from ionherald import presets, sim  # noqa: E402
 from ionherald import tomography as tom  # noqa: E402
@@ -148,12 +153,12 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, three_trials, apd,
                for records in (apd, onset) for k in (0, 1)]
     if unwritable is not None and len(columns[unwritable[0]]):
         columns[unwritable[0]][0] = unwritable[1]
-    stream = sim.EventStream(*columns, manifest=three_trials)
+    stream = stream_of(*columns, three_trials)
     raw = tmp_path / "raw.events"
     raw.write_bytes((sim.FILE_MAGIC + json.dumps(sim.manifest_to_dict(
         three_trials)) + "\n").encode() + "".join(
         f"{trial}\t{sim.CHANNEL_NAMES[code]}\t{t}\tDETECT\n"
-        for code, *pair in stream.channels()
+        for code, pair in enumerate(columns_of(stream))
         for trial, t in zip(*(column.tolist() for column in pair))).encode())
     written = tmp_path / "written.events"
     written.unlink(missing_ok=True)
@@ -391,11 +396,77 @@ def test_reproduce_argv_exits_0_2_3_or_4(tmp_path, capsys, seed, scale,
 @given(runs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)),
                      max_size=60))
 def test_trial_column_from_runs(runs):
-    # unsorted, repeated and empty runs against the dense per-trial layout
+    # unsorted, repeated and empty runs, finalized, against the dense
+    # per-trial layout: the stream's runs are maximal, each count >= 1
     trials = np.array([t for t, _ in runs], np.int64)
     counts = np.array([c for _, c in runs], np.int64)
     per_trial = np.zeros(41, np.int64)
     np.add.at(per_trial, trials, counts)
-    column = sim._trial_column(trials, counts)
-    assert column.dtype == np.int64
-    assert np.array_equal(column, np.repeat(np.arange(41), per_trial))
+    t_ns = np.arange(counts.sum(), dtype=np.int64)
+    stream = sim._finalize(t_ns, (trials, counts), t_ns[:0].copy(),
+                           (trials[:0], counts[:0]), None)
+    trial, count = stream.apd_runs
+    assert trial.dtype == count.dtype == np.int64
+    assert np.all(count >= 1) and np.all(trial[1:] != trial[:-1])
+    assert np.array_equal(np.repeat(trial, count),
+                          np.repeat(np.arange(41), per_trial))
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=st.lists(st.integers(0, 10 ** 18 - 1) | st.integers(0, 3),
+                       max_size=40))
+def test_runs_lay_out_as_the_column(column):
+    # trials out of order, repeated, adjacent or not: encoded as runs and
+    # laid out again, a column is itself
+    column = np.array(column, np.int64)
+    trial, count = sim._runs(column)
+    assert np.all(count >= 1) and np.all(trial[1:] != trial[:-1])
+    assert np.array_equal(np.repeat(trial, count), column)
+    assert [r.tolist() for r in sim._runs(trial, count)] == [
+        trial.tolist(), count.tolist()]
+
+
+# a channel of a small stream under the 3-trial manifest of three_trials,
+# whose trial j detects from j * 100 ms + 50 ms to (j + 1) * 100 ms: per
+# record the gap (ns) after the stamp before it, from 1 ns to a period, and
+# its trial less that of the window at or before its stamp, mostly 0
+CHANNEL = st.lists(st.tuples(
+    st.sampled_from([1, 2, 3, 10 ** 6, 25_000_000, 50_000_000, 100_000_000]),
+    st.sampled_from([0] * 6 + [-1, 1])), max_size=12)
+
+
+def reference_fault(m, columns):
+    """The trial range and window rules, record by record on the trial
+    columns: the message and (channel, index) of the first record that
+    breaks one, APD first, or None."""
+    channels = (columns[:2], columns[2:])
+    for code, (trial, _) in enumerate(channels):
+        late = np.flatnonzero(trial >= m.n_trials)
+        if len(late):
+            return (f"trial {trial[late[0]]} outside the manifest's "
+                    f"{m.n_trials} trials", (code, int(late[0])))
+    for code, (trial, t_ns) in enumerate(channels):
+        i = reference_outside_window(m, trial, t_ns)
+        if i is not None:
+            return (f"{sim.CHANNEL_NAMES[code]} stamp {t_ns[i]} outside the "
+                    f"detection window of trial {trial[i]}", (code, i))
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(apd=CHANNEL, onset=CHANNEL, start=st.integers(-10, 10))
+def test_window_rule_on_runs(three_trials, apd, onset, start):
+    # each channel's stamps increase and its trials need not, and the
+    # onsets keep the first record of each trial: on the runs, the stream
+    # check names the record that the record-by-record reference names
+    columns = []
+    for records in (apd, onset):
+        gap = np.array([g for g, _ in records], np.int64)
+        t_ns = 50_000_000 + start + np.cumsum(gap)
+        trial = np.maximum((t_ns - 50_000_000) // 100_000_000
+                           + np.array([d for _, d in records], np.int64), 0)
+        columns += [trial, t_ns]
+    first = np.sort(np.unique(columns[2], return_index=True)[1])
+    columns[2:] = [column[first] for column in columns[2:]]
+    assert sim._stream_fault(stream_of(*columns, three_trials)) \
+        == reference_fault(three_trials, columns)

@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import columns_of, reference_outside_window, stream_of
 from ionherald import polarization as pol
 from ionherald import presets, sim
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
 from ionherald.correlate import (histogram, histogram_from_stream,
                                  lag_reach_ns)
 from ionherald.errors import ConfigError, DataError
-from ionherald.sim import (CHANNEL_APD, CHANNEL_PMT_ONSET, EventStream,
-                           RateConfig, RunManifest, SequenceConfig, _finalize,
+from ionherald.sim import (CHANNEL_APD, CHANNEL_PMT_ONSET, RateConfig,
+                           RunManifest, SequenceConfig, _finalize,
                            manifest_from_dict, manifest_to_dict, read_events,
                            simulate_run, write_events)
 
@@ -118,7 +119,7 @@ class TestSimulateRun:
         m = make_manifest(seed=5, duration_s=30.0)
         stream = simulate_run(m)
         seq = m.sequence
-        for _, trial, t_ns in stream.channels():
+        for trial, t_ns in columns_of(stream):
             offset = t_ns / 1e9 - trial * seq.period_s
             assert np.all(offset >= seq.detect_offset_s - 1e-9)
             assert np.all(offset <= seq.detect_offset_s + seq.detect_s + 1e-6)
@@ -126,7 +127,7 @@ class TestSimulateRun:
     def test_at_most_one_onset_per_trial(self):
         m = make_manifest(seed=7, duration_s=120.0, false_onset_rate=20.0)
         stream = simulate_run(m)
-        trials = stream.onset_trial
+        trials = columns_of(stream)[CHANNEL_PMT_ONSET][0]
         assert len(trials) > 100
         assert len(np.unique(trials)) == len(trials)
 
@@ -177,11 +178,12 @@ class TestSimulateRun:
 
 def file_columns(stream):
     """The trial, channel and t_ns columns of the stream's records in file
-    order: one np.insert of each whole column, each onset after every APD
-    stamp <= its own."""
+    order: one np.insert of each whole column, its runs laid out, each onset
+    after every APD stamp <= its own."""
+    (apd_trial, _), (onset_trial, _) = columns_of(stream)
     before = np.searchsorted(stream.apd_ns, stream.onset_ns, side="right")
     channel = np.full(len(stream.apd_ns), CHANNEL_APD, np.int8)
-    return (np.insert(stream.apd_trial, before, stream.onset_trial),
+    return (np.insert(apd_trial, before, onset_trial),
             np.insert(channel, before, CHANNEL_PMT_ONSET),
             np.insert(stream.apd_ns, before, stream.onset_ns))
 
@@ -231,7 +233,7 @@ class TestFinalize:
         # unsorted APD clicks: two tie at 200 ns, the later of them is bumped
         # to 201; onsets tie with an APD stamp at 100 and with the bumped one
         stream = _finalize(ns(300, 200, 100, 200), (ns(0), ns(4)),
-                           ns(201, 100), ns(0, 0), m)
+                           ns(201, 100), (ns(0), ns(2)), m)
         assert stream.apd_ns.tolist() == [100, 200, 201, 300]
         assert stream.onset_ns.tolist() == [100, 201]
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
@@ -243,9 +245,11 @@ class TestFinalize:
     def test_trial_column_follows_time(self):
         m = make_manifest(seed=0, duration_s=0.3)
         stream = _finalize(ns(250, 50, 150, 60), (ns(2, 0, 1), ns(1, 2, 1)),
-                           ns(160), ns(1), m)
-        assert stream.apd_trial.tolist() == [0, 0, 1, 2]
-        assert stream.onset_trial.tolist() == [1]
+                           ns(160), (ns(1), ns(1)), m)
+        assert [r.tolist() for r in stream.apd_runs] == [[0, 1, 2], [2, 1, 1]]
+        (apd_trial, _), (onset_trial, _) = columns_of(stream)
+        assert apd_trial.tolist() == [0, 0, 1, 2]
+        assert onset_trial.tolist() == [1]
         trial, channel, t_ns = file_columns(stream)
         assert t_ns.tolist() == [50, 60, 150, 160, 250]
         assert trial.tolist() == [0, 0, 1, 1, 2]
@@ -258,11 +262,11 @@ class TestFinalize:
         # trial 1's click from 202 to 203; each record keeps the trial of
         # its position in its channel
         stream = _finalize(ns(200, 200, 200, 202), (ns(0, 1), ns(3, 1)),
-                           ns(290), ns(1), None)
-        assert stream.apd_ns.tolist() == [200, 201, 202, 203]
-        assert stream.apd_trial.tolist() == [0, 0, 0, 1]
-        assert (stream.onset_trial.tolist(), stream.onset_ns.tolist()) \
-            == ([1], [290])
+                           ns(290), (ns(1), ns(1)), None)
+        (apd_trial, apd_ns), (onset_trial, onset_ns) = columns_of(stream)
+        assert apd_ns.tolist() == [200, 201, 202, 203]
+        assert apd_trial.tolist() == [0, 0, 0, 1]
+        assert (onset_trial.tolist(), onset_ns.tolist()) == ([1], [290])
 
     def test_onset_inside_a_run_of_clicks(self):
         # onsets between the clicks of one trial, one at the run's end and
@@ -270,7 +274,7 @@ class TestFinalize:
         # the runs come unsorted, with an empty one and a trial split in two
         stream = _finalize(ns(10, 20, 30, 700, 710),
                            (ns(3, 0, 1, 0), ns(2, 1, 0, 2)),
-                           ns(15, 30, 705), ns(0, 3, 4), None)
+                           ns(15, 30, 705), (ns(0, 3, 4), ns(1, 1, 1)), None)
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
         trial, channel, t_ns = file_columns(stream)
         assert t_ns.tolist() == [10, 15, 20, 30, 30, 700, 705, 710]
@@ -280,7 +284,7 @@ class TestFinalize:
 
     def test_no_record_sized_temporary(self):
         # ~1 M records: the arrays of stamps become the stream's t_ns
-        # columns, and besides the trial columns _finalize holds a few
+        # columns, and besides the stream's runs _finalize holds a few
         # blocks of CHECK_BLOCK stamps and its runs' order
         rng = np.random.default_rng(1)
         n_trials = 20_000
@@ -296,16 +300,19 @@ class TestFinalize:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            stream = _finalize(apd_ns, runs, onset_ns, onset_trial, None)
+            stream = _finalize(apd_ns, runs, onset_ns,
+                               (onset_trial, np.ones_like(onset_trial)), None)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert stream.apd_ns is apd_ns and stream.onset_ns is onset_ns
-        outputs = stream.apd_trial.nbytes + stream.onset_trial.nbytes
+        outputs = sum(r.nbytes for runs in (stream.apd_runs,
+                                            stream.onset_runs) for r in runs)
         assert peak - outputs < 4 * 8 * sim.CHECK_BLOCK, (peak, outputs)
-        assert np.array_equal(stream.apd_trial, np.repeat(
-            np.arange(n_trials), apd_per_trial))
-        assert np.array_equal(stream.onset_trial, onset_trial)
+        (apd_trial, _), (onset_trial_read, _) = columns_of(stream)
+        assert np.array_equal(apd_trial, np.repeat(np.arange(n_trials),
+                                                   apd_per_trial))
+        assert np.array_equal(onset_trial_read, onset_trial)
 
     def test_tie_bumps_match_pass_loop(self):
         # sorted stamps with long tie runs, some cascading into the next
@@ -339,8 +346,7 @@ class TestFinalize:
             apd = rng.integers(5, 65, size=rng.integers(0, 80))
             onsets = rng.integers(0, 150, size=rng.integers(0, 12))
             stream = _finalize(apd.copy(), (ns(0), ns(len(apd))),
-                               onsets.copy(), np.zeros(len(onsets), np.int64),
-                               m)
+                               onsets.copy(), sim._runs(0 * onsets), m)
             assert np.array_equal(stream.apd_ns,
                                   strictly_increasing_loop(np.sort(apd)))
             assert np.array_equal(stream.onset_ns,
@@ -376,15 +382,11 @@ def assert_counting_equals_full(m, bin_us=10.0, window_bins=50):
     return counted
 
 
-def channel_columns(stream, code):
-    return stream.channels()[code][1:]
-
-
 def assert_records_in(part, whole, code):
     """Every record of the channel in `part` is one of `whole`'s, with its
     trial."""
-    trial, t_ns = channel_columns(part, code)
-    whole_trial, whole_t = channel_columns(whole, code)
+    trial, t_ns = columns_of(part)[code]
+    whole_trial, whole_t = columns_of(whole)[code]
     at = np.minimum(np.searchsorted(whole_t, t_ns), len(whole_t) - 1)
     assert np.array_equal(whole_t[at], t_ns)
     assert np.array_equal(whole_trial[at], trial)
@@ -398,8 +400,8 @@ def assert_counting_is_substream(m):
     these manifests have none near a kept click. Returns the counting-mode
     stream."""
     counted, full = simulate_run(m, counting=True), simulate_run(m)
-    for got, want in zip(channel_columns(counted, CHANNEL_PMT_ONSET),
-                         channel_columns(full, CHANNEL_PMT_ONSET)):
+    for got, want in zip(columns_of(counted)[CHANNEL_PMT_ONSET],
+                         columns_of(full)[CHANNEL_PMT_ONSET]):
         assert np.array_equal(got, want)
     assert_records_in(counted, full, CHANNEL_APD)
     assert len(counted.apd_times()) + counted.apd_dropped \
@@ -600,7 +602,7 @@ class TestEventFileRoundTrip:
 
     def test_single_record(self, tmp_path):
         m = make_manifest(seed=0, duration_s=0.1)
-        stream = EventStream(ns(0), ns(50_000_123), ns(), ns(), m)
+        stream = stream_of(ns(0), ns(50_000_123), ns(), ns(), m)
         path = tmp_path / "one.txt"
         write_events(stream, path)
         back = read_events(path)
@@ -693,8 +695,8 @@ class TestEventFileRoundTrip:
     def test_bad_record_names_its_line(self, tmp_path, line, message):
         # two records, a blank line, then the bad one on line 5
         path = tmp_path / "bad.txt"
-        write_events(EventStream(ns(0, 0), ns(50_000_003, 50_000_004), ns(),
-                                 ns(), make_manifest(duration_s=0.1)), path)
+        write_events(stream_of(ns(0, 0), ns(50_000_003, 50_000_004), ns(),
+                               ns(), make_manifest(duration_s=0.1)), path)
         path.write_bytes(path.read_bytes() + b"\r\n" + line + b"\n")
         with pytest.raises(DataError, match=f"bad.txt: line 5: {message}"):
             read_events(path)
@@ -716,8 +718,8 @@ class TestEventFileRoundTrip:
     def test_line_longer_than_any_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sim, "READ_BLOCK", 64)
         path = tmp_path / "long.txt"
-        write_events(EventStream(ns(0), ns(50_000_003), ns(), ns(),
-                                 make_manifest(duration_s=0.1)), path)
+        write_events(stream_of(ns(0), ns(50_000_003), ns(), ns(),
+                               make_manifest(duration_s=0.1)), path)
         path.write_bytes(path.read_bytes() + b"7" * 10_000)
         with pytest.raises(DataError,
                            match="line 3: malformed record '7{80}'$"):
@@ -823,7 +825,7 @@ def reference_records(path):
 
 
 def assert_reads_as_reference(stream, path):
-    for (_, *got), want in zip(stream.channels(), reference_records(path)):
+    for got, want in zip(columns_of(stream), reference_records(path)):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -862,9 +864,8 @@ def random_stream(rng, n, onset_share):
     t_ns = lo + 1 + (u * (hi - lo - 2)).astype(np.int64)
     onset = rng.random(n) < onset_share
     # 1e10 trials, so that every trial is in the run
-    return EventStream(trial[~onset], t_ns[~onset], trial[onset],
-                       t_ns[onset],
-                       make_manifest(duration_s=1e9, sequence=seq))
+    return stream_of(trial[~onset], t_ns[~onset], trial[onset], t_ns[onset],
+                     make_manifest(duration_s=1e9, sequence=seq))
 
 
 class TestAgainstLineReference:
@@ -895,11 +896,10 @@ class TestAgainstLineReference:
         # windows 2 ns, over those of trials 10 and 100
         seq = SequenceConfig(rep_rate=5e8, cooling_ms=5e-7, prep_ms=5e-7,
                              detect_ms=1e-6)
-        stream = EventStream(ns(9, 9, 10, 9, 99, 99, 100, 99),
-                             ns(19, 20, 21, 22, 199, 200, 201, 202),
-                             ns(9, 100), ns(20, 202),
-                             make_manifest(duration_s=101 * 2e-9,
-                                           sequence=seq))
+        stream = stream_of(ns(9, 9, 10, 9, 99, 99, 100, 99),
+                           ns(19, 20, 21, 22, 199, 200, 201, 202),
+                           ns(9, 100), ns(20, 202),
+                           make_manifest(duration_s=101 * 2e-9, sequence=seq))
         path = tmp_path / "r.txt"
         write_events(stream, path)
         assert path.read_bytes().split(b"\n", 1)[1] == reference_text(stream)
@@ -936,10 +936,10 @@ class TestWriterRefuses:
     def test_unwritable_stream(self, tmp_path, column, at, value):
         # record 0 is an APD record, record 1 an onset; each stream keeps
         # both channels in time order
-        stream = EventStream(ns(0), ns(5), ns(1), ns(6),
-                             make_manifest(duration_s=0.1))
-        field = {"trial": "trial", "t_ns": "ns"}[column]
-        getattr(stream, ("apd_", "onset_")[at] + field)[0] = value
+        stream = stream_of(ns(0), ns(5), ns(1), ns(6),
+                           make_manifest(duration_s=0.1))
+        _, (trial, _), t_ns = stream.channels()[at]
+        {"trial": trial, "t_ns": t_ns}[column][0] = value
         path = tmp_path / "never.txt"
         with pytest.raises(DataError):
             write_events(stream, path)
@@ -965,7 +965,7 @@ class TestWriterRefuses:
                                             message):
         # one trial, detecting from 50 ms to 100 ms: each stream keeps
         # both channels in time order, but breaks a rule of the reader
-        stream = EventStream(*columns, make_manifest(duration_s=0.1))
+        stream = stream_of(*columns, make_manifest(duration_s=0.1))
         path = tmp_path / "never.txt"
         with pytest.raises(DataError, match=f"^{message}$"):
             write_events(stream, path)
@@ -1034,15 +1034,43 @@ class TestChecksInBlocks:
 
     @pytest.mark.parametrize("block", [97, 1000])
     def test_first_record_outside_window(self, monkeypatch, block):
+        # from record i on, the stamps 1 ms later or the trials one later
+        # (the last trial's kept): each channel stays in order, and its
+        # first record outside, record i past its window or mostly one
+        # before its own, is the record-by-record reference's
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         stream = simulate_run(self.DENSE)
         m = stream.manifest
-        for _, trial, t_ns in stream.channels():
-            assert sim._first_outside_window(m, trial, t_ns) is None
+        before = 0          # relabelled streams with a record outside
+        for code, (trial, t_ns) in enumerate(columns_of(stream)):
+            assert reference_outside_window(m, trial, t_ns) is None
             for i in range(0, len(t_ns) - 1, len(t_ns) // 20):
-                t = t_ns.copy()
-                t[[i, -1]] = 0          # before every detection window
-                assert sim._first_outside_window(m, trial, t) == i
+                t, later = t_ns.copy(), trial.copy()
+                t[i:] += 10 ** 6
+                later[i:] = np.minimum(trial[i:] + 1, m.n_trials - 1)
+                assert reference_outside_window(m, trial, t) == i
+                for columns in ((trial, t), (later, t_ns)):
+                    j = reference_outside_window(m, *columns)
+                    both = columns_of(stream)
+                    both[code] = columns
+                    want = None if j is None else (
+                        f"{sim.CHANNEL_NAMES[code]} stamp {columns[1][j]} "
+                        f"outside the detection window of trial "
+                        f"{columns[0][j]}", (code, j))
+                    assert sim._stream_fault(stream_of(*both[0], *both[1],
+                                                       m)) == want
+                before += j is not None
+        assert before > 30
+
+
+def kept(stream, keep, code=None):
+    """The stream of the records whose trial `keep` takes, in channel `code`
+    or in both."""
+    columns = []
+    for c, (trial, t_ns) in enumerate(columns_of(stream)):
+        k = keep(trial) if code in (None, c) else np.ones(len(trial), bool)
+        columns += [trial[k], t_ns[k]]
+    return stream_of(*columns, stream.manifest)
 
 
 def read_outcome(path):
@@ -1083,11 +1111,7 @@ class TestShapePath:
     def one_shape(self, stop=1000):
         # the records of trials 100 to stop - 1
         stream = simulate_run(self.M)
-        a, o = ((trial >= 100) & (trial < stop)
-                for trial in (stream.apd_trial, stream.onset_trial))
-        return dataclasses.replace(
-            stream, apd_trial=stream.apd_trial[a], apd_ns=stream.apd_ns[a],
-            onset_trial=stream.onset_trial[o], onset_ns=stream.onset_ns[o])
+        return kept(stream, lambda trial: (trial >= 100) & (trial < stop))
 
     @pytest.mark.parametrize("kind", ["interleaved", "no-onset", "onset-only",
                                       "onset-first"])
@@ -1096,10 +1120,9 @@ class TestShapePath:
         stream = self.one_shape()
         assert len(stream.apd_ns) > 20_000 and len(stream.onset_ns) > 50
         if kind == "no-onset":
-            stream = dataclasses.replace(stream, onset_trial=ns(),
-                                         onset_ns=ns())
+            stream = kept(stream, lambda trial: trial < 0, CHANNEL_PMT_ONSET)
         if kind == "onset-only":
-            stream = dataclasses.replace(stream, apd_trial=ns(), apd_ns=ns())
+            stream = kept(stream, lambda trial: trial < 0, CHANNEL_APD)
         path = tmp_path / "shape.events"
         write_events(stream, path)
         if kind == "onset-first":
@@ -1113,11 +1136,8 @@ class TestShapePath:
     def test_widest_fields(self, tmp_path, taken):
         # ten-digit trials, and stamps of eighteen digits: three chunks of
         # the decode; a few onsets, so that the block is read by shape
-        stream = random_stream(np.random.default_rng(5), 3000, 0.05)
-        a, o = stream.apd_trial >= 10 ** 9, stream.onset_trial >= 10 ** 9
-        stream = dataclasses.replace(
-            stream, apd_trial=stream.apd_trial[a], apd_ns=stream.apd_ns[a],
-            onset_trial=stream.onset_trial[o], onset_ns=stream.onset_ns[o])
+        stream = kept(random_stream(np.random.default_rng(5), 3000, 0.05),
+                      lambda trial: trial >= 10 ** 9)
         assert len(stream.apd_ns) > 100 and len(stream.onset_ns) > 5
         assert min(stream.apd_ns.min(), stream.onset_ns.min()) >= 10 ** 17
         path = tmp_path / "wide.events"
@@ -1206,8 +1226,7 @@ class TestShapePath:
         # ahead of its window: still in time order in its channel
         monkeypatch.setattr(sim, "READ_BLOCK", 256)
         stream = self.one_shape()
-        trial, t_ns = ((stream.apd_trial, stream.apd_ns) if name == "APD"
-                       else (stream.onset_trial, stream.onset_ns))
+        trial, t_ns = columns_of(stream)[name == "PMT_ONSET"]
         i = int(np.searchsorted(trial, trial[-1]))
         t_ns[i] = trial[i] * 100_000_000 + 40_000_000
         path = tmp_path / "outside.events"
@@ -1227,9 +1246,11 @@ class TestMemoryBound:
     def test_full_stream_phases(self, tmp_path):
         # a 30-min paper-hv stream, ~0.73 M records: each phase of the
         # simulate -> write -> read -> histogram path allocates, at its peak,
-        # less than twice the stream's column bytes on top of what it holds;
-        # simulate_run holds each column once, and the histogram makes no
-        # array of the stream's length but a mask of its APD stamps' order
+        # less than a bound in units of 16 bytes per record (a trial and a
+        # t_ns column) on top of what it holds. No phase makes a trial
+        # column: simulate_run and read_events hold each t_ns column and
+        # the trials' runs, and the histogram makes no array of the stream's
+        # length but a mask of its APD stamps' order
         m = presets.preset_manifest("paper-hv", 11, angle_deg=45.0,
                                     minutes=30.0)
         path = tmp_path / "hv.events"
@@ -1252,11 +1273,10 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
         assert back == stream and len(back) > 500_000
-        column_bytes = sum(column.nbytes for _, *pair in back.channels()
-                           for column in pair)
+        record_bytes = 16 * len(back)
         for name, peak in peaks.items():
-            assert peak < 2 * column_bytes, (name, peak, column_bytes)
-        assert peaks["simulate_run"] < 1.3 * column_bytes, peaks
-        assert peaks["write_events"] < 0.3 * column_bytes, peaks
-        assert peaks["read_events"] < 1.45 * column_bytes, peaks
-        assert peaks["histogram_from_stream"] < 0.1 * column_bytes, peaks
+            assert peak < 2 * record_bytes, (name, peak, record_bytes)
+        assert peaks["simulate_run"] < 0.85 * record_bytes, peaks
+        assert peaks["write_events"] < 0.3 * record_bytes, peaks
+        assert peaks["read_events"] < 1.05 * record_bytes, peaks
+        assert peaks["histogram_from_stream"] < 0.1 * record_bytes, peaks
