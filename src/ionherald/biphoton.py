@@ -1,11 +1,12 @@
 """Statistical model of the pair source and the two measurement arms.
 
-The source emits pairs in a Werner-type mixture of the two-photon singlet
-with white noise (one knob, ``singlet_weight``). Qubit A is the unfiltered
-photon sent to the ion, qubit B the filtered trigger photon. The ion is a
-polarization-sensitive absorber: after optical pumping it cannot absorb the
-``blocked`` state of the chosen basis and maximally absorbs the orthogonal
-``allowed`` state. The trigger arm projects onto an analyzer state that a
+The source's two-photon state is a Werner-type mixture of the singlet with
+white noise (one knob, ``singlet_weight``); the pair flux is a rate of the
+run (``sim.RateConfig.pair_rate``). Qubit A is the unfiltered photon sent to
+the ion, qubit B the filtered trigger photon. The ion is a
+polarization-sensitive absorber: after optical pumping it maximally absorbs
+the ``allowed`` state of the chosen basis and cannot absorb the orthogonal
+one. The trigger arm projects onto an analyzer state that a
 half-wave plate at dial angle theta steers around the Poincare sphere with a
 90-degree fringe period (the plate rotates linear polarization by 2*theta,
 i.e. by 4*theta on the sphere).
@@ -30,14 +31,13 @@ from .polarization import (PolarizationBasis, PolarizationState,
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Pair source: ideal two-photon state mixed with white noise.
+    """Two-photon state of the source: ideal state mixed with white noise.
 
     effective state = singlet_weight * ideal_state + (1 - singlet_weight) * I/4
     """
 
     ideal_state: TwoQubitDensityMatrix = field(default_factory=pol.singlet)
     singlet_weight: float = 1.0
-    pair_rate: float = 1.0    # pairs/s reaching the beam-splitter outputs
     _effective: TwoQubitDensityMatrix = field(init=False, repr=False,
                                               compare=False)
 
@@ -45,9 +45,6 @@ class SourceModel:
         if not 0.0 <= self.singlet_weight <= 1.0:
             raise ConfigError(
                 f"singlet_weight outside [0, 1]: {self.singlet_weight}")
-        if not 0.0 < self.pair_rate < np.inf:
-            raise ConfigError(
-                f"pair_rate must be finite and > 0, got {self.pair_rate}")
         # built and validated once; the fields are frozen
         w = self.singlet_weight
         object.__setattr__(self, "_effective", TwoQubitDensityMatrix(
@@ -59,34 +56,25 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class AbsorberSetting:
-    """Prepared ion: absorbs ``allowed``, transparent to ``blocked``.
-
-    Abstracts one (B, k, E) pumping geometry; ``geometry_note`` records which.
-    """
+    """Prepared ion: absorbs ``allowed``, one of the two states of ``basis``,
+    and is transparent to the other."""
 
     basis: PolarizationBasis
-    blocked: PolarizationState
     allowed: PolarizationState
-    geometry_note: str = ""
 
     def __post_init__(self):
-        if abs(np.vdot(self.blocked.vector, self.allowed.vector)) > 1e-12:
-            raise DataError("absorber blocked/allowed states not orthogonal")
-        for s in (self.blocked, self.allowed):
-            if not any(pol.overlap(s, b) > 1.0 - 1e-12
-                       for b in (self.basis.plus, self.basis.minus)):
-                raise DataError(
-                    f"absorber state does not belong to basis {self.basis.label}")
+        if not any(pol.overlap(self.allowed, b) > 1.0 - 1e-12
+                   for b in (self.basis.plus, self.basis.minus)):
+            raise DataError(
+                f"absorber state does not belong to basis {self.basis.label}")
 
 
-def absorber_for(basis: PolarizationBasis, allowed: str = "plus",
-                 geometry_note: str = "") -> AbsorberSetting:
+def absorber_for(basis: PolarizationBasis,
+                 allowed: str = "plus") -> AbsorberSetting:
     """AbsorberSetting allowing the named element ("plus" or "minus") of basis."""
-    if allowed == "plus":
-        return AbsorberSetting(basis, basis.minus, basis.plus, geometry_note)
-    if allowed == "minus":
-        return AbsorberSetting(basis, basis.plus, basis.minus, geometry_note)
-    raise ConfigError(f"allowed must be 'plus' or 'minus', got {allowed!r}")
+    if allowed not in ("plus", "minus"):
+        raise ConfigError(f"allowed must be 'plus' or 'minus', got {allowed!r}")
+    return AbsorberSetting(basis, getattr(basis, allowed))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ EXIT_CONVERGENCE = 4
 
 _CONFIG_KEYS = {
     "run": {"seed", "duration_s"},
-    "source": {"singlet_weight", "pair_rate"},
+    "source": {"singlet_weight"},
     "sequence": {"rep_rate", "cooling_ms", "prep_ms", "detect_ms"},
     "rates": {"pair_rate", "eta_trigger", "eta_herald", "branching_s",
               "dark_trigger_rate", "false_onset_rate", "onset_latency_us",
@@ -128,15 +128,9 @@ def _apply_overrides(manifest: RunManifest, overrides: dict) -> RunManifest:
             changes[section][key] = float(value)
         except ValueError:
             raise ConfigError(f"{dotted} = {value!r} is not a number")
-    # the pair rate is stated in source and in rates; one value sets both
-    source, rates = changes["source"], changes["rates"]
-    if "pair_rate" in source:
-        rates.setdefault("pair_rate", source["pair_rate"])
-    elif "pair_rate" in rates:
-        source["pair_rate"] = rates["pair_rate"]
-    return replace(manifest, source=replace(manifest.source, **source),
-                   sequence=replace(manifest.sequence, **changes["sequence"]),
-                   rates=replace(manifest.rates, **rates))
+    return replace(manifest, **{
+        section: replace(getattr(manifest, section), **values)
+        for section, values in changes.items()})
 
 
 def _parse_override_args(pairs) -> dict:

@@ -112,7 +112,7 @@ def expected_scan(source: SourceModel, absorber: AbsorberSetting,
 
     marginal, joint = arm_probabilities(source, absorber, analyzers)
 
-    mu_sig = (source.pair_rate * w * rates.eta_trigger * rates.eta_herald
+    mu_sig = (rates.pair_rate * w * rates.eta_trigger * rates.eta_herald
               * rates.branching_s * joint)
     mu_false = rates.false_onset_rate * w
     mu = mu_sig + mu_false
@@ -122,7 +122,7 @@ def expected_scan(source: SourceModel, absorber: AbsorberSetting,
 
     kappa = 1.0 - np.exp(-0.5 * bin_s / (rates.onset_latency_us * 1e-6)) \
         if rates.onset_latency_us > 0 else 1.0
-    apd_rate = source.pair_rate * rates.eta_trigger * marginal \
+    apd_rate = rates.pair_rate * rates.eta_trigger * marginal \
         + rates.dark_trigger_rate
 
     accidental_bin0 = n_onsets * apd_rate * bin_s
@@ -191,7 +191,7 @@ class FringePlan:
 def _source_and_rates(pair_rate: float, singlet_weight: float,
                       dark_trigger_rate: float):
     """The source and rates of a calibration's three solved values."""
-    source = SourceModel(pol.singlet(), singlet_weight, pair_rate=pair_rate)
+    source = SourceModel(pol.singlet(), singlet_weight)
     rates = RateConfig(pair_rate=pair_rate, eta_trigger=ETA_TRIGGER,
                        eta_herald=ETA_HERALD, branching_s=BRANCHING_S,
                        dark_trigger_rate=dark_trigger_rate,
@@ -342,10 +342,9 @@ class TomoPlan:
 
 
 def tomo_plan() -> TomoPlan:
-    cal = calibrate_fringe_preset("rl")   # rates; the state weight is its own
-    source = SourceModel(pol.singlet(), TOMO_SINGLET_WEIGHT,
-                         cal.source.pair_rate)
-    return TomoPlan(source, cal.rates)
+    # the rl rates; the state weight is its own
+    return TomoPlan(SourceModel(pol.singlet(), TOMO_SINGLET_WEIGHT),
+                    calibrate_fringe_preset("rl").rates)
 
 
 PRESET_NAMES = ("paper-rl", "paper-hv", "paper-da", "paper-tomo")
@@ -372,11 +371,8 @@ def manifest_for_setting(plan: TomoPlan, setting: TomographySetting,
                          seed: int, minutes: float | None = None) -> RunManifest:
     state = setting.absorber_state
     basis = next(b for b in pol.BASES.values() if state in (b.plus, b.minus))
-    absorber = absorber_for(basis, "plus" if state == basis.plus else "minus",
-                            geometry_note=f"tomography: ion absorbs "
-                                          f"{setting.label[0]}")
     analyzer = AnalyzerSetting(setting.analyzer_state, hwp_angle=None)
-    return _manifest(plan, absorber, analyzer, seed,
+    return _manifest(plan, AbsorberSetting(basis, state), analyzer, seed,
                      plan.setting_minutes if minutes is None else minutes)
 
 

@@ -152,7 +152,9 @@ class SequenceConfig:
 class RateConfig:
     """Detection-phase rates and per-event probabilities.
 
-    Heralds whose partner photon was lost enter through eta_herald < 1;
+    pair_rate is the pair flux (pairs/s reaching the beam-splitter outputs),
+    finite and > 0; the source's state is biphoton.SourceModel. Heralds
+    whose partner photon was lost enter through eta_herald < 1;
     spontaneous decay out of the metastable level enters as false_onset_rate.
     Onset latency/jitter shape the absorption-to-fluorescence delay.
     """
@@ -167,7 +169,10 @@ class RateConfig:
     onset_jitter_ns: float = 100.0
 
     def __post_init__(self):
-        for name in ("pair_rate", "dark_trigger_rate", "false_onset_rate",
+        if not 0.0 < self.pair_rate < np.inf:
+            raise ConfigError(
+                f"pair_rate must be finite and > 0, got {self.pair_rate}")
+        for name in ("dark_trigger_rate", "false_onset_rate",
                      "onset_latency_us", "onset_jitter_ns"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
@@ -179,7 +184,8 @@ class RateConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything that determines an output stream, seed included."""
+    """Everything that determines an output stream, seed included, each
+    fact once."""
 
     seed: int
     duration_s: float
@@ -196,12 +202,6 @@ class RunManifest:
                 or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ConfigError("seed must be a non-negative integer")
-        # the pair rate is stated in two places; they must agree
-        if abs(self.source.pair_rate - self.rates.pair_rate) \
-                > 1e-9 * max(self.source.pair_rate, self.rates.pair_rate):
-            raise ConfigError(
-                f"pair_rate mismatch: source {self.source.pair_rate} "
-                f"vs rates {self.rates.pair_rate}")
         # numpy draws Poisson counts of mean below ~9.2e18 only, and the
         # clicks and false onsets are drawn as totals over the whole run
         if not self.duration_s * self.sequence.rep_rate <= MAX_PER_RUN:
@@ -277,7 +277,8 @@ def _strictly_increasing(t: np.ndarray) -> None:
 def _finalize(apd_ns, apd_runs, onset_ns, onset_runs,
               manifest) -> EventStream:
     """The stream of the APD stamps, with their records as (trial, count)
-    runs in any order, and of the onset stamps, with the stream's runs.
+    runs of counts >= 1 in any order, and of the onset stamps, with the
+    stream's runs.
 
     Each channel's stamps are sorted and tie-bumped in place and become its
     t_ns column; the APD runs are stably sorted by trial and merged. Time
@@ -293,10 +294,7 @@ def _finalize(apd_ns, apd_runs, onset_ns, onset_runs,
 
 def _runs(trial, count=None):
     """The maximal (trial, count) runs of records given in order, one each
-    (count None) or as runs: zero counts dropped, equal neighbours summed."""
-    if count is not None:
-        kept = np.flatnonzero(count)
-        trial, count = trial[kept], count[kept]
+    (count None) or as runs of counts >= 1: equal neighbours summed."""
     first = np.flatnonzero(np.diff(trial, prepend=trial[:1] - 1))
     if count is None:
         return trial[first], np.diff(first, append=len(trial))
@@ -315,7 +313,7 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     seq, rates, n_trials = m.sequence, m.rates, m.n_trials
     (marginal,), (joint,) = arm_probabilities(m.source, m.absorber,
                                               [m.analyzer])
-    pair_clicks = m.source.pair_rate * rates.eta_trigger * marginal
+    pair_clicks = rates.pair_rate * rates.eta_trigger * marginal
     p_abs = (rates.eta_herald * (joint / marginal) * rates.branching_s
              if marginal > 0.0 else 0.0)
     run_s = seq.detect_s * n_trials     # detection time of the whole run
@@ -348,9 +346,10 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     b_rate = pair_clicks * (1.0 - p_abs) + rates.dark_trigger_rate
     lo, hi = _regions(onset_ns, lag_reach_ns())
     near = _pieces(lo, hi, seq, n_trials)
-    near_count = rng.poisson(b_rate * near[2])
+    near_s = near[2].sum()
+    near, near_count = _drawn(near, rng.poisson(b_rate * near[2]))
     n_near = int(near_count.sum())
-    n_far = rng.poisson(b_rate * max(run_s - near[2].sum(), 0.0))
+    n_far = rng.poisson(b_rate * max(run_s - near_s, 0.0))
 
     # the APD stamps, drawn straight into the stream's column
     n_apd = n_a + n_near + (0 if counting else n_far)
@@ -361,13 +360,21 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     if not counting and n_far:
         far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
                       n_trials)
-        far_count = rng.multinomial(n_far, far[2] / far[2].sum())
+        far, far_count = _drawn(far, rng.multinomial(n_far,
+                                                     far[2] / far[2].sum()))
         _stamp_uniform(rng, apd_ns[n_a + n_near:n_apd], far, far_count, seq)
         runs.append((far[0], far_count))
     stream = _finalize(apd_ns, [np.concatenate(c) for c in zip(*runs)],
                        onset_ns, (onset_trial, np.ones_like(onset_trial)), m)
     stream.apd_dropped = n_far if counting else 0
     return stream
+
+
+def _drawn(pieces, count):
+    """The pieces that drew at least one click, and their counts: an empty
+    piece holds no stamp and takes no uniform draw."""
+    kept = count > 0
+    return tuple(column[kept] for column in pieces), count[kept]
 
 
 def _window_start(trial, seq: SequenceConfig):
@@ -457,9 +464,7 @@ def manifest_to_dict(m: RunManifest) -> dict:
         "duration_s": float(m.duration_s),
         "absorber": {
             "basis": m.absorber.basis.label,
-            "blocked": _state_to_json(m.absorber.blocked),
             "allowed": _state_to_json(m.absorber.allowed),
-            "geometry_note": m.absorber.geometry_note,
         },
         "analyzer": {
             "projector_state": _state_to_json(m.analyzer.projector_state),
@@ -470,7 +475,6 @@ def manifest_to_dict(m: RunManifest) -> dict:
             "ideal_state_re": (np.real(m.source.ideal_state.matrix) + 0.0).tolist(),
             "ideal_state_im": (np.imag(m.source.ideal_state.matrix) + 0.0).tolist(),
             "singlet_weight": m.source.singlet_weight,
-            "pair_rate": m.source.pair_rate,
         },
         "sequence": asdict(m.sequence),
         "rates": asdict(m.rates),
@@ -478,17 +482,19 @@ def manifest_to_dict(m: RunManifest) -> dict:
 
 
 def manifest_from_dict(d: dict) -> RunManifest:
+    """The manifest of manifest_to_dict's dict. Its sections are read key by
+    key, so the keys that older files also hold (source.pair_rate,
+    absorber.blocked, absorber.geometry_note) are passed over."""
     ab = d["absorber"]
-    absorber = AbsorberSetting(
-        pol.BASES[ab["basis"]], _state_from_json(ab["blocked"]),
-        _state_from_json(ab["allowed"]), ab.get("geometry_note", ""))
+    absorber = AbsorberSetting(pol.BASES[ab["basis"]],
+                               _state_from_json(ab["allowed"]))
     an = d["analyzer"]
     analyzer = AnalyzerSetting(_state_from_json(an["projector_state"]),
                                an.get("hwp_angle"))
     s = d["source"]
     ideal = pol.TwoQubitDensityMatrix(
         np.array(s["ideal_state_re"]) + 1j * np.array(s["ideal_state_im"]))
-    source = SourceModel(ideal, s["singlet_weight"], s["pair_rate"])
+    source = SourceModel(ideal, s["singlet_weight"])
     return RunManifest(d["seed"], d["duration_s"], absorber, analyzer, source,
                        SequenceConfig(**d["sequence"]), RateConfig(**d["rates"]))
 
@@ -659,7 +665,8 @@ def _stream_fault(stream: EventStream, line=lambda code, index: code):
     """The first rule of a legal stream (module docstring) that `stream`
     breaks: its message, and the (channel, index) of the record at fault or
     None for a rule of a whole channel; None if it breaks none. The rules
-    run in order: digits, trial range, each channel's order (APD first), one
+    run in order: the runs' shape (the maximal runs of the channel's
+    records, each count at least 1), digits, trial range, each channel's order (APD first), one
     onset per trial, the windows. Where records of both channels break the
     trial or window rule, the first of each that does is a candidate, and
     the lower line(code, index) wins: read_events passes the file line,
@@ -669,6 +676,12 @@ def _stream_fault(stream: EventStream, line=lambda code, index: code):
     def first(found):       # the trial and t_ns of the winner, and its place
         code, i, trial = min(found, key=lambda at: line(*at[:2]))
         return trial, channels[code][2][i], (code, i)
+    for code, (trial, count), t_ns in channels:
+        if not (len(trial) == len(count) and np.all(count >= 1)
+                and np.all(trial[1:] != trial[:-1])
+                and count.sum() == len(t_ns)):
+            return (f"trial runs of channel {CHANNEL_NAMES[code]} are not "
+                    f"the maximal runs of its {len(t_ns)} records"), None
     for _, (trial, _), t_ns in channels:
         for name, column in zip(("trial", "t_ns"), (trial, t_ns)):
             if len(column) and not (column.min() >= 0

@@ -313,10 +313,9 @@ def concurrence(rho) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def metrics(rho, errors: tuple | None = None) -> EntanglementMetrics:
+def metrics(rho) -> EntanglementMetrics:
     c = concurrence(rho)
-    errs = errors if errors is not None else (None, None, None)
-    return EntanglementMetrics(fidelity_singlet(rho), c, c * c, *errs)
+    return EntanglementMetrics(fidelity_singlet(rho), c, c * c)
 
 
 def trace_distance(a, b) -> float:

@@ -186,7 +186,7 @@ def test_criterion_6_correlator_property_suite():
         seed=66, duration_s=1e5,
         absorber=absorber_for(pol.RL, "plus"),
         analyzer=AnalyzerSetting(pol.L, 45.0),
-        source=SourceModel(pol.singlet(), 1.0, 2.0),
+        source=SourceModel(pol.singlet(), 1.0),
         sequence=SequenceConfig(),
         rates=RateConfig(pair_rate=2.0, eta_trigger=0.5, eta_herald=0.5,
                          branching_s=0.94, dark_trigger_rate=3.0,

@@ -9,8 +9,8 @@ from ionherald.errors import ConfigError, DataError
 from ionherald.sim import RateConfig, RunManifest, simulate_run
 
 
-def src(weight=1.0, pair_rate=1.0):
-    return SourceModel(pol.singlet(), weight, pair_rate)
+def src(weight=1.0):
+    return SourceModel(pol.singlet(), weight)
 
 
 def joint_probability(rho, a, b):
@@ -31,21 +31,19 @@ class TestSourceModel:
         with pytest.raises(ConfigError):
             src(1.2)
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ConfigError):
-            src(1.0, 0.0)
-
 
 class TestAbsorberSetting:
     def test_states_orthogonal(self):
-        ab = absorber_for(pol.RL, "plus")
-        assert pol.overlap(ab.blocked, ab.allowed) < 1e-12
-        assert pol.overlap(ab.allowed, pol.R) == pytest.approx(1.0, abs=1e-12)
+        # the plus and minus settings of a basis allow orthogonal states
+        plus, minus = (absorber_for(pol.RL, a) for a in ("plus", "minus"))
+        assert pol.overlap(plus.allowed, minus.allowed) < 1e-12
+        assert pol.overlap(plus.allowed, pol.R) == pytest.approx(1.0,
+                                                                 abs=1e-12)
 
     def test_rejects_states_outside_basis(self):
         from ionherald.biphoton import AbsorberSetting
         with pytest.raises(DataError):
-            AbsorberSetting(pol.RL, pol.H, pol.V)
+            AbsorberSetting(pol.RL, pol.H)
 
 
 class TestScanAnalyzer:
@@ -134,7 +132,7 @@ class TestHeraldedAbsorption:
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g @ g.conj().T
             s = SourceModel(pol.TwoQubitDensityMatrix(m / np.trace(m).real),
-                            rng.uniform(0.0, 1.0), 1.0)
+                            rng.uniform(0.0, 1.0))
             ab = absorber_for(pol.BASES[rng.choice(list(pol.BASES))],
                               rng.choice(["plus", "minus"]))
             ans = [AnalyzerSetting(pol.from_poincare(v / np.linalg.norm(v)))
@@ -144,16 +142,17 @@ class TestHeraldedAbsorption:
             assert joint == pytest.approx(
                 [joint_probability(rho, ab.allowed, an.projector_state)
                  for an in ans], abs=1e-12)
+            # the ion's qubit in either state of the basis
             assert marginal == pytest.approx(
-                [joint_probability(rho, ab.allowed, an.projector_state)
-                 + joint_probability(rho, ab.blocked, an.projector_state)
+                [joint_probability(rho, ab.basis.plus, an.projector_state)
+                 + joint_probability(rho, ab.basis.minus, an.projector_state)
                  for an in ans], abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_undefined_conditional(self):
         # |HH> never fires a V trigger: the conditional is undefined, and the
         # simulator makes no pair onsets instead of dividing by zero
-        hh = SourceModel(pol.pure_state_dm([1, 0, 0, 0]), 1.0, 50.0)
+        hh = SourceModel(pol.pure_state_dm([1, 0, 0, 0]), 1.0)
         ab = absorber_for(pol.HV, "plus")
         an = AnalyzerSetting(pol.V)
         marginal, joint = arm_probabilities(hh, ab, [an])
@@ -176,7 +175,7 @@ class TestFringePrediction:
         # the sin^2 fringe through theta0 vs direct 4x4 evaluation
         rng = np.random.default_rng(12)
         for w in (1.0, 0.63):
-            s = src(w, pair_rate=2.5)
+            s = src(w)
             rho = s.effective_state()
             for basis in (pol.RL, pol.HV, pol.DA):
                 ab = absorber_for(basis, "plus")

@@ -76,9 +76,9 @@ duration_s = 30
 
 [source]
 singlet_weight = 0.9
-pair_rate = 40
 
 [rates]
+pair_rate = 40
 eta_trigger = 0.4
 eta_herald = 0.07
 dark_trigger_rate = 100
@@ -111,6 +111,7 @@ class TestConfig:
         m = load_manifest_config(cfg)
         assert m.seed == 5
         assert m.source.singlet_weight == pytest.approx(0.9)
+        assert m.rates.pair_rate == pytest.approx(40.0)
         assert m.rates.dark_trigger_rate == pytest.approx(100.0)
         assert m.absorber.basis.label == "HV"
 
@@ -146,7 +147,7 @@ class TestConfig:
                        encoding="utf-8")
         m = load_manifest_config(cfg)
         assert (m.sequence.rep_rate, m.sequence.detect_ms) == (20.0, 5.0)
-        assert m.source.pair_rate == m.rates.pair_rate == 3.0
+        assert m.rates.pair_rate == 3.0
 
     def test_unknown_key_named_in_error(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -166,7 +167,8 @@ class TestConfig:
         "rates.eta_trigger=abc", "rates.dark_trigger_rate=nan",
         "sequence.rep_rate=nan", "rates.onset_latency_us=inf",
         "source.pair_rate=inf", "rates.dark_trigger_rate=1e300",
-        "rates.false_onset_rate=1e300"])
+        "rates.false_onset_rate=1e300", "source.pair_rate=3",
+        "rates.pair_rate=0"])
     def test_bad_override_value(self, tmp_path, override):
         assert main(["simulate", "--preset", "paper-rl", "--minutes", "1",
                      "--override", override,
@@ -319,7 +321,7 @@ class TestG2BadEventFile:
         (lambda d: d.replace(b'"HV"', b'"H\xffV"', 1), "line 1"),
         (lambda d: edit_header(d, "source", "ideal_state_re", [[0.0, 1.0]]),
          "line 1"),
-        (lambda d: edit_header(d, "absorber", "blocked", [[1.0, 0.0]]),
+        (lambda d: edit_header(d, "absorber", "allowed", [[1.0, 0.0]]),
          "line 1"),
         (lambda d: edit_header(d, "duration_s", None, -1), "line 1"),
         (lambda d: edit_header(d, "seed", None, 1.5), "line 1"),
@@ -398,7 +400,7 @@ class TestPipeline:
             assert main([
                 "simulate", "--preset", "paper-rl", "--minutes", "6",
                 "--angle", str(angle), "--seed", str(100 + i),
-                "--override", "source.pair_rate=120",
+                "--override", "rates.pair_rate=120",
                 "--override", "rates.eta_herald=0.5",
                 "--out", str(tmp_path / f"ev{i}.txt")]) == 0
             assert main([

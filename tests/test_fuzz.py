@@ -393,11 +393,11 @@ def test_reproduce_argv_exits_0_2_3_or_4(tmp_path, capsys, seed, scale,
 
 
 @settings(max_examples=300, deadline=None)
-@given(runs=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 5)),
+@given(runs=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 5)),
                      max_size=60))
 def test_trial_column_from_runs(runs):
-    # unsorted, repeated and empty runs, finalized, against the dense
-    # per-trial layout: the stream's runs are maximal, each count >= 1
+    # unsorted and repeated runs, finalized, against the dense per-trial
+    # layout: the stream's runs are maximal
     trials = np.array([t for t, _ in runs], np.int64)
     counts = np.array([c for _, c in runs], np.int64)
     per_trial = np.zeros(41, np.int64)

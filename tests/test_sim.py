@@ -34,7 +34,7 @@ def make_manifest(seed=0, duration_s=60.0, weight=1.0, analyzer=None,
         seed=seed, duration_s=duration_s,
         absorber=absorber_for(pol.RL, "plus"),
         analyzer=analyzer or AnalyzerSetting(pol.L, 45.0),
-        source=SourceModel(pol.singlet(), weight, rates["pair_rate"]),
+        source=SourceModel(pol.singlet(), weight),
         sequence=sequence or SequenceConfig(),
         rates=RateConfig(**rates))
 
@@ -76,13 +76,11 @@ class TestRateConfig:
             with pytest.raises(ConfigError):
                 RateConfig(**{name: bad})
 
-    def test_pair_rate_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            RunManifest(seed=0, duration_s=1.0,
-                        absorber=absorber_for(pol.RL, "plus"),
-                        analyzer=AnalyzerSetting(pol.L),
-                        source=SourceModel(pol.singlet(), 1.0, 5.0),
-                        rates=RateConfig(pair_rate=7.0))
+    def test_rejects_bad_pair_rate(self):
+        # the pair flux is finite and > 0, other rates may be 0
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="pair_rate"):
+                RateConfig(pair_rate=bad)
 
     def test_run_totals_within_numpy_poisson(self):
         # 5e17 dark clicks per 50 ms window is legal for one trial, but the
@@ -271,9 +269,9 @@ class TestFinalize:
     def test_onset_inside_a_run_of_clicks(self):
         # onsets between the clicks of one trial, one at the run's end and
         # one before the next trial's clicks, with empty trials between;
-        # the runs come unsorted, with an empty one and a trial split in two
+        # the runs come unsorted, with a trial split in two
         stream = _finalize(ns(10, 20, 30, 700, 710),
-                           (ns(3, 0, 1, 0), ns(2, 1, 0, 2)),
+                           (ns(3, 0, 0), ns(2, 1, 2)),
                            ns(15, 30, 705), (ns(0, 3, 4), ns(1, 1, 1)), None)
         apd, onset = CHANNEL_APD, CHANNEL_PMT_ONSET
         trial, channel, t_ns = file_columns(stream)
@@ -629,6 +627,24 @@ class TestEventFileRoundTrip:
         assert back != stream
         assert back == dataclasses.replace(stream, manifest=back.manifest)
 
+    def test_file_with_the_older_header_keys(self, tmp_path):
+        # a header that still holds source.pair_rate, absorber.blocked and
+        # absorber.geometry_note, as files written before they were dropped
+        # do, reads as the stream
+        stream = simulate_run(make_manifest(seed=5, duration_s=10.0))
+        path = tmp_path / "run.txt"
+        write_events(stream, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        d = json.loads(header[len(sim.FILE_MAGIC):])
+        d["source"]["pair_rate"] = d["rates"]["pair_rate"]
+        d["absorber"].update(blocked=sim._state_to_json(pol.L),
+                             geometry_note="")
+        path.write_bytes(b"%s%s\n%s" % (
+            sim.FILE_MAGIC.encode(),
+            json.dumps(d, sort_keys=True, separators=(",", ":")).encode(),
+            body))
+        assert read_events(path) == stream
+
     def test_manifest_round_trip(self):
         m = make_manifest(seed=13, weight=0.83)
         m2 = manifest_from_dict(manifest_to_dict(m))
@@ -968,6 +984,23 @@ class TestWriterRefuses:
         stream = stream_of(*columns, make_manifest(duration_s=0.1))
         path = tmp_path / "never.txt"
         with pytest.raises(DataError, match=f"^{message}$"):
+            write_events(stream, path)
+        assert not path.exists()
+
+
+    @pytest.mark.parametrize("runs", [
+        (ns(0, 1), ns(2, 0)), (ns(5, 0), ns(0, 2)), (ns(0, 0), ns(1, 1))],
+        ids=["empty_last_run", "empty_first_run", "split_run"])
+    def test_non_canonical_runs(self, tmp_path, runs):
+        # two APD stamps of trial 0, in its window, held as runs that are
+        # not the maximal runs of counts >= 1 that read_events makes
+        stream = sim.EventStream(runs, ns(50_000_001, 50_000_002),
+                                 (ns(), ns()), ns(),
+                                 make_manifest(duration_s=0.1))
+        path = tmp_path / "never.txt"
+        with pytest.raises(DataError, match=(
+                "^trial runs of channel APD are not the maximal runs of its "
+                "2 records$")):
             write_events(stream, path)
         assert not path.exists()
 
