@@ -1,9 +1,10 @@
 """Heralded single-photon absorption by a trapped ion: simulation and analysis.
 
 Subpackages: polarization (state algebra), biphoton (source and arm
-statistics), sim (event-stream Monte Carlo), correlate (coincidence
-histograms), fringes (visibility fits), tomography (state reconstruction),
-presets (paper-calibrated configurations), cli (batch front-end).
+statistics), sim (event-stream Monte Carlo and event files), records
+(event-file record text), correlate (coincidence histograms), fringes
+(visibility fits), tomography (state reconstruction), presets
+(paper-calibrated configurations), cli (batch front-end).
 """
 
 __version__ = "0.1.0"

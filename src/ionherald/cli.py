@@ -21,10 +21,12 @@ from . import presets
 from .biphoton import (SourceModel, absorber_for, fringe_params,
                        scan_analyzer)
 from .correlate import (DEFAULT_BIN_US, DEFAULT_WINDOW_BINS, extract,
-                        histogram_from_stream, write_histogram)
+                        histogram_from_stream, histogram_of_blocks,
+                        write_histogram)
 from .fringes import (FringeScan, ScanPoint, fit_fringe, write_fit_record,
                       write_plot_data, write_scan)
-from .sim import RunManifest, read_events, simulate_run, write_events
+from .sim import (RunManifest, _checked, _parsed_blocks, _simulate_blocks,
+                  read_events, simulate_run, write_events)
 from . import tomography as tom
 
 EXIT_OK = 0
@@ -157,20 +159,38 @@ def cmd_simulate(args) -> int:
     else:
         raise ConfigError("simulate needs --config or --preset")
     manifest = _apply_overrides(manifest, _parse_override_args(args.override))
-    stream = simulate_run(manifest)
-    write_events(stream, args.out)
+    # the stream goes to the file a block at a time, as it is drawn
+    n_apd, n_onsets, blocks = _simulate_blocks(manifest)
+    write_events(blocks, args.out)
     print(f"simulated {manifest.n_trials} trials: "
-          f"{len(stream.apd_ns)} APD, {len(stream.onset_ns)} onsets "
-          f"-> {args.out}")
+          f"{n_apd} APD, {n_onsets} onsets -> {args.out}")
     return EXIT_OK
 
 
 def cmd_g2(args) -> int:
-    stream = read_events(args.events)
-    hist = histogram_from_stream(stream, args.bin_us, args.window_bins)
+    # the pairs are binned a block at a time, as the file is read; a file
+    # that breaks a rule, or a lag window refused, is read whole again and
+    # binned as a stream, for the message of the first fault
+    try:
+        manifest, blocks = _parsed_blocks(args.events)
+        hist = histogram_of_blocks(_checked(blocks), args.bin_us,
+                                   args.window_bins, manifest.duration_s)
+    except DataError:
+        stream = read_events(args.events)
+        manifest = stream.manifest
+        hist = histogram_from_stream(stream, args.bin_us, args.window_bins)
+    result = write_g2(hist, manifest, args.out_prefix)
+    print(f"tau=0 coincidences {result.coincidences} "
+          f"(background {result.background_per_bin:.2f}/bin) "
+          f"-> {args.out_prefix}.res.txt")
+    return EXIT_OK
+
+
+def write_g2(hist, manifest: RunManifest, prefix: str):
+    """Write g2's histogram, prefix.hist.txt, and its extracted counts with
+    the run's settings, prefix.res.txt; return the extracted counts."""
     result = extract(hist)
-    write_histogram(hist, args.out_prefix + ".hist.txt")
-    manifest = stream.manifest
+    write_histogram(hist, prefix + ".hist.txt")
     record = {
         "coincidences": result.coincidences,
         "coincidence_err": f"{result.coincidence_err:.9g}",
@@ -183,13 +203,10 @@ def cmd_g2(args) -> int:
         "basis": manifest.absorber.basis.label,
         "hwp_angle_deg": manifest.analyzer.hwp_angle,
     }
-    with open(args.out_prefix + ".res.txt", "w", encoding="utf-8") as fh:
+    with open(prefix + ".res.txt", "w", encoding="utf-8") as fh:
         for k, v in record.items():
             fh.write(f"{k}={v}\n")
-    print(f"tau=0 coincidences {result.coincidences} "
-          f"(background {result.background_per_bin:.2f}/bin) "
-          f"-> {args.out_prefix}.res.txt")
-    return EXIT_OK
+    return result
 
 
 def _read_kv(path) -> dict:

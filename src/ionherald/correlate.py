@@ -145,6 +145,45 @@ def _lag_counts(apd, onsets, window) -> np.ndarray:
                        minlength=(below + above) // bin_ns)
 
 
+def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
+                        window_bins: int = DEFAULT_WINDOW_BINS,
+                        duration_s: float = 0.0) -> CoincidenceHistogram:
+    """histogram() of a stream given as blocks, each with an apd_ns and an
+    onset_ns column, each channel ascending from block to block.
+
+    A pair is counted once, in the block that brings the later of its two
+    records. Besides one block, only the APD stamps a later onset can still
+    meet (above the last onset so far less the window) and the onsets a
+    later click can still meet (above the last click so far less the
+    window) are held."""
+    window = _lag_window_ns(bin_width_us, window_bins)
+    bin_ns, below, above = window
+    counts = np.zeros((below + above) // bin_ns, np.int64)
+    apd = onsets = np.empty(0, np.int64)
+    total_apd = total_onsets = 0
+    for block in blocks:
+        new_apd, new_onsets = block.apd_ns, block.onset_ns
+        onsets = np.concatenate([onsets, new_onsets])
+        counts += _lag_counts(new_apd, onsets, window)
+        counts += _lag_counts(apd, new_onsets, window)
+        apd = np.concatenate([apd, new_apd])
+        total_apd += len(new_apd)
+        total_onsets += len(new_onsets)
+        # what a later record can still meet
+        if len(new_onsets):
+            last_onset = new_onsets[-1]
+        if len(new_apd):
+            last_apd = new_apd[-1]
+        if total_onsets:
+            apd = apd[np.searchsorted(apd, last_onset - above, side="right"):]
+        if total_apd:
+            onsets = onsets[np.searchsorted(onsets, last_apd - below,
+                                            side="right"):]
+    return CoincidenceHistogram(
+        bin_width_us, np.arange(-window_bins, window_bins + 1), counts,
+        total_apd, total_onsets, float(duration_s))
+
+
 def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
                           window_bins: int = DEFAULT_WINDOW_BINS) -> CoincidenceHistogram:
     """Histogram of a stream's two channels, each in time order, over the

@@ -65,27 +65,36 @@ channel's stamps strictly increase, a trial has at most one PMT_ONSET
 record, and each stamp lies in its trial's detection window, from its first
 rounded nanosecond to its last plus k - 1 ns for a trial with k records in
 the channel (the tie bumps above). Both ends check them with one function:
-``write_events`` refuses a stream that breaks one before it opens the file,
+``write_events`` refuses a stream that breaks one and leaves no file,
 ``read_events`` names the first line that breaks the grammar or trial range,
 else the first rule broken. A stream the writer takes reads back as itself.
 
-Within one channel, trials and stamps only grow, so their digit counts
-change only a few times per file, and nearly every line is a row of one of
-two templates, ``<digits>\tAPD\t<digits>\tDETECT\n`` or the same with
-PMT_ONSET. Both directions work by that record shape: the writer fills rows
-of a template four digits at a time, and the reader splits each block's
-lines of one channel into runs of one line length and checks each run's
-rows against the template of its first line in one compare. A CRLF
-template is the LF one with CR before LF; a block with blank lines or line
-ends that switch is read by shape once more with plain LF line ends. Only
-a block that breaks the grammar or a rule goes to a line-at-a-time reading
-of the grammar above, which names the bad line.
+Both ends also work a block at a time, so that neither holds a whole
+stream. ``_simulate_blocks`` makes simulate_run's draws in the same order
+and gives the stream as blocks of whole trials, drawing the (b) clicks
+outside the regions CHECK_BLOCK at a time as the blocks are taken;
+``simulate_run`` is their join, and the ``simulate`` command writes them as
+they come. ``_parsed_blocks`` reads a file once and gives its records as
+blocks of whole trials of each channel; ``read_events`` is their join, and
+the ``g2`` command bins them as they come. A stream cut at trial
+boundaries is legal exactly when each block breaks no rule and each
+channel's trials and stamps increase from one block to the next
+(``_checked``). Where a block fails, the whole stream is checked
+(``write_events``) or the file read whole (``g2``) for the message. The
+writer writes beside the path and renames its file over the path once the
+last block is written.
+
+Record text is written and read a block at a time by record shape
+(``ionherald.records``); only a block that breaks the grammar or a rule goes
+to a line-at-a-time reading of the grammar above, which names the bad line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass, field, asdict
+import os
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -94,15 +103,14 @@ from . import polarization as pol
 from .correlate import lag_reach_ns
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        arm_probabilities)
-
-CHANNEL_APD = 0
-CHANNEL_PMT_ONSET = 1
-CHANNEL_NAMES = {CHANNEL_APD: "APD", CHANNEL_PMT_ONSET: "PMT_ONSET"}
+from .records import (CHANNEL_APD, CHANNEL_NAMES, CHANNEL_PMT_ONSET,
+                      MAX_DIGITS, _LF, _MAX_LINE, _MIN_RECORD,
+                      _decode_digits, _parse_records, _record_text,
+                      _runs_within, _shaped_lines, _write_records)
 
 FILE_MAGIC = "#MANIFEST "
-MAX_DIGITS = 18             # of trial and t_ns, so every value fits int64
-WRITE_BLOCK = 1 << 14       # records per block in write_events
-READ_BLOCK = 1 << 20        # bytes per block in read_events
+WRITE_BLOCK = 1 << 14       # records formatted at a time in write_events
+READ_BLOCK = 1 << 20        # bytes per block read from an event file
 CHECK_BLOCK = 1 << 16       # records per block in the checks and draws
 MAX_PER_RUN = 1e18          # trials, or events of one kind, in a run
 
@@ -254,16 +262,17 @@ class EventStream:
                 == manifest_to_dict(other.manifest))
 
 
-def _strictly_increasing(t: np.ndarray) -> None:
+def _strictly_increasing(t: np.ndarray, last=None) -> None:
     """Bump duplicate sorted integer timestamps (post-rounding ties) by +1 ns,
-    in place.
+    in place, the first above `last` too, the bumped stamp before them (None
+    for none).
 
     Each stamp becomes max(its own, the previous bumped stamp + 1), in one
     pass: t[k] - k is non-decreasing after the bumps, so it is the running
     maximum of the input's t[k] - k, carried from block to block of
     CHECK_BLOCK stamps.
     """
-    top = np.iinfo(np.int64).min
+    top = np.iinfo(np.int64).min if last is None else last + 1
     for part in _chunks(len(t)):
         i = np.arange(part.start, part.stop)
         block = t[part]
@@ -274,19 +283,20 @@ def _strictly_increasing(t: np.ndarray) -> None:
         block += i
 
 
-def _finalize(apd_ns, apd_runs, onset_ns, onset_runs,
-              manifest) -> EventStream:
+def _finalize(apd_ns, apd_runs, onset_ns, onset_runs, manifest,
+              last=None) -> EventStream:
     """The stream of the APD stamps, with their records as (trial, count)
     runs of counts >= 1 in any order, and of the onset stamps, with the
-    stream's runs.
+    stream's runs; the APD stamps are bumped above `last`, the last bumped
+    APD stamp of the trials before them (None for none).
 
     Each channel's stamps are sorted and tie-bumped in place and become its
     t_ns column; the APD runs are stably sorted by trial and merged. Time
     order is trial order (see the module docstring), so a record takes the
     trial of its position within its channel."""
-    for t in (apd_ns, onset_ns):
+    for t, floor in ((apd_ns, last), (onset_ns, None)):
         t.sort()
-        _strictly_increasing(t)
+        _strictly_increasing(t, floor)
     order = np.argsort(apd_runs[0], kind="stable")
     return EventStream(_runs(*(c[order] for c in apd_runs)), apd_ns,
                        onset_runs, onset_ns, manifest)
@@ -308,7 +318,27 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     docstring: a sub-stream of the full stream, up to tie bumps. It keeps
     every onset and every APD click of an absorbed pair, but of the other
     clicks only those within the default lag window's reach of an onset,
-    and counts the rest in apd_dropped."""
+    and counts the rest in apd_dropped. The stream is the join of
+    _simulate_blocks' blocks."""
+    n_apd, n_onsets, blocks = _simulate_blocks(m, counting)
+    return _joined(m, blocks, (n_apd, n_onsets))
+
+
+def _simulate_blocks(m: RunManifest, counting: bool = False):
+    """simulate_run's stream as blocks: its numbers of APD and onset
+    records, and an iterator of finalized streams of whole trials, in
+    order, whose join is the stream.
+
+    Every draw up to the times of the (b) clicks outside the regions (the
+    far clicks) happens here. The far clicks are drawn as the blocks are
+    taken, CHECK_BLOCK at a time, in time order piece by piece; after each
+    draw the trials before the next piece's are whole, and with the (a) and
+    region clicks held for them they make the next block, sorted and
+    tie-bumped from the last block's last stamp on. A block ends only where
+    each channel's records come before the other's after it in file order,
+    so that writing the blocks one by one interleaves the channels as
+    writing the whole stream does. A counting stream, or one without far
+    clicks, is one block."""
     rng = np.random.default_rng(m.seed)
     seq, rates, n_trials = m.sequence, m.rates, m.n_trials
     (marginal,), (joint,) = arm_probabilities(m.source, m.absorber,
@@ -350,24 +380,115 @@ def simulate_run(m: RunManifest, counting: bool = False) -> EventStream:
     near, near_count = _drawn(near, rng.poisson(b_rate * near[2]))
     n_near = int(near_count.sum())
     n_far = rng.poisson(b_rate * max(run_s - near_s, 0.0))
+    near_ns = np.empty(n_near, np.int64)
+    _stamp_uniform(rng, near_ns, near, near_count, seq)
 
-    # the APD stamps, drawn straight into the stream's column
-    n_apd = n_a + n_near + (0 if counting else n_far)
-    apd_ns = np.empty(n_apd, dtype=np.int64)
-    apd_ns[:n_a] = np.rint(a_t * 1e9)
-    _stamp_uniform(rng, apd_ns[n_a:n_a + n_near], near, near_count, seq)
-    runs = [(a_trial, np.ones(n_a, np.int64)), (near[0], near_count)]
-    if not counting and n_far:
-        far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
-                      n_trials)
-        far, far_count = _drawn(far, rng.multinomial(n_far,
-                                                     far[2] / far[2].sum()))
-        _stamp_uniform(rng, apd_ns[n_a + n_near:n_apd], far, far_count, seq)
-        runs.append((far[0], far_count))
-    stream = _finalize(apd_ns, [np.concatenate(c) for c in zip(*runs)],
-                       onset_ns, (onset_trial, np.ones_like(onset_trial)), m)
-    stream.apd_dropped = n_far if counting else 0
-    return stream
+    # each kind of APD click as (trial, count) runs and their stamps: the
+    # (a) clicks one a run, the region clicks one run a piece; and the
+    # onsets as one-record runs
+    kinds = [(a_trial, np.ones(n_a, np.int64),
+              np.rint(a_t * 1e9).astype(np.int64)),
+             (near[0], near_count, near_ns),
+             (onset_trial, np.ones_like(onset_trial), onset_ns)]
+    if counting or not n_far:
+        block, _ = _trials_block(m, kinds)
+        block.apd_dropped = n_far if counting else 0
+        return n_a + n_near, len(onset_ns), iter([block])
+    far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
+                  n_trials)
+    far, far_count = _drawn(far, rng.multinomial(n_far,
+                                                 far[2] / far[2].sum()))
+    # blocks are cut by trial, where the onsets' final stamps allow
+    kinds[0] = tuple(c[np.argsort(a_trial, kind="stable")] for c in kinds[0])
+    onset_ns.sort()
+    _strictly_increasing(onset_ns)
+
+    def blocks():
+        # what is left of each kind, the far clicks as far as drawn, from
+        # trial `start` on, and the last APD stamp given
+        left, start, last = [(far[0], far_count, near_ns[:0]), *kinds], 0, None
+        ends = np.cumsum(far_count)
+        for part in _chunks(n_far):
+            # the far clicks held, and CHECK_BLOCK more drawn after them
+            trial, count, held = left[0]
+            stamps = np.empty(len(held) + part.stop - part.start, np.int64)
+            stamps[:len(held)] = held
+            _stamp_part(rng, stamps[len(held):], far, far_count, ends, part,
+                        seq)
+            left[0] = trial, count, stamps
+            # the trials before the next piece's are whole
+            p = np.searchsorted(ends, part.stop, side="right")
+            stop = far[0][p] if p < len(far_count) else n_trials
+            if stop == n_trials or stop == start:
+                continue
+            block, rest = _trials_block(m, left, stop, last)
+            apd_last = block.apd_ns[-1] if len(block.apd_ns) else last
+            # the block's APD stamps must not pass the next onset, nor its
+            # onsets reach a later APD stamp, which is at least the rounded
+            # start of trial stop's window
+            next_onset = rest[-1][2][:1]
+            if ((len(next_onset) and apd_last is not None
+                 and apd_last > next_onset[0])
+                    or (len(block.onset_ns) and block.onset_ns[-1] >= np.rint(
+                        _window_start(stop, seq) * 1e9))):
+                continue
+            trial, count, held = rest[0]
+            left = [(trial, count, held.copy()), *rest[1:]]
+            start, last = stop, apd_last
+            yield block
+            del block, rest     # held no longer than needed
+        yield _trials_block(m, left, n_trials, last)[0]
+    return n_a + n_near + n_far, len(onset_ns), blocks()
+
+
+def _trials_block(m: RunManifest, kinds, stop=None, last=None):
+    """The finalized block of the trials before `stop` (None for all) of
+    the kinds of APD clicks and the onsets, kinds[-1], each (trial, count)
+    runs in trial order and their stamps; and what is left of each kind.
+    The APD stamps are bumped above `last` (see _finalize)."""
+    heads, rest = [], []
+    for trial, count, stamps in kinds:
+        r = len(trial) if stop is None else np.searchsorted(trial, stop)
+        n = int(count[:r].sum())
+        heads.append((trial[:r], count[:r], stamps[:n]))
+        rest.append((trial[r:], count[r:], stamps[n:]))
+    *apd, (onset_trial, onset_count, onset_ns) = heads
+    trial, count, apd_ns = (np.concatenate(c) for c in zip(*apd))
+    return _finalize(apd_ns, (trial, count), onset_ns,
+                     (onset_trial, onset_count), m, last), rest
+
+
+def _joined(manifest: RunManifest, blocks, sizes) -> EventStream:
+    """The stream of the blocks joined in order: one block is the stream,
+    else each channel's stamps are copied into a column of sizes[channel]
+    records, grown if the blocks hold more, and its runs are merged; only a
+    counting stream, one block, leaves out clicks."""
+    first, second = next(blocks), next(blocks, None)
+    if second is None:
+        return first
+    columns = [np.empty(n, np.int64) for n in sizes]
+    filled, pieces = [0, 0], ([], [])
+
+    def add(block):
+        for code, runs, t_ns in block.channels():
+            n, stop = filled[code], filled[code] + len(t_ns)
+            if stop > len(columns[code]):
+                columns[code] = np.resize(columns[code],
+                                          max(stop, 2 * len(columns[code])))
+            columns[code][n:stop] = t_ns
+            pieces[code].append(runs)
+            filled[code] = stop
+
+    add(first)
+    add(second)
+    del first, second   # each block is held no longer than it is copied
+    for block in blocks:
+        add(block)
+        del block
+    return EventStream(*(x for runs, column, n in zip(pieces, columns, filled)
+                         for x in (_runs(*map(np.concatenate, zip(*runs))),
+                                   column[:n])),
+                       manifest=manifest)
 
 
 def _drawn(pieces, count):
@@ -414,25 +535,22 @@ def _pieces(lo, hi, seq: SequenceConfig, n_trials: int):
 def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
     """Stamp count[i] uniform times in piece i into out, in piece order,
     CHECK_BLOCK at a time."""
-    trial, off, length = pieces
     ends = np.cumsum(count)
     for part in _chunks(len(out)):
-        # the pieces with points in this block, and how many
-        k, c = _runs_within(ends, count, part.start, part.stop)
-        t = np.repeat(off[k], c)
-        t += rng.random(len(t)) * np.repeat(length[k], c)
-        # within its window, whatever the rounding
-        np.minimum(t, seq.detect_s, out=t)
-        t += np.repeat(_window_start(trial[k], seq), c)
-        out[part] = np.rint(t * 1e9)
+        _stamp_part(rng, out[part], pieces, count, ends, part, seq)
 
 
-def _runs_within(ends, count, start, stop):
-    """The runs of count[i] items, the last one before ends[i], with items
-    start to stop - 1: as a slice of them, and how many each holds there."""
-    k = slice(np.searchsorted(ends, start, side="right"),
-              np.searchsorted(ends, stop - 1, side="right") + 1)
-    return k, np.minimum(ends[k], stop) - np.maximum(ends[k] - count[k], start)
+def _stamp_part(rng, out, pieces, count, ends, part, seq: SequenceConfig):
+    """Stamp the uniform times `part` of _stamp_uniform's into out."""
+    trial, off, length = pieces
+    # the pieces with points in this block, and how many
+    k, c = _runs_within(ends, count, part.start, part.stop)
+    t = np.repeat(off[k], c)
+    t += rng.random(len(t)) * np.repeat(length[k], c)
+    # within its window, whatever the rounding
+    np.minimum(t, seq.detect_s, out=t)
+    t += np.repeat(_window_start(trial[k], seq), c)
+    out[:] = np.rint(t * 1e9)
 
 
 def _stamp_range(t_start, w, k):
@@ -482,9 +600,10 @@ def manifest_to_dict(m: RunManifest) -> dict:
 
 
 def manifest_from_dict(d: dict) -> RunManifest:
-    """The manifest of manifest_to_dict's dict. Its sections are read key by
-    key, so the keys that older files also hold (source.pair_rate,
-    absorber.blocked, absorber.geometry_note) are passed over."""
+    """The manifest of manifest_to_dict's dict. Every section is read key by
+    key, so a key it does not know, such as those older files also hold
+    (source.pair_rate, absorber.blocked, absorber.geometry_note), is passed
+    over."""
     ab = d["absorber"]
     absorber = AbsorberSetting(pol.BASES[ab["basis"]],
                                _state_from_json(ab["allowed"]))
@@ -496,163 +615,277 @@ def manifest_from_dict(d: dict) -> RunManifest:
         np.array(s["ideal_state_re"]) + 1j * np.array(s["ideal_state_im"]))
     source = SourceModel(ideal, s["singlet_weight"])
     return RunManifest(d["seed"], d["duration_s"], absorber, analyzer, source,
-                       SequenceConfig(**d["sequence"]), RateConfig(**d["rates"]))
+                       *(kind(**{k: v for k, v in d[name].items()
+                                 if k in {f.name for f in fields(kind)}})
+                         for kind, name in ((SequenceConfig, "sequence"),
+                                            (RateConfig, "rates"))))
 
 
-def write_events(stream: EventStream, path) -> None:
-    """Write a finalized stream: manifest line, then one tab-separated record
-    per line (trial, channel, t_ns, phase). Timestamps stay exact integers.
+def write_events(stream, path) -> None:
+    """Write a finalized stream, or the blocks of one in order, as
+    _simulate_blocks gives them: manifest line, then one tab-separated
+    record per line (trial, channel, t_ns, phase). Timestamps stay exact
+    integers.
 
-    The two channels are interleaved in time order, WRITE_BLOCK records at
-    a time: each onset goes after every APD stamp <= its own. Each
-    channel's records of a block are formatted by record shape, and the
-    onset lines are spliced into the APD text. A stream that breaks a rule
-    (_stream_fault) is refused before the file is opened, with read_events'
-    message less its path and line, such as "non-monotone timestamps in
-    channel APD"; so a stream it writes reads back as itself."""
+    The two channels are interleaved in time order, a block at a time and
+    WRITE_BLOCK records at a time within it: each onset goes after every
+    APD stamp <= its own. Each channel's records of a block are formatted
+    by record shape, and the onset lines are spliced into the APD text. The
+    file is written beside `path` and renamed over it once its last block
+    is written, so a stream that is refused leaves nothing at `path`.
+
+    A stream that breaks a rule is refused with read_events' message less
+    its path and line, such as "non-monotone timestamps in channel APD"; so
+    a stream it writes reads back as itself. A whole stream is cut into
+    blocks, each checked as blocks are (_checked), before the file is made,
+    and only if one fails is the whole stream checked for the message
+    (_stream_fault)."""
+    if isinstance(stream, EventStream):
+        _refuse_dropped(stream)
+        try:
+            for _ in _checked(_cut(stream)):
+                pass
+        except DataError:
+            if fault := _stream_fault(stream):
+                raise DataError(fault[0]) from None
+        blocks = _cut(stream)
+    else:
+        blocks = _checked(stream)
+    part = f"{os.fspath(path)}.{os.getpid()}.part"
+    try:
+        with open(part, "wb") as fh:
+            for i, block in enumerate(blocks):
+                if not i:
+                    fh.write(FILE_MAGIC.encode() + json.dumps(
+                        manifest_to_dict(block.manifest), sort_keys=True,
+                        separators=(",", ":")).encode("utf-8") + b"\n")
+                _write_block(fh, block)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+
+
+def _write_block(fh, block: EventStream) -> None:
+    """Write the records of one block, its channels interleaved."""
+    before = np.searchsorted(block.apd_ns, block.onset_ns, side="right")
+    at = before + np.arange(len(before))    # the onsets' places in the file
+    channels = [(CHANNEL_NAMES[code].encode(), runs, np.cumsum(runs[1]), t)
+                for code, runs, t in block.channels()]
+    # in parts of about WRITE_BLOCK records
+    bounds = np.linspace(0, len(block), max(round(len(block) / WRITE_BLOCK),
+                                            1) + 1).astype(np.int64).tolist()
+    for i, stop in zip(bounds, bounds[1:]):
+        # the APD records a0:a1 and the onsets k0:k1 of this part
+        k0, k1 = np.searchsorted(at, [i, stop])
+        a0, a1 = i - k0, stop - k1
+        texts = []
+        for (name, (trial, count), ends, t_ns), (j0, j1) in zip(
+                channels, ((a0, a1), (k0, k1))):
+            k, c = _runs_within(ends, count, j0, j1)
+            texts += _record_text(name, trial[k], c, t_ns[j0:j1])
+        _write_records(fh, *texts, before[k0:k1] - a0)
+
+
+def _refuse_dropped(stream: EventStream) -> None:
     if stream.apd_dropped:
         raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
                         "APD clicks; its manifest promises them all")
-    if fault := _stream_fault(stream):
-        raise DataError(fault[0])
-    header = FILE_MAGIC + json.dumps(manifest_to_dict(stream.manifest),
-                                     sort_keys=True, separators=(",", ":"))
-    before = np.searchsorted(stream.apd_ns, stream.onset_ns, side="right")
-    at = before + np.arange(len(before))    # the onsets' places in the file
-    channels = [(CHANNEL_NAMES[code].encode(), runs, np.cumsum(runs[1]), t)
-                for code, runs, t in stream.channels()]
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        for i in range(0, len(stream), WRITE_BLOCK):
-            # the APD records a0:a1 and the onsets k0:k1 of this block
-            k0, k1 = np.searchsorted(at, [i, i + WRITE_BLOCK])
-            a0, a1 = i - k0, min(i + WRITE_BLOCK, len(stream)) - k1
-            texts = []
-            for (name, (trial, count), ends, t_ns), (j0, j1) in zip(
-                    channels, ((a0, a1), (k0, k1))):
-                k, c = _runs_within(ends, count, j0, j1)
-                texts += _record_text(name, trial[k], c, t_ns[j0:j1])
-            _write_records(fh, *texts, before[k0:k1] - a0)
 
 
-def _write_records(fh, apd, apd_runs, onset, onset_runs, gaps):
-    """Write the APD lines with the onset lines spliced in, onset k ahead of
-    APD record gaps[k]: each channel's text and runs from _record_text."""
-    cuts = _line_starts(apd_runs, gaps).tolist()
-    ends = _line_starts(onset_runs, np.arange(len(gaps) + 1)).tolist()
-    apd, onset = memoryview(apd), memoryview(onset)
-    for a, b, o0, o1 in zip([0, *cuts], cuts, ends, ends[1:]):
-        fh.write(apd[a:b])
-        fh.write(onset[o0:o1])
-    fh.write(apd[cuts[-1] if cuts else 0:])
+def _cut(stream: EventStream):
+    """A whole stream as blocks of whole trials, views of its columns: cut
+    after about every CHECK_BLOCK APD records, where each channel's records
+    come before the other's after the cut in file order."""
+    (apd_trial, apd_count), apd_ns, (onset_trial, onset_count), onset_ns = (
+        stream.apd_runs, stream.apd_ns, stream.onset_runs, stream.onset_ns)
+    apd_ends, onset_ends = (np.append(0, np.cumsum(c))
+                            for c in (apd_count, onset_count))
+    n_apd_runs = min(len(apd_trial), len(apd_count))
+    n_onset_runs = min(len(onset_trial), len(onset_count))
+    r0 = s0 = 0         # the runs of the block's first records
+    for r in np.searchsorted(apd_ends, np.arange(
+            CHECK_BLOCK, len(apd_ns), CHECK_BLOCK)).tolist():
+        # a cut ahead of APD run r, whose trial starts the next block
+        if not r0 < r < n_apd_runs:
+            continue
+        s = int(np.clip(np.searchsorted(onset_trial, apd_trial[r]), s0,
+                        n_onset_runs))
+        i, j = apd_ends[r], onset_ends[s]
+        if not (0 < i < len(apd_ns) and 0 <= j <= len(onset_ns)
+                and (j == len(onset_ns) or apd_ns[i - 1] <= onset_ns[j])
+                and (j == 0 or onset_ns[j - 1] < apd_ns[i])):
+            continue
+        yield EventStream((apd_trial[r0:r], apd_count[r0:r]),
+                          apd_ns[apd_ends[r0]:i],
+                          (onset_trial[s0:s], onset_count[s0:s]),
+                          onset_ns[onset_ends[s0]:j], stream.manifest)
+        r0, s0 = r, s
+    yield EventStream((apd_trial[r0:], apd_count[r0:]),
+                      apd_ns[apd_ends[r0]:],
+                      (onset_trial[s0:], onset_count[s0:]),
+                      onset_ns[onset_ends[s0]:], stream.manifest)
+
+
+def _checked(blocks):
+    """Each block of a stream cut at trial boundaries, once it is checked:
+    DataError at the first block that breaks a rule of a legal stream
+    (_stream_fault), leaves out clicks, or whose first trial or stamp in a
+    channel is not above the last one before it. A stream is legal exactly
+    when each of its blocks passes."""
+    last = [None, None]         # per channel, its last trial and stamp
+    for block in blocks:
+        _refuse_dropped(block)
+        if fault := _stream_fault(block):
+            raise DataError(fault[0])
+        for code, (trial, _), t_ns in block.channels():
+            if not len(t_ns):
+                continue
+            if last[code] is not None:
+                if t_ns[0] <= last[code][1]:
+                    raise DataError("non-monotone timestamps in channel "
+                                    f"{CHANNEL_NAMES[code]}")
+                if trial[0] <= last[code][0]:
+                    raise DataError(f"trials of channel "
+                                    f"{CHANNEL_NAMES[code]} do not increase "
+                                    "from one block to the next")
+            last[code] = trial[-1], t_ns[-1]
+        yield block
 
 
 def read_events(path) -> EventStream:
     """Parse an event file back into a stream, refused unless it is legal.
 
-    The file is read twice, in blocks of READ_BLOCK bytes, into one buffer:
-    once to count its line ends, which bounds its number of records, and
-    once to parse each block, cut after its last line end, into each
-    channel's columns; the partial line after the cut moves to the buffer's
-    front. The onset t_ns column holds one record per trial, and grows only
-    in a file that breaks a rule. Each block is read by record shape (see
-    the module docstring): per run of lines of one shape, its trials are
-    decoded into its stamps' place in the t_ns column and kept as (trial,
-    count) runs, then its stamps are decoded there; a block that does not
-    fit goes to _parse_records, which names the bad line. Besides the
-    columns and runs, the buffer and one block's digit rows are held. Then
+    The join of _parsed_blocks' blocks, into t_ns columns sized by a first
+    read of the file, in blocks of READ_BLOCK bytes, that counts its line
+    ends: that bounds its number of records. The onset t_ns column holds
+    one record per trial, and grows only in a file that breaks a rule. Then
     _stream_fault, the writer's check, runs on the whole stream, and
     _record_line finds the line of a record at fault: the path must name a
     file that can be read again."""
-    with open(path, "rb") as fh:
-        manifest = _read_manifest(fh.readline(), path)
-        n_trials = manifest.n_trials
-        # room for a partial line of up to _MAX_LINE bytes, a block and LF
-        buf = bytearray(READ_BLOCK + _MAX_LINE + 1)
-        view = memoryview(buf)
-        start, lines, size = fh.tell(), 0, 0
-        while got := fh.readinto(view[:READ_BLOCK]):
-            block = np.frombuffer(buf, np.uint8, got)
-            lines += np.count_nonzero(block == _LF)
-            size += got
-        fh.seek(start)
-        # a record is a line of at least _MIN_RECORD bytes with its line
-        # end, and the last line end is optional
-        n_max = min(lines + 1, (size + 1) // _MIN_RECORD)
-        columns = [np.empty(n, np.int64) for n in (n_max, min(n_max, n_trials))]
-        runs = tuple([_runs(c[:0])] for c in columns)  # per channel, by piece
-        filled, lineno, kept = [0, 0], 2, 0     # kept: bytes of a partial line
-
-        def parse_shaped(end) -> bool:
-            # the block buf[:end] by record shape, straight into the columns;
-            # False for a block that does not fit, or that parse() reads line
-            # by line: a trial past the manifest's, onsets past their columns
-            nonlocal lineno
-            shaped = _shaped_lines(buf, end)
-            if shaped is None:
-                return False
-            n_lines, shapes = shaped
-            counts = [sum(len(digits) for digits, _, _ in r) for r in shapes]
-            if (sum(filled) + sum(counts) > n_max
-                    or filled[CHANNEL_PMT_ONSET] + counts[CHANNEL_PMT_ONSET]
-                    > len(columns[CHANNEL_PMT_ONSET])):
-                return False
-            found = ([], [])
-            for channel_runs, column, n, pieces in zip(shapes, columns,
-                                                       filled, found):
-                for digits, trial, t_ns in channel_runs:
-                    k = n + len(digits)
-                    _decode_digits(digits, trial, column[n:k])
-                    if column[n:k].max() >= n_trials:
-                        return False
-                    pieces.append(_runs(column[n:k]))
-                    _decode_digits(digits, t_ns, column[n:k])
-                    n = k
-            for pieces, more in zip(runs, found):
-                pieces += more
-            filled[:] = [n + k for n, k in zip(filled, counts)]
-            lineno += n_lines
-            return True
-
-        def parse(end):
-            nonlocal lineno
-            if parse_shaped(end):
-                return
-            records, k = _parse_records(bytes(view[:end]), path, lineno,
-                                        n_trials)
-            if sum(filled) + sum(len(trial) for trial, _ in records) > n_max:
-                raise DataError(f"{path}: changed while it was read")
-            for code, (trial, t_ns) in enumerate(records):
-                n = filled[code]
-                stop = n + len(trial)
-                # more onsets than trials: read on, _stream_fault names why
-                if stop > len(columns[code]):
-                    columns[code] = np.resize(columns[code], n_max)
-                columns[code][n:stop] = t_ns
-                runs[code].append(_runs(np.array(trial, np.int64)))
-                filled[code] = stop
-            lineno += k
-
-        while got := fh.readinto(view[kept:kept + READ_BLOCK]):
-            end = kept + got
-            cut = buf.rfind(b"\n", 0, end) + 1
-            if cut:
-                parse(cut)
-            kept = end - cut
-            view[:kept] = view[cut:end]
-            if kept > _MAX_LINE:        # longer than any record: raises below
-                break
-        if kept:                        # the last line end is optional
-            buf[kept] = _LF
-            parse(kept + 1)
-    stream = EventStream(*(x for pieces, column, n in zip(runs, columns, filled)
-                           for x in (_runs(*map(np.concatenate, zip(*pieces))),
-                                     column[:n])), manifest=manifest)
+    manifest, blocks = _parsed_blocks(path)
+    n_max = _record_bound(path)
+    stream = _joined(manifest, blocks, (n_max, min(n_max, manifest.n_trials)))
+    if len(stream) > n_max:
+        raise DataError(f"{path}: changed while it was read")
     if fault := _stream_fault(stream, lambda *at: _record_line(path, *at)):
         message, at = fault
         line = "" if at is None else f"line {_record_line(path, *at)}: "
         raise DataError(f"{path}: {line}{message}")
     return stream
+
+
+def _record_bound(path) -> int:
+    """The most records the lines after an event file's first can hold."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        lines = size = 0
+        buf = bytearray(READ_BLOCK)
+        while got := fh.readinto(buf):
+            lines += np.count_nonzero(np.frombuffer(buf, np.uint8, got) == _LF)
+            size += got
+    # a record is a line of at least _MIN_RECORD bytes with its line end,
+    # and the last line end is optional
+    return min(lines + 1, (size + 1) // _MIN_RECORD)
+
+
+def _parsed_blocks(path):
+    """The manifest of an event file, and an iterator of its records as
+    blocks in one read of the file: per block, each channel's records of
+    whole trials, its last trial being held for the next block.
+
+    The file is read in blocks of READ_BLOCK bytes into one buffer, each
+    cut after its last line end; the partial line after the cut moves to
+    the buffer's front. Each block is read by record shape (see
+    ionherald.records, and _decoded); a block that does not fit, or holds a
+    trial past the manifest's, goes to _parse_records, which names the bad
+    line. Besides the held trials, the buffer and one block's columns are
+    held. Blocks are legal or not as a stream is (_checked)."""
+    with open(path, "rb") as fh:
+        manifest = _read_manifest(fh.readline(), path)
+    return manifest, _record_blocks(path, manifest)
+
+
+def _record_blocks(path, manifest: RunManifest):
+    """_parsed_blocks' blocks: the file is opened once they are taken."""
+    n_trials = manifest.n_trials
+    # room for a partial line of up to _MAX_LINE bytes, a block and LF
+    buf = bytearray(READ_BLOCK + _MAX_LINE + 1)
+    view = memoryview(buf)
+    # per channel, the runs and stamps of its last trial so far
+    held = [(_runs(np.empty(0, np.int64)), np.empty(0, np.int64))] * 2
+    lineno, kept = 2, 0     # kept: bytes of a partial line
+
+    def parsed(end):
+        # per channel, the runs and stamps of the held trial and of the
+        # block buf[:end]: by record shape, else line by line
+        nonlocal lineno
+        shaped = _shaped_lines(buf, end)
+        if shaped is not None and (
+                channels := _decoded(shaped[1], held, n_trials)) is not None:
+            lineno += shaped[0]
+            return channels
+        records, n_lines = _parse_records(bytes(view[:end]), path, lineno,
+                                          n_trials)
+        lineno += n_lines
+        return [([runs, _runs(np.array(trial, np.int64))],
+                 np.append(before, np.array(t_ns, np.int64)))
+                for (runs, before), (trial, t_ns) in zip(held, records)]
+
+    def block(channels):
+        # the parsed records less each channel's last trial, which is held
+        # for the next block
+        nonlocal held
+        parts, held = [], []
+        for pieces, t_ns in channels:
+            trial, count = _runs(*map(np.concatenate, zip(*pieces)))
+            r, n = max(len(trial) - 1, 0), len(t_ns) - int(count[-1:].sum())
+            parts += [(trial[:r], count[:r]), t_ns[:n]]
+            held.append(((trial[r:], count[r:]), t_ns[n:]))
+        return EventStream(*parts, manifest=manifest)
+
+    with open(path, "rb") as fh:
+        fh.readline()
+        while got := fh.readinto(view[kept:kept + READ_BLOCK]):
+            end = kept + got
+            cut = buf.rfind(b"\n", 0, end) + 1
+            if cut:
+                yield block(parsed(cut))
+            kept = end - cut
+            view[:kept] = view[cut:end]
+            if kept > _MAX_LINE:        # longer than any record: raises below
+                break
+    if kept:                            # the last line end is optional
+        buf[kept] = _LF
+        yield block(parsed(kept + 1))
+    yield EventStream(*(x for runs, t_ns in held for x in (runs, t_ns)),
+                      manifest=manifest)
+
+
+def _decoded(shapes, held, n_trials: int):
+    """Per channel, the runs and stamps of its held trial, (runs, t_ns),
+    and of its runs of lines of one shape, as _shaped_lines gives them;
+    None where a trial is not below n_trials. Each run's trials are decoded
+    into its stamps' place and kept as (trial, count) runs, then its stamps
+    are decoded there."""
+    channels = []
+    for (runs, before), channel_runs in zip(held, shapes):
+        n = len(before)
+        t_ns = np.empty(n + sum(len(rows) for rows, _, _ in channel_runs),
+                        np.int64)
+        t_ns[:n] = before
+        pieces = [runs]
+        for rows, trial, t in channel_runs:
+            k = n + len(rows)
+            _decode_digits(rows, trial, t_ns[n:k])
+            if t_ns[n:k].max() >= n_trials:
+                return None
+            pieces.append(_runs(t_ns[n:k]))
+            _decode_digits(rows, t, t_ns[n:k])
+            n = k
+        channels.append((pieces, t_ns))
+    return channels
 
 
 def _chunks(n: int):
@@ -714,10 +947,12 @@ def _first_outside_window(m: RunManifest, runs, t_ns):
     channel, or None. The stamps increase (the order rule), so only a run
     whose first or last stamp is outside is searched, for the first."""
     trial, count = runs
-    index = np.unique(trial, return_inverse=True)[1]
-    k = np.bincount(index, count).astype(np.int64)   # the stamps of a trial
+    k = count                   # the stamps of a trial, one run a trial
+    if np.any(trial[1:] <= trial[:-1]):
+        index = np.unique(trial, return_inverse=True)[1]
+        k = np.bincount(index, count).astype(np.int64)[index]
     lo, hi = _stamp_range(_window_start(trial, m.sequence),
-                          m.sequence.detect_s, k[index])
+                          m.sequence.detect_s, k)
     end = np.cumsum(count)
     start = end - count
     for r in np.flatnonzero((t_ns[start] < lo) | (t_ns[end - 1] > hi))[:1]:
@@ -757,92 +992,6 @@ def _record_line(path, code: int, index: int) -> int:
             rest = block[cut:]
 
 
-# --- record text, a block at a time ----------------------------------------
-
-_LF, _ZERO = 10, ord("0")
-# the shortest record line with its LF, and the longest less its LF
-_MIN_RECORD = len(b"0\tAPD\t0\tDETECT\n")
-_MAX_LINE = len(b"%s\tPMT_ONSET\t%s\tDETECT\r"
-                % (b"9" * MAX_DIGITS, b"9" * MAX_DIGITS))
-# "0000" ... "9999" as uint32, so that one take() places four digits. In
-# uint16 each temporary stays under glibc's 128 KiB mmap threshold; freeing a
-# larger one raises that threshold, and the process's peak RSS by ~0.5 MB.
-_DIGIT_QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
-                // np.array([1000, 100, 10, 1], np.uint16) % 10
-                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_DIGIT_BYTES = _DIGIT_QUADS.view(np.uint8).reshape(-1, 4)
-_CHANNEL_CODES = {name.encode(): code for code, name in CHANNEL_NAMES.items()}
-_POW10 = 10 ** np.arange(1, MAX_DIGITS, dtype=np.int64)
-# _decode_digits' steps over eight digits, one a byte: the shift to the next
-# group, the scale of a group and the mask of the sums of pairs, fours and
-# eights
-_DIGIT_SUMS = [(np.uint64(8), np.uint64(10), np.uint64(0x00FF00FF00FF00FF)),
-               (np.uint64(16), np.uint64(100), np.uint64(0x0000FFFF0000FFFF)),
-               (np.uint64(32), np.uint64(10000), np.uint64(0xFFFFFFFF))]
-
-
-def _record_text(name: bytes, trial, count, t_ns):
-    """The lines of one channel's records, of trials (trial, count) runs, as
-    uint8, and its runs of lines of one shape: the first line of each run,
-    its byte offset in the text and its line length, with a last entry one
-    past the end.
-
-    Within a run, every trial and every t_ns has the same number of digits,
-    so each line is a row of one template. A run ends where a column
-    crosses a power of ten: between two trial runs, or in t_ns, which is in
-    order (write_events checks it). A trial run's digits are made once."""
-    ends = np.cumsum(count)
-    width = np.searchsorted(_POW10, trial, side="right") + 1
-    first = np.union1d([0, len(t_ns)], np.concatenate(
-        [(ends - count)[1:][width[1:] != width[:-1]],
-         np.searchsorted(t_ns, _POW10)]))
-    starts = first[:-1]
-    w_trial = width[np.searchsorted(ends, starts, side="right")]
-    w_t = np.searchsorted(_POW10, t_ns[starts], side="right") + 1
-    length = w_trial + len(name) + w_t + len(b"\t\t\tDETECT\n")
-    offset = np.append(0, np.cumsum(np.diff(first) * length))
-    text = np.empty(offset[-1], np.uint8)
-    for j0, j1, b0, b1, wa, wb in zip(first.tolist(), first[1:].tolist(),
-                                      offset.tolist(), offset[1:].tolist(),
-                                      w_trial.tolist(), w_t.tolist()):
-        template = b"%s\t%s\t%s\tDETECT\n" % (b"0" * wa, name, b"0" * wb)
-        text[b0:b1] = np.frombuffer(template * (j1 - j0), np.uint8)
-        rows = text[b0:b1].reshape(j1 - j0, -1)
-        k, c = _runs_within(ends, count, j0, j1)
-        digits = np.empty((len(c), wa), np.uint8)
-        _put_digits(digits, trial[k], wa, wa)
-        rows[:, :wa] = np.repeat(digits, c, axis=0)
-        _put_digits(rows, t_ns[j0:j1], wa + len(name) + 2 + wb, wb)
-    return text, (first, offset, np.append(length, 0))
-
-
-def _line_starts(runs, j: np.ndarray) -> np.ndarray:
-    """Byte offsets of the lines j (up to one past the last) in a text of
-    the runs that _record_text returned."""
-    first, offset, length = runs
-    r = np.searchsorted(first, j, side="right") - 1
-    return offset[r] + (j - first[r]) * length[r]
-
-
-def _put_digits(rows: np.ndarray, v: np.ndarray, stop: int, width: int):
-    """Write v, each of `width` digits, in rows[:, stop - width:stop].
-
-    Four digits at a time, from the right, through a uint32 view of the
-    rows; the leftmost four overlap the ones on their right when width is
-    not a multiple of four."""
-    if width < 4:
-        rows[:, stop - width:stop] = _DIGIT_BYTES[v, 4 - width:]
-        return
-    top = v // 10 ** (width - 4)
-    for start in range(stop - 4, stop - width, -4):
-        high = v // 10000
-        rows[:, start:start + 4].view(np.uint32)[:, 0] = _DIGIT_QUADS.take(
-            v - high * 10000)
-        v = high
-    rows[:, stop - width:stop - width + 4].view(np.uint32)[:, 0] = \
-        _DIGIT_QUADS.take(top)
-
-
 def _read_manifest(line: bytes, path) -> RunManifest:
     if not line.startswith(FILE_MAGIC.encode()):
         raise DataError(f"{path}: line 1: missing manifest record")
@@ -860,156 +1009,3 @@ def _read_manifest(line: bytes, path) -> RunManifest:
 def _reject_non_finite(name: str):
     raise ValueError(f"non-finite number {name}")
 
-
-def _shaped_lines(buf, end: int):
-    """The block buf[:end], which ends in LF, by record shape: its number of
-    lines and, per channel, APD first, the runs of lines of one shape that
-    _shaped_rows returns. None if the block does not fit.
-
-    A block that does not fit as it is, for blank lines or line ends that
-    switch between LF and CRLF, is read once more with each CRLF rewritten
-    as LF and its blank lines dropped; a CR left after that is not a line
-    end, and the block does not fit."""
-    runs = _channel_runs(buf, end)
-    if runs is not None:
-        return sum(len(digits) for r in runs for digits, _, _ in r), runs
-    text = bytes(memoryview(buf)[:end]).replace(b"\r\n", b"\n")
-    while b"\n\n" in text:
-        text = text.replace(b"\n\n", b"\n")
-    text = text.removeprefix(b"\n")
-    if len(text) == end or b"\r" in text:
-        return None
-    runs = _channel_runs(text, len(text))
-    return None if runs is None else (buf.count(b"\n", 0, end), runs)
-
-
-def _channel_runs(buf, end: int):
-    """Per channel, APD first, what _shaped_rows returns for its lines of
-    the block buf[:end], which ends in LF; None if either is None.
-
-    The onset lines are found with find, a run of adjacent ones at a time:
-    of the two names, only PMT_ONSET holds a "_" and only APD an "A". The
-    find only splits the block; the shape check then reads every line."""
-    a = np.frombuffer(buf, np.uint8, end)
-    runs = [0]          # the bounds of the APD and onset runs, alternating
-    while (at := buf.find(b"_", runs[-1], end)) >= 0:
-        start = buf.rfind(b"\n", 0, at) + 1
-        apd = buf.find(b"A", at, end)
-        stop = buf.rfind(b"\n", 0, apd) + 1 if apd >= 0 else end
-        if stop <= start:
-            return None
-        runs += [start, stop]
-    runs.append(end)
-    shaped = []
-    for name, first in ((b"APD", 0), (b"PMT_ONSET", 1)):
-        pieces = [a[i:j] for i, j in zip(runs[first::2], runs[first + 1::2])]
-        lines = _shaped_rows(pieces[0] if len(pieces) == 1
-                             else np.concatenate([a[:0], *pieces]), name)
-        if lines is None:
-            return None
-        shaped.append(lines)
-    return shaped
-
-
-def _shaped_rows(text: np.ndarray, name: bytes):
-    """The lines of text (uint8, each ending in LF), split into runs where
-    the line length changes, if every line has the shape of its run's
-    first, a record of the channel `name` that ends in LF or CRLF. Per run,
-    its rows less their template, which hold the digits in the digit
-    columns and 0 elsewhere, and the trial and t_ns columns. Else None, and
-    None past 2 * MAX_DIGITS runs: a channel in time order changes its
-    digit counts fewer times, and each run scans the rest of the text.
-
-    Every byte of a run is checked against its first line in one compare:
-    the rows less the template, with '0' in the digit columns, lie within 9
-    of 0 in the digit columns and are 0 in the others."""
-    runs, start = [], 0
-    while start < len(text):
-        if len(runs) == 2 * MAX_DIGITS:
-            return None
-        head = text[start:start + _MAX_LINE + 1].tobytes()
-        width = head.find(b"\n") + 1
-        fields = head[:width].split(b"\t")
-        if (len(fields) != 4 or fields[1] != name
-                or fields[3] not in (b"DETECT\n", b"DETECT\r\n")
-                or not all(len(f) <= MAX_DIGITS and f.isdigit()
-                           for f in fields[::2])):
-            return None
-        # the run ends at the first row that does not end in LF
-        rest = text[start:]
-        n = len(rest) // width
-        stops = np.flatnonzero(rest[width - 1:n * width:width] != _LF)
-        n = int(stops[0]) if len(stops) else n
-        t_stop = width - len(fields[3]) - 1
-        trial = slice(0, len(fields[0]))
-        t_ns = slice(t_stop - len(fields[2]), t_stop)
-        template = np.frombuffer(head, np.uint8, width).copy()
-        span = np.zeros(width, np.uint8)
-        for f in (trial, t_ns):
-            template[f], span[f] = _ZERO, 9
-        digits = rest[:n * width].reshape(n, width) - template
-        if not (digits <= span).all():
-            return None
-        runs.append((digits, trial, t_ns))
-        start += n * width
-    return runs
-
-
-def _decode_digits(digits: np.ndarray, field: slice, out: np.ndarray):
-    """The values of the decimal digits digits[:, field] into out.
-
-    Eight digits at a time: their bytes, read as one little-endian uint64
-    (first digit lowest) and shifted left until the last of them is the top
-    byte, are summed in pairs, fours and eights by multiply, shift and mask.
-    A field is followed by at least eight bytes of its row."""
-    x, low = np.empty(len(digits), np.uint64), np.empty(len(digits), np.uint64)
-    for start in range(field.start, field.stop, 8):
-        k = min(8, field.stop - start)
-        np.left_shift(digits[:, start:start + 8].view("<u8")[:, 0],
-                      np.uint64(64 - 8 * k), out=x)
-        for shift, scale, mask in _DIGIT_SUMS:
-            np.right_shift(x, shift, out=low)
-            x *= scale
-            x += low
-            x &= mask
-        if start > field.start:
-            out *= 10 ** k
-            out += x.view(np.int64)
-        else:
-            out[:] = x
-
-
-def _parse_records(text: bytes, path, lineno: int, n_trials: int):
-    """Per channel, APD first, the trial and t_ns columns (lists) of the
-    records in `text`, whose every line ends in LF, and its number of lines;
-    `lineno` is the file line number of its first line.
-
-    One line at a time, by the grammar of the module docstring; DataError
-    names the first line that breaks it or whose trial is not below
-    n_trials."""
-    columns = (([], []), ([], []))
-    lines = text.split(b"\n")[:-1]
-    for i, line in enumerate(lines, lineno):
-        line = line.removesuffix(b"\r")
-        if not line:                # blank lines are skipped
-            continue
-        fields = line.split(b"\t")
-        if (len(fields) != 4 or fields[1] not in _CHANNEL_CODES
-                or fields[3] != b"DETECT"):
-            shown = line.decode("utf-8", "backslashreplace")
-            raise DataError(f"{path}: line {i}: malformed record "
-                            f"{shown[:80]!r}")
-        trial, name, t_ns, _ = fields
-        if not (trial.isdigit() and t_ns.isdigit()):
-            raise DataError(f"{path}: line {i}: non-integer field")
-        if max(len(trial), len(t_ns)) > MAX_DIGITS:
-            raise DataError(f"{path}: line {i}: integer field longer than "
-                            f"{MAX_DIGITS} digits")
-        trial = int(trial)
-        if trial >= n_trials:
-            raise DataError(f"{path}: line {i}: trial {trial} outside the "
-                            f"manifest's {n_trials} trials")
-        for column, value in zip(columns[_CHANNEL_CODES[name]],
-                                 (trial, int(t_ns))):
-            column.append(value)
-    return columns, len(lines)

@@ -345,6 +345,31 @@ class TestG2BadEventFile:
         assert f"bad.txt: {line}: " in capsys.readouterr().err
 
 
+class TestUnknownHeaderKeys:
+    """A key of the manifest that the reader does not know is passed over,
+    in every section and at the top level alike."""
+
+    @pytest.mark.parametrize("section", ["source", "absorber", "analyzer",
+                                         "sequence", "rates", None])
+    def test_passed_over(self, tmp_path, section):
+        path = tmp_path / "run.events"
+        assert main(["simulate", "--preset", "paper-hv", "--minutes", "0.5",
+                     "--seed", "3", "--out", str(path)]) == 0
+        assert main(["g2", "--events", str(path),
+                     "--out-prefix", str(tmp_path / "plain")]) == 0
+        data = path.read_bytes()
+        typo = tmp_path / "typo.events"
+        typo.write_bytes(edit_header(data, "typo_key", None, 1.0)
+                         if section is None
+                         else edit_header(data, section, "typo_key", 1.0))
+        assert main(["g2", "--events", str(typo),
+                     "--out-prefix", str(tmp_path / "typo")]) == 0
+        for suffix in (".hist.txt", ".res.txt"):
+            assert (tmp_path / f"typo{suffix}").read_bytes() \
+                == (tmp_path / f"plain{suffix}").read_bytes()
+        assert read_events(typo) == read_events(path)
+
+
 def write_scan_dir(path, edit):
     """Six g2 result files of a clean fringe; ``edit`` rewrites the bytes of
     the 30-degree one."""

@@ -8,7 +8,8 @@ small streams, the stream check names the record that a record-by-record
 reading of the trial range and window rules names. A fuzzed event file
 reads the same by record shape as by the line-at-a-time reference parse.
 A small stream, legal or not, is refused by `write_events` exactly when
-`read_events` refuses its records."""
+`read_events` refuses its records, and cut at trial boundaries, its blocks
+pass the checks exactly when the whole stream does."""
 
 import dataclasses
 import json
@@ -177,6 +178,64 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, three_trials, apd,
            for column in columns if len(column)):
         assert re.sub(r"^line \d+: ", "", outcome.removeprefix(
             f"{raw}: ")) == refused
+
+
+# three trials of 100 ns windows 1 ns apart, so that stamps bumped past a
+# window's last nanosecond meet the next window's. A channel as the runs of
+# its trials 0 to 2, each k records on consecutive nanoseconds, as tie bumps
+# leave them, from its window's first or last nanosecond and an offset; and
+# one time in ten, a record of trial 3, past the manifest's
+ADJACENT = sim.SequenceConfig(rep_rate=9.9e6, cooling_ms=5e-7, prep_ms=5e-7,
+                              detect_ms=1e-4)
+_FIRST, _LAST = (e.tolist() for e in sim._stamp_range(
+    sim._window_start(np.arange(4), ADJACENT), ADJACENT.detect_s, 1))
+
+
+def channel(counts):
+    """Records of one channel as above, k records a trial drawn from
+    counts."""
+    run = st.tuples(st.sampled_from(counts), st.booleans(),
+                    st.sampled_from([-1, 0, 0, 0, 1]))
+    return st.tuples(run, run, run, st.sampled_from([0] * 9 + [1])).map(
+        lambda runs: [(trial, (_LAST if at_last else _FIRST)[trial] + off + i)
+                      for trial, (k, at_last, off) in enumerate(runs[:3])
+                      for i in range(k)] + [(3, _FIRST[3])] * runs[3])
+
+
+@pytest.fixture(scope="module")
+def adjacent_windows(three_trials):
+    return dataclasses.replace(three_trials, sequence=ADJACENT,
+                               duration_s=3 / ADJACENT.rep_rate)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(apd=channel([0, 1, 2, 3]), onset=channel([0, 0, 1, 1, 1, 2]),
+       cuts=st.sets(st.sampled_from([1, 2, 3])), unwritable=UNWRITABLE)
+def test_blocks_are_legal_as_the_stream_is(adjacent_windows, apd, onset,
+                                           cuts, unwritable):
+    # each channel's records in trial order, cut at trial boundaries: every
+    # block and every boundary between blocks passes the checks exactly
+    # when the whole stream breaks no rule
+    m = adjacent_windows
+    assert m.n_trials == 3
+    columns = [np.array([record[k] for record in records], np.int64)
+               for records in (apd, onset) for k in (0, 1)]
+    if unwritable is not None and len(columns[unwritable[0]]):
+        columns[unwritable[0]][0] = unwritable[1]
+    bounds = [-np.inf, *sorted(cuts), np.inf]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        kept = [(trial >= lo) & (trial < hi) for trial in columns[::2]]
+        blocks.append(stream_of(*(column[kept[i // 2]]
+                                  for i, column in enumerate(columns)), m))
+    try:
+        list(sim._checked(iter(blocks)))
+    except DataError:
+        legal = False
+    else:
+        legal = True
+    assert legal == (sim._stream_fault(stream_of(*columns, m)) is None)
 
 
 def assert_no_nan(tmp_path, out: str) -> None:
