@@ -12,14 +12,15 @@ compare, then decodes their digit columns from the text. A CRLF template
 is the LF one with CR before LF; a block with blank lines or line ends that
 switch is read by shape once more with plain LF line ends. Only a block
 that breaks the grammar or a rule goes to a line-at-a-time reading of the
-grammar, which names the bad line.
+grammar, which gives each record's line, so that the first bad line or
+record at fault is named.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import io
 
-from .errors import DataError
+import numpy as np
 
 CHANNEL_APD = 0
 CHANNEL_PMT_ONSET = 1
@@ -27,8 +28,7 @@ CHANNEL_NAMES = {CHANNEL_APD: "APD", CHANNEL_PMT_ONSET: "PMT_ONSET"}
 MAX_DIGITS = 18             # of trial and t_ns, so every value fits int64
 
 _LF, _ZERO = 10, ord("0")
-# the shortest record line with its LF, and the longest less its LF
-_MIN_RECORD = len(b"0\tAPD\t0\tDETECT\n")
+# the longest record line less its LF
 _MAX_LINE = len(b"%s\tPMT_ONSET\t%s\tDETECT\r"
                 % (b"9" * MAX_DIGITS, b"9" * MAX_DIGITS))
 # "0000" ... "9999" as uint32, so that one take() places four digits. In
@@ -256,37 +256,38 @@ def _decode_digits(rows: np.ndarray, field: slice, out: np.ndarray):
             out[:] = x
 
 
-def _parse_records(text: bytes, path, lineno: int, n_trials: int):
-    """Per channel, APD first, the trial and t_ns columns (lists) of the
-    records in `text`, whose every line ends in LF, and its number of lines;
-    `lineno` is the file line number of its first line.
+def _parse_records(text: bytes, lineno: int, n_trials: int):
+    """The records of `text`, whose every line ends in LF, one line at a
+    time by the grammar of the sim docstring; `lineno` is the file line
+    number of its first line.
 
-    One line at a time, by the grammar of the sim docstring; DataError
-    names the first line that breaks it or whose trial is not below
-    n_trials."""
-    columns = (([], []), ([], []))
-    lines = text.split(b"\n")[:-1]
-    for i, line in enumerate(lines, lineno):
-        line = line.removesuffix(b"\r")
+    Per channel, APD first, the trial, t_ns and line number columns (int64)
+    of its records up to the first line that breaks the grammar or whose
+    trial is not below n_trials; that line's number and message, or None;
+    and the number of lines of `text`."""
+    # per record: its channel, trial, t_ns and line
+    rows = np.empty((text.count(b"\n"), 4), np.int64)
+    n, bad, i = 0, None, lineno - 1
+    for i, line in enumerate(io.BytesIO(text), lineno):
+        line = line[:-1].removesuffix(b"\r")
         if not line:                # blank lines are skipped
             continue
         fields = line.split(b"\t")
         if (len(fields) != 4 or fields[1] not in _CHANNEL_CODES
                 or fields[3] != b"DETECT"):
             shown = line.decode("utf-8", "backslashreplace")
-            raise DataError(f"{path}: line {i}: malformed record "
-                            f"{shown[:80]!r}")
-        trial, name, t_ns, _ = fields
-        if not (trial.isdigit() and t_ns.isdigit()):
-            raise DataError(f"{path}: line {i}: non-integer field")
-        if max(len(trial), len(t_ns)) > MAX_DIGITS:
-            raise DataError(f"{path}: line {i}: integer field longer than "
-                            f"{MAX_DIGITS} digits")
-        trial = int(trial)
-        if trial >= n_trials:
-            raise DataError(f"{path}: line {i}: trial {trial} outside the "
-                            f"manifest's {n_trials} trials")
-        for column, value in zip(columns[_CHANNEL_CODES[name]],
-                                 (trial, int(t_ns))):
-            column.append(value)
-    return columns, len(lines)
+            bad = f"malformed record {shown[:80]!r}"
+        elif not (fields[0].isdigit() and fields[2].isdigit()):
+            bad = "non-integer field"
+        elif max(len(fields[0]), len(fields[2])) > MAX_DIGITS:
+            bad = f"integer field longer than {MAX_DIGITS} digits"
+        elif (trial := int(fields[0])) >= n_trials:
+            bad = f"trial {trial} outside the manifest's {n_trials} trials"
+        if bad:
+            bad = i, bad
+            break
+        rows[n] = _CHANNEL_CODES[fields[1]], trial, int(fields[2]), i
+        n += 1
+    rows = rows[:n]
+    return ([[rows[rows[:, 0] == code, k] for k in (1, 2, 3)]
+             for code in CHANNEL_NAMES], bad, i - lineno + 1)

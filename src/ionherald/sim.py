@@ -60,33 +60,32 @@ manifest as one JSON object. Every later line is a record or blank::
 
 Lines end in LF or CRLF, the last line end is optional, and blank lines are
 skipped. Nothing else is a record: no sign, space, separator or non-ASCII
-digit. In a legal stream, each trial is below the manifest's n_trials, each
-channel's stamps strictly increase, a trial has at most one PMT_ONSET
-record, and each stamp lies in its trial's detection window, from its first
-rounded nanosecond to its last plus k - 1 ns for a trial with k records in
-the channel (the tie bumps above). Both ends check them with one function:
-``write_events`` refuses a stream that breaks one and leaves no file,
-``read_events`` names the first line that breaks the grammar or trial range,
-else the first rule broken. A stream the writer takes reads back as itself.
+digit. A legal stream keeps four rules, each of one record, in this order:
+its trial is below the manifest's n_trials; its stamp is above the one
+before it in its channel; it is not a second PMT_ONSET record of its trial;
+its stamp lies in its trial's detection window, from its first rounded
+nanosecond to its last plus j - 1 ns for the j-th record of the trial in its
+channel (the tie bumps above). A stream's fault is its first record at fault
+in file order, named by the first rule it breaks. Both ends check the rules
+a block at a time (_Rules): ``write_events`` refuses a stream that breaks
+one and leaves no file; ``read_events`` and ``g2`` name the line of the
+first record at fault or bad line. A stream the writer takes reads back as
+itself.
 
-Both ends also work a block at a time, so that neither holds a whole
-stream. ``_simulate_blocks`` makes simulate_run's draws in the same order
-and gives the stream as blocks of whole trials, drawing the (b) clicks
-outside the regions CHECK_BLOCK at a time as the blocks are taken;
-``simulate_run`` is their join, and the ``simulate`` command writes them as
-they come. ``_parsed_blocks`` reads a file once and gives its records as
-blocks of whole trials of each channel; ``read_events`` is their join, and
-the ``g2`` command bins them as they come. A stream cut at trial
-boundaries is legal exactly when each block breaks no rule and each
-channel's trials and stamps increase from one block to the next
-(``_checked``). Where a block fails, the whole stream is checked
-(``write_events``) or the file read whole (``g2``) for the message. The
-writer writes beside the path and renames its file over the path once the
-last block is written.
+Both ends work a block at a time, so that neither holds a whole stream.
+``_simulate_blocks`` makes simulate_run's draws in the same order and gives
+the stream as blocks of whole trials, drawing the (b) clicks outside the
+regions CHECK_BLOCK at a time as the blocks are taken; ``simulate_run`` is
+their join, and the ``simulate`` command writes them as they come, beside
+the path, renaming its file over the path once the last block is written.
+``_parsed_blocks`` reads a file once, so a pipe reads too, and gives its
+records as checked blocks; ``read_events`` is their join, and ``g2`` bins
+them as they come. The first block that fails holds the file's first fault,
+named from that block's text.
 
 Record text is written and read a block at a time by record shape
 (``ionherald.records``); only a block that breaks the grammar or a rule goes
-to a line-at-a-time reading of the grammar above, which names the bad line.
+to a line-at-a-time reading of the grammar, which gives the lines.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ from .correlate import lag_reach_ns
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        arm_probabilities)
 from .records import (CHANNEL_APD, CHANNEL_NAMES, CHANNEL_PMT_ONSET,
-                      MAX_DIGITS, _LF, _MAX_LINE, _MIN_RECORD,
+                      MAX_DIGITS, _LF, _MAX_LINE,
                       _decode_digits, _parse_records, _record_text,
                       _runs_within, _shaped_lines, _write_records)
 
@@ -458,11 +457,12 @@ def _trials_block(m: RunManifest, kinds, stop=None, last=None):
                      (onset_trial, onset_count), m, last), rest
 
 
-def _joined(manifest: RunManifest, blocks, sizes) -> EventStream:
+def _joined(manifest: RunManifest, blocks, sizes=(0, 0)) -> EventStream:
     """The stream of the blocks joined in order: one block is the stream,
     else each channel's stamps are copied into a column of sizes[channel]
-    records, grown if the blocks hold more, and its runs are merged; only a
-    counting stream, one block, leaves out clicks."""
+    records, grown in place by a quarter, or to fit, where the blocks hold
+    more, and its runs are merged; only a counting stream, one block, leaves
+    out clicks."""
     first, second = next(blocks), next(blocks, None)
     if second is None:
         return first
@@ -473,8 +473,9 @@ def _joined(manifest: RunManifest, blocks, sizes) -> EventStream:
         for code, runs, t_ns in block.channels():
             n, stop = filled[code], filled[code] + len(t_ns)
             if stop > len(columns[code]):
-                columns[code] = np.resize(columns[code],
-                                          max(stop, 2 * len(columns[code])))
+                # in place: a copy would hold the old column and the new
+                columns[code].resize(max(stop, len(columns[code]) * 5 // 4),
+                                     refcheck=False)
             columns[code][n:stop] = t_ns
             pieces[code].append(runs)
             filled[code] = stop
@@ -485,9 +486,11 @@ def _joined(manifest: RunManifest, blocks, sizes) -> EventStream:
     for block in blocks:
         add(block)
         del block
-    return EventStream(*(x for runs, column, n in zip(pieces, columns, filled)
+    for column, n in zip(columns, filled):
+        column.resize(n, refcheck=False)
+    return EventStream(*(x for runs, column in zip(pieces, columns)
                          for x in (_runs(*map(np.concatenate, zip(*runs))),
-                                   column[:n])),
+                                   column)),
                        manifest=manifest)
 
 
@@ -634,27 +637,20 @@ def write_events(stream, path) -> None:
     file is written beside `path` and renamed over it once its last block
     is written, so a stream that is refused leaves nothing at `path`.
 
-    A stream that breaks a rule is refused with read_events' message less
-    its path and line, such as "non-monotone timestamps in channel APD"; so
-    a stream it writes reads back as itself. A whole stream is cut into
-    blocks, each checked as blocks are (_checked), before the file is made,
-    and only if one fails is the whole stream checked for the message
-    (_stream_fault)."""
+    Each block is checked as it is written (_checked), a whole stream cut
+    into blocks once its form is checked. A stream that breaks a rule is
+    refused with read_events' message less its path and line, such as
+    "non-monotone timestamps in channel APD"; so a stream it writes reads
+    back as itself."""
     if isinstance(stream, EventStream):
         _refuse_dropped(stream)
-        try:
-            for _ in _checked(_cut(stream)):
-                pass
-        except DataError:
-            if fault := _stream_fault(stream):
-                raise DataError(fault[0]) from None
-        blocks = _cut(stream)
-    else:
-        blocks = _checked(stream)
+        if fault := _form_fault(stream):
+            raise DataError(fault[0])
+        stream = _cut(stream)
     part = f"{os.fspath(path)}.{os.getpid()}.part"
     try:
         with open(part, "wb") as fh:
-            for i, block in enumerate(blocks):
+            for i, block in enumerate(_checked(stream)):
                 if not i:
                     fh.write(FILE_MAGIC.encode() + json.dumps(
                         manifest_to_dict(block.manifest), sort_keys=True,
@@ -697,7 +693,7 @@ def _refuse_dropped(stream: EventStream) -> None:
 def _cut(stream: EventStream):
     """A whole stream as blocks of whole trials, views of its columns: cut
     after about every CHECK_BLOCK APD records, where each channel's records
-    come before the other's after the cut in file order."""
+    come before the other's after the cut in the order written."""
     (apd_trial, apd_count), apd_ns, (onset_trial, onset_count), onset_ns = (
         stream.apd_runs, stream.apd_ns, stream.onset_runs, stream.onset_ns)
     apd_ends, onset_ends = (np.append(0, np.cumsum(c))
@@ -705,6 +701,11 @@ def _cut(stream: EventStream):
     n_apd_runs = min(len(apd_trial), len(apd_count))
     n_onset_runs = min(len(onset_trial), len(onset_count))
     r0 = s0 = 0         # the runs of the block's first records
+    # a record is written by the greatest stamp of its channel up to it
+    # (_first_written): that of the APD records before `seen`, and of the
+    # onsets before the block
+    seen, apd_top = 0, np.iinfo(np.int64).min
+    onset_top = apd_top
     for r in np.searchsorted(apd_ends, np.arange(
             CHECK_BLOCK, len(apd_ns), CHECK_BLOCK)).tolist():
         # a cut ahead of APD run r, whose trial starts the next block
@@ -713,15 +714,18 @@ def _cut(stream: EventStream):
         s = int(np.clip(np.searchsorted(onset_trial, apd_trial[r]), s0,
                         n_onset_runs))
         i, j = apd_ends[r], onset_ends[s]
-        if not (0 < i < len(apd_ns) and 0 <= j <= len(onset_ns)
-                and (j == len(onset_ns) or apd_ns[i - 1] <= onset_ns[j])
-                and (j == 0 or onset_ns[j - 1] < apd_ns[i])):
+        if not (0 < i < len(apd_ns) and 0 <= j <= len(onset_ns)):
+            continue
+        apd_top, seen = apd_ns[seen:i].max(initial=apd_top), i
+        before = onset_ns[onset_ends[s0]:j].max(initial=onset_top)
+        if not ((j == len(onset_ns) or apd_top <= max(before, onset_ns[j]))
+                and (j == 0 or before < max(apd_top, apd_ns[i]))):
             continue
         yield EventStream((apd_trial[r0:r], apd_count[r0:r]),
                           apd_ns[apd_ends[r0]:i],
                           (onset_trial[s0:s], onset_count[s0:s]),
                           onset_ns[onset_ends[s0]:j], stream.manifest)
-        r0, s0 = r, s
+        r0, s0, onset_top = r, s, before
     yield EventStream((apd_trial[r0:], apd_count[r0:]),
                       apd_ns[apd_ends[r0]:],
                       (onset_trial[s0:], onset_count[s0:]),
@@ -729,153 +733,102 @@ def _cut(stream: EventStream):
 
 
 def _checked(blocks):
-    """Each block of a stream cut at trial boundaries, once it is checked:
-    DataError at the first block that breaks a rule of a legal stream
-    (_stream_fault), leaves out clicks, or whose first trial or stamp in a
-    channel is not above the last one before it. A stream is legal exactly
-    when each of its blocks passes."""
-    last = [None, None]         # per channel, its last trial and stamp
+    """Each block of a stream, cut anywhere, once it is checked: DataError
+    at the first block that leaves out clicks, breaks a rule of form or
+    holds a record at fault, named by the one written first. A stream is
+    legal exactly when each of its blocks passes."""
+    rules = None
     for block in blocks:
         _refuse_dropped(block)
-        if fault := _stream_fault(block):
+        rules = rules or _Rules(block.manifest)
+        if fault := (_form_fault(block)
+                     or _first_written(block, rules.faults(block))):
             raise DataError(fault[0])
-        for code, (trial, _), t_ns in block.channels():
-            if not len(t_ns):
-                continue
-            if last[code] is not None:
-                if t_ns[0] <= last[code][1]:
-                    raise DataError("non-monotone timestamps in channel "
-                                    f"{CHANNEL_NAMES[code]}")
-                if trial[0] <= last[code][0]:
-                    raise DataError(f"trials of channel "
-                                    f"{CHANNEL_NAMES[code]} do not increase "
-                                    "from one block to the next")
-            last[code] = trial[-1], t_ns[-1]
         yield block
 
 
 def read_events(path) -> EventStream:
-    """Parse an event file back into a stream, refused unless it is legal.
-
-    The join of _parsed_blocks' blocks, into t_ns columns sized by a first
-    read of the file, in blocks of READ_BLOCK bytes, that counts its line
-    ends: that bounds its number of records. The onset t_ns column holds
-    one record per trial, and grows only in a file that breaks a rule. Then
-    _stream_fault, the writer's check, runs on the whole stream, and
-    _record_line finds the line of a record at fault: the path must name a
-    file that can be read again."""
-    manifest, blocks = _parsed_blocks(path)
-    n_max = _record_bound(path)
-    stream = _joined(manifest, blocks, (n_max, min(n_max, manifest.n_trials)))
-    if len(stream) > n_max:
-        raise DataError(f"{path}: changed while it was read")
-    if fault := _stream_fault(stream, lambda *at: _record_line(path, *at)):
-        message, at = fault
-        line = "" if at is None else f"line {_record_line(path, *at)}: "
-        raise DataError(f"{path}: {line}{message}")
-    return stream
-
-
-def _record_bound(path) -> int:
-    """The most records the lines after an event file's first can hold."""
+    """Parse an event file back into a stream, refused unless it is legal:
+    the join of _parsed_blocks' blocks, in one read of the file."""
     with open(path, "rb") as fh:
-        fh.readline()
-        lines = size = 0
-        buf = bytearray(READ_BLOCK)
-        while got := fh.readinto(buf):
-            lines += np.count_nonzero(np.frombuffer(buf, np.uint8, got) == _LF)
-            size += got
-    # a record is a line of at least _MIN_RECORD bytes with its line end,
-    # and the last line end is optional
-    return min(lines + 1, (size + 1) // _MIN_RECORD)
+        manifest, blocks = _parsed_blocks(fh, path)
+        return _joined(manifest, blocks)
 
 
-def _parsed_blocks(path):
-    """The manifest of an event file, and an iterator of its records as
-    blocks in one read of the file: per block, each channel's records of
-    whole trials, its last trial being held for the next block.
+def _parsed_blocks(fh, path):
+    """The manifest of the event file open in `fh` (binary, at its start;
+    `path` names it in messages), and an iterator of its records as checked
+    blocks, read from `fh` as they are taken, once, so a pipe reads too.
 
     The file is read in blocks of READ_BLOCK bytes into one buffer, each
     cut after its last line end; the partial line after the cut moves to
     the buffer's front. Each block is read by record shape (see
     ionherald.records, and _decoded); a block that does not fit, or holds a
-    trial past the manifest's, goes to _parse_records, which names the bad
-    line. Besides the held trials, the buffer and one block's columns are
-    held. Blocks are legal or not as a stream is (_checked)."""
-    with open(path, "rb") as fh:
-        manifest = _read_manifest(fh.readline(), path)
-    return manifest, _record_blocks(path, manifest)
-
-
-def _record_blocks(path, manifest: RunManifest):
-    """_parsed_blocks' blocks: the file is opened once they are taken."""
-    n_trials = manifest.n_trials
+    trial past the manifest's, goes to _parse_records, which reads it up to
+    its first bad line. Its records are checked (_Rules); where one is at
+    fault, or a line is bad, the first of them is named, its line found in
+    the buffer. Only the buffer and one block's columns are held."""
+    manifest = _read_manifest(fh.readline(), path)
+    n_trials, rules = manifest.n_trials, _Rules(manifest)
     # room for a partial line of up to _MAX_LINE bytes, a block and LF
     buf = bytearray(READ_BLOCK + _MAX_LINE + 1)
     view = memoryview(buf)
-    # per channel, the runs and stamps of its last trial so far
-    held = [(_runs(np.empty(0, np.int64)), np.empty(0, np.int64))] * 2
-    lineno, kept = 2, 0     # kept: bytes of a partial line
+    lineno = 2
 
-    def parsed(end):
-        # per channel, the runs and stamps of the held trial and of the
-        # block buf[:end]: by record shape, else line by line
+    def block(end):
+        # the records of buf[:end], checked: by record shape, else line by
+        # line, which also gives their lines where one is at fault
         nonlocal lineno
         shaped = _shaped_lines(buf, end)
-        if shaped is not None and (
-                channels := _decoded(shaped[1], held, n_trials)) is not None:
-            lineno += shaped[0]
-            return channels
-        records, n_lines = _parse_records(bytes(view[:end]), path, lineno,
-                                          n_trials)
+        channels = shaped and _decoded(shaped[1], n_trials)
+        bad = lines = None
+        if channels:
+            n_lines = shaped[0]
+        else:
+            records, bad, n_lines = _parse_records(bytes(view[:end]), lineno,
+                                                   n_trials)
+            channels = [x for trial, t_ns, _ in records
+                        for x in (_runs(trial), t_ns)]
+            lines = [line for _, _, line in records]
+        stream = EventStream(*channels, manifest=manifest)
+        faults = rules.faults(stream)
+        if bad or any(faults):
+            lines = lines or [line for *_, line in _parse_records(
+                bytes(view[:end]), lineno, n_trials)[0]]
+            line, message = min([(int(lines[code][f[0]]), f[1])
+                                 for code, f in enumerate(faults) if f]
+                                + ([bad] if bad else []))
+            raise DataError(f"{path}: line {line}: {message}")
         lineno += n_lines
-        return [([runs, _runs(np.array(trial, np.int64))],
-                 np.append(before, np.array(t_ns, np.int64)))
-                for (runs, before), (trial, t_ns) in zip(held, records)]
+        return stream
 
-    def block(channels):
-        # the parsed records less each channel's last trial, which is held
-        # for the next block
-        nonlocal held
-        parts, held = [], []
-        for pieces, t_ns in channels:
-            trial, count = _runs(*map(np.concatenate, zip(*pieces)))
-            r, n = max(len(trial) - 1, 0), len(t_ns) - int(count[-1:].sum())
-            parts += [(trial[:r], count[:r]), t_ns[:n]]
-            held.append(((trial[r:], count[r:]), t_ns[n:]))
-        return EventStream(*parts, manifest=manifest)
-
-    with open(path, "rb") as fh:
-        fh.readline()
+    def blocks(kept=0):             # kept: bytes of a partial line
         while got := fh.readinto(view[kept:kept + READ_BLOCK]):
             end = kept + got
             cut = buf.rfind(b"\n", 0, end) + 1
             if cut:
-                yield block(parsed(cut))
+                yield block(cut)
             kept = end - cut
             view[:kept] = view[cut:end]
-            if kept > _MAX_LINE:        # longer than any record: raises below
+            if kept > _MAX_LINE:    # longer than any record: refused below
                 break
-    if kept:                            # the last line end is optional
-        buf[kept] = _LF
-        yield block(parsed(kept + 1))
-    yield EventStream(*(x for runs, t_ns in held for x in (runs, t_ns)),
-                      manifest=manifest)
+        buf[kept] = _LF             # the last line end is optional
+        if kept or lineno == 2:     # a file of no record is one block
+            yield block(kept + 1 if kept else 0)
+    return manifest, blocks()
 
 
-def _decoded(shapes, held, n_trials: int):
-    """Per channel, the runs and stamps of its held trial, (runs, t_ns),
-    and of its runs of lines of one shape, as _shaped_lines gives them;
-    None where a trial is not below n_trials. Each run's trials are decoded
-    into its stamps' place and kept as (trial, count) runs, then its stamps
-    are decoded there."""
+def _decoded(shapes, n_trials: int):
+    """Per channel, the (trial, count) runs and stamps of its runs of lines
+    of one shape, as _shaped_lines gives them, as flat [runs, t_ns, runs,
+    t_ns]; None where a trial is not below n_trials. Each run's trials are
+    decoded into its stamps' place and kept as (trial, count) runs, then
+    its stamps are decoded there."""
     channels = []
-    for (runs, before), channel_runs in zip(held, shapes):
-        n = len(before)
-        t_ns = np.empty(n + sum(len(rows) for rows, _, _ in channel_runs),
+    for channel_runs in shapes:
+        t_ns = np.empty(sum(len(rows) for rows, _, _ in channel_runs),
                         np.int64)
-        t_ns[:n] = before
-        pieces = [runs]
+        pieces, n = [_runs(t_ns[:0])], 0
         for rows, trial, t in channel_runs:
             k = n + len(rows)
             _decode_digits(rows, trial, t_ns[n:k])
@@ -884,7 +837,7 @@ def _decoded(shapes, held, n_trials: int):
             pieces.append(_runs(t_ns[n:k]))
             _decode_digits(rows, t, t_ns[n:k])
             n = k
-        channels.append((pieces, t_ns))
+        channels += [_runs(*map(np.concatenate, zip(*pieces))), t_ns]
     return channels
 
 
@@ -894,21 +847,12 @@ def _chunks(n: int):
             for i in range(0, n, CHECK_BLOCK))
 
 
-def _stream_fault(stream: EventStream, line=lambda code, index: code):
-    """The first rule of a legal stream (module docstring) that `stream`
-    breaks: its message, and the (channel, index) of the record at fault or
-    None for a rule of a whole channel; None if it breaks none. The rules
-    run in order: the runs' shape (the maximal runs of the channel's
-    records, each count at least 1), digits, trial range, each channel's order (APD first), one
-    onset per trial, the windows. Where records of both channels break the
-    trial or window rule, the first of each that does is a candidate, and
-    the lower line(code, index) wins: read_events passes the file line,
-    write_events takes the APD record."""
-    m, channels = stream.manifest, stream.channels()
-
-    def first(found):       # the trial and t_ns of the winner, and its place
-        code, i, trial = min(found, key=lambda at: line(*at[:2]))
-        return trial, channels[code][2][i], (code, i)
+def _form_fault(stream: EventStream):
+    """The first rule of form that `stream` breaks, rules that name no
+    record: each channel's runs are the maximal runs of its records, each
+    count at least 1, and every trial and t_ns is writable. (message,
+    None), or None."""
+    channels = stream.channels()
     for code, (trial, count), t_ns in channels:
         if not (len(trial) == len(count) and np.all(count >= 1)
                 and np.all(trial[1:] != trial[:-1])
@@ -921,75 +865,128 @@ def _stream_fault(stream: EventStream, line=lambda code, index: code):
                                     and column.max() < 10 ** MAX_DIGITS):
                 return (f"{name} outside [0, 1e{MAX_DIGITS}): not writable "
                         f"as 1 to {MAX_DIGITS} digits"), None
-    if late := [(code, int(count[:r].sum()), trial[r])
-                for code, (trial, count), _ in channels
-                for r in np.flatnonzero(trial >= m.n_trials)[:1]]:
-        trial, _, at = first(late)
-        return f"trial {trial} outside the manifest's {m.n_trials} trials", at
-    for code, _, t in channels:
-        for part in _chunks(len(t) - 1):    # stamp k + 1 against stamp k
-            if np.any(t[part.start + 1:part.stop + 1] <= t[part]):
-                return (f"non-monotone timestamps in channel "
-                        f"{CHANNEL_NAMES[code]}"), None
-    if len(np.unique(stream.onset_runs[0])) < len(stream.onset_ns):
-        return "multiple PMT_ONSET records in one trial", None
-    if outside := [(code, *at) for code, runs, t_ns in channels
-                   if (at := _first_outside_window(m, runs, t_ns))]:
-        trial, t, at = first(outside)
-        return (f"{CHANNEL_NAMES[at[0]]} stamp {t} outside the detection "
-                f"window of trial {trial}"), at
     return None
 
 
-def _first_outside_window(m: RunManifest, runs, t_ns):
-    """The index and trial of a channel's first stamp outside its trial's
-    detection window, widened by k - 1 ns for k stamps of the trial in the
-    channel, or None. The stamps increase (the order rule), so only a run
-    whose first or last stamp is outside is searched, for the first."""
-    trial, count = runs
-    k = count                   # the stamps of a trial, one run a trial
-    if np.any(trial[1:] <= trial[:-1]):
-        index = np.unique(trial, return_inverse=True)[1]
-        k = np.bincount(index, count).astype(np.int64)[index]
-    lo, hi = _stamp_range(_window_start(trial, m.sequence),
-                          m.sequence.detect_s, k)
-    end = np.cumsum(count)
-    start = end - count
-    for r in np.flatnonzero((t_ns[start] < lo) | (t_ns[end - 1] > hi))[:1]:
-        i = start[r]
-        if t_ns[i] >= lo[r]:
-            i += np.searchsorted(t_ns[i:end[r]], hi[r], side="right")
-        return int(i), trial[r]
+class _Rules:
+    """The rules of a legal stream (module docstring), record by record,
+    over a stream given as consecutive blocks of its records, cut anywhere,
+    with what a block needs of the records before it: per channel, its last
+    stamp and the trials that a later record could still join within the
+    window rule, with their records; and the trials of the onsets."""
+
+    def __init__(self, manifest: RunManifest):
+        self.manifest = manifest
+        self.last = [None, None]
+        self.open = [{}, {}]        # trial: (its records, its window's end)
+        self.onset_trials, self.top_onset = [np.empty(0, np.int64)], -1
+
+    def faults(self, block: EventStream):
+        """Per channel, APD first, the index of its first record at fault
+        in the block and the message of the first rule that record breaks,
+        or None where it has none. A block without one is taken: what the
+        next block needs of it is carried."""
+        found, carried = zip(*(self._channel(code, runs, t_ns)
+                               for code, runs, t_ns in block.channels()))
+        if found == (None, None):
+            self.last, self.open = map(list, zip(*carried))
+            if len(trials := block.onset_runs[0]):
+                self.onset_trials.append(trials)
+                self.top_onset = trials[-1]
+        return list(found)
+
+    def _channel(self, code: int, runs, t_ns):
+        """The channel's first record at fault in the block, (index,
+        message) or None, and what the next block needs of its records."""
+        m, name = self.manifest, CHANNEL_NAMES[code]
+        seq = m.sequence
+        trial, count = runs
+        end = np.cumsum(count)
+        start = end - count
+        fault, n = None, len(t_ns)      # n: the records ahead of it
+
+        def found(i, message):
+            nonlocal fault, n
+            fault, n = (int(i), message), int(i)
+
+        for r in np.flatnonzero(trial >= m.n_trials)[:1]:
+            found(start[r], f"trial {trial[r]} outside the manifest's "
+                            f"{m.n_trials} trials")
+        # the order rule: each stamp against the one before it
+        if n and self.last[code] is not None and t_ns[0] <= self.last[code]:
+            found(0, f"non-monotone timestamps in channel {name}")
+        for part in _chunks(n - 1):
+            if len(bad := np.flatnonzero(t_ns[part.start + 1:part.stop + 1]
+                                         <= t_ns[part])):
+                found(part.start + 1 + bad[0], "non-monotone timestamps in "
+                                               f"channel {name}")
+                break
+        if n < len(t_ns):   # the runs of the records ahead of those faults
+            keep = np.searchsorted(start, n)
+            trial, start, end = trial[:keep], start[:keep], \
+                np.minimum(end[:keep], n)
+            count = end - start
+        # per run, the records of its trial up to its end: in the open
+        # trials, in the block's runs before it and its own
+        k = count.copy()
+        for t, (records, _) in self.open[code].items():
+            k[trial == t] += records
+        if np.any(trial[1:] <= trial[:-1]):     # a trial of several runs
+            order = np.argsort(trial, kind="stable")
+            t, c = trial[order], count[order]
+            before = np.cumsum(c) - c
+            first = np.flatnonzero(np.diff(t, prepend=t[:1] - 1))
+            k[order] += before - np.repeat(before[first],
+                                           np.diff(first, append=len(t)))
+        if code == CHANNEL_PMT_ONSET:
+            # a trial's second onset: the first of a run whose trial has
+            # one ahead of it, else the second of a run
+            seen = k > count
+            if len(trial) and trial.min() <= self.top_onset:
+                taken = np.concatenate(self.onset_trials)
+                j = np.searchsorted(taken, trial).clip(max=len(taken) - 1)
+                seen |= taken[j] == trial
+            for r in np.flatnonzero(seen | (count > 1))[:1]:
+                found(start[r] + (not seen[r]),
+                      "multiple PMT_ONSET records in one trial")
+        # the window rule: as the stamps increase, a run breaks it only if
+        # its first or last stamp does; then record p of the run lies from
+        # lo to reach - count + 1 + p, and a search finds the first that
+        # does not
+        lo, reach = _stamp_range(_window_start(trial, seq), seq.detect_s, k)
+        for r in np.flatnonzero((t_ns[start] < lo)
+                                | (t_ns[end - 1] > reach))[:1]:
+            i = start[r]
+            if t_ns[i] >= lo[r]:
+                i += np.searchsorted(t_ns[i:end[r]] - np.arange(count[r]),
+                                     reach[r] - count[r] + 1, side="right")
+            if i < n:
+                found(i, f"{name} stamp {t_ns[i]} outside the detection "
+                         f"window of trial {trial[r]}")
+        if fault is not None or not len(t_ns):
+            return fault, (self.last[code], self.open[code])
+        # the open trials: those whose window, widened by their records so
+        # far, reaches the last stamp; a trial's last run holds its records
+        last = t_ns[-1]
+        opened = {t: v for t, v in self.open[code].items() if v[1] >= last}
+        for r in np.flatnonzero(reach >= last).tolist():
+            opened[int(trial[r])] = int(k[r]), int(reach[r])
+        return fault, (last, opened)
+
+
+def _first_written(stream: EventStream, faults):
+    """Of the first records at fault of the stream's channels, as
+    _Rules.faults gives them, the one that write_events writes first:
+    (message, (channel, index)), or None. The channels are written in time
+    order, APD first at a tie, and a stamp not above the one before it in
+    its channel is written right after that one: each record goes by the
+    greatest stamp of its channel up to it."""
+    at = [(t_ns[:f[0] + 1].max(), code, *f)
+          for (code, _, t_ns), f in zip(stream.channels(), faults) if f]
+    if at:
+        _, code, i, message = min(at)
+        return message, (code, i)
     return None
-
-
-def _record_line(path, code: int, index: int) -> int:
-    """File line number of the channel's record at `index`, in a file that
-    has been parsed: each of its lines holds its channel's name once.
-
-    The name is counted a READ_BLOCK at a time, each block cut after its
-    last line end, up to the block that holds the record; the record is
-    then found in that block."""
-    name = b"\t%s\t" % CHANNEL_NAMES[code].encode()
-    with open(path, "rb") as fh:
-        fh.readline()
-        lineno, rest = 2, b""
-        while True:
-            data = fh.read(READ_BLOCK)
-            block = rest + data
-            # the last line end is optional
-            cut = block.rfind(b"\n") + 1 if data else len(block)
-            count = block.count(name, 0, cut)
-            if index < count:
-                at = -1
-                for _ in range(index + 1):
-                    at = block.find(name, at + 1, cut)
-                return lineno + block.count(b"\n", 0, at)
-            if not data:
-                raise DataError(f"{path}: changed while it was read")
-            index -= count
-            lineno += block.count(b"\n", 0, cut)
-            rest = block[cut:]
 
 
 def _read_manifest(line: bytes, path) -> RunManifest:

@@ -1,6 +1,7 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines and
 prints them as a block at the end of the session; builds event streams
-from per-record columns and lays them out again."""
+from per-record columns, lays them out again and writes their records as
+the writer orders them."""
 
 import numpy as np
 
@@ -32,6 +33,14 @@ def stream_of(apd_trial, apd_ns, onset_trial, onset_ns, manifest):
                            onset_ns, manifest)
 
 
+def stream_fault(stream):
+    """The first fault of a whole stream, checked as one block: (message,
+    None) for a rule of form, else (message, (channel, index)) of its first
+    record at fault as write_events writes it; None if it breaks no rule."""
+    return sim._form_fault(stream) or sim._first_written(
+        stream, sim._Rules(stream.manifest).faults(stream))
+
+
 def columns_of(stream):
     """Per channel, APD first, the trial and t_ns columns of the stream: its
     runs laid out one trial per record, and its own t_ns column."""
@@ -40,12 +49,41 @@ def columns_of(stream):
 
 def reference_outside_window(m, trial, t_ns):
     """Index of a channel's first stamp that lies outside its trial's
-    detection window, widened by k - 1 ns for k stamps of the trial in the
-    channel, or None: record by record, from its trial column, whatever the
-    order of its stamps."""
+    detection window, widened by j - 1 ns for the j-th record of the trial
+    in the channel, or None: record by record, from its trial column,
+    whatever the order of its stamps."""
     trials, index = np.unique(trial, return_inverse=True)
-    lo, hi = sim._stamp_range(sim._window_start(trials, m.sequence),
-                              m.sequence.detect_s,
-                              np.bincount(index, minlength=len(trials)))
-    outside = np.flatnonzero((t_ns < lo[index]) | (t_ns > hi[index]))
+    order = np.argsort(index, kind="stable")
+    # j: the records of its trial up to it, itself included
+    j = np.empty(len(trial), np.int64)
+    j[order] = np.arange(len(trial)) - np.searchsorted(index[order],
+                                                       index[order]) + 1
+    lo, hi = sim._stamp_range(sim._window_start(trials, m.sequence)[index],
+                              m.sequence.detect_s, j)
+    outside = np.flatnonzero((t_ns < lo) | (t_ns > hi))
     return int(outside[0]) if len(outside) else None
+
+
+def file_columns(stream):
+    """The trial, channel and t_ns columns of the stream's records in file
+    order: one np.insert of each whole column, its runs laid out, each onset
+    after every APD stamp <= its own. A stamp not above the one before it
+    in its channel goes right after that one, as the writer orders a stream
+    that breaks the order rule: each record goes by the greatest stamp of
+    its channel up to it."""
+    (apd_trial, _), (onset_trial, _) = columns_of(stream)
+    before = np.searchsorted(np.maximum.accumulate(stream.apd_ns),
+                             np.maximum.accumulate(stream.onset_ns),
+                             side="right")
+    channel = np.full(len(stream.apd_ns), sim.CHANNEL_APD, np.int8)
+    return (np.insert(apd_trial, before, onset_trial),
+            np.insert(channel, before, sim.CHANNEL_PMT_ONSET),
+            np.insert(stream.apd_ns, before, stream.onset_ns))
+
+
+def reference_text(stream):
+    """The records of a stream in file order, as the per-line writer
+    formatted them."""
+    return "".join(f"{tr}\t{sim.CHANNEL_NAMES[ch]}\t{t}\tDETECT\n"
+                   for tr, ch, t in zip(*(column.tolist() for column
+                                          in file_columns(stream)))).encode()

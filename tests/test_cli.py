@@ -1,12 +1,17 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ionherald import sim
 from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK,
                            load_manifest_config, main, reproduce_paper)
+from ionherald.errors import DataError
 from ionherald.sim import FILE_MAGIC, read_events
 
 
@@ -343,6 +348,70 @@ class TestG2BadEventFile:
         assert main(["g2", "--events", str(path),
                      "--out-prefix", str(tmp_path / "g")]) == EXIT_DATA
         assert f"bad.txt: {line}: " in capsys.readouterr().err
+
+
+class TestG2OneRead:
+    """`g2` reads its file once, from its first byte to its last: a pipe
+    reads as the file does, a refused lag window reads no record, and a
+    file's first record at fault in file order is named."""
+
+    @pytest.fixture(scope="class")
+    def five_minutes(self, tmp_path_factory):
+        # a 5-min paper-hv run, ~4 MB: several read blocks
+        path = tmp_path_factory.mktemp("ev") / "hv.events"
+        assert main(["simulate", "--preset", "paper-hv", "--angle", "45",
+                     "--minutes", "5", "--seed", "7", "--out",
+                     str(path)]) == 0
+        return path
+
+    def test_pipe_reads_as_the_file(self, tmp_path, five_minutes):
+        # the file through a pipe on stdin: the same histogram and result
+        assert main(["g2", "--events", str(five_minutes), "--out-prefix",
+                     str(tmp_path / "file")]) == 0
+        src = Path(sim.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ionherald.cli", "g2", "--events",
+             "/dev/stdin", "--out-prefix", str(tmp_path / "pipe")],
+            input=five_minutes.read_bytes(), capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        for suffix in (".hist.txt", ".res.txt"):
+            assert (tmp_path / f"pipe{suffix}").read_bytes() \
+                == (tmp_path / f"file{suffix}").read_bytes()
+
+    def test_refused_lag_window_reads_no_record(self, tmp_path, capsys,
+                                                monkeypatch, five_minutes):
+        def no_read(*args):
+            raise AssertionError("a record was read")
+        monkeypatch.setattr(sim, "_shaped_lines", no_read)
+        monkeypatch.setattr(sim, "_parse_records", no_read)
+        assert main(["g2", "--events", str(five_minutes), "--bin-us",
+                     "1e300", "--out-prefix", str(tmp_path / "g")]) \
+            == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: lag window of 50 bins of 1e+300 us is wider than "
+            "1e+18 ns\n")
+
+    def test_first_of_two_faults_is_named(self, tmp_path, capsys,
+                                          five_minutes):
+        # an APD stamp before trial 0's window on line 2, and a trial past
+        # the manifest's on the last line: line 2 is named, by read_events
+        # and g2 alike
+        header, first, rest = five_minutes.read_bytes().split(b"\n", 2)
+        assert first.startswith(b"0\tAPD\t")
+        rest = rest.rstrip(b"\n").rsplit(b"\n", 1)
+        last = rest[1].split(b"\t")
+        path = tmp_path / "two.events"
+        path.write_bytes(b"\n".join([
+            header, b"0\tAPD\t1\tDETECT", rest[0],
+            b"\t".join([b"999999999", *last[1:]])]) + b"\n")
+        message = (f"{path}: line 2: APD stamp 1 outside the detection "
+                   "window of trial 0")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read_events(path)
+        assert main(["g2", "--events", str(path), "--out-prefix",
+                     str(tmp_path / "g")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 class TestUnknownHeaderKeys:

@@ -6,10 +6,13 @@ Fuzzed (trial, count) runs lay out the trial column that a dense per-trial
 count would, and a trial column encoded as runs lays out as itself. On
 small streams, the stream check names the record that a record-by-record
 reading of the trial range and window rules names. A fuzzed event file
-reads the same by record shape as by the line-at-a-time reference parse.
+reads the same by record shape as by the line-at-a-time reference parse,
+and names the same first fault whatever the read block.
 A small stream, legal or not, is refused by `write_events` exactly when
 `read_events` refuses its records, and cut at trial boundaries, its blocks
-pass the checks exactly when the whole stream does."""
+pass the checks exactly when the whole stream does. On windows 1 ns apart,
+the reader and the writer name the first record at fault in file order
+that a record-by-record reading of the rules names."""
 
 import dataclasses
 import json
@@ -20,13 +23,13 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import (columns_of, reference_outside_window,  # noqa: E402
-                      stream_of)
+from conftest import (file_columns, reference_outside_window,  # noqa: E402
+                      reference_text, stream_fault, stream_of)
 from ionherald import polarization as pol  # noqa: E402
 from ionherald import presets, sim  # noqa: E402
 from ionherald import tomography as tom  # noqa: E402
@@ -114,6 +117,24 @@ def test_shape_path_reads_as_the_general_parse(tmp_path, onset_event_file,
         assert read_outcome(path) == shaped
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(EDIT, min_size=2, max_size=8))
+def test_first_fault_whatever_the_block(tmp_path, onset_event_file, edits):
+    # a file edited in two to eight places in its records: whatever the read
+    # block, read_events gives the same stream, or names the same first
+    # fault in file order, line included
+    header, records = onset_event_file.split(b"\n", 1)
+    path = tmp_path / "fuzzed.txt"
+    path.write_bytes(header + b"\n" + mutate(records, edits, len(records)))
+    outcomes = []
+    with pytest.MonkeyPatch.context() as m:
+        for block in (1 << 10, 1 << 12, 1 << 20):
+            m.setattr(sim, "READ_BLOCK", block)
+            outcomes.append(read_outcome(path))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
 # a record near an edge of a detection window of the 3-trial manifest below,
 # where trial j detects from j * 100 ms + 50 ms to (j + 1) * 100 ms: its
 # trial (one time in 31 trial 3, past the manifest's), the trial of the
@@ -143,10 +164,10 @@ def three_trials():
        unwritable=UNWRITABLE)
 def test_writer_refuses_what_the_reader_refuses(tmp_path, three_trials, apd,
                                                 onset, in_order, unwritable):
-    # the stream's raw file is the manifest line, then each channel's lines
-    # in column order, APD first. Where every value is writable, the
-    # writer's message is the reader's less its path and line; a stream the
-    # writer takes reads back as itself
+    # the stream's raw file is the manifest line, then its lines as the
+    # writer orders them, each channel's in column order. Where every value
+    # is writable, the writer's message is the reader's less its path and
+    # line; a stream the writer takes reads back as itself
     if in_order:        # ties stay
         apd, onset = (sorted(r, key=lambda record: record[1])
                       for r in (apd, onset))
@@ -157,10 +178,7 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, three_trials, apd,
     stream = stream_of(*columns, three_trials)
     raw = tmp_path / "raw.events"
     raw.write_bytes((sim.FILE_MAGIC + json.dumps(sim.manifest_to_dict(
-        three_trials)) + "\n").encode() + "".join(
-        f"{trial}\t{sim.CHANNEL_NAMES[code]}\t{t}\tDETECT\n"
-        for code, pair in enumerate(columns_of(stream))
-        for trial, t in zip(*(column.tolist() for column in pair))).encode())
+        three_trials)) + "\n").encode() + reference_text(stream))
     written = tmp_path / "written.events"
     written.unlink(missing_ok=True)
     try:
@@ -235,7 +253,92 @@ def test_blocks_are_legal_as_the_stream_is(adjacent_windows, apd, onset,
         legal = False
     else:
         legal = True
-    assert legal == (sim._stream_fault(stream_of(*columns, m)) is None)
+    assert legal == (stream_fault(stream_of(*columns, m)) is None)
+
+
+# a record of one channel under adjacent_windows: near the first or last
+# nanosecond of window 0 to 2, mostly of that window's trial, now and then
+# of the trial before or after it (trial 3 is past the manifest's)
+NEAR_AN_EDGE = st.tuples(st.integers(0, 2), st.booleans(),
+                         st.integers(-2, 3),
+                         st.sampled_from([0] * 8 + [-1, 1])).map(
+    lambda r: (max(r[0] + r[3], 0),
+               max((_LAST if r[1] else _FIRST)[r[0]] + r[2], 0)))
+
+
+def first_fault(m, records):
+    """The rules of a legal stream record by record, in file order: the
+    index of the first (trial, channel, t_ns) record that breaks one, and
+    the message of the first rule it breaks; None if none does."""
+    last, seen, onsets = [None, None], [{}, {}], set()
+    for i, (trial, code, t) in enumerate(records):
+        name = sim.CHANNEL_NAMES[code]
+        j = seen[code][trial] = seen[code].get(trial, 0) + 1
+        lo, hi = sim._stamp_range(sim._window_start(trial, m.sequence),
+                                  m.sequence.detect_s, j)
+        if trial >= m.n_trials:
+            return i, f"trial {trial} outside the manifest's {m.n_trials} trials"
+        if last[code] is not None and t <= last[code]:
+            return i, f"non-monotone timestamps in channel {name}"
+        if code and trial in onsets:
+            return i, "multiple PMT_ONSET records in one trial"
+        if not lo <= t <= hi:
+            return i, (f"{name} stamp {t} outside the detection window of "
+                       f"trial {trial}")
+        last[code] = t
+        onsets |= {trial} if code else set()
+    return None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(apd=st.lists(NEAR_AN_EDGE, max_size=12),
+       onset=st.lists(NEAR_AN_EDGE, max_size=4),
+       in_order=st.sampled_from([True] * 9 + [False]),
+       block=st.sampled_from([3, 1000]))
+# trial 0 joined again after a record of trial 1, in the widened end of its
+# window; a second onset of trial 0 after one of trial 1; and channels out
+# of order where the writer would cut them, whose first fault as written is
+# the second onset's
+@example(apd=[(0, 100), (0, 101), (1, 102), (0, 103)], onset=[],
+         in_order=True, block=3)
+@example(apd=[], onset=[(0, 50), (1, 150), (0, 160)], in_order=True,
+         block=3)
+@example(apd=[(0, 1), (1, 202), (1, 102), (0, 1)], onset=[(1, 102), (0, 1)],
+         in_order=False, block=3)
+def test_first_record_at_fault(tmp_path, adjacent_windows, apd, onset,
+                               in_order, block):
+    # windows 1 ns apart, each channel's stamps in order or not, its trials
+    # out of order now and then: read at any block size, the file names the
+    # record that a record-by-record reading of the rules names, and the
+    # writer, cutting the stream into blocks of `block` APD records,
+    # refuses it with the same message, or writes it and reads it back
+    m = adjacent_windows
+    if in_order:
+        apd, onset = (sorted(r, key=lambda record: record[1])
+                      for r in (apd, onset))
+    stream = stream_of(*(np.array([record[k] for record in records],
+                                  np.int64)
+                         for records in (apd, onset) for k in (0, 1)), m)
+    raw = tmp_path / "raw.events"
+    raw.write_bytes((sim.FILE_MAGIC + json.dumps(sim.manifest_to_dict(m))
+                     + "\n").encode() + reference_text(stream))
+    want = first_fault(m, list(zip(*(c.tolist()
+                                      for c in file_columns(stream)))))
+    with pytest.MonkeyPatch.context() as patch:
+        for size in (16, 64, 1 << 20):
+            patch.setattr(sim, "READ_BLOCK", size)
+            assert read_outcome(raw) == (stream if want is None else
+                                         f"{raw}: line {want[0] + 2}: "
+                                         f"{want[1]}")
+        patch.setattr(sim, "CHECK_BLOCK", block)
+        written = tmp_path / "written.events"
+        try:
+            sim.write_events(stream, written)
+        except DataError as exc:
+            assert want is not None and str(exc) == want[1]
+        else:
+            assert want is None and sim.read_events(written) == stream
 
 
 def assert_no_nan(tmp_path, out: str) -> None:
@@ -497,18 +600,24 @@ CHANNEL = st.lists(st.tuples(
 def reference_fault(m, columns):
     """The trial range and window rules, record by record on the trial
     columns: the message and (channel, index) of the first record that
-    breaks one, APD first, or None."""
-    channels = (columns[:2], columns[2:])
-    for code, (trial, _) in enumerate(channels):
+    breaks one, in time order, APD first at a tie, or None. A record that
+    breaks both breaks the trial range first."""
+    found = []
+    for code, (trial, t_ns) in enumerate((columns[:2], columns[2:])):
         late = np.flatnonzero(trial >= m.n_trials)
-        if len(late):
-            return (f"trial {trial[late[0]]} outside the manifest's "
-                    f"{m.n_trials} trials", (code, int(late[0])))
-    for code, (trial, t_ns) in enumerate(channels):
         i = reference_outside_window(m, trial, t_ns)
-        if i is not None:
-            return (f"{sim.CHANNEL_NAMES[code]} stamp {t_ns[i]} outside the "
-                    f"detection window of trial {trial[i]}", (code, i))
+        if len(late) and (i is None or late[0] <= i):
+            i, message = int(late[0]), (f"trial {trial[late[0]]} outside the "
+                                        f"manifest's {m.n_trials} trials")
+        elif i is not None:
+            message = (f"{sim.CHANNEL_NAMES[code]} stamp {t_ns[i]} outside "
+                       f"the detection window of trial {trial[i]}")
+        else:
+            continue
+        found.append((t_ns[i], code, message, i))
+    if found:
+        _, code, message, i = min(found)
+        return message, (code, i)
     return None
 
 
@@ -527,5 +636,5 @@ def test_window_rule_on_runs(three_trials, apd, onset, start):
         columns += [trial, t_ns]
     first = np.sort(np.unique(columns[2], return_index=True)[1])
     columns[2:] = [column[first] for column in columns[2:]]
-    assert sim._stream_fault(stream_of(*columns, three_trials)) \
+    assert stream_fault(stream_of(*columns, three_trials)) \
         == reference_fault(three_trials, columns)

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import columns_of, reference_outside_window, stream_of
+from conftest import (columns_of, file_columns, reference_outside_window,
+                      reference_text, stream_fault, stream_of)
 from ionherald import polarization as pol
 from ionherald import cli, presets, records, sim
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
@@ -175,18 +176,6 @@ class TestSimulateRun:
         assert abs(ratio - expected) < 3.0 * sigma
 
 
-def file_columns(stream):
-    """The trial, channel and t_ns columns of the stream's records in file
-    order: one np.insert of each whole column, its runs laid out, each onset
-    after every APD stamp <= its own."""
-    (apd_trial, _), (onset_trial, _) = columns_of(stream)
-    before = np.searchsorted(stream.apd_ns, stream.onset_ns, side="right")
-    channel = np.full(len(stream.apd_ns), CHANNEL_APD, np.int8)
-    return (np.insert(apd_trial, before, onset_trial),
-            np.insert(channel, before, CHANNEL_PMT_ONSET),
-            np.insert(stream.apd_ns, before, stream.onset_ns))
-
-
 def stream_digest(stream):
     h = hashlib.sha256()
     for column in file_columns(stream):
@@ -337,7 +326,8 @@ class TestFinalize:
         # of a legal stream are not run
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         monkeypatch.setattr(sim, "WRITE_BLOCK", block)
-        monkeypatch.setattr(sim, "_stream_fault", lambda stream: None)
+        monkeypatch.setattr(sim, "_checked", lambda blocks: blocks)
+        monkeypatch.setattr(sim, "_form_fault", lambda stream: None)
         rng = np.random.default_rng(block)
         m = make_manifest(duration_s=0.1)
         path = tmp_path / "merged.events"
@@ -747,10 +737,23 @@ class TestEventFileRoundTrip:
         write_events(simulate_run(make_manifest(seed=0, duration_s=0.3)), path)
         # three trials: 0, 1 and 2
         with open(path, "ab") as fh:
-            fh.write(b"2\tAPD\t999999999\tDETECT\n\n3\tAPD\t1\tDETECT\n")
+            fh.write(b"\n3\tAPD\t1\tDETECT\n")
         n = path.read_bytes().count(b"\n")
         with pytest.raises(DataError, match=rf"late.txt: line {n}: trial 3 "
                            "outside the manifest's 3 trials"):
+            read_events(path)
+
+    def test_first_record_at_fault_is_named(self, tmp_path):
+        # a stamp past trial 2's window, then a record of trial 3, past the
+        # manifest's: the first record at fault in the file is named
+        path = tmp_path / "late.txt"
+        write_events(simulate_run(make_manifest(seed=0, duration_s=0.3)), path)
+        n = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
+            fh.write(b"2\tAPD\t999999999\tDETECT\n\n3\tAPD\t1\tDETECT\n")
+        with pytest.raises(DataError, match=(
+                rf"late.txt: line {n}: APD stamp 999999999 outside the "
+                "detection window of trial 2$")):
             read_events(path)
 
     @pytest.mark.parametrize("block", [sim.READ_BLOCK, 256])
@@ -812,6 +815,27 @@ class TestEventFileRoundTrip:
         with pytest.raises(DataError, match="monotone"):
             read_events(path)
 
+    @pytest.mark.parametrize("block", [sim.READ_BLOCK, 256])
+    def test_non_monotone_names_its_line(self, tmp_path, monkeypatch,
+                                         block):
+        # an APD stamp made equal to the one before it, mid-file: the order
+        # rule names that line, whether the two lie in one block or not
+        path = tmp_path / "mono.txt"
+        write_events(simulate_run(make_manifest(seed=2, duration_s=3.0)),
+                     path)
+        lines = path.read_bytes().split(b"\n")
+        i = next(i for i in range(len(lines) // 2, len(lines))
+                 if b"\tAPD\t" in lines[i - 1] and b"\tAPD\t" in lines[i])
+        fields = lines[i].split(b"\t")
+        fields[2] = lines[i - 1].split(b"\t")[2]
+        lines[i] = b"\t".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        monkeypatch.setattr(sim, "READ_BLOCK", block)
+        with pytest.raises(DataError, match=(
+                f"mono.txt: line {i + 1}: non-monotone timestamps in "
+                "channel APD$")):
+            read_events(path)
+
     def test_missing_manifest_rejected(self, tmp_path):
         path = tmp_path / "nohdr.txt"
         path.write_text("0\tAPD\t100\tDETECT\n", encoding="utf-8")
@@ -845,14 +869,6 @@ def assert_reads_as_reference(stream, path):
     for got, want in zip(columns_of(stream), reference_records(path)):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
-
-
-def reference_text(stream):
-    """The records of a stream in file order, as the per-line writer
-    formatted them."""
-    names = {CHANNEL_APD: "APD", CHANNEL_PMT_ONSET: "PMT_ONSET"}
-    return "".join(f"{tr}\t{names[ch]}\t{t}\tDETECT\n" for tr, ch, t in zip(
-        *(column.tolist() for column in file_columns(stream)))).encode()
 
 
 def write_raw(stream, path):
@@ -1017,16 +1033,16 @@ class TestChecksInBlocks:
     def test_order_across_blocks(self, monkeypatch, block):
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         stream = simulate_run(self.DENSE)
-        assert sim._stream_fault(stream) is None
+        assert stream_fault(stream) is None
         for code, _, t_ns in stream.channels():
             for j in range(1, len(t_ns), len(t_ns) // 20):
                 t = t_ns.copy()
                 t[j] = t[j - 1]
                 tied = dataclasses.replace(
                     stream, **{("apd_ns", "onset_ns")[code]: t})
-                assert sim._stream_fault(tied) == (
+                assert stream_fault(tied) == (
                     "non-monotone timestamps in channel "
-                    f"{sim.CHANNEL_NAMES[code]}", None)
+                    f"{sim.CHANNEL_NAMES[code]}", (code, j))
 
     @pytest.mark.parametrize("block", [97, 1000])
     def test_stream_independent_of_block(self, monkeypatch, block):
@@ -1091,8 +1107,8 @@ class TestChecksInBlocks:
                         f"{sim.CHANNEL_NAMES[code]} stamp {columns[1][j]} "
                         f"outside the detection window of trial "
                         f"{columns[0][j]}", (code, j))
-                    assert sim._stream_fault(stream_of(*both[0], *both[1],
-                                                       m)) == want
+                    assert stream_fault(stream_of(*both[0], *both[1],
+                                                  m)) == want
                 before += j is not None
         assert before > 30
 
@@ -1503,6 +1519,34 @@ class TestMemoryBound:
         assert g2_30 < 0.4 * record_bytes[1], peaks
         assert sim_30 - sim_10 < 0.1 * added, (peaks, added)
         assert g2_30 - g2_10 < 0.01 * added, (peaks, added)
+
+    def test_g2_fault_path(self, tmp_path):
+        # the 30-min file of test_streamed_phases with a stamp digit made
+        # "x" near its end: g2 reads it once, block by block, and allocates
+        # no more than on the good file's path before it exits 3
+        path = tmp_path / "hv.events"
+        warm_up_the_check(path)
+        m = presets.preset_manifest("paper-hv", 11, angle_deg=45.0,
+                                    minutes=30.0)
+        write_events(sim._simulate_blocks(m)[2], path)
+        assert main(["g2", "--events", str(path), "--out-prefix",
+                     str(tmp_path / "g")]) == 0
+        kv = read_kv(tmp_path / "g.res.txt")
+        record_bytes = 16 * (int(kv["total_apd"]) + int(kv["total_onsets"]))
+        data = bytearray(path.read_bytes())
+        at = data.rindex(b"\tDETECT", 0, len(data) - 40) - 1
+        assert data[at:at + 1].isdigit()
+        data[at] = ord("x")
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            code = main(["g2", "--events", str(path), "--out-prefix",
+                         str(tmp_path / "bad")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        assert peak < 0.4 * record_bytes, (peak, record_bytes)
 
 
 def warm_up_the_check(path):
