@@ -19,7 +19,7 @@ from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
 from .sim import (EventStream, RateConfig, RunManifest, SequenceConfig,
                   read_events, simulate_run, write_events)
 from .correlate import (CoincidenceHistogram, CoincidenceResult, extract,
-                        histogram, histogram_from_stream)
+                        histogram_from_stream, histogram_of_blocks)
 from .fringes import FringeFit, FringeScan, ScanPoint, fit_fringe
 from .tomography import (CountsRow, CountsTable, EntanglementMetrics,
                          TomographySetting, bootstrap_metrics, concurrence,
@@ -36,8 +36,8 @@ __all__ = [
     "arm_probabilities", "scan_analyzer",
     "EventStream", "RateConfig", "RunManifest",
     "SequenceConfig", "read_events", "simulate_run", "write_events",
-    "CoincidenceHistogram", "CoincidenceResult", "extract", "histogram",
-    "histogram_from_stream",
+    "CoincidenceHistogram", "CoincidenceResult", "extract",
+    "histogram_from_stream", "histogram_of_blocks",
     "FringeFit", "FringeScan", "ScanPoint", "fit_fringe",
     "CountsRow", "CountsTable", "EntanglementMetrics", "TomographySetting",
     "bootstrap_metrics", "concurrence", "fidelity_singlet",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,9 @@ from .correlate import (DEFAULT_BIN_US, DEFAULT_WINDOW_BINS, extract,
 from .fringes import (FringeScan, ScanPoint, fit_fringe, write_fit_record,
                       write_plot_data, write_scan)
 # perfbench/tracing.py wraps read_events by its name on this module
-from .sim import (RunManifest, _parsed_blocks, _simulate_blocks,  # noqa
-                  read_events, simulate_run, write_events)
+from .sim import (RateConfig, RunManifest, SequenceConfig,  # noqa
+                  _parsed_blocks, _simulate_blocks, read_events,
+                  simulate_run, write_events)
 from . import tomography as tom
 
 EXIT_OK = 0
@@ -41,10 +42,8 @@ EXIT_CONVERGENCE = 4
 _CONFIG_KEYS = {
     "run": {"seed", "duration_s"},
     "source": {"singlet_weight"},
-    "sequence": {"rep_rate", "cooling_ms", "prep_ms", "detect_ms"},
-    "rates": {"pair_rate", "eta_trigger", "eta_herald", "branching_s",
-              "dark_trigger_rate", "false_onset_rate", "onset_latency_us",
-              "onset_jitter_ns"},
+    "sequence": {f.name for f in fields(SequenceConfig)},
+    "rates": {f.name for f in fields(RateConfig)},
     "absorber": {"basis", "allowed"},
     "analyzer": {"basis", "hwp_deg", "theta_ref_deg"},
 }
@@ -262,9 +261,13 @@ def cmd_fringe(args) -> int:
 def cmd_tomo(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed} must be >= 0")
+    # the spread of the replicas needs two of them
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise ConfigError(f"--bootstrap {args.bootstrap} must be 0 (none) "
+                          "or >= 2")
     counts = tom.read_counts_table(args.counts)
     rho = tom.mle_reconstruct(counts)
-    if args.bootstrap > 0:
+    if args.bootstrap:
         m = tom.bootstrap_metrics(counts, rho, args.bootstrap, args.seed)
     else:
         m = tom.metrics(rho)
@@ -459,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("tomo", help="reconstruct the state from a counts table")
     pt.add_argument("--counts", required=True)
     pt.add_argument("--bootstrap", type=int, default=0,
-                    help="parametric bootstrap replicas for error bars")
+                    help="parametric bootstrap replicas for error bars "
+                         "(0 for none, else at least 2)")
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--out-prefix", required=True)
     pt.set_defaults(func=cmd_tomo)

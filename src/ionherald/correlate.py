@@ -5,6 +5,14 @@ fluorescence onsets on exact integer nanosecond tags: lag tau = t_onset -
 t_apd, binned on a 10 us grid with half-open intervals [lower, upper), bin 0
 spanning [-bin/2, +bin/2). The tau=0 bin count is the coincidence number;
 the background is the mean over the whole histogram window.
+
+One binner, histogram_of_blocks, counts the pairs of every stream: of an
+event file's blocks as they are read, and of a whole stream in memory as
+one block. A pair is counted in the block that brings the later of its two
+records. Between blocks it holds only the tails a later record can still
+meet: the APD stamps within the window of the last onset so far (all of
+them before the first onset), and the onsets within the window of the last
+click so far.
 """
 
 from __future__ import annotations
@@ -104,31 +112,6 @@ def lag_reach_ns(bin_width_us: float = DEFAULT_BIN_US,
     return max(below, above - 1)
 
 
-def histogram(apd_events, onset_events, bin_width_us: float = DEFAULT_BIN_US,
-              window_bins: int = DEFAULT_WINDOW_BINS,
-              duration_s: float = 0.0) -> CoincidenceHistogram:
-    """Count (onset, trigger) pairs per lag bin.
-
-    Parameters
-    ----------
-    apd_events, onset_events : int arrays of nanosecond timestamps, ascending.
-    bin_width_us : lag grid pitch (default 10 us).
-    window_bins : half-width of the symmetric lag window in bins.
-
-    All binning is exact integer arithmetic; with half = bin // 2, bin k
-    covers [k*bin - half, k*bin - half + bin) in nanoseconds.
-    """
-    apd = np.asarray(apd_events, dtype=np.int64)
-    onsets = np.asarray(onset_events, dtype=np.int64)
-    _check_sorted(apd, "APD")
-    _check_sorted(onsets, "onset")
-    window = _lag_window_ns(bin_width_us, window_bins)
-    return CoincidenceHistogram(
-        bin_width_us, np.arange(-window_bins, window_bins + 1),
-        _lag_counts(apd, onsets, window), len(apd), len(onsets),
-        float(duration_s))
-
-
 def _lag_counts(apd, onsets, window) -> np.ndarray:
     """Pairs per lag bin of the ascending int64 stamps apd and onsets;
     window is _lag_window_ns's (bin_ns, below, above)."""
@@ -148,14 +131,16 @@ def _lag_counts(apd, onsets, window) -> np.ndarray:
 def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
                         window_bins: int = DEFAULT_WINDOW_BINS,
                         duration_s: float = 0.0) -> CoincidenceHistogram:
-    """histogram() of a stream given as blocks, each with an apd_ns and an
-    onset_ns column, each channel ascending from block to block.
+    """Count (onset, trigger) pairs per lag bin of a stream given as blocks,
+    each with an apd_ns and an onset_ns column of int64 nanosecond stamps,
+    each channel ascending in a block and strictly increasing from block to
+    block (a stamp tied across a cut may miss its pairs).
 
-    A pair is counted once, in the block that brings the later of its two
-    records. Besides one block, only the APD stamps a later onset can still
-    meet (above the last onset so far less the window) and the onsets a
-    later click can still meet (above the last click so far less the
-    window) are held."""
+    All binning is exact integer arithmetic; with half = bin // 2, bin k
+    covers [k*bin - half, k*bin - half + bin) in nanoseconds. A pair is
+    counted once, in the block that brings the later of its two records.
+    Only the tails a later record can still meet are held, and so copied
+    (module docstring)."""
     window = _lag_window_ns(bin_width_us, window_bins)
     bin_ns, below, above = window
     counts = np.zeros((below + above) // bin_ns, np.int64)
@@ -166,7 +151,6 @@ def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
         onsets = np.concatenate([onsets, new_onsets])
         counts += _lag_counts(new_apd, onsets, window)
         counts += _lag_counts(apd, new_onsets, window)
-        apd = np.concatenate([apd, new_apd])
         total_apd += len(new_apd)
         total_onsets += len(new_onsets)
         # what a later record can still meet
@@ -175,7 +159,10 @@ def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
         if len(new_apd):
             last_apd = new_apd[-1]
         if total_onsets:
-            apd = apd[np.searchsorted(apd, last_onset - above, side="right"):]
+            cut = last_onset - above
+            apd = apd[np.searchsorted(apd, cut, side="right"):]
+            new_apd = new_apd[np.searchsorted(new_apd, cut, side="right"):]
+        apd = np.concatenate([apd, new_apd])
         if total_apd:
             onsets = onsets[np.searchsorted(onsets, last_apd - below,
                                             side="right"):]
@@ -196,8 +183,10 @@ def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
                         f"{lag_reach_ns()} ns of an onset only; the lag "
                         f"window of {window_bins} bins of {bin_width_us} us "
                         "reaches further")
-    hist = histogram(stream.apd_ns, stream.onset_ns, bin_width_us,
-                     window_bins, stream.manifest.duration_s)
+    _check_sorted(stream.apd_ns, "APD")
+    _check_sorted(stream.onset_ns, "onset")
+    hist = histogram_of_blocks((stream,), bin_width_us, window_bins,
+                               stream.manifest.duration_s)
     return replace(hist, total_apd=hist.total_apd + int(stream.apd_dropped))
 
 

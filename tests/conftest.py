@@ -1,11 +1,15 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines and
-prints them as a block at the end of the session; builds event streams
-from per-record columns, lays them out again and writes their records as
-the writer orders them."""
+prints them as a block at the end of the session; bins stamp columns as
+blocks of the one binner and counts their pairs by brute force; builds
+event streams from per-record columns, lays them out again and writes their
+records as the writer orders them."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from ionherald import sim
+from ionherald.correlate import histogram_of_blocks
 
 ACCEPTANCE_LINES = []
 
@@ -23,6 +27,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for _, line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
 
+
+def block_of(apd_ns, onset_ns):
+    """A block of histogram_of_blocks: its two stamp columns as int64."""
+    return SimpleNamespace(apd_ns=np.asarray(apd_ns, np.int64),
+                           onset_ns=np.asarray(onset_ns, np.int64))
+
+
+def histogram_of(apd_ns, onset_ns, *args, **kwargs):
+    """histogram_of_blocks of the two stamp columns as one block."""
+    return histogram_of_blocks([block_of(apd_ns, onset_ns)], *args, **kwargs)
+
+
+def naive_counts(apd, onsets, bin_ns, window_bins):
+    """O(N*M) reference: every (onset, APD) lag tested against every bin
+    k = [k*bin - bin//2, k*bin - bin//2 + bin)."""
+    tau = np.subtract.outer(np.asarray(onsets, dtype=np.int64),
+                            np.asarray(apd, dtype=np.int64))
+    lower = np.arange(-window_bins, window_bins + 1) * bin_ns - bin_ns // 2
+    return np.array([np.count_nonzero((tau >= lo) & (tau < lo + bin_ns))
+                     for lo in lower], dtype=np.int64)
 
 
 def stream_of(apd_trial, apd_ns, onset_trial, onset_ns, manifest):

@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import histogram_of, record_acceptance
 from ionherald import polarization as pol
 from ionherald import presets
 from ionherald import tomography as tom
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
 from ionherald.cli import reproduce_paper, run_scan, run_tomography
-from ionherald.correlate import extract, histogram, histogram_from_stream
+from ionherald.correlate import extract, histogram_from_stream
 from ionherald.fringes import FringeScan, ScanPoint, fit_fringe
 from ionherald.sim import RateConfig, RunManifest, SequenceConfig, simulate_run
 
@@ -172,15 +172,15 @@ def test_criterion_6_correlator_property_suite():
                                size=rng.poisson(10.0 * duration)))
     onsets = np.sort(rng.integers(0, int(duration * 1e9),
                                   size=rng.poisson(10.0 * duration)))
-    h = histogram(apd, onsets)
+    h = histogram_of(apd, onsets)
     mean = 10.0 * 10.0 * 10e-6 * duration
     flat_ok = bool(np.all(np.abs(h.counts - mean) <= 4.0 * np.sqrt(mean)))
     assert flat_ok, "independent streams produced a >4 sigma bin"
     assert not extract(h).signal_is_peak
 
-    shifted = histogram(apd + 987_654_321, onsets + 987_654_321)
+    shifted = histogram_of(apd + 987_654_321, onsets + 987_654_321)
     assert np.array_equal(h.counts, shifted.counts)
-    assert np.array_equal(h.counts, histogram(apd, onsets).counts)
+    assert np.array_equal(h.counts, histogram_of(apd, onsets).counts)
 
     manifest = RunManifest(
         seed=66, duration_s=1e5,

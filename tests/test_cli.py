@@ -222,6 +222,35 @@ class TestConfig:
                      "--seed", "-1", "--out-prefix",
                      str(tmp_path / "t")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("replicas, code", [
+        ("-1", EXIT_CONFIG), ("1", EXIT_CONFIG), ("0", EXIT_OK),
+        ("2", EXIT_OK)])
+    def test_bootstrap_replicas(self, tmp_path, monkeypatch, capsys,
+                                replicas, code):
+        # the spread of the replicas needs two of them: a negative count or
+        # one replica is refused before the table is read, and none is no
+        # bootstrap
+        from ionherald import tomography as tom
+        from ionherald import polarization as pol
+        counts = tmp_path / "counts.txt"
+        tom.write_counts_table(tom.counts_table_from_values(
+            tom.expected_counts(pol.singlet(), normalization=100.0)), counts)
+        read = tom.read_counts_table
+        calls = []
+        monkeypatch.setattr(tom, "read_counts_table",
+                            lambda *a: calls.append(1) or read(*a))
+        assert main(["tomo", "--counts", str(counts), "--bootstrap",
+                     replicas, "--out-prefix", str(tmp_path / "t")]) == code
+        if code == EXIT_CONFIG:
+            assert capsys.readouterr().err == (
+                f"config error: --bootstrap {replicas} must be 0 (none) or "
+                ">= 2\n")
+            assert not calls
+            assert [p.name for p in tmp_path.iterdir()] == ["counts.txt"]
+        else:
+            kv = read_kv(tmp_path / "t.metrics.txt")
+            assert ("fidelity_err" in kv) == (replicas == "2")
+
     def test_trial_windows_below_one_ns_apart(self, tmp_path, capsys):
         assert main(["simulate", "--preset", "paper-rl", "--minutes", "1",
                      "--override", "sequence.cooling_ms=4e-7",

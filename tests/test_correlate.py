@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ionherald.correlate import (CoincidenceHistogram, extract, histogram,
-                                 write_histogram)
+from conftest import histogram_of, naive_counts, stream_of
+from ionherald import presets
+from ionherald.correlate import (CoincidenceHistogram, extract,
+                                 histogram_from_stream, write_histogram)
 from ionherald.errors import DataError
 
 US = 1000          # ns per us
@@ -16,45 +18,48 @@ def poisson_times(rng, rate, duration_s):
 
 class TestBinning:
     def test_onset_at_apd_time_lands_in_bin_zero(self):
-        h = histogram([1_000_000], [1_000_000])
+        h = histogram_of([1_000_000], [1_000_000])
         assert h.counts[h.zero_bin_index] == 1
         assert h.counts.sum() == 1
 
     def test_boundary_25us_lands_in_bin_three(self):
         # bin 2 covers [15, 25) us, bin 3 covers [25, 35): 25 us -> bin 3
-        h = histogram([0], [25 * US])
+        h = histogram_of([0], [25 * US])
         assert h.counts[h.zero_bin_index + 3] == 1
         assert h.counts.sum() == 1
 
     def test_just_below_boundary_lands_in_bin_two(self):
-        h = histogram([0], [25 * US - 1])
+        h = histogram_of([0], [25 * US - 1])
         assert h.counts[h.zero_bin_index + 2] == 1
 
     def test_negative_lags(self):
         # onset before the trigger: tau = -7 us -> bin -1 ([-15,-5) us)
-        h = histogram([7 * US], [0])
+        h = histogram_of([7 * US], [0])
         assert h.counts[h.zero_bin_index - 1] == 1
 
     def test_window_edges(self):
         # tau = 504.999 us inside, tau = 505 us outside (50-bin window)
-        h = histogram([0], [505 * US - 1, 505 * US])
+        h = histogram_of([0], [505 * US - 1, 505 * US])
         assert h.counts.sum() == 1
         assert h.counts[-1] == 1
 
     def test_odd_width_top_bin_is_full(self):
         # 7 ns bins: bin 1 covers [4, 11) ns, its last nanosecond included
-        h = histogram([0], [10], bin_width_us=0.007, window_bins=1)
+        h = histogram_of([0], [10], bin_width_us=0.007, window_bins=1)
         assert h.counts.tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize("bin_us", [0.0, 1e-4, float("nan"),
                                         float("inf")])
     def test_bin_below_one_ns_rejected(self, bin_us):
         with pytest.raises(DataError):
-            histogram([0], [0], bin_width_us=bin_us)
+            histogram_of([0], [0], bin_width_us=bin_us)
 
     def test_unsorted_input_rejected(self):
-        with pytest.raises(DataError):
-            histogram([5, 3], [])
+        # a caller-built stream has passed no rule of the event files
+        stream = stream_of([0, 0], [5, 3], [], [],
+                           presets.preset_manifest("paper-rl", 0))
+        with pytest.raises(DataError, match="not time-ordered"):
+            histogram_from_stream(stream)
 
 
 class TestHistogramProperties:
@@ -62,17 +67,17 @@ class TestHistogramProperties:
         rng = np.random.default_rng(21)
         apd = poisson_times(rng, 300.0, 5.0)
         onsets = poisson_times(rng, 3.0, 5.0)
-        h1 = histogram(apd, onsets)
-        h2 = histogram(apd, onsets)
+        h1 = histogram_of(apd, onsets)
+        h2 = histogram_of(apd, onsets)
         assert np.array_equal(h1.counts, h2.counts)
 
     def test_time_translation_invariance(self):
         rng = np.random.default_rng(22)
         apd = poisson_times(rng, 500.0, 2.0)
         onsets = poisson_times(rng, 5.0, 2.0)
-        base = histogram(apd, onsets)
+        base = histogram_of(apd, onsets)
         for shift in (1, 12_345, 10**12):
-            shifted = histogram(apd + shift, onsets + shift)
+            shifted = histogram_of(apd + shift, onsets + shift)
             assert np.array_equal(base.counts, shifted.counts)
 
     def test_segment_merge_equals_whole(self):
@@ -83,8 +88,9 @@ class TestHistogramProperties:
         o1 = poisson_times(rng, 10.0, 1.0)
         a2 = poisson_times(rng, 400.0, 1.0) + int(1e9) + gap
         o2 = poisson_times(rng, 10.0, 1.0) + int(1e9) + gap
-        whole = histogram(np.concatenate([a1, a2]), np.concatenate([o1, o2]))
-        merged = histogram(a1, o1).counts + histogram(a2, o2).counts
+        whole = histogram_of(np.concatenate([a1, a2]),
+                             np.concatenate([o1, o2]))
+        merged = histogram_of(a1, o1).counts + histogram_of(a2, o2).counts
         assert np.array_equal(whole.counts, merged)
 
     def test_flat_for_independent_streams_1hz(self):
@@ -93,7 +99,7 @@ class TestHistogramProperties:
         duration = 1e4
         apd = poisson_times(rng, 1.0, duration)
         onsets = poisson_times(rng, 1.0, duration)
-        h = histogram(apd, onsets)
+        h = histogram_of(apd, onsets)
         mean = 1.0 * 1.0 * 10e-6 * duration   # rate_a*rate_b*bin*T = 0.1
         assert np.all(np.abs(h.counts - mean) <= 4.0 * np.sqrt(mean) + mean)
         res = extract(h)
@@ -105,19 +111,9 @@ class TestHistogramProperties:
         duration = 1e4
         apd = poisson_times(rng, 10.0, duration)
         onsets = poisson_times(rng, 10.0, duration)
-        h = histogram(apd, onsets)
+        h = histogram_of(apd, onsets)
         mean = 10.0 * 10.0 * 10e-6 * duration   # 10 per bin
         assert np.all(np.abs(h.counts - mean) <= 4.0 * np.sqrt(mean))
-
-
-def naive_counts(apd, onsets, bin_ns, window_bins):
-    """O(N*M) reference: every (onset, APD) lag tested against every bin
-    k = [k*bin - bin//2, k*bin - bin//2 + bin)."""
-    tau = np.subtract.outer(np.asarray(onsets, dtype=np.int64),
-                            np.asarray(apd, dtype=np.int64))
-    lower = np.arange(-window_bins, window_bins + 1) * bin_ns - bin_ns // 2
-    return np.array([np.count_nonzero((tau >= lo) & (tau < lo + bin_ns))
-                     for lo in lower], dtype=np.int64)
 
 
 class TestAgainstNaiveReference:
@@ -132,7 +128,7 @@ class TestAgainstNaiveReference:
         apd = np.sort(rng.integers(0, span, size=rng.integers(0, 300)))
         onsets = np.sort(rng.integers(-reach - 5, span + reach + 5,
                                       size=rng.integers(0, 40)))
-        h = histogram(apd, onsets, bin_ns / 1000.0, window_bins)
+        h = histogram_of(apd, onsets, bin_ns / 1000.0, window_bins)
         assert np.array_equal(h.counts,
                               naive_counts(apd, onsets, bin_ns, window_bins))
 
@@ -140,7 +136,7 @@ class TestAgainstNaiveReference:
     def test_empty_channels(self, n_apd, n_onsets):
         apd = np.arange(n_apd) * 3 * US
         onsets = np.arange(n_onsets) * 5 * US
-        h = histogram(apd, onsets)
+        h = histogram_of(apd, onsets)
         assert np.array_equal(h.counts, naive_counts(apd, onsets, 10 * US, 50))
         assert h.counts.sum() == 0
 
@@ -150,14 +146,14 @@ class TestAgainstNaiveReference:
         t_on, reach = 10 * MS, 505 * US
         apd = np.array([t_on - reach, t_on - reach + 1, t_on + reach,
                         t_on + reach + 1])
-        h = histogram(apd, [t_on])
+        h = histogram_of(apd, [t_on])
         assert np.array_equal(h.counts, naive_counts(apd, [t_on], 10 * US, 50))
         assert (h.counts[0], h.counts[-1], h.counts.sum()) == (1, 1, 2)
 
 
 class TestExtract:
     def test_all_zero(self):
-        h = histogram([], [])
+        h = histogram_of([], [])
         res = extract(h)
         assert res.coincidences == 0
         assert res.background_per_bin == 0.0
@@ -188,7 +184,7 @@ class TestExtract:
 
     def test_window_without_side_bins_refused(self):
         # the tau=0 bin alone would be its own background
-        h = histogram([1_000_000], [1_000_000], window_bins=0)
+        h = histogram_of([1_000_000], [1_000_000], window_bins=0)
         assert h.counts.tolist() == [1]
         with pytest.raises(DataError, match="no side bin"):
             extract(h)
@@ -197,7 +193,7 @@ class TestExtract:
 class TestHistogramIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(24)
-        h = histogram(poisson_times(rng, 200.0, 3.0),
+        h = histogram_of(poisson_times(rng, 200.0, 3.0),
                       poisson_times(rng, 10.0, 3.0), duration_s=3.0)
         path = tmp_path / "hist.txt"
         write_histogram(h, path)

@@ -12,7 +12,8 @@ A small stream, legal or not, is refused by `write_events` exactly when
 `read_events` refuses its records, and cut at trial boundaries, its blocks
 pass the checks exactly when the whole stream does. On windows 1 ns apart,
 the reader and the writer name the first record at fault in file order
-that a record-by-record reading of the rules names."""
+that a record-by-record reading of the rules names. Strictly increasing
+stamps cut into blocks at any points bin as the whole stream does."""
 
 import dataclasses
 import json
@@ -28,11 +29,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import (file_columns, reference_outside_window,  # noqa: E402
-                      reference_text, stream_fault, stream_of)
+from conftest import (block_of, file_columns, histogram_of,  # noqa: E402
+                      naive_counts, reference_outside_window, reference_text,
+                      stream_fault, stream_of)
 from ionherald import polarization as pol  # noqa: E402
 from ionherald import presets, sim  # noqa: E402
 from ionherald import tomography as tom  # noqa: E402
+from ionherald.correlate import histogram_of_blocks  # noqa: E402
 from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA,  # noqa
                            EXIT_OK, load_manifest_config, main)
 from ionherald.errors import ConfigError, DataError  # noqa: E402
@@ -638,3 +641,35 @@ def test_window_rule_on_runs(three_trials, apd, onset, start):
     columns[2:] = [column[first] for column in columns[2:]]
     assert stream_fault(stream_of(*columns, three_trials)) \
         == reference_fault(three_trials, columns)
+
+
+@st.composite
+def cut_stamps(draw, max_size, blocks):
+    """Strictly increasing stamps, from gaps of 1 to 40 ns, often of a few,
+    and their cut into `blocks` slices at random points, often at either
+    end, so that slices are empty."""
+    gap = st.integers(1, 3) | st.integers(1, 40)
+    stamps = draw(st.integers(-60, 60)) + np.cumsum(np.array(draw(
+        st.lists(gap, max_size=max_size)), np.int64))
+    point = st.integers(0, len(stamps)) | st.sampled_from([0, len(stamps)])
+    cuts = draw(st.lists(point, min_size=blocks - 1, max_size=blocks - 1))
+    return stamps, np.split(stamps, sorted(cuts))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), blocks=st.integers(1, 6),
+       bin_ns=st.sampled_from([1, 2, 7, 10]), window_bins=st.integers(0, 6))
+def test_blocks_bin_as_the_whole_stream(data, blocks, bin_ns, window_bins):
+    # each channel cut at its own points: a block may bring clicks only or
+    # onsets only, as in an APD-first or onset-first file; the blocks'
+    # pairs are the one-block and the brute-force count
+    apd, apd_cut = data.draw(cut_stamps(60, blocks))
+    onsets, onset_cut = data.draw(cut_stamps(15, blocks))
+    got = histogram_of_blocks(map(block_of, apd_cut, onset_cut),
+                              bin_ns / 1000.0, window_bins)
+    whole = histogram_of(apd, onsets, bin_ns / 1000.0, window_bins)
+    assert np.array_equal(got.counts, naive_counts(apd, onsets, bin_ns,
+                                                   window_bins))
+    assert np.array_equal(got.counts, whole.counts)
+    assert (got.total_apd, got.total_onsets) == (
+        whole.total_apd, whole.total_onsets) == (len(apd), len(onsets))

@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (columns_of, file_columns, reference_outside_window,
-                      reference_text, stream_fault, stream_of)
+from conftest import (columns_of, file_columns, histogram_of,
+                      reference_outside_window, reference_text, stream_fault,
+                      stream_of)
 from ionherald import polarization as pol
 from ionherald import cli, presets, records, sim
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
 from ionherald.cli import EXIT_DATA, main
-from ionherald.correlate import (histogram, histogram_from_stream,
-                                 lag_reach_ns, write_histogram)
+from ionherald.correlate import (histogram_from_stream, lag_reach_ns,
+                                 write_histogram)
 from ionherald.errors import ConfigError, DataError
 from ionherald.sim import (CHANNEL_APD, CHANNEL_PMT_ONSET, RateConfig,
                            RunManifest, SequenceConfig, _finalize,
@@ -483,7 +484,7 @@ class TestCountingMode:
         assert lag_reach_ns(10.5, 51) > lag_reach_ns()
         counted, full = simulate_run(m, counting=True), simulate_run(m)
         def pairs(s):
-            return histogram(s.apd_ns, s.onset_ns, 10.5, 51).counts.sum()
+            return histogram_of(s.apd_ns, s.onset_ns, 10.5, 51).counts.sum()
         assert pairs(counted) < pairs(full)
         with pytest.raises(DataError, match="reaches further"):
             histogram_from_stream(counted, 10.5, 51)
@@ -527,7 +528,7 @@ class TestCountingMode:
             bin_ns = 2 * d + 1 if inside else 2 * d
             rounds_to_edge = (edge - 0.5, edge)
         bin_us = bin_ns / 1000.0
-        assert histogram(ns(edge), ns(on_ns), bin_us, 0).counts.sum() \
+        assert histogram_of(ns(edge), ns(on_ns), bin_us, 0).counts.sum() \
             == inside
         reach = lag_reach_ns(bin_us, 0)
         lo, hi = sim._regions(ns(on_ns), reach)
@@ -1073,8 +1074,8 @@ class TestChecksInBlocks:
         rewritten = tmp_path / "rewritten.events"
         write_events(moved, rewritten)
         assert rewritten.read_bytes() == ordered.read_bytes()
-        want = histogram(stream.apd_times(), stream.onset_times(),
-                         duration_s=m.duration_s)
+        want = histogram_of(stream.apd_times(), stream.onset_times(),
+                            duration_s=m.duration_s)
         for got in (histogram_from_stream(stream),
                     histogram_from_stream(moved)):
             assert np.array_equal(got.counts, want.counts)
