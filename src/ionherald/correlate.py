@@ -11,8 +11,8 @@ event file's blocks as they are read, and of a whole stream in memory as
 one block. A pair is counted in the block that brings the later of its two
 records. Between blocks it holds only the tails a later record can still
 meet: the APD stamps within the window of the last onset so far (all of
-them before the first onset), and the onsets within the window of the last
-click so far.
+them before the first onset), joined only in a block that brings an onset,
+and the onsets within the window of the last click so far.
 """
 
 from __future__ import annotations
@@ -144,13 +144,18 @@ def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
     window = _lag_window_ns(bin_width_us, window_bins)
     bin_ns, below, above = window
     counts = np.zeros((below + above) // bin_ns, np.int64)
-    apd = onsets = np.empty(0, np.int64)
+    # the held APD stamps, in pieces: joined only where an onset moves the
+    # cut, so that a stretch of blocks without one is not copied block by
+    # block
+    apd, onsets = [], np.empty(0, np.int64)
     total_apd = total_onsets = 0
     for block in blocks:
         new_apd, new_onsets = block.apd_ns, block.onset_ns
         onsets = np.concatenate([onsets, new_onsets])
         counts += _lag_counts(new_apd, onsets, window)
-        counts += _lag_counts(apd, new_onsets, window)
+        if len(new_onsets):
+            for piece in apd:
+                counts += _lag_counts(piece, new_onsets, window)
         total_apd += len(new_apd)
         total_onsets += len(new_onsets)
         # what a later record can still meet
@@ -160,9 +165,13 @@ def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
             last_apd = new_apd[-1]
         if total_onsets:
             cut = last_onset - above
-            apd = apd[np.searchsorted(apd, cut, side="right"):]
             new_apd = new_apd[np.searchsorted(new_apd, cut, side="right"):]
-        apd = np.concatenate([apd, new_apd])
+        if len(new_onsets):
+            apd = [np.concatenate([
+                *(piece[np.searchsorted(piece, cut, side="right"):]
+                  for piece in apd), new_apd])]
+        elif len(new_apd):
+            apd.append(new_apd)
         if total_apd:
             onsets = onsets[np.searchsorted(onsets, last_apd - below,
                                             side="right"):]

@@ -4,16 +4,20 @@ is in the ``ionherald.sim`` docstring.
 Within one channel, trials and stamps only grow, so their digit counts
 change only a few times per file, and nearly every line is a row of one of
 two templates, ``<digits>\tAPD\t<digits>\tDETECT\n`` or the same with
-PMT_ONSET. Both directions work by that record shape: the writer fills rows
-of a template four digits at a time, and the reader splits each block's
-lines of one channel into runs of one line length and checks each run's
-rows against the template of its first line, a few thousand rows a
-compare, then decodes their digit columns from the text. A CRLF template
-is the LF one with CR before LF; a block with blank lines or line ends that
-switch is read by shape once more with plain LF line ends. Only a block
-that breaks the grammar or a rule goes to a line-at-a-time reading of the
-grammar, which gives each record's line, so that the first bad line or
-record at fault is named.
+PMT_ONSET. Both directions work by that record shape, over the rows of a
+run as flat bytes or as one word per row, never a row at a time. The
+writer fills rows of a template four digits at a time, a trial's digits
+once per run of its records, repeated down the rows as words. The reader
+splits each block's lines of one channel into runs of one line length,
+checks each run's flat bytes against the template of its first line tiled
+a few thousand times, a compare per tile, and decodes the stamps' digit
+column from the text, eight digits a word; a row starts a run of its trial
+where its trial field's words differ from the row's before, and only such
+rows' trials are decoded. A CRLF template is the LF one with CR before LF;
+a block with blank lines or line ends that switch is read by shape once
+more with plain LF line ends. Only a block that breaks the grammar or a
+rule goes to a line-at-a-time reading of the grammar, which gives each
+record's line, so that the first bad line or record at fault is named.
 """
 
 from __future__ import annotations
@@ -44,13 +48,16 @@ _POW10 = 10 ** np.arange(1, MAX_DIGITS, dtype=np.int64)
 # reader makes no temporary as large as the block, which the allocator
 # would hand back to the system and fault in again for the next one
 _CHECK_ROWS = 4096
-_ZEROS = np.uint64(0x3030303030303030)     # "00000000"
-# _decode_digits' steps over eight digits, one a byte: the shift to the next
-# group, the scale of a group and the mask of the sums of pairs, fours and
-# eights
-_DIGIT_SUMS = [(np.uint64(8), np.uint64(10), np.uint64(0x00FF00FF00FF00FF)),
-               (np.uint64(16), np.uint64(100), np.uint64(0x0000FFFF0000FFFF)),
-               (np.uint64(32), np.uint64(10000), np.uint64(0xFFFFFFFF))]
+# _decode_digits' steps over eight digits, one a byte, first digit lowest:
+# the mask that keeps the digits, pairs or fours; the multiplier that adds
+# to each of them ten, a hundred or ten thousand times the one before it;
+# and the shift that moves each sum down to its first part's place
+_DIGIT_SUMS = [(np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(10 << 8 | 1),
+                np.uint64(8)),
+               (np.uint64(0x00FF00FF00FF00FF), np.uint64(100 << 16 | 1),
+                np.uint64(16)),
+               (np.uint64(0x0000FFFF0000FFFF), np.uint64(10000 << 32 | 1),
+                np.uint64(32))]
 
 
 def _runs_within(ends, count, start, stop):
@@ -88,10 +95,15 @@ def _record_text(name: bytes, trial, count, t_ns):
         template = b"%s\t%s\t%s\tDETECT\n" % (b"0" * wa, name, b"0" * wb)
         text[b0:b1] = np.frombuffer(template * (j1 - j0), np.uint8)
         rows = text[b0:b1].reshape(j1 - j0, -1)
+        # each trial run's first words, its digits and then template bytes,
+        # made once and repeated down its rows; the t_ns digits follow
         k, c = _runs_within(ends, count, j0, j1)
-        digits = np.empty((len(c), wa), np.uint8)
-        _put_digits(digits, trial[k], wa, wa)
-        rows[:, :wa] = np.repeat(digits, c, axis=0)
+        p = -(-wa // 8) * 8
+        prefix = np.empty((len(c), p), np.uint8)
+        prefix[:] = np.frombuffer(template, np.uint8, p)
+        _put_digits(prefix, trial[k], wa, wa)
+        rows[:, :p].view(np.uint64)[:] = np.repeat(prefix.view(np.uint64), c,
+                                                   axis=0)
         _put_digits(rows, t_ns[j0:j1], wa + len(name) + 2 + wb, wb)
     return text, (first, offset, np.append(length, 0))
 
@@ -123,13 +135,14 @@ def _put_digits(rows: np.ndarray, v: np.ndarray, stop: int, width: int):
         _DIGIT_QUADS.take(top)
 
 
-def _write_records(fh, apd, apd_runs, onset, onset_runs, gaps):
-    """Write the APD lines with the onset lines spliced in, onset k ahead of
-    APD record gaps[k]: each channel's text and runs from _record_text."""
+def _write_records(fh, apd, apd_runs, onset, starts, gaps):
+    """Write the APD lines with onset lines spliced in, onset k, which
+    spans onset[starts[k]:starts[k + 1]], ahead of APD record gaps[k]: the
+    APD text and runs from _record_text."""
     cuts = _line_starts(apd_runs, gaps).tolist()
-    ends = _line_starts(onset_runs, np.arange(len(gaps) + 1)).tolist()
+    starts = starts.tolist()
     apd, onset = memoryview(apd), memoryview(onset)
-    for a, b, o0, o1 in zip([0, *cuts], cuts, ends, ends[1:]):
+    for a, b, o0, o1 in zip([0, *cuts], cuts, starts, starts[1:]):
         fh.write(apd[a:b])
         fh.write(onset[o0:o1])
     fh.write(apd[cuts[-1] if cuts else 0:])
@@ -194,9 +207,9 @@ def _shaped_rows(text: np.ndarray, name: bytes):
     digit counts fewer times, and each run scans the rest of the text.
 
     Every byte of a run is checked against its first line, _CHECK_ROWS rows
-    at a time in one compare: the rows less the template, with '0' in the
-    digit columns, lie within 9 of 0 in the digit columns and are 0 in the
-    others."""
+    at a time in one compare of the run's flat bytes: less the template,
+    with '0' in the digit columns, tiled _CHECK_ROWS times, they lie within
+    9 of 0 in the digit columns and are 0 in the others."""
     runs, start = [], 0
     while start < len(text):
         if len(runs) == 2 * MAX_DIGITS:
@@ -221,11 +234,14 @@ def _shaped_rows(text: np.ndarray, name: bytes):
         span = np.zeros(width, np.uint8)
         for f in (trial, t_ns):
             template[f], span[f] = _ZERO, 9
-        rows = rest[:n * width].reshape(n, width)
-        if not all((rows[i:i + _CHECK_ROWS] - template <= span).all()
-                   for i in range(0, n, _CHECK_ROWS)):
-            return None
-        runs.append((rows, trial, t_ns))
+        flat = rest[:n * width]
+        template, span = (np.tile(x, min(n, _CHECK_ROWS))
+                          for x in (template, span))
+        for i in range(0, len(flat), len(template)):
+            chunk = flat[i:i + len(template)]
+            if not (chunk - template[:len(chunk)] <= span[:len(chunk)]).all():
+                return None
+        runs.append((flat.reshape(n, width), trial, t_ns))
         start += n * width
     return runs
 
@@ -235,25 +251,23 @@ def _decode_digits(rows: np.ndarray, field: slice, out: np.ndarray):
 
     Eight digits at a time: their bytes, read as one little-endian uint64
     (first digit lowest) and shifted left until the last of them is the top
-    byte, less '0' in each, are summed in pairs, fours and eights by
-    multiply, shift and mask. A field is followed by at least eight bytes
-    of its row."""
-    x, low = np.empty(len(rows), np.uint64), np.empty(len(rows), np.uint64)
+    byte, are masked to their digits and summed in pairs, fours and eights,
+    each step one mask, multiply and shift. A field is followed by at least
+    eight bytes of its row."""
+    x = out.view(np.uint64)
     for start in range(field.start, field.stop, 8):
         k = min(8, field.stop - start)
-        up = np.uint64(64 - 8 * k)
-        np.left_shift(rows[:, start:start + 8].view("<u8")[:, 0], up, out=x)
-        x -= _ZEROS << up
-        for shift, scale, mask in _DIGIT_SUMS:
-            np.right_shift(x, shift, out=low)
-            x *= scale
-            x += low
+        if start > field.start:
+            x = np.empty(len(rows), np.uint64)
+        np.left_shift(rows[:, start:start + 8].view("<u8")[:, 0],
+                      np.uint64(64 - 8 * k), out=x)
+        for mask, scale, shift in _DIGIT_SUMS:
             x &= mask
+            x *= scale
+            x >>= shift
         if start > field.start:
             out *= 10 ** k
             out += x.view(np.int64)
-        else:
-            out[:] = x
 
 
 def _parse_records(text: bytes, lineno: int, n_trials: int):

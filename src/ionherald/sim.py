@@ -104,8 +104,9 @@ from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        arm_probabilities)
 from .records import (CHANNEL_APD, CHANNEL_NAMES, CHANNEL_PMT_ONSET,
                       MAX_DIGITS, _LF, _MAX_LINE,
-                      _decode_digits, _parse_records, _record_text,
-                      _runs_within, _shaped_lines, _write_records)
+                      _decode_digits, _line_starts, _parse_records,
+                      _record_text, _runs_within, _shaped_lines,
+                      _write_records)
 
 FILE_MAGIC = "#MANIFEST "
 WRITE_BLOCK = 1 << 14       # records formatted at a time in write_events
@@ -269,12 +270,16 @@ def _strictly_increasing(t: np.ndarray, last=None) -> None:
     Each stamp becomes max(its own, the previous bumped stamp + 1), in one
     pass: t[k] - k is non-decreasing after the bumps, so it is the running
     maximum of the input's t[k] - k, carried from block to block of
-    CHECK_BLOCK stamps.
+    CHECK_BLOCK stamps. A block already strictly increasing and above the
+    bumped stamp before it, as nearly every block is, is left as it is.
     """
     top = np.iinfo(np.int64).min if last is None else last + 1
     for part in _chunks(len(t)):
-        i = np.arange(part.start, part.stop)
         block = t[part]
+        if block[0] - part.start >= top and np.all(block[1:] > block[:-1]):
+            top = block[-1] - (part.stop - 1)   # no tie: nothing bumped
+            continue
+        i = np.arange(part.start, part.stop)
         block -= i
         block[0] = max(block[0], top)
         np.maximum.accumulate(block, out=block)
@@ -664,11 +669,15 @@ def write_events(stream, path) -> None:
 
 
 def _write_block(fh, block: EventStream) -> None:
-    """Write the records of one block, its channels interleaved."""
+    """Write the records of one block, its channels interleaved: its onset
+    lines formatted once, its APD lines a part at a time."""
     before = np.searchsorted(block.apd_ns, block.onset_ns, side="right")
     at = before + np.arange(len(before))    # the onsets' places in the file
-    channels = [(CHANNEL_NAMES[code].encode(), runs, np.cumsum(runs[1]), t)
-                for code, runs, t in block.channels()]
+    onset, onset_runs = _record_text(b"PMT_ONSET", *block.onset_runs,
+                                     block.onset_ns)
+    onset_starts = _line_starts(onset_runs, np.arange(len(at) + 1))
+    (trial, count), apd_ns = block.apd_runs, block.apd_ns
+    ends = np.cumsum(count)
     # in parts of about WRITE_BLOCK records
     bounds = np.linspace(0, len(block), max(round(len(block) / WRITE_BLOCK),
                                             1) + 1).astype(np.int64).tolist()
@@ -676,12 +685,9 @@ def _write_block(fh, block: EventStream) -> None:
         # the APD records a0:a1 and the onsets k0:k1 of this part
         k0, k1 = np.searchsorted(at, [i, stop])
         a0, a1 = i - k0, stop - k1
-        texts = []
-        for (name, (trial, count), ends, t_ns), (j0, j1) in zip(
-                channels, ((a0, a1), (k0, k1))):
-            k, c = _runs_within(ends, count, j0, j1)
-            texts += _record_text(name, trial[k], c, t_ns[j0:j1])
-        _write_records(fh, *texts, before[k0:k1] - a0)
+        k, c = _runs_within(ends, count, a0, a1)
+        _write_records(fh, *_record_text(b"APD", trial[k], c, apd_ns[a0:a1]),
+                       onset, onset_starts[k0:k1 + 1], before[k0:k1] - a0)
 
 
 def _refuse_dropped(stream: EventStream) -> None:
@@ -821,22 +827,30 @@ def _parsed_blocks(fh, path):
 def _decoded(shapes, n_trials: int):
     """Per channel, the (trial, count) runs and stamps of its runs of lines
     of one shape, as _shaped_lines gives them, as flat [runs, t_ns, runs,
-    t_ns]; None where a trial is not below n_trials. Each run's trials are
-    decoded into its stamps' place and kept as (trial, count) runs, then
-    its stamps are decoded there."""
+    t_ns]; None where a trial is not below n_trials.
+
+    In a run of one shape, each trial field has the same width and template
+    bytes after it, so a row starts a trial run where the words of its
+    field's bytes differ from the row's before: only those rows' trials are
+    decoded."""
     channels = []
     for channel_runs in shapes:
         t_ns = np.empty(sum(len(rows) for rows, _, _ in channel_runs),
                         np.int64)
         pieces, n = [_runs(t_ns[:0])], 0
         for rows, trial, t in channel_runs:
-            k = n + len(rows)
-            _decode_digits(rows, trial, t_ns[n:k])
-            if t_ns[n:k].max() >= n_trials:
+            changed = np.zeros(len(rows) - 1, bool)
+            for i in range(trial.start, trial.stop, 8):
+                word = np.ascontiguousarray(rows[:, i:i + 8].view("<u8"))
+                changed |= word[1:, 0] != word[:-1, 0]
+            first = np.flatnonzero(np.append(True, changed))
+            trials = np.empty(len(first), np.int64)
+            _decode_digits(rows[first], trial, trials)
+            if trials.max() >= n_trials:
                 return None
-            pieces.append(_runs(t_ns[n:k]))
-            _decode_digits(rows, t, t_ns[n:k])
-            n = k
+            pieces.append((trials, np.diff(first, append=len(rows))))
+            _decode_digits(rows, t, t_ns[n:n + len(rows)])
+            n += len(rows)
         channels += [_runs(*map(np.concatenate, zip(*pieces))), t_ns]
     return channels
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import histogram_of, naive_counts, stream_of
+from conftest import block_of, histogram_of, naive_counts, stream_of
 from ionherald import presets
 from ionherald.correlate import (CoincidenceHistogram, extract,
-                                 histogram_from_stream, write_histogram)
+                                 histogram_from_stream, histogram_of_blocks,
+                                 write_histogram)
 from ionherald.errors import DataError
 
 US = 1000          # ns per us
@@ -92,6 +95,37 @@ class TestHistogramProperties:
                              np.concatenate([o1, o2]))
         merged = histogram_of(a1, o1).counts + histogram_of(a2, o2).counts
         assert np.array_equal(whole.counts, merged)
+
+    @pytest.mark.parametrize("order", ["apd-first", "onsets-stop"])
+    def test_held_apd_stamps_not_copied_block_by_block(self, order):
+        # the blocks of an APD-first file, every APD block ahead of the
+        # onsets, and of a stream whose onsets stop after its first block:
+        # they bin as the same records in one block do, and the APD stamps
+        # held over the blocks without an onset are not copied block by block
+        rng = np.random.default_rng(31)
+        apd = poisson_times(rng, 2e5, 2.0)
+        onsets = poisson_times(rng, 100.0, 2.0)
+        cuts = np.linspace(0, 2e9, 101)
+        pieces = [apd[(apd >= lo) & (apd < hi)]
+                  for lo, hi in zip(cuts, cuts[1:])]
+        if order == "apd-first":
+            blocks = [block_of(piece, []) for piece in pieces]
+            blocks.append(block_of([], onsets))
+        else:
+            onsets = onsets[onsets < cuts[1]]
+            blocks = [block_of(pieces[0], onsets)]
+            blocks += [block_of(piece, []) for piece in pieces[1:]]
+        tracemalloc.start()
+        try:
+            hist = histogram_of_blocks(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = histogram_of(apd, onsets)
+        assert np.array_equal(hist.counts, expected.counts)
+        assert expected.counts.sum() > 100
+        assert (hist.total_apd, hist.total_onsets) == (len(apd), len(onsets))
+        assert peak < 1.1 * apd.nbytes, (peak, apd.nbytes)
 
     def test_flat_for_independent_streams_1hz(self):
         # two independent 1 Hz Poisson streams over 1e4 s: flat histogram

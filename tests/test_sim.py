@@ -303,7 +303,7 @@ class TestFinalize:
                                                    apd_per_trial))
         assert np.array_equal(onset_trial_read, onset_trial)
 
-    def test_tie_bumps_match_pass_loop(self):
+    def test_tie_bumps_match_pass_loop(self, monkeypatch):
         # sorted stamps with long tie runs, some cascading into the next
         # distinct stamp, against the pass-per-nanosecond reference
         rng = np.random.default_rng(0)
@@ -316,6 +316,21 @@ class TestFinalize:
             bumped = t.copy()
             sim._strictly_increasing(bumped)
             assert np.array_equal(bumped, strictly_increasing_loop(t))
+        # blocks of four stamps after the bumped stamp 10: one whose first
+        # stamp is 10, one with a tie inside it, one with neither, and one
+        # whose first stamp ties the bumped last of the block before it;
+        # whole, one block at a time and without `last`
+        monkeypatch.setattr(sim, "CHECK_BLOCK", 4)
+        blocks = [ns(10, 12, 13, 14), ns(20, 21, 21, 25), ns(30, 31, 35, 40),
+                  ns(40, 41, 42, 50)]
+        cases = [(np.concatenate(blocks), 10)]
+        cases += [(t, last) for last in (10, None) for t in blocks]
+        for t, last in cases:
+            bumped = t.copy()
+            sim._strictly_increasing(bumped, last)
+            expected = strictly_increasing_loop(
+                t if last is None else np.append(last, t))
+            assert np.array_equal(bumped, expected[last is not None:]), t
 
     @pytest.mark.parametrize("block", [1, 3, 7, 64])
     def test_bumps_and_merge_in_blocks(self, tmp_path, monkeypatch, block):
@@ -1211,6 +1226,50 @@ class TestShapePath:
         assert len(taken) > 100 and all(taken)
         assert general_outcome(path, monkeypatch) == stream
 
+    def test_wide_trials_that_differ_in_their_last_digits(self, tmp_path,
+                                                          monkeypatch,
+                                                          taken):
+        # trials of 8, 9 and 10 digits in one block, neighbours that differ
+        # in their last digit only, the ninth or tenth byte of the line: a
+        # trial field wider than one word
+        trials = ns(99999998, 99999999, 100000000, 123456780, 123456781,
+                    1234567890, 1234567891)
+        stream = wide_trial_stream(trials)
+        path = tmp_path / "wide.events"
+        write_events(stream, path)
+        assert path.read_bytes().split(b"\n", 1)[1] == reference_text(stream)
+        assert read_outcome(path) == stream
+        assert taken == [True]
+        # under a manifest of 123456781 trials, trial 123456781 is past it
+        short = dataclasses.replace(stream.manifest, duration_s=12345678.15)
+        write_raw(dataclasses.replace(stream, manifest=short), path)
+        data = path.read_bytes()
+        line = data.count(b"\n", 0, data.index(b"\n123456781\t")) + 2
+        outcome = read_outcome(path)
+        assert outcome == (f"{path}: line {line}: trial 123456781 outside "
+                           "the manifest's 123456781 trials")
+        assert general_outcome(path, monkeypatch) == outcome
+
+    def test_tail_of_the_flat_compare(self, tmp_path, monkeypatch):
+        # the APD lines of trials 10 to 99, one shape, are a run of several
+        # compare chunks and a part of one; each byte of its last line
+        # replaced by a digit, a letter, a tab or a line end
+        monkeypatch.setattr(records, "_CHECK_ROWS", 64)
+        stream = simulate_run(self.M)
+        path = tmp_path / "tail.events"
+        write_events(kept(stream, lambda trial: (trial >= 10)
+                          & (trial <= 100)), path)
+        data = path.read_bytes()
+        run = [line for line in data.split(b"\n") if re.fullmatch(
+            rb"\d\d\tAPD\t\d{10}\tDETECT", line)]
+        assert len(run) > 64 and len(run) % 64
+        start = data.index(run[-1] + b"\n")
+        for i in range(start, start + len(run[-1]) + 1):
+            for byte in b"5x\t\n":
+                path.write_bytes(data[:i] + bytes([byte]) + data[i + 1:])
+                assert read_outcome(path) == general_outcome(
+                    path, monkeypatch), (i - start, byte)
+
     @pytest.mark.parametrize("variant", ["crlf", "blank-lines",
                                          "mixed-line-ends"])
     def test_line_ends_and_blank_lines(self, tmp_path, monkeypatch, taken,
@@ -1291,6 +1350,17 @@ class TestShapePath:
                            f"outside the detection window of trial "
                            f"{trial[i]}")
         assert general_outcome(path, monkeypatch) == outcome
+
+
+def wide_trial_stream(trials):
+    """A legal stream of three APD records and one onset in each trial, of
+    the default 10 Hz sequence, stamped 60 ms into the trial."""
+    apd_trial = np.repeat(trials, 3)
+    apd_ns = apd_trial * 100_000_000 + 60_000_000 + np.tile(ns(0, 1, 3),
+                                                            len(trials))
+    return stream_of(apd_trial, apd_ns, trials,
+                     trials * 100_000_000 + 60_000_002,
+                     make_manifest(duration_s=1.3e8))
 
 
 def reordered(path, first=None):
