@@ -495,6 +495,11 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except MemoryError as exc:
+        # numpy names the allocation it could not make
+        print(f"config error: the run is too large to simulate in this "
+              f"memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:

@@ -60,12 +60,16 @@ _DIGIT_SUMS = [(np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(10 << 8 | 1),
                 np.uint64(32))]
 
 
-def _runs_within(ends, count, start, stop):
-    """The runs of count[i] items, the last one before ends[i], with items
-    start to stop - 1: as a slice of them, and how many each holds there."""
+def _runs_within(ends, start, stop):
+    """The runs of items, run i's last one before ends[i], with items start
+    to stop - 1: as a slice of them, and how many each holds there."""
     k = slice(np.searchsorted(ends, start, side="right"),
               np.searchsorted(ends, stop - 1, side="right") + 1)
-    return k, np.minimum(ends[k], stop) - np.maximum(ends[k] - count[k], start)
+    # a run's items begin where the run before it ends, after `start`
+    c = np.minimum(ends[k], stop)
+    c[1:] -= ends[k][:-1]
+    c[:1] -= start
+    return k, c
 
 
 def _record_text(name: bytes, trial, count, t_ns):
@@ -97,7 +101,7 @@ def _record_text(name: bytes, trial, count, t_ns):
         rows = text[b0:b1].reshape(j1 - j0, -1)
         # each trial run's first words, its digits and then template bytes,
         # made once and repeated down its rows; the t_ns digits follow
-        k, c = _runs_within(ends, count, j0, j1)
+        k, c = _runs_within(ends, j0, j1)
         p = -(-wa // 8) * 8
         prefix = np.empty((len(c), p), np.uint8)
         prefix[:] = np.frombuffer(template, np.uint8, p)

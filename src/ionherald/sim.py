@@ -75,9 +75,10 @@ itself.
 Both ends work a block at a time, so that neither holds a whole stream.
 ``_simulate_blocks`` makes simulate_run's draws in the same order and gives
 the stream as blocks of whole trials, drawing the (b) clicks outside the
-regions CHECK_BLOCK at a time as the blocks are taken; ``simulate_run`` is
-their join, and the ``simulate`` command writes them as they come, beside
-the path, renaming its file over the path once the last block is written.
+regions CHECK_BLOCK at a time as the blocks are taken, from their counts
+per piece; ``simulate_run`` is their join, and the ``simulate`` command
+writes them as they come, beside the path, renaming its file over the path
+once the last block is written.
 ``_parsed_blocks`` reads a file once, so a pipe reads too, and gives its
 records as checked blocks; ``read_events`` is their join, and ``g2`` bins
 them as they come. The first block that fails holds the file's first fault,
@@ -334,15 +335,17 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     order, whose join is the stream.
 
     Every draw up to the times of the (b) clicks outside the regions (the
-    far clicks) happens here. The far clicks are drawn as the blocks are
-    taken, CHECK_BLOCK at a time, in time order piece by piece; after each
-    draw the trials before the next piece's are whole, and with the (a) and
-    region clicks held for them they make the next block, sorted and
-    tie-bumped from the last block's last stamp on. A block ends only where
-    each channel's records come before the other's after it in file order,
-    so that writing the blocks one by one interleaves the channels as
-    writing the whole stream does. A counting stream, or one without far
-    clicks, is one block."""
+    far clicks) happens here. Of their pieces it holds only the intervals
+    between the regions and each piece's count, and the pieces' shares of
+    the far clicks during their draw. The far clicks are drawn as the
+    blocks are taken, CHECK_BLOCK at a time, in time order piece by piece;
+    after each draw the trials before the next piece's are whole, and with
+    the (a) and region clicks held for them they make the next block,
+    sorted and tie-bumped from the last block's last stamp on. A block ends
+    only where each channel's records come before the other's after it in
+    file order, so that writing the blocks one by one interleaves the
+    channels as writing the whole stream does. A counting stream, or one
+    without far clicks, is one block."""
     rng = np.random.default_rng(m.seed)
     seq, rates, n_trials = m.sequence, m.rates, m.n_trials
     (marginal,), (joint,) = arm_probabilities(m.source, m.absorber,
@@ -379,9 +382,11 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     # times, and in a full stream the others' times
     b_rate = pair_clicks * (1.0 - p_abs) + rates.dark_trigger_rate
     lo, hi = _regions(onset_ns, lag_reach_ns())
-    near = _pieces(lo, hi, seq, n_trials)
+    near = _pieces(_intervals(lo, hi, seq, n_trials), seq)
     near_s = near[2].sum()
-    near, near_count = _drawn(near, rng.poisson(b_rate * near[2]))
+    near_count = rng.poisson(b_rate * near[2])
+    kept = near_count > 0       # an empty piece takes no draw
+    near, near_count = [c[kept] for c in near], near_count[kept]
     n_near = int(near_count.sum())
     n_far = rng.poisson(b_rate * max(run_s - near_s, 0.0))
     near_ns = np.empty(n_near, np.int64)
@@ -398,10 +403,18 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
         block, _ = _trials_block(m, kinds)
         block.apd_dropped = n_far if counting else 0
         return n_a + n_near, len(onset_ns), iter([block])
-    far = _pieces(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
-                  n_trials)
-    far, far_count = _drawn(far, rng.multinomial(n_far,
-                                                 far[2] / far[2].sum()))
+    # the far pieces' lengths, the one whole-run float array, made a
+    # sixteenth of CHECK_BLOCK at a time (_pieces takes ~40 bytes a piece);
+    # their counts drawn are held as running sums
+    far = _intervals(np.append(-np.inf, hi), np.append(lo, np.inf), seq,
+                     n_trials)
+    p = np.empty(far[3][-1])
+    for part in _chunks(len(p), CHECK_BLOCK // 16 or 1):
+        p[part] = _pieces(far, seq, part)[2]
+    p /= p.sum()
+    ends = rng.multinomial(n_far, p)
+    del p
+    np.cumsum(ends, out=ends)
     # blocks are cut by trial, where the onsets' final stamps allow
     kinds[0] = tuple(c[np.argsort(a_trial, kind="stable")] for c in kinds[0])
     onset_ns.sort()
@@ -410,19 +423,27 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     def blocks():
         # what is left of each kind, the far clicks as far as drawn, from
         # trial `start` on, and the last APD stamp given
-        left, start, last = [(far[0], far_count, near_ns[:0]), *kinds], 0, None
-        ends = np.cumsum(far_count)
+        left, start, last = [(near_ns[:0],) * 3, *kinds], 0, None
         for part in _chunks(n_far):
-            # the far clicks held, and CHECK_BLOCK more drawn after them
+            # the far clicks held, and CHECK_BLOCK more drawn after them;
+            # the pieces that draw none are left out
             trial, count, held = left[0]
+            k, c = _runs_within(ends, part.start, part.stop)
+            pieces = _pieces(far, seq, k)
             stamps = np.empty(len(held) + part.stop - part.start, np.int64)
             stamps[:len(held)] = held
-            _stamp_part(rng, stamps[len(held):], far, far_count, ends, part,
-                        seq)
-            left[0] = trial, count, stamps
-            # the trials before the next piece's are whole
-            p = np.searchsorted(ends, part.stop, side="right")
-            stop = far[0][p] if p < len(far_count) else n_trials
+            _stamp_part(rng, stamps[len(held):], pieces, c, seq)
+            kept = c > 0
+            left[0] = (np.concatenate((trial, pieces[0][kept])),
+                       np.concatenate((count, c[kept])), stamps)
+            # the trials before that of the piece of the next click are
+            # whole; as a rule it is the last piece drawn from
+            j = np.searchsorted(ends, part.stop, side="right")
+            if j < k.stop:
+                stop = pieces[0][-1]
+            else:
+                stop = (_pieces(far, seq, slice(j, j + 1))[0][0]
+                        if j < len(ends) else n_trials)
             if stop == n_trials or stop == start:
                 continue
             block, rest = _trials_block(m, left, stop, last)
@@ -436,8 +457,7 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
                     or (len(block.onset_ns) and block.onset_ns[-1] >= np.rint(
                         _window_start(stop, seq) * 1e9))):
                 continue
-            trial, count, held = rest[0]
-            left = [(trial, count, held.copy()), *rest[1:]]
+            left = [tuple(column.copy() for column in rest[0]), *rest[1:]]
             start, last = stop, apd_last
             yield block
             del block, rest     # held no longer than needed
@@ -499,13 +519,6 @@ def _joined(manifest: RunManifest, blocks, sizes=(0, 0)) -> EventStream:
                        manifest=manifest)
 
 
-def _drawn(pieces, count):
-    """The pieces that drew at least one click, and their counts: an empty
-    piece holds no stamp and takes no uniform draw."""
-    kept = count > 0
-    return tuple(column[kept] for column in pieces), count[kept]
-
-
 def _window_start(trial, seq: SequenceConfig):
     """Start (s) of the detection windows of the given trials."""
     return trial * seq.period_s + seq.detect_offset_s
@@ -522,22 +535,37 @@ def _regions(onset_ns, reach_ns: int):
     return lo, hi
 
 
-def _pieces(lo, hi, seq: SequenceConfig, n_trials: int):
-    """The parts of the disjoint ascending intervals [lo, hi] (s) that lie
-    in detection windows: the trial, window offset (s) and length of each."""
+def _intervals(lo, hi, seq: SequenceConfig, n_trials: int):
+    """The disjoint ascending intervals [lo, hi] (s) as _pieces takes them:
+    lo, hi, each one's first trial, that of the first window that ends
+    after lo, and the index of each one's first piece, with the number of
+    pieces last. A piece is the part of an interval in one window."""
     w = seq.detect_s
-    # from the first window that ends after lo to the last that starts
-    # before hi
     first = np.clip(np.floor((lo - seq.detect_offset_s - w) / seq.period_s)
                     + 1, 0, n_trials - 1)
+    # to the last window that starts before hi
     last = np.clip(np.ceil((hi - seq.detect_offset_s) / seq.period_s) - 1,
                    0, n_trials - 1)
     n = np.maximum(last - first + 1, 0).astype(np.int64)
-    trial = np.repeat(first - np.cumsum(n) + n, n).astype(np.int64) \
-        + np.arange(n.sum())
+    return lo, hi, first, np.append(0, np.cumsum(n))
+
+
+def _pieces(intervals, seq: SequenceConfig, part=slice(0, None)):
+    """The pieces `part` of _intervals' intervals, all by default: the
+    trial, window offset (s) and length of each, the same in any part (a
+    trial exact below 2**53)."""
+    lo, hi, first, starts = intervals
+    j0, j1, _ = part.indices(starts[-1])
+    # the intervals i0 to i1 - 1 hold the part's pieces, n[i] of them each
+    i0 = np.searchsorted(starts, j0, side="right") - 1
+    i1 = max(np.searchsorted(starts, j1), i0)
+    n = np.minimum(starts[i0 + 1:i1 + 1], j1) - np.maximum(starts[i0:i1], j0)
+    trial = np.repeat(first[i0:i1] - starts[i0:i1], n).astype(np.int64) \
+        + np.arange(j0, j1)
     start = _window_start(trial, seq)
-    off = np.clip(np.repeat(lo, n) - start, 0.0, w)
-    return trial, off, np.clip(np.repeat(hi, n) - start, 0.0, w) - off
+    w = seq.detect_s
+    off = np.clip(np.repeat(lo[i0:i1], n) - start, 0.0, w)
+    return trial, off, np.clip(np.repeat(hi[i0:i1], n) - start, 0.0, w) - off
 
 
 def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
@@ -545,20 +573,21 @@ def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
     CHECK_BLOCK at a time."""
     ends = np.cumsum(count)
     for part in _chunks(len(out)):
-        _stamp_part(rng, out[part], pieces, count, ends, part, seq)
+        k, c = _runs_within(ends, part.start, part.stop)
+        _stamp_part(rng, out[part], [column[k] for column in pieces], c, seq)
 
 
-def _stamp_part(rng, out, pieces, count, ends, part, seq: SequenceConfig):
-    """Stamp the uniform times `part` of _stamp_uniform's into out."""
+def _stamp_part(rng, out, pieces, count, seq: SequenceConfig) -> None:
+    """Stamp count[i] uniform times in piece i into out, in piece order."""
     trial, off, length = pieces
-    # the pieces with points in this block, and how many
-    k, c = _runs_within(ends, count, part.start, part.stop)
-    t = np.repeat(off[k], c)
-    t += rng.random(len(t)) * np.repeat(length[k], c)
+    t = rng.random(len(out))
+    t *= np.repeat(length, count)
+    t += np.repeat(off, count)
     # within its window, whatever the rounding
     np.minimum(t, seq.detect_s, out=t)
-    t += np.repeat(_window_start(trial[k], seq), c)
-    out[:] = np.rint(t * 1e9)
+    t += np.repeat(_window_start(trial, seq), count)
+    t *= 1e9
+    out[:] = np.rint(t, out=t)
 
 
 def _stamp_range(t_start, w, k):
@@ -685,7 +714,7 @@ def _write_block(fh, block: EventStream) -> None:
         # the APD records a0:a1 and the onsets k0:k1 of this part
         k0, k1 = np.searchsorted(at, [i, stop])
         a0, a1 = i - k0, stop - k1
-        k, c = _runs_within(ends, count, a0, a1)
+        k, c = _runs_within(ends, a0, a1)
         _write_records(fh, *_record_text(b"APD", trial[k], c, apd_ns[a0:a1]),
                        onset, onset_starts[k0:k1 + 1], before[k0:k1] - a0)
 
@@ -855,10 +884,10 @@ def _decoded(shapes, n_trials: int):
     return channels
 
 
-def _chunks(n: int):
-    """Slices of CHECK_BLOCK records that cover n records."""
-    return (slice(i, min(i + CHECK_BLOCK, n))
-            for i in range(0, n, CHECK_BLOCK))
+def _chunks(n: int, size: int = 0):
+    """Slices of `size`, else CHECK_BLOCK, records that cover n records."""
+    size = size or CHECK_BLOCK
+    return (slice(i, min(i + size, n)) for i in range(0, n, size))
 
 
 def _form_fault(stream: EventStream):

@@ -327,6 +327,43 @@ class TestSimulateCommand:
                          "2", "--seed", "9", "--out", str(p)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("at", ["draws", "far blocks"])
+    def test_run_too_large_is_a_config_error(self, tmp_path, monkeypatch,
+                                             capsys, at):
+        # an allocation numpy cannot make, before the file is opened (the
+        # regions) or while its blocks are written (the second stamping,
+        # the far clicks'): exit 2 and neither the file nor its part left
+        name, calls = ("_regions", 1) if at == "draws" else ("_stamp_part", 2)
+        real = getattr(sim, name)
+
+        def short_of_memory(*args):
+            nonlocal calls
+            calls -= 1
+            if not calls:
+                assert (at == "draws") == (os.listdir(tmp_path) == [])
+                raise MemoryError("Unable to allocate 7.28 TiB")
+            return real(*args)
+
+        monkeypatch.setattr(sim, name, short_of_memory)
+        out = tmp_path / "huge.events"
+        assert main(["simulate", "--preset", "paper-hv", "--minutes", "1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "too large to simulate" in capsys.readouterr().err
+        assert not calls
+        assert os.listdir(tmp_path) == []
+
+    def test_reproduce_too_large_is_a_config_error(self, tmp_path,
+                                                   monkeypatch, capsys):
+        def short_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(sim, "_regions", short_of_memory)
+        out = tmp_path / "reproduce"
+        assert main(["reproduce", "--scale", "1e6", "--quiet", "--out-dir",
+                     str(out)]) == EXIT_CONFIG
+        assert "too large to simulate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def edit_header(data: bytes, section: str, key: str | None, value) -> bytes:
     """An event file whose manifest has `value` at section[.key]."""

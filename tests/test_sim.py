@@ -211,6 +211,20 @@ class TestStreamPins:
         assert stream_digest(stream) == (
             "ccc70c368bd202c30992128c6cf2a0ed9a72a3cf93254385d08957eed7f329ec")
 
+    def test_sparse_far_run(self):
+        # ~168 k far clicks over 400 k windows, so most pieces draw none:
+        # they are drawn CHECK_BLOCK at a time and the stream comes as three
+        # blocks
+        m = make_manifest(seed=21, duration_s=40_000.0, pair_rate=2.0,
+                          dark_trigger_rate=8.0, false_onset_rate=0.05)
+        n_apd, n_onsets, blocks = sim._simulate_blocks(m)
+        blocks = list(blocks)
+        assert len(blocks) == 3
+        stream = sim._joined(m, iter(blocks), (n_apd, n_onsets))
+        assert (len(stream), len(stream.onset_times())) == (171_559, 1666)
+        assert stream_digest(stream) == (
+            "7ce5df6247820f33aa469350364026d9d35a4672d0b5657a5ed6f57f5bb2a78f")
+
 
 def ns(*values):
     return np.array(values, dtype=np.int64)
@@ -547,7 +561,7 @@ class TestCountingMode:
             == inside
         reach = lag_reach_ns(bin_us, 0)
         lo, hi = sim._regions(ns(on_ns), reach)
-        at, off, length = sim._pieces(lo, hi, seq, 5)
+        at, off, length = sim._pieces(sim._intervals(lo, hi, seq, 5), seq)
         start_ns = (sim._window_start(at, seq) + off) * 1e9
         stop_ns = start_ns + length * 1e9
         # a click left out of the regions rounds to no stamp the histogram
@@ -567,9 +581,10 @@ class TestCountingMode:
         seq, n_trials = SHORT_WINDOWS, 40
         lo, hi = sim._regions(ns(10_003, 15_000, 95_000, 410_000, 799_990),
                               lag_reach_ns(10.0, 5))
-        pieces = [sim._pieces(lo, hi, seq, n_trials),
-                  sim._pieces(np.append(-np.inf, hi), np.append(lo, np.inf),
-                              seq, n_trials)]
+        pieces = [sim._pieces(sim._intervals(lo, hi, seq, n_trials), seq),
+                  sim._pieces(sim._intervals(np.append(-np.inf, hi),
+                                             np.append(lo, np.inf), seq,
+                                             n_trials), seq)]
         trial, off, length = (np.concatenate(c) for c in zip(*pieces))
         assert np.allclose(np.bincount(trial, length, n_trials),
                            seq.detect_s, rtol=0.0, atol=1e-15)
@@ -592,6 +607,91 @@ class TestCountingMode:
                 seed=seed, duration_s=0.5, sequence=SHORT_WINDOWS,
                 dark_trigger_rate=2e5, false_onset_rate=5e3), 10.0, 5)
             assert counted.apd_dropped > 1000
+
+
+def one_call_pieces(lo, hi, seq, n_trials):
+    """The pieces of the intervals [lo, hi] made in one call for all of
+    them: the reference that ranges of pieces are checked against."""
+    w = seq.detect_s
+    first = np.clip(np.floor((lo - seq.detect_offset_s - w) / seq.period_s)
+                    + 1, 0, n_trials - 1)
+    last = np.clip(np.ceil((hi - seq.detect_offset_s) / seq.period_s) - 1,
+                   0, n_trials - 1)
+    n = np.maximum(last - first + 1, 0).astype(np.int64)
+    trial = np.repeat(first - np.cumsum(n) + n, n).astype(np.int64) \
+        + np.arange(n.sum())
+    start = sim._window_start(trial, seq)
+    off = np.clip(np.repeat(lo, n) - start, 0.0, w)
+    return trial, off, np.clip(np.repeat(hi, n) - start, 0.0, w) - off
+
+
+class TestFarPieces:
+    """The far pieces are made from their intervals a range of pieces at a
+    time: each range is, column by column and bit for bit, that part of the
+    pieces of one call for the whole run."""
+
+    SEQ, N_TRIALS = SHORT_WINDOWS, 200
+
+    def far_intervals(self):
+        # regions of +-55 us about onsets in 10 us windows every 20 us: two
+        # overlap, so the time between them is an empty interval, and one
+        # gap spans ~95 windows
+        lo, hi = sim._regions(ns(10_003, 15_000, 95_000, 2_000_000,
+                                 3_990_000), lag_reach_ns(10.0, 5))
+        return np.append(-np.inf, hi), np.append(lo, np.inf)
+
+    def edge_intervals(self):
+        # intervals that start or end on a window's edge, or an ulp inside
+        # it, and empty ones on the edges
+        start = sim._window_start(np.arange(2, 40, 4), self.SEQ)
+        end = start + self.SEQ.detect_s
+        lo = np.concatenate([start, end, np.nextafter(end, -np.inf),
+                             start + 1e-6])
+        hi = np.concatenate([start, end, end + 5e-6,
+                             np.nextafter(start + 4 * self.SEQ.period_s,
+                                          np.inf)])
+        order = np.argsort(lo, kind="stable")
+        return lo[order], hi[order]
+
+    @pytest.mark.parametrize("kind", ["far", "edge"])
+    def test_ranges_match_one_call(self, kind):
+        lo, hi = getattr(self, f"{kind}_intervals")()
+        intervals = sim._intervals(lo, hi, self.SEQ, self.N_TRIALS)
+        whole = sim._pieces(intervals, self.SEQ)
+        reference = one_call_pieces(lo, hi, self.SEQ, self.N_TRIALS)
+        for got, want in zip(whole, reference):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        n = len(whole[0])
+        assert n == intervals[3][-1] and n > 20
+        # empty pieces, and those an ulp long on window edges, are pieces
+        # like any other
+        assert np.any(whole[2] == 0.0 if kind == "far"
+                      else (whole[2] > 0.0) & (whole[2] < 1e-18))
+        if kind == "far":
+            assert np.max(np.diff(intervals[3])) > 90
+        rng = np.random.default_rng(0)
+        ranges = [(j, j + size) for size in (1, 2, 3, 7, 97)
+                  for j in range(0, n, size)]
+        ranges += [tuple(sorted(rng.integers(0, n + 1, 2)))
+                   for _ in range(200)]
+        for j0, j1 in ranges:
+            part = sim._pieces(intervals, self.SEQ, slice(j0, j1))
+            for got, want in zip(part, whole):
+                assert got.tobytes() == want[j0:j1].tobytes(), (j0, j1)
+
+    SPARSE = make_manifest(seed=5, duration_s=2000.0, pair_rate=2.0,
+                           dark_trigger_rate=8.0, false_onset_rate=0.5)
+
+    @pytest.mark.parametrize("block", [97, 1000])
+    def test_sparse_stream_independent_of_block(self, monkeypatch, block):
+        # ~8 k far clicks in 20 k windows drawn 97 or 1000 at a time, their
+        # lengths made 6 or 62 pieces at a time: ranges that start and end
+        # inside intervals of ~40 windows
+        whole = simulate_run(self.SPARSE)
+        assert 0 < len(whole.apd_ns) < self.SPARSE.n_trials / 2
+        monkeypatch.setattr(sim, "CHECK_BLOCK", block)
+        assert simulate_run(self.SPARSE) == whole
 
 
 class TestEventFileRoundTrip:
@@ -1555,11 +1655,11 @@ class TestMemoryBound:
     def test_streamed_phases(self, tmp_path):
         # simulate to a file and g2 from it, on 10- and 30-min paper-hv
         # streams: each holds one block at a time and what grows with the
-        # trials (the far pieces), not the stream. At 30 min, simulate-to-file
-        # measured 0.296 and g2 0.319 of the record bytes (g2's read buffer
-        # and one block's gathered APD lines are 2 MB of it); from 10 to 30
-        # minutes their peaks grew by 0.067 and 0.0005 of the record bytes
-        # added
+        # trials (the far clicks' counts), not the stream. At 30 min,
+        # simulate-to-file measured 0.222 and g2 0.299 of the record bytes
+        # (g2's read buffer and one block's gathered APD lines are 2 MB of
+        # it); from 10 to 30 minutes their peaks grew by 0.022 and -0.001 of
+        # the record bytes added
         path = tmp_path / "hv.events"
         warm_up_the_check(path)
         peaks, record_bytes = [], []
@@ -1586,10 +1686,31 @@ class TestMemoryBound:
         (sim_10, g2_10), (sim_30, g2_30) = peaks
         added = record_bytes[1] - record_bytes[0]
         assert record_bytes[1] > 8_000_000, record_bytes
-        assert sim_30 < 0.4 * record_bytes[1], peaks
+        assert sim_30 < 0.3 * record_bytes[1], peaks
         assert g2_30 < 0.4 * record_bytes[1], peaks
-        assert sim_30 - sim_10 < 0.1 * added, (peaks, added)
+        assert sim_30 - sim_10 < 0.035 * added, (peaks, added)
         assert g2_30 - g2_10 < 0.01 * added, (peaks, added)
+
+    def test_draw_per_trial(self, tmp_path):
+        # the draws of _simulate_blocks for the 30-min paper-hv run, up to
+        # its first block: it holds, once it returns, the far clicks' counts
+        # as their running sums (8 bytes a piece, ~1.04 pieces a trial), and
+        # the other kinds' clicks and the onsets, 11.5 bytes a trial; at its
+        # peak it also holds the pieces' shares of the far clicks and their
+        # counts drawn, 23.8 bytes a trial
+        warm_up_the_check(tmp_path / "warm.events")
+        m = presets.preset_manifest("paper-hv", 11, angle_deg=45.0,
+                                    minutes=30.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            drawn = sim._simulate_blocks(m)
+            held, peak = (x - before for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert drawn[0] > 400_000
+        assert held < 15 * m.n_trials, held / m.n_trials
+        assert peak < 30 * m.n_trials, peak / m.n_trials
 
     def test_g2_fault_path(self, tmp_path):
         # the 30-min file of test_streamed_phases with a stamp digit made
