@@ -24,7 +24,7 @@ from .fringes import FringeFit, FringeScan, ScanPoint, fit_fringe
 from .tomography import (CountsRow, CountsTable, EntanglementMetrics,
                          TomographySetting, bootstrap_metrics, concurrence,
                          fidelity_singlet, linear_inversion, metrics,
-                         mle_reconstruct, trace_distance)
+                         mle_reconstruct)
 
 __all__ = [
     "ConfigError", "ConvergenceError", "DataError", "IonHeraldError",
@@ -41,5 +41,5 @@ __all__ = [
     "FringeFit", "FringeScan", "ScanPoint", "fit_fringe",
     "CountsRow", "CountsTable", "EntanglementMetrics", "TomographySetting",
     "bootstrap_metrics", "concurrence", "fidelity_singlet",
-    "linear_inversion", "metrics", "mle_reconstruct", "trace_distance",
+    "linear_inversion", "metrics", "mle_reconstruct",
 ]

@@ -108,10 +108,12 @@ def scan_analyzer(basis: PolarizationBasis, hwp_deg: float,
     """
     if basis.label not in _SCAN_MERIDIAN:
         raise ConfigError(f"no scan trajectory for basis {basis.label!r}")
-    if not np.isfinite(hwp_deg - theta_ref_deg):
-        raise DataError(f"HWP angles must be finite: {hwp_deg}, "
-                        f"reference {theta_ref_deg}")
-    phi = np.radians(4.0 * (hwp_deg - theta_ref_deg))
+    # in Python floats, which overflow to inf without numpy's warnings
+    phase = 4.0 * (float(hwp_deg) - float(theta_ref_deg))
+    if not np.isfinite(phase):
+        raise DataError(f"angle {hwp_deg} is not a finite HWP angle from "
+                        f"reference {theta_ref_deg}: its phase is {phase}")
+    phi = np.radians(phase)
     n_plus = pol.to_poincare(basis.plus)
     n_mid = _SCAN_MERIDIAN[basis.label]
     n = np.cos(phi) * n_plus + np.sin(phi) * n_mid

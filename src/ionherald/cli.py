@@ -220,8 +220,6 @@ def _read_kv(path) -> dict:
 
 
 def cmd_fringe(args) -> int:
-    if not np.isfinite(args.theta0):
-        raise DataError(f"--theta0 {args.theta0} is not a finite angle")
     res_files = sorted(Path(args.scan_dir).glob("*.res.txt"))
     if len(res_files) < 4:
         raise DataError(f"{args.scan_dir}: found {len(res_files)} scan points,"
@@ -247,6 +245,13 @@ def cmd_fringe(args) -> int:
                 raise DataError(f"{f}: basis {label!r} differs from "
                                 f"{basis_label!r} in {basis_file}")
             basis_label, basis_file = label, f
+    # the fit's phases, 2 (angle - theta0), in Python floats, which
+    # overflow to inf without numpy's warnings
+    far = [p.hwp_angle_deg for p in pts
+           if not np.isfinite(2.0 * (p.hwp_angle_deg - args.theta0))]
+    if far:
+        raise DataError(f"--theta0 {args.theta0} is not a finite angle from "
+                        f"scan angle {far[0]}")
     scan = FringeScan(pol.BASES.get(basis_label, pol.RL), tuple(pts))
     fit = fit_fringe(scan, args.theta0)
     write_fit_record(fit, args.out_prefix + ".fit.txt",

@@ -41,7 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from . import polarization as pol
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        absorber_for, arm_probabilities, scan_analyzer)
@@ -386,6 +386,7 @@ def preset_manifest(name: str, seed: int, angle_deg: float | None = None,
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     plan = fringe_plan(name[len("paper-"):])
     angle = ORTHOGONAL_ANGLE_DEG if angle_deg is None else angle_deg
-    if not np.isfinite(angle):      # a setting, not data
-        raise ConfigError(f"angle {angle} is not a finite HWP angle")
-    return manifest_for_angle(plan, angle, seed, minutes)
+    try:
+        return manifest_for_angle(plan, angle, seed, minutes)
+    except DataError as exc:        # the angle: a setting, not data
+        raise ConfigError(str(exc)) from exc

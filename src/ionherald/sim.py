@@ -72,7 +72,8 @@ one and leaves no file; ``read_events`` and ``g2`` name the line of the
 first record at fault or bad line. A stream the writer takes reads back as
 itself.
 
-Both ends work a block at a time, so that neither holds a whole stream.
+Both ends work a block at a time, so that neither holds a whole stream it
+is not given; a whole stream given to ``write_events`` is one block.
 ``_simulate_blocks`` makes simulate_run's draws in the same order and gives
 the stream as blocks of whole trials, drawing the (b) clicks outside the
 regions CHECK_BLOCK at a time as the blocks are taken, from their counts
@@ -671,16 +672,12 @@ def write_events(stream, path) -> None:
     file is written beside `path` and renamed over it once its last block
     is written, so a stream that is refused leaves nothing at `path`.
 
-    Each block is checked as it is written (_checked), a whole stream cut
-    into blocks once its form is checked. A stream that breaks a rule is
-    refused with read_events' message less its path and line, such as
-    "non-monotone timestamps in channel APD"; so a stream it writes reads
-    back as itself."""
+    Each block is checked as it is written (_checked), a whole stream as
+    one block. A stream that breaks a rule is refused with read_events'
+    message less its path and line, such as "non-monotone timestamps in
+    channel APD"; so a stream it writes reads back as itself."""
     if isinstance(stream, EventStream):
-        _refuse_dropped(stream)
-        if fault := _form_fault(stream):
-            raise DataError(fault[0])
-        stream = _cut(stream)
+        stream = (stream,)
     part = f"{os.fspath(path)}.{os.getpid()}.part"
     try:
         with open(part, "wb") as fh:
@@ -719,54 +716,6 @@ def _write_block(fh, block: EventStream) -> None:
                        onset, onset_starts[k0:k1 + 1], before[k0:k1] - a0)
 
 
-def _refuse_dropped(stream: EventStream) -> None:
-    if stream.apd_dropped:
-        raise DataError(f"counting-mode stream left out {stream.apd_dropped} "
-                        "APD clicks; its manifest promises them all")
-
-
-def _cut(stream: EventStream):
-    """A whole stream as blocks of whole trials, views of its columns: cut
-    after about every CHECK_BLOCK APD records, where each channel's records
-    come before the other's after the cut in the order written."""
-    (apd_trial, apd_count), apd_ns, (onset_trial, onset_count), onset_ns = (
-        stream.apd_runs, stream.apd_ns, stream.onset_runs, stream.onset_ns)
-    apd_ends, onset_ends = (np.append(0, np.cumsum(c))
-                            for c in (apd_count, onset_count))
-    n_apd_runs = min(len(apd_trial), len(apd_count))
-    n_onset_runs = min(len(onset_trial), len(onset_count))
-    r0 = s0 = 0         # the runs of the block's first records
-    # a record is written by the greatest stamp of its channel up to it
-    # (_first_written): that of the APD records before `seen`, and of the
-    # onsets before the block
-    seen, apd_top = 0, np.iinfo(np.int64).min
-    onset_top = apd_top
-    for r in np.searchsorted(apd_ends, np.arange(
-            CHECK_BLOCK, len(apd_ns), CHECK_BLOCK)).tolist():
-        # a cut ahead of APD run r, whose trial starts the next block
-        if not r0 < r < n_apd_runs:
-            continue
-        s = int(np.clip(np.searchsorted(onset_trial, apd_trial[r]), s0,
-                        n_onset_runs))
-        i, j = apd_ends[r], onset_ends[s]
-        if not (0 < i < len(apd_ns) and 0 <= j <= len(onset_ns)):
-            continue
-        apd_top, seen = apd_ns[seen:i].max(initial=apd_top), i
-        before = onset_ns[onset_ends[s0]:j].max(initial=onset_top)
-        if not ((j == len(onset_ns) or apd_top <= max(before, onset_ns[j]))
-                and (j == 0 or before < max(apd_top, apd_ns[i]))):
-            continue
-        yield EventStream((apd_trial[r0:r], apd_count[r0:r]),
-                          apd_ns[apd_ends[r0]:i],
-                          (onset_trial[s0:s], onset_count[s0:s]),
-                          onset_ns[onset_ends[s0]:j], stream.manifest)
-        r0, s0, onset_top = r, s, before
-    yield EventStream((apd_trial[r0:], apd_count[r0:]),
-                      apd_ns[apd_ends[r0]:],
-                      (onset_trial[s0:], onset_count[s0:]),
-                      onset_ns[onset_ends[s0]:], stream.manifest)
-
-
 def _checked(blocks):
     """Each block of a stream, cut anywhere, once it is checked: DataError
     at the first block that leaves out clicks, breaks a rule of form or
@@ -774,7 +723,10 @@ def _checked(blocks):
     legal exactly when each of its blocks passes."""
     rules = None
     for block in blocks:
-        _refuse_dropped(block)
+        if block.apd_dropped:
+            raise DataError("counting-mode stream left out "
+                            f"{block.apd_dropped} APD clicks; its manifest "
+                            "promises them all")
         rules = rules or _Rules(block.manifest)
         if fault := (_form_fault(block)
                      or _first_written(block, rules.faults(block))):

@@ -130,20 +130,6 @@ def expected_counts(rho, normalization: float = 1.0) -> np.ndarray:
     return normalization * np.real(np.einsum("ij,nji->n", m, PROJECTORS))
 
 
-def counts_table_from_values(values, raw=None, background=None,
-                             duration_s: float = 1.0) -> CountsTable:
-    """Assemble a CountsTable from 16 corrected values in design order."""
-    values = np.asarray(values, dtype=float)
-    rows = []
-    for i, s in enumerate(DESIGN):
-        rows.append(CountsRow(
-            s, float(max(values[i], 0.0)),
-            int(raw[i]) if raw is not None else int(round(max(values[i], 0.0))),
-            float(background[i]) if background is not None else 0.0,
-            duration_s))
-    return CountsTable(tuple(rows))
-
-
 # --- linear inversion --------------------------------------------------------
 
 def _hermitian_basis() -> np.ndarray:
@@ -223,14 +209,14 @@ STEP_TOL = 1e-9
 def mle_reconstruct(counts: CountsTable, return_info: bool = False):
     """Maximum-likelihood density matrix for one counts table.
 
-    Minimizes the NLL of nll_of_state over density matrices by accelerated
-    projected gradient with backtracking and restart (Shang, Zhang & Ng,
-    PRA 95, 062336 (2017)) from the projected linear inversion. The gradient
-    is G = sum((N - n/p) P_nu); N and n are divided by the largest of them,
-    so G and the step size t are of order 1. t grows 1.5x per step and
-    halves until the NLL's Bregman divergence sum(n (u - log1p(u))),
-    u = p_x/p_y - 1, is at most |x - y|^2 / 2t. The momentum restarts when
-    it opposes the step. Deterministic.
+    Minimizes the Poisson NLL of the counts over density matrices by
+    accelerated projected gradient with backtracking and restart (Shang,
+    Zhang & Ng, PRA 95, 062336 (2017)) from the projected linear inversion.
+    The gradient is G = sum((N - n/p) P_nu); N and n are divided by the
+    largest of them, so G and the step size t are of order 1. t grows 1.5x
+    per step and halves until the NLL's Bregman divergence
+    sum(n (u - log1p(u))), u = p_x/p_y - 1, is at most |x - y|^2 / 2t. The
+    momentum restarts when it opposes the step. Deterministic.
 
     grad_norm is the norm of the last projected-gradient step x - y over t
     (the gradient mapping, 0 at the optimum), in counts; the fit stops once
@@ -283,13 +269,6 @@ def mle_reconstruct(counts: CountsTable, return_info: bool = False):
     return rho
 
 
-def nll_of_state(rho, counts: CountsTable) -> float:
-    """Poisson NLL of an arbitrary physical state for the given counts."""
-    m = rho.matrix if isinstance(rho, TwoQubitDensityMatrix) else rho
-    return _nll(_probabilities(np.asarray(m)), counts.corrected(),
-                settings_normalization(counts))
-
-
 # --- metrics -----------------------------------------------------------------
 
 def fidelity_singlet(rho) -> float:
@@ -316,13 +295,6 @@ def concurrence(rho) -> float:
 def metrics(rho) -> EntanglementMetrics:
     c = concurrence(rho)
     return EntanglementMetrics(fidelity_singlet(rho), c, c * c)
-
-
-def trace_distance(a, b) -> float:
-    ma = a.matrix if isinstance(a, TwoQubitDensityMatrix) else np.asarray(a)
-    mb = b.matrix if isinstance(b, TwoQubitDensityMatrix) else np.asarray(b)
-    vals = np.linalg.eigvalsh(ma - mb)
-    return float(0.5 * np.sum(np.abs(vals)))
 
 
 # --- bootstrap ----------------------------------------------------------------

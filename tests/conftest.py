@@ -2,13 +2,15 @@
 prints them as a block at the end of the session; bins stamp columns as
 blocks of the one binner and counts their pairs by brute force; builds
 event streams from per-record columns, lays them out again and writes their
-records as the writer orders them."""
+records as the writer orders them; and assembles, scores and compares
+tomography states."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
 from ionherald import sim
+from ionherald import tomography as tom
 from ionherald.correlate import histogram_of_blocks
 
 ACCEPTANCE_LINES = []
@@ -111,3 +113,31 @@ def reference_text(stream):
     return "".join(f"{tr}\t{sim.CHANNEL_NAMES[ch]}\t{t}\tDETECT\n"
                    for tr, ch, t in zip(*(column.tolist() for column
                                           in file_columns(stream)))).encode()
+
+
+def counts_table_from_values(values, raw=None, background=None,
+                             duration_s: float = 1.0) -> tom.CountsTable:
+    """Assemble a CountsTable from 16 corrected values in design order."""
+    values = np.asarray(values, dtype=float)
+    rows = []
+    for i, s in enumerate(tom.DESIGN):
+        rows.append(tom.CountsRow(
+            s, float(max(values[i], 0.0)),
+            int(raw[i]) if raw is not None else int(round(max(values[i], 0.0))),
+            float(background[i]) if background is not None else 0.0,
+            duration_s))
+    return tom.CountsTable(tuple(rows))
+
+
+def nll_of_state(rho, counts: tom.CountsTable) -> float:
+    """Poisson NLL of an arbitrary physical state for the given counts."""
+    m = rho.matrix if isinstance(rho, tom.TwoQubitDensityMatrix) else rho
+    return tom._nll(tom._probabilities(np.asarray(m)), counts.corrected(),
+                    tom.settings_normalization(counts))
+
+
+def trace_distance(a, b) -> float:
+    ma = a.matrix if isinstance(a, tom.TwoQubitDensityMatrix) else np.asarray(a)
+    mb = b.matrix if isinstance(b, tom.TwoQubitDensityMatrix) else np.asarray(b)
+    vals = np.linalg.eigvalsh(ma - mb)
+    return float(0.5 * np.sum(np.abs(vals)))

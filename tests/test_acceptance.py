@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import histogram_of, record_acceptance
+from conftest import (counts_table_from_values, histogram_of, nll_of_state,
+                      record_acceptance, trace_distance)
 from ionherald import polarization as pol
 from ionherald import presets
 from ionherald import tomography as tom
@@ -113,11 +114,11 @@ def test_criterion_4_oracle_equivalence():
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         vals = tom.expected_counts(rho, normalization=2000.0)
-        table = tom.counts_table_from_values(vals)
+        table = counts_table_from_values(vals)
         worst_inv = max(worst_inv,
-                        tom.trace_distance(rho, tom.linear_inversion(table)))
+                        trace_distance(rho, tom.linear_inversion(table)))
         worst_mle = max(worst_mle,
-                        tom.trace_distance(rho, tom.mle_reconstruct(table)))
+                        trace_distance(rho, tom.mle_reconstruct(table)))
     assert worst_inv < 1e-9
     assert worst_mle < 1e-6
 
@@ -127,11 +128,11 @@ def test_criterion_4_oracle_equivalence():
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         lam = tom.expected_counts(rho, normalization=250.0)
-        table = tom.counts_table_from_values(rng.poisson(lam).astype(float))
+        table = counts_table_from_values(rng.poisson(lam).astype(float))
         projected = tom.project_to_physical(tom.linear_inversion(table))
         rho_mle = tom.mle_reconstruct(table)
-        if tom.nll_of_state(rho_mle, table) <= \
-                tom.nll_of_state(projected, table) + 1e-9:
+        if nll_of_state(rho_mle, table) <= \
+                nll_of_state(projected, table) + 1e-9:
             beats += 1
     assert beats == 100
     record_acceptance(

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import counts_table_from_values
 from ionherald import sim
 from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK,
                            load_manifest_config, main, reproduce_paper)
@@ -216,7 +217,7 @@ class TestConfig:
         from ionherald import tomography as tom
         from ionherald import polarization as pol
         counts = str(tmp_path / "counts.txt")
-        tom.write_counts_table(tom.counts_table_from_values(
+        tom.write_counts_table(counts_table_from_values(
             tom.expected_counts(pol.singlet(), normalization=100.0)), counts)
         assert main(["tomo", "--counts", counts, "--bootstrap", "2",
                      "--seed", "-1", "--out-prefix",
@@ -233,7 +234,7 @@ class TestConfig:
         from ionherald import tomography as tom
         from ionherald import polarization as pol
         counts = tmp_path / "counts.txt"
-        tom.write_counts_table(tom.counts_table_from_values(
+        tom.write_counts_table(counts_table_from_values(
             tom.expected_counts(pol.singlet(), normalization=100.0)), counts)
         read = tom.read_counts_table
         calls = []
@@ -298,6 +299,39 @@ class TestConfig:
                      f"--angle={angle}", "--out", str(out)]) == EXIT_CONFIG
         assert f"angle {float(angle)} is not a finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, code, message", [
+        (["simulate", "--preset", "paper-hv", "--angle", "1e308"],
+         EXIT_CONFIG, "angle 1e+308 is not a finite HWP angle"),
+        (["simulate", "--config", "{cfg}"],
+         EXIT_CONFIG, "angle 1e+308 is not a finite HWP angle"),
+        (["fringe", "--scan-dir", "{scan}", "--theta0", "1e308"],
+         EXIT_DATA, "--theta0 1e+308 is not a finite angle"),
+        (["fringe", "--scan-dir", "{scan}", "--theta0", "0"],
+         EXIT_DATA, "from scan angle 1e+308")],
+        ids=["angle", "config", "theta0", "scan_angle"])
+    def test_angle_whose_phase_overflows(self, tmp_path, capsys, argv, code,
+                                         message):
+        # a finite angle whose phase, 4 (angle - reference) for the
+        # analyzer or 2 (angle - theta0) for the fit, is not finite: refused
+        # by name before numpy computes with it, and no file written
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[analyzer]\nhwp_deg = 1e308\n", encoding="utf-8")
+        scan = tmp_path / "scan"
+        scan.mkdir()
+        for angle in ("0", "15", "30", "1e308"):
+            (scan / f"p{angle}.res.txt").write_text(
+                "coincidences=9\nbackground_per_bin=4.5\nduration_s=3600.0\n"
+                f"basis=RL\nhwp_angle_deg={angle}\n", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "out"
+        argv = [a.format(cfg=cfg, scan=scan) for a in argv]
+        assert main(argv + (["--out", str(out)] if argv[0] == "simulate"
+                            else ["--out-prefix", str(out)])) == code
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestSimulateCommand:
@@ -542,7 +576,7 @@ class TestReadersExit3:
         from ionherald import tomography as tom
         from ionherald import polarization as pol
         lam = tom.expected_counts(pol.singlet(), normalization=100.0) + 5.0
-        table = tom.counts_table_from_values(lam - 5.0,
+        table = counts_table_from_values(lam - 5.0,
                                              raw=np.rint(lam).astype(int),
                                              background=np.full(16, 5.0))
         path = tmp_path / "counts.txt"
@@ -583,7 +617,7 @@ class TestPipeline:
         rng = np.random.default_rng(8)
         lam = tom.expected_counts(pol.werner(0.95), normalization=400.0) + 10.0
         raw = rng.poisson(lam)
-        table = tom.counts_table_from_values(np.maximum(0.0, raw - 10.0),
+        table = counts_table_from_values(np.maximum(0.0, raw - 10.0),
                                              raw=raw,
                                              background=np.full(16, 10.0))
         tom.write_counts_table(table, tmp_path / "counts.txt")
@@ -601,7 +635,7 @@ class TestPipeline:
         rng = np.random.default_rng(9)
         lam = tom.expected_counts(pol.singlet(), normalization=130.0) + 14.0
         raw = rng.poisson(lam)
-        table = tom.counts_table_from_values(np.maximum(0.0, raw - 14.0),
+        table = counts_table_from_values(np.maximum(0.0, raw - 14.0),
                                              raw=raw,
                                              background=np.full(16, 14.0))
         tom.write_counts_table(table, tmp_path / "counts.txt")
@@ -617,7 +651,7 @@ class TestPipeline:
         from ionherald import tomography as tom
         from ionherald import polarization as pol
         lam = tom.expected_counts(pol.singlet(), normalization=130.0)
-        table = tom.counts_table_from_values(
+        table = counts_table_from_values(
             np.random.default_rng(9).poisson(lam).astype(float))
         tom.write_counts_table(table, tmp_path / "counts.txt")
         fit = tom.mle_reconstruct
@@ -640,7 +674,7 @@ class TestPipeline:
         from ionherald import polarization as pol
         from ionherald.errors import ConvergenceError
         lam = tom.expected_counts(pol.singlet(), normalization=130.0)
-        table = tom.counts_table_from_values(
+        table = counts_table_from_values(
             np.random.default_rng(9).poisson(lam).astype(float))
         tom.write_counts_table(table, tmp_path / "counts.txt")
         fit = tom.mle_reconstruct
@@ -688,7 +722,7 @@ class TestPipeline:
         from ionherald import tomography as tom
         from ionherald import polarization as pol
         lam = tom.expected_counts(pol.singlet(), normalization=100.0) + 5.0
-        table = tom.counts_table_from_values(lam - 5.0,
+        table = counts_table_from_values(lam - 5.0,
                                              raw=np.rint(lam).astype(int),
                                              background=np.full(16, 5.0))
         path = tmp_path / "counts.txt"

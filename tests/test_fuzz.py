@@ -29,8 +29,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from conftest import (block_of, file_columns, histogram_of,  # noqa: E402
-                      naive_counts, reference_outside_window, reference_text,
+from conftest import (block_of, counts_table_from_values,  # noqa: E402
+                      file_columns, histogram_of, naive_counts,
+                      reference_outside_window, reference_text,
                       stream_fault, stream_of)
 from ionherald import polarization as pol  # noqa: E402
 from ionherald import presets, sim  # noqa: E402
@@ -301,7 +302,7 @@ def first_fault(m, records):
        block=st.sampled_from([3, 1000]))
 # trial 0 joined again after a record of trial 1, in the widened end of its
 # window; a second onset of trial 0 after one of trial 1; and channels out
-# of order where the writer would cut them, whose first fault as written is
+# of order across the order rule's chunks, whose first fault as written is
 # the second onset's
 @example(apd=[(0, 100), (0, 101), (1, 102), (0, 103)], onset=[],
          in_order=True, block=3)
@@ -314,8 +315,9 @@ def test_first_record_at_fault(tmp_path, adjacent_windows, apd, onset,
     # windows 1 ns apart, each channel's stamps in order or not, its trials
     # out of order now and then: read at any block size, the file names the
     # record that a record-by-record reading of the rules names, and the
-    # writer, cutting the stream into blocks of `block` APD records,
-    # refuses it with the same message, or writes it and reads it back
+    # writer, checking the whole stream as one block with the order rule
+    # in chunks of `block` records, refuses it with the same message, or
+    # writes it and reads it back
     m = adjacent_windows
     if in_order:
         apd, onset = (sorted(r, key=lambda record: record[1])
@@ -379,7 +381,7 @@ def counts_table(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "counts.txt"
     lam = tom.expected_counts(pol.werner(0.9), normalization=120.0)
     raw = np.random.default_rng(4).poisson(lam + 6.0)
-    tom.write_counts_table(tom.counts_table_from_values(
+    tom.write_counts_table(counts_table_from_values(
         np.maximum(raw - 6.0, 0.0), raw=raw, background=np.full(16, 6.0),
         duration_s=5400.0), path)
     return path.read_bytes()

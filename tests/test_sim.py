@@ -350,14 +350,13 @@ class TestFinalize:
     def test_bumps_and_merge_in_blocks(self, tmp_path, monkeypatch, block):
         # tie runs across the block edges of the bumps, and onsets before,
         # between, tied with and after the APD stamps across the writer's
-        # blocks, against the pass-per-nanosecond bumps and one np.insert of
-        # each whole column. The writer's merge alone: these streams lie
-        # before trial 0's window and hold many onsets in it, so the rules
-        # of a legal stream are not run
+        # parts of WRITE_BLOCK records, against the pass-per-nanosecond
+        # bumps and one np.insert of each whole column. The writer's merge
+        # alone: these streams lie before trial 0's window and hold many
+        # onsets in it, so the checks of a legal stream are not run
         monkeypatch.setattr(sim, "CHECK_BLOCK", block)
         monkeypatch.setattr(sim, "WRITE_BLOCK", block)
         monkeypatch.setattr(sim, "_checked", lambda blocks: blocks)
-        monkeypatch.setattr(sim, "_form_fault", lambda stream: None)
         rng = np.random.default_rng(block)
         m = make_manifest(duration_s=0.1)
         path = tmp_path / "merged.events"
@@ -1092,7 +1091,7 @@ class TestWriterRefuses:
         path = tmp_path / "never.txt"
         with pytest.raises(DataError):
             write_events(stream, path)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_counting_mode_stream(self, tmp_path):
         stream = simulate_run(make_manifest(seed=1, duration_s=10.0),
@@ -1101,7 +1100,7 @@ class TestWriterRefuses:
         path = tmp_path / "never.txt"
         with pytest.raises(DataError, match="left out"):
             write_events(stream, path)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("columns, message", [
         ((ns(5), ns(550_000_000), ns(), ns()),
@@ -1118,8 +1117,7 @@ class TestWriterRefuses:
         path = tmp_path / "never.txt"
         with pytest.raises(DataError, match=f"^{message}$"):
             write_events(stream, path)
-        assert not path.exists()
-
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("runs", [
         (ns(0, 1), ns(2, 0)), (ns(5, 0), ns(0, 2)), (ns(0, 0), ns(1, 1))],
@@ -1135,7 +1133,7 @@ class TestWriterRefuses:
                 "^trial runs of channel APD are not the maximal runs of its "
                 "2 records$")):
             write_events(stream, path)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestChecksInBlocks:
@@ -1582,8 +1580,7 @@ class TestStreamedPaths:
         # the path stays, and no part of the new one is left
         monkeypatch.setattr(sim, "CHECK_BLOCK", 64)
         m = make_manifest(seed=2, duration_s=20.0)
-        stream = simulate_run(m)
-        blocks = list(sim._cut(stream))
+        blocks = list(sim._simulate_blocks(m)[2])
         assert len(blocks) > 3
         late = blocks[-1]
         blocks[-1] = dataclasses.replace(late, apd_runs=(
@@ -1594,21 +1591,6 @@ class TestStreamedPaths:
             write_events(iter(blocks), path)
         assert path.read_bytes() == b"before"
         assert [p.name for p in tmp_path.iterdir()] == ["run.events"]
-
-    def test_run_split_at_a_block_boundary(self, tmp_path, monkeypatch):
-        # one trial's records held as two runs, cut between them: each block
-        # is the maximal runs of its records, and the boundary is not
-        monkeypatch.setattr(sim, "CHECK_BLOCK", 2)
-        stream = sim.EventStream((ns(0, 0), ns(2, 2)),
-                                 50_000_001 + np.arange(4), (ns(), ns()),
-                                 ns(), make_manifest(duration_s=1.0))
-        assert len(list(sim._cut(stream))) == 2
-        path = tmp_path / "never.events"
-        with pytest.raises(DataError, match=(
-                "^trial runs of channel APD are not the maximal runs of its "
-                "4 records$")):
-            write_events(stream, path)
-        assert not path.exists()
 
 
 class TestMemoryBound:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import counts_table_from_values, nll_of_state, trace_distance
 from ionherald import polarization as pol
 from ionherald import tomography as tom
 from ionherald.errors import DataError
@@ -39,13 +40,13 @@ class TestDesign:
 class TestLinearInversion:
     def test_exact_on_singlet(self):
         vals = tom.expected_counts(pol.singlet(), normalization=1234.0)
-        rec = tom.linear_inversion(tom.counts_table_from_values(vals))
-        assert tom.trace_distance(pol.singlet().matrix, rec) < 1e-10
+        rec = tom.linear_inversion(counts_table_from_values(vals))
+        assert trace_distance(pol.singlet().matrix, rec) < 1e-10
 
     def test_exact_on_maximally_mixed(self):
         vals = tom.expected_counts(pol.maximally_mixed(), normalization=400.0)
-        rec = tom.linear_inversion(tom.counts_table_from_values(vals))
-        assert tom.trace_distance(np.eye(4) / 4.0, rec) < 1e-10
+        rec = tom.linear_inversion(counts_table_from_values(vals))
+        assert trace_distance(np.eye(4) / 4.0, rec) < 1e-10
 
     def test_convergence_with_counts(self):
         # trace distance to truth shrinks like 1/sqrt(N) over a seed ensemble
@@ -57,8 +58,8 @@ class TestLinearInversion:
             for _ in range(30):
                 lam = tom.expected_counts(rho, normalization=n_per)
                 noisy = rng.poisson(lam).astype(float)
-                rec = tom.linear_inversion(tom.counts_table_from_values(noisy))
-                dists.append(tom.trace_distance(rho, rec))
+                rec = tom.linear_inversion(counts_table_from_values(noisy))
+                dists.append(trace_distance(rho, rec))
             errs.append(np.mean(dists))
         ratio = errs[0] / errs[1]
         assert 5.0 < ratio < 20.0    # 1/sqrt(N) predicts 10
@@ -67,7 +68,7 @@ class TestLinearInversion:
 class TestMLE:
     def test_noiseless_singlet(self):
         vals = tom.expected_counts(pol.singlet(), normalization=5000.0)
-        rho = tom.mle_reconstruct(tom.counts_table_from_values(vals))
+        rho = tom.mle_reconstruct(counts_table_from_values(vals))
         assert tom.fidelity_singlet(rho) >= 1.0 - 1e-8
 
     def test_output_always_physical(self):
@@ -76,7 +77,7 @@ class TestMLE:
             rho_true = random_density_matrix(rng)
             lam = tom.expected_counts(rho_true, normalization=60.0)
             noisy = rng.poisson(lam).astype(float)
-            rho = tom.mle_reconstruct(tom.counts_table_from_values(noisy))
+            rho = tom.mle_reconstruct(counts_table_from_values(noisy))
             m = rho.matrix
             assert np.max(np.abs(m - m.conj().T)) < 1e-10
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-10)
@@ -87,27 +88,27 @@ class TestMLE:
         for _ in range(20):
             rho_true = random_density_matrix(rng)
             lam = tom.expected_counts(rho_true, normalization=300.0)
-            table = tom.counts_table_from_values(rng.poisson(lam).astype(float))
+            table = counts_table_from_values(rng.poisson(lam).astype(float))
             projected = tom.project_to_physical(tom.linear_inversion(table))
             rho, info = tom.mle_reconstruct(table, return_info=True)
-            assert tom.nll_of_state(rho, table) <= \
-                tom.nll_of_state(projected, table) + 1e-9
+            assert nll_of_state(rho, table) <= \
+                nll_of_state(projected, table) + 1e-9
 
     def test_agrees_with_inversion_when_psd(self):
         # at large N the inversion is already physical; MLE stays close
         rng = np.random.default_rng(53)
         rho_true = pol.werner(0.6).matrix
         lam = tom.expected_counts(rho_true, normalization=10_000.0)
-        table = tom.counts_table_from_values(rng.poisson(lam).astype(float))
+        table = counts_table_from_values(rng.poisson(lam).astype(float))
         inv = tom.linear_inversion(table)
         if np.min(np.linalg.eigvalsh(inv)) >= 0.0:
             rho = tom.mle_reconstruct(table)
-            assert tom.trace_distance(rho, inv) < 0.02
+            assert trace_distance(rho, inv) < 0.02
 
     def test_deterministic(self):
         rng = np.random.default_rng(54)
         lam = tom.expected_counts(pol.werner(0.9).matrix, normalization=120.0)
-        table = tom.counts_table_from_values(rng.poisson(lam).astype(float))
+        table = counts_table_from_values(rng.poisson(lam).astype(float))
         r1 = tom.mle_reconstruct(table)
         r2 = tom.mle_reconstruct(table)
         np.testing.assert_array_equal(r1.matrix, r2.matrix)
@@ -118,10 +119,10 @@ class TestMLE:
         rng = np.random.default_rng(63)
         lam = tom.expected_counts(pol.werner(0.9), normalization=150.0)
         values = rng.poisson(lam).astype(float)
-        base = tom.mle_reconstruct(tom.counts_table_from_values(values))
+        base = tom.mle_reconstruct(counts_table_from_values(values))
         for factor in (2.0 ** -1000, 2.0 ** 1000):
             rho = tom.mle_reconstruct(
-                tom.counts_table_from_values(values * factor))
+                counts_table_from_values(values * factor))
             np.testing.assert_array_equal(rho.matrix, base.matrix)
 
     def test_kkt_conditions(self):
@@ -140,7 +141,7 @@ class TestMLE:
             lam = tom.expected_counts(pol.werner(p), normalization=n_per)
             tables.append(np.maximum(rng.poisson(lam + 2.0) - 2.0, 0.0))
         for values in tables:
-            table = tom.counts_table_from_values(values)
+            table = counts_table_from_values(values)
             n_hat = tom.settings_normalization(table)
             m = tom.mle_reconstruct(table).matrix
             p_nu = np.maximum(np.real(np.einsum("ij,nji->n", m, proj)), 1e-15)
@@ -185,22 +186,22 @@ def bootstrap_tables():
     bg = 14.0
     raw = rng.poisson(tom.expected_counts(pol.singlet(),
                                           normalization=130.0) + bg)
-    paper = tom.counts_table_from_values(
+    paper = counts_table_from_values(
         np.maximum(0.0, raw - bg), raw=raw, background=np.full(16, bg))
     rng = np.random.default_rng(61)
     lam = tom.expected_counts(pol.werner(0.95).matrix, normalization=200.0)
-    return paper, tom.counts_table_from_values(rng.poisson(lam).astype(float))
+    return paper, counts_table_from_values(rng.poisson(lam).astype(float))
 
 
 class TestPinnedLikelihood:
     """The MLE reaches an NLL no worse than the pinned earlier fit."""
 
     def check(self, table, pinned_hex):
-        nll = tom.nll_of_state(tom.mle_reconstruct(table), table)
+        nll = nll_of_state(tom.mle_reconstruct(table), table)
         assert nll <= float.fromhex(pinned_hex) + 1e-9
 
     def test_reproduce_table(self):
-        self.check(tom.counts_table_from_values(REPRODUCE_42_CORRECTED),
+        self.check(counts_table_from_values(REPRODUCE_42_CORRECTED),
                    REPRODUCE_42_NLL)
 
     def test_seeded_tables(self):
@@ -213,7 +214,7 @@ class TestPinnedLikelihood:
         for pinned in CRITERION_4_STYLE_NLL:
             lam = tom.expected_counts(random_density_matrix(rng),
                                       normalization=250.0)
-            self.check(tom.counts_table_from_values(
+            self.check(counts_table_from_values(
                 rng.poisson(lam).astype(float)), pinned)
 
 
@@ -293,7 +294,7 @@ class TestMetrics:
 class TestNormalization:
     def test_closure_recovers_normalization(self):
         vals = tom.expected_counts(pol.werner(0.77), normalization=777.0)
-        table = tom.counts_table_from_values(vals)
+        table = counts_table_from_values(vals)
         assert tom.settings_normalization(table) == pytest.approx(777.0,
                                                                   rel=1e-12)
 
@@ -301,7 +302,7 @@ class TestNormalization:
         vals = np.zeros(16)
         vals[15] = 5.0   # only RR populated; HV closure block empty
         with pytest.raises(DataError):
-            tom.settings_normalization(tom.counts_table_from_values(vals))
+            tom.settings_normalization(counts_table_from_values(vals))
 
 
 class TestBootstrap:
@@ -330,7 +331,7 @@ class TestCountsTableIO:
         lam = tom.expected_counts(pol.werner(0.9), normalization=150.0)
         raw = rng.poisson(lam + 14.0)
         corrected = np.maximum(0.0, raw - 14.0)
-        table = tom.counts_table_from_values(
+        table = counts_table_from_values(
             corrected, raw=raw, background=np.full(16, 14.0), duration_s=3600.0)
         path = tmp_path / "counts.txt"
         tom.write_counts_table(table, path)
@@ -343,7 +344,7 @@ class TestCountsTableIO:
     @pytest.mark.parametrize("column,value", [
         (3, "abc"), (3, "2.5"), (4, "x"), (5, "nan"), (6, "inf"), (5, "-1")])
     def test_bad_cell_names_path_and_line(self, tmp_path, column, value):
-        table = tom.counts_table_from_values(np.full(16, 20.0))
+        table = counts_table_from_values(np.full(16, 20.0))
         path = tmp_path / "counts.txt"
         tom.write_counts_table(table, path)
         lines = path.read_text().splitlines()
@@ -362,7 +363,7 @@ class TestCountsTableIO:
         tom.TomographySetting(pol.H, pol.V, label="HH"),
         tom.TomographySetting(pol.A, pol.A, label="AA")])
     def test_setting_outside_the_design_rejected(self, setting):
-        rows = list(tom.counts_table_from_values(np.full(16, 20.0)).rows)
+        rows = list(counts_table_from_values(np.full(16, 20.0)).rows)
         rows[0] = tom.CountsRow(setting, 20.0, 20, 0.0, 1.0)
         with pytest.raises(DataError, match="design"):
             tom.CountsTable(tuple(rows))
@@ -370,7 +371,7 @@ class TestCountsTableIO:
     def test_rows_in_any_order_give_the_same_state(self):
         rng = np.random.default_rng(64)
         lam = tom.expected_counts(pol.werner(0.8), normalization=200.0)
-        table = tom.counts_table_from_values(
+        table = counts_table_from_values(
             rng.poisson(lam).astype(float), background=np.arange(16.0))
         shuffled = tom.CountsTable(tuple(rng.permutation(table.rows)))
         assert shuffled.rows == table.rows
