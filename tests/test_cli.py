@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -813,10 +814,26 @@ class TestReproduce:
 
 
 class TestGoldenReport:
-    def test_seed_42_report_is_pinned(self, tmp_path):
+    @pytest.fixture(autouse=True)
+    def _golden_numpy(self):
         if np.__version__.split(".")[:2] != GOLDEN_NUMPY.split(".")[:2]:
             pytest.skip(f"golden report recorded with numpy {GOLDEN_NUMPY}, "
                         f"this is numpy {np.__version__}")
+
+    def test_seed_42_report_is_pinned(self, tmp_path):
         reproduce_paper(42, tmp_path, scale=0.1, quiet=True)
         text = (tmp_path / "report.kv").read_text(encoding="utf-8")
         assert text == GOLDEN_REPORT_KV, f"recorded with numpy {GOLDEN_NUMPY}"
+
+    @pytest.mark.parametrize("seed, report, counts", [
+        (42, "5b1d9a772f56245bca1deca31fec8bf5eb70fd18bacd64b43aa17cd85abc4e41",
+         "3844b0df487ec9c4b87ec8cc91f9683ff7489fe4661cc5138b0db4fb1e6e2f6e"),
+        (7, "e0c0cc73fb60748b897380f5bc309eab0f3e3710f5df386d7febf290c42bce15",
+         "ff9227092d719b5bf3bad3391e11dce2db785db92edf59bc3413043677aec7c0")])
+    def test_paper_scale_files_are_pinned(self, tmp_path, seed, report,
+                                          counts):
+        # the benchmark's own scale: sha256 of report.kv and tomo_counts.txt
+        reproduce_paper(seed, tmp_path, scale=1.0, quiet=True)
+        assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("report.kv", "tomo_counts.txt")] == [report,
+                                                                  counts]

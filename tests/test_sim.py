@@ -211,6 +211,16 @@ class TestStreamPins:
         assert stream_digest(stream) == (
             "ccc70c368bd202c30992128c6cf2a0ed9a72a3cf93254385d08957eed7f329ec")
 
+    def test_paper_hv_counting_run(self):
+        # one run of reproduce at paper scale: the clicks within the lag
+        # window's reach of an onset kept, the others counted
+        stream = simulate_run(presets.preset_manifest(
+            "paper-hv", 7, angle_deg=45.0, minutes=120.0), counting=True)
+        assert (len(stream), len(stream.onset_times()),
+                stream.apd_dropped) == (5302, 2869, 2918433)
+        assert stream_digest(stream) == (
+            "577b309f946b15871fe72366c9e454e46400709e612d782150f633dcb0919afa")
+
     def test_sparse_far_run(self):
         # ~168 k far clicks over 400 k windows, so most pieces draw none:
         # they are drawn CHECK_BLOCK at a time and the stream comes as three
