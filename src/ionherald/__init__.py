@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, ConvergenceError, DataError, IonHeraldError
 from .polarization import (BASES, DA, HV, RL, PolarizationBasis,
-                           PolarizationState, TwoQubitDensityMatrix,
-                           maximally_mixed, overlap, singlet, to_poincare,
-                           werner)
+                           PolarizationState, TwoQubitDensityMatrix, overlap,
+                           singlet, to_poincare)
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
                        absorber_for, arm_probabilities, scan_analyzer)
 from .sim import (EventStream, RateConfig, RunManifest, SequenceConfig,
@@ -30,8 +29,7 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DataError", "IonHeraldError",
     "__version__",
     "BASES", "DA", "HV", "RL", "PolarizationBasis", "PolarizationState",
-    "TwoQubitDensityMatrix", "maximally_mixed", "overlap", "singlet",
-    "to_poincare", "werner",
+    "TwoQubitDensityMatrix", "overlap", "singlet", "to_poincare",
     "AbsorberSetting", "AnalyzerSetting", "SourceModel", "absorber_for",
     "arm_probabilities", "scan_analyzer",
     "EventStream", "RateConfig", "RunManifest",

@@ -17,7 +17,7 @@ and the onsets within the window of the last click so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class CoincidenceHistogram:
         counts = np.asarray(self.counts, dtype=np.int64)
         if lags.shape != counts.shape:
             raise DataError("lags and counts length mismatch")
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise DataError("negative histogram count")
         if counts.sum() > self.total_apd * self.total_onsets:
             raise DataError("histogram counts exceed pair bound")
@@ -108,20 +108,24 @@ def lag_reach_ns(bin_width_us: float = DEFAULT_BIN_US,
                  window_bins: int = DEFAULT_WINDOW_BINS) -> int:
     """The largest |t_apd - t_on| in ns that a lag bin can hold: an APD click
     further than this from every onset never enters the histogram."""
-    _, below, above = _lag_window_ns(bin_width_us, window_bins)
-    return max(below, above - 1)
+    return _reach(_lag_window_ns(bin_width_us, window_bins))
+
+
+def _reach(window) -> int:
+    """lag_reach_ns of _lag_window_ns's (bin_ns, below, above)."""
+    return max(window[1], window[2] - 1)
 
 
 def _lag_counts(apd, onsets, window) -> np.ndarray:
     """Pairs per lag bin of the ascending int64 stamps apd and onsets;
     window is _lag_window_ns's (bin_ns, below, above)."""
     bin_ns, below, above = window
-    lo = np.searchsorted(apd, onsets - above, side="right")
-    n = np.searchsorted(apd, onsets + below, side="right") - lo
+    lo = apd.searchsorted(onsets - above, side="right")
+    n = apd.searchsorted(onsets + below, side="right") - lo
     # all pairs in the window: onset j meets apd[lo[j]:lo[j] + n[j]]
-    first = np.cumsum(n) - n
-    pair_apd = np.arange(n.sum()) + np.repeat(lo - first, n)
-    tau = np.repeat(onsets, n) - apd[pair_apd]
+    first = n.cumsum() - n
+    pair_apd = np.arange(n.sum()) + (lo - first).repeat(n)
+    tau = onsets.repeat(n) - apd[pair_apd]
     # bin k starts at k * bin - half = (k + window_bins) * bin - below, and
     # the window holds (below + above) // bin = 2 * window_bins + 1 bins
     return np.bincount((tau + below) // bin_ns,
@@ -139,9 +143,16 @@ def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
     All binning is exact integer arithmetic; with half = bin // 2, bin k
     covers [k*bin - half, k*bin - half + bin) in nanoseconds. A pair is
     counted once, in the block that brings the later of its two records.
-    Only the tails a later record can still meet are held, and so copied
-    (module docstring)."""
-    window = _lag_window_ns(bin_width_us, window_bins)
+    Only the tails a later record can still meet are held, and so copied,
+    and they are cut only once a later block comes (module docstring)."""
+    return _histogram(blocks, _lag_window_ns(bin_width_us, window_bins),
+                      bin_width_us, duration_s)
+
+
+def _histogram(blocks, window, bin_width_us: float, duration_s: float,
+               dropped: int = 0) -> CoincidenceHistogram:
+    """histogram_of_blocks in the window _lag_window_ns gives, with
+    `dropped` APD clicks more in total_apd."""
     bin_ns, below, above = window
     counts = np.zeros((below + above) // bin_ns, np.int64)
     # the held APD stamps, in pieces: joined only where an onset moves the
@@ -149,35 +160,36 @@ def histogram_of_blocks(blocks, bin_width_us: float = DEFAULT_BIN_US,
     # block
     apd, onsets = [], np.empty(0, np.int64)
     total_apd = total_onsets = 0
+    new_apd = new_onsets = None
     for block in blocks:
+        if new_apd is not None:     # what this block can meet of those before
+            if total_onsets:
+                cut = last_onset - above
+                new_apd = new_apd[new_apd.searchsorted(cut, side="right"):]
+            if len(new_onsets):
+                apd = [np.concatenate([
+                    *(piece[piece.searchsorted(cut, side="right"):]
+                      for piece in apd), new_apd])]
+            elif len(new_apd):
+                apd.append(new_apd)
+            if total_apd:
+                onsets = onsets[onsets.searchsorted(last_apd - below,
+                                                    side="right"):]
         new_apd, new_onsets = block.apd_ns, block.onset_ns
         onsets = np.concatenate([onsets, new_onsets])
         counts += _lag_counts(new_apd, onsets, window)
         if len(new_onsets):
             for piece in apd:
                 counts += _lag_counts(piece, new_onsets, window)
-        total_apd += len(new_apd)
-        total_onsets += len(new_onsets)
-        # what a later record can still meet
-        if len(new_onsets):
             last_onset = new_onsets[-1]
         if len(new_apd):
             last_apd = new_apd[-1]
-        if total_onsets:
-            cut = last_onset - above
-            new_apd = new_apd[np.searchsorted(new_apd, cut, side="right"):]
-        if len(new_onsets):
-            apd = [np.concatenate([
-                *(piece[np.searchsorted(piece, cut, side="right"):]
-                  for piece in apd), new_apd])]
-        elif len(new_apd):
-            apd.append(new_apd)
-        if total_apd:
-            onsets = onsets[np.searchsorted(onsets, last_apd - below,
-                                            side="right"):]
+        total_apd += len(new_apd)
+        total_onsets += len(new_onsets)
+    window_bins = len(counts) // 2
     return CoincidenceHistogram(
         bin_width_us, np.arange(-window_bins, window_bins + 1), counts,
-        total_apd, total_onsets, float(duration_s))
+        total_apd + dropped, total_onsets, float(duration_s))
 
 
 def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
@@ -186,17 +198,16 @@ def histogram_from_stream(stream, bin_width_us: float = DEFAULT_BIN_US,
     run's duration. APD clicks a counting-mode stream left out
     (``apd_dropped``) still count in total_apd; such a stream holds every
     pair only within ``lag_reach_ns()``, so a wider window is refused."""
-    if stream.apd_dropped and \
-            lag_reach_ns(bin_width_us, window_bins) > lag_reach_ns():
+    window = _lag_window_ns(bin_width_us, window_bins)
+    if stream.apd_dropped and _reach(window) > lag_reach_ns():
         raise DataError("counting-mode stream holds the clicks within "
                         f"{lag_reach_ns()} ns of an onset only; the lag "
                         f"window of {window_bins} bins of {bin_width_us} us "
                         "reaches further")
     _check_sorted(stream.apd_ns, "APD")
     _check_sorted(stream.onset_ns, "onset")
-    hist = histogram_of_blocks((stream,), bin_width_us, window_bins,
-                               stream.manifest.duration_s)
-    return replace(hist, total_apd=hist.total_apd + int(stream.apd_dropped))
+    return _histogram((stream,), window, bin_width_us,
+                      stream.manifest.duration_s, int(stream.apd_dropped))
 
 
 def extract(hist: CoincidenceHistogram) -> CoincidenceResult:

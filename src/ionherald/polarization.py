@@ -120,9 +120,6 @@ def from_poincare(v) -> PolarizationState:
 
 # --- two-qubit density matrices -------------------------------------------
 
-_I4 = np.eye(4, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class TwoQubitDensityMatrix:
     """4x4 Hermitian, PSD, trace-1 operator in the HH/HV/VH/VV product basis.
@@ -163,15 +160,3 @@ def pure_state_dm(amplitudes) -> TwoQubitDensityMatrix:
 def singlet() -> TwoQubitDensityMatrix:
     """|Psi-><Psi-| with |Psi-> = (|HV> - |VH>)/sqrt(2)."""
     return pure_state_dm([0.0, 1.0, -1.0, 0.0])
-
-
-def maximally_mixed() -> TwoQubitDensityMatrix:
-    return TwoQubitDensityMatrix(_I4 / 4.0)
-
-
-def werner(weight: float) -> TwoQubitDensityMatrix:
-    """weight * singlet + (1 - weight) * I/4."""
-    if not 0.0 <= weight <= 1.0:
-        raise DataError(f"Werner weight outside [0, 1]: {weight}")
-    return TwoQubitDensityMatrix(
-        weight * singlet().matrix + (1.0 - weight) * _I4 / 4.0)

@@ -341,6 +341,7 @@ class TomoPlan:
     sequence: ClassVar[SequenceConfig] = SequenceConfig()
 
 
+@lru_cache(maxsize=None)
 def tomo_plan() -> TomoPlan:
     # the rl rates; the state weight is its own
     return TomoPlan(SourceModel(pol.singlet(), TOMO_SINGLET_WEIGHT),

@@ -103,11 +103,11 @@ from .errors import ConfigError, DataError, IonHeraldError
 from . import polarization as pol
 from .correlate import lag_reach_ns
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
-                       arm_probabilities)
+                       arm_probabilities_of)
 from .records import (CHANNEL_APD, CHANNEL_NAMES, CHANNEL_PMT_ONSET,
-                      MAX_DIGITS, _LF, _MAX_LINE,
-                      _decode_digits, _line_starts, _parse_records,
-                      _record_text, _runs_within, _shaped_lines,
+                      MAX_DIGITS, _LF, _MAX_LINE, _decode_digits,
+                      _line_starts, _parse_records, _record_text,
+                      _run_starts, _runs_within, _shaped_lines,
                       _write_records)
 
 FILE_MAGIC = "#MANIFEST "
@@ -275,10 +275,10 @@ def _strictly_increasing(t: np.ndarray, last=None) -> None:
     CHECK_BLOCK stamps. A block already strictly increasing and above the
     bumped stamp before it, as nearly every block is, is left as it is.
     """
-    top = np.iinfo(np.int64).min if last is None else last + 1
+    top = -2 ** 63 if last is None else last + 1     # below every stamp
     for part in _chunks(len(t)):
         block = t[part]
-        if block[0] - part.start >= top and np.all(block[1:] > block[:-1]):
+        if block[0] - part.start >= top and (block[1:] > block[:-1]).all():
             top = block[-1] - (part.stop - 1)   # no tie: nothing bumped
             continue
         i = np.arange(part.start, part.stop)
@@ -301,9 +301,9 @@ def _finalize(apd_ns, apd_runs, onset_ns, onset_runs, manifest,
     order is trial order (see the module docstring), so a record takes the
     trial of its position within its channel."""
     for t, floor in ((apd_ns, last), (onset_ns, None)):
-        t.sort()
+        t.sort(kind="stable")   # merges runs in order, as its kinds come
         _strictly_increasing(t, floor)
-    order = np.argsort(apd_runs[0], kind="stable")
+    order = apd_runs[0].argsort(kind="stable")
     return EventStream(_runs(*(c[order] for c in apd_runs)), apd_ns,
                        onset_runs, onset_ns, manifest)
 
@@ -311,7 +311,7 @@ def _finalize(apd_ns, apd_runs, onset_ns, onset_runs, manifest,
 def _runs(trial, count=None):
     """The maximal (trial, count) runs of records given in order, one each
     (count None) or as runs of counts >= 1: equal neighbours summed."""
-    first = np.flatnonzero(np.diff(trial, prepend=trial[:1] - 1))
+    first = _run_starts(trial)
     if count is None:
         return trial[first], np.diff(first, append=len(trial))
     return trial[first], np.add.reduceat(count, first)
@@ -349,8 +349,7 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     without far clicks, is one block."""
     rng = np.random.default_rng(m.seed)
     seq, rates, n_trials = m.sequence, m.rates, m.n_trials
-    (marginal,), (joint,) = arm_probabilities(m.source, m.absorber,
-                                              [m.analyzer])
+    marginal, joint = arm_probabilities_of(m.source, m.absorber, m.analyzer)
     pair_clicks = rates.pair_rate * rates.eta_trigger * marginal
     p_abs = (rates.eta_herald * (joint / marginal) * rates.branching_s
              if marginal > 0.0 else 0.0)
@@ -371,12 +370,13 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     cand_t = np.concatenate([a_t + np.maximum(latency_s + jitter_s, 1e-9),
                              c_t])
     cand_trial = np.concatenate([a_trial, c_trial])
-    inside = cand_t < _window_start(cand_trial, seq) + seq.detect_s
+    inside = (cand_t < _window_start(cand_trial, seq)
+              + seq.detect_s).nonzero()[0]
+    inside = inside[cand_trial[inside].argsort()]
     cand_t, cand_trial = cand_t[inside], cand_trial[inside]
-    order = np.argsort(cand_trial)
-    first = np.flatnonzero(np.diff(cand_trial[order], prepend=-1) > 0)
-    onset_trial = cand_trial[order][first]
-    onset_ns = np.rint(np.minimum.reduceat(cand_t[order], first)
+    first = _run_starts(cand_trial)
+    onset_trial = cand_trial[first]
+    onset_ns = np.rint(np.minimum.reduceat(cand_t, first)
                        * 1e9).astype(np.int64)
 
     # the (b) clicks: the regions' and the others' totals, the regions'
@@ -386,7 +386,7 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     near = _pieces(_intervals(lo, hi, seq, n_trials), seq)
     near_s = near[2].sum()
     near_count = rng.poisson(b_rate * near[2])
-    kept = near_count > 0       # an empty piece takes no draw
+    kept = near_count.nonzero()[0]      # an empty piece takes no draw
     near, near_count = [c[kept] for c in near], near_count[kept]
     n_near = int(near_count.sum())
     n_far = rng.poisson(b_rate * max(run_s - near_s, 0.0))
@@ -473,7 +473,7 @@ def _trials_block(m: RunManifest, kinds, stop=None, last=None):
     The APD stamps are bumped above `last` (see _finalize)."""
     heads, rest = [], []
     for trial, count, stamps in kinds:
-        r = len(trial) if stop is None else np.searchsorted(trial, stop)
+        r = len(trial) if stop is None else trial.searchsorted(stop)
         n = int(count[:r].sum())
         heads.append((trial[:r], count[:r], stamps[:n]))
         rest.append((trial[r:], count[r:], stamps[n:]))
@@ -582,11 +582,11 @@ def _stamp_part(rng, out, pieces, count, seq: SequenceConfig) -> None:
     """Stamp count[i] uniform times in piece i into out, in piece order."""
     trial, off, length = pieces
     t = rng.random(len(out))
-    t *= np.repeat(length, count)
-    t += np.repeat(off, count)
+    t *= length.repeat(count)
+    t += off.repeat(count)
     # within its window, whatever the rounding
     np.minimum(t, seq.detect_s, out=t)
-    t += np.repeat(_window_start(trial, seq), count)
+    t += _window_start(trial, seq).repeat(count)
     t *= 1e9
     out[:] = np.rint(t, out=t)
 

@@ -3,14 +3,16 @@ prints them as a block at the end of the session; bins stamp columns as
 blocks of the one binner and counts their pairs by brute force; builds
 event streams from per-record columns, lays them out again and writes their
 records as the writer orders them; and assembles, scores and compares
-tomography states."""
+tomography states, the Werner states among them."""
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from ionherald import polarization as pol
 from ionherald import sim
 from ionherald import tomography as tom
+from ionherald.errors import DataError
 from ionherald.correlate import histogram_of_blocks
 
 ACCEPTANCE_LINES = []
@@ -113,6 +115,19 @@ def reference_text(stream):
     return "".join(f"{tr}\t{sim.CHANNEL_NAMES[ch]}\t{t}\tDETECT\n"
                    for tr, ch, t in zip(*(column.tolist() for column
                                           in file_columns(stream)))).encode()
+
+
+def maximally_mixed() -> pol.TwoQubitDensityMatrix:
+    return pol.TwoQubitDensityMatrix(np.eye(4, dtype=complex) / 4.0)
+
+
+def werner(weight: float) -> pol.TwoQubitDensityMatrix:
+    """weight * singlet + (1 - weight) * I/4."""
+    if not 0.0 <= weight <= 1.0:
+        raise DataError(f"Werner weight outside [0, 1]: {weight}")
+    return pol.TwoQubitDensityMatrix(
+        weight * pol.singlet().matrix
+        + (1.0 - weight) * np.eye(4, dtype=complex) / 4.0)
 
 
 def counts_table_from_values(values, raw=None, background=None,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (counts_table_from_values, histogram_of, nll_of_state,
-                      record_acceptance, trace_distance)
+                      record_acceptance, trace_distance, werner)
 from ionherald import polarization as pol
 from ionherald import presets
 from ionherald import tomography as tom
@@ -144,7 +144,7 @@ def test_criterion_5_closed_form_cross_checks():
     """Werner and pure-state formulas match the eigen-decomposition route."""
     worst_w = 0.0
     for p in (0.0, 0.25, 1.0 / 3.0, 0.5, 0.9067, 1.0):
-        m = tom.metrics(pol.werner(p))
+        m = tom.metrics(werner(p))
         worst_w = max(worst_w,
                       abs(m.fidelity_singlet - (1.0 + 3.0 * p) / 4.0),
                       abs(m.concurrence - max(0.0, (3.0 * p - 1.0) / 2.0)))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import counts_table_from_values
+from conftest import counts_table_from_values, werner
 from ionherald import sim
 from ionherald.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK,
                            load_manifest_config, main, reproduce_paper)
@@ -616,7 +616,7 @@ class TestPipeline:
         from ionherald import tomography as tom
         from ionherald import polarization as pol
         rng = np.random.default_rng(8)
-        lam = tom.expected_counts(pol.werner(0.95), normalization=400.0) + 10.0
+        lam = tom.expected_counts(werner(0.95), normalization=400.0) + 10.0
         raw = rng.poisson(lam)
         table = counts_table_from_values(np.maximum(0.0, raw - 10.0),
                                              raw=raw,

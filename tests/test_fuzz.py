@@ -32,8 +32,7 @@ import numpy as np  # noqa: E402
 from conftest import (block_of, counts_table_from_values,  # noqa: E402
                       file_columns, histogram_of, naive_counts,
                       reference_outside_window, reference_text,
-                      stream_fault, stream_of)
-from ionherald import polarization as pol  # noqa: E402
+                      stream_fault, stream_of, werner)
 from ionherald import presets, sim  # noqa: E402
 from ionherald import tomography as tom  # noqa: E402
 from ionherald.correlate import histogram_of_blocks  # noqa: E402
@@ -379,7 +378,7 @@ def test_fringe_exits_0_2_3_or_4(tmp_path, capsys, edits, point):
 @pytest.fixture(scope="module")
 def counts_table(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "counts.txt"
-    lam = tom.expected_counts(pol.werner(0.9), normalization=120.0)
+    lam = tom.expected_counts(werner(0.9), normalization=120.0)
     raw = np.random.default_rng(4).poisson(lam + 6.0)
     tom.write_counts_table(counts_table_from_values(
         np.maximum(raw - 6.0, 0.0), raw=raw, background=np.full(16, 6.0),

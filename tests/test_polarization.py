@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import maximally_mixed, werner
 from ionherald import polarization as pol
 from ionherald.errors import DataError
 from test_biphoton import joint_probability
@@ -190,7 +191,7 @@ class TestJointProjection:
 
     def test_maximally_mixed(self):
         rng = np.random.default_rng(7)
-        rho = pol.maximally_mixed()
+        rho = maximally_mixed()
         for _ in range(20):
             a, b = random_state(rng), random_state(rng)
             assert joint_probability(rho, a, b) == \
@@ -218,7 +219,7 @@ class TestJointProjection:
 class TestDensityMatrixInvariants:
     def test_werner_validates(self):
         for p in (0.0, 0.3, 1.0):
-            rho = pol.werner(p)
+            rho = werner(p)
             m = rho.matrix
             assert np.max(np.abs(m - m.conj().T)) < 1e-10
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-10)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import counts_table_from_values, nll_of_state, trace_distance
+from conftest import (counts_table_from_values, maximally_mixed, nll_of_state,
+                      trace_distance, werner)
 from ionherald import polarization as pol
 from ionherald import tomography as tom
 from ionherald.errors import DataError
@@ -44,14 +45,14 @@ class TestLinearInversion:
         assert trace_distance(pol.singlet().matrix, rec) < 1e-10
 
     def test_exact_on_maximally_mixed(self):
-        vals = tom.expected_counts(pol.maximally_mixed(), normalization=400.0)
+        vals = tom.expected_counts(maximally_mixed(), normalization=400.0)
         rec = tom.linear_inversion(counts_table_from_values(vals))
         assert trace_distance(np.eye(4) / 4.0, rec) < 1e-10
 
     def test_convergence_with_counts(self):
         # trace distance to truth shrinks like 1/sqrt(N) over a seed ensemble
         rng = np.random.default_rng(50)
-        rho = pol.werner(0.8).matrix
+        rho = werner(0.8).matrix
         errs = []
         for n_per in (100.0, 10_000.0):
             dists = []
@@ -97,7 +98,7 @@ class TestMLE:
     def test_agrees_with_inversion_when_psd(self):
         # at large N the inversion is already physical; MLE stays close
         rng = np.random.default_rng(53)
-        rho_true = pol.werner(0.6).matrix
+        rho_true = werner(0.6).matrix
         lam = tom.expected_counts(rho_true, normalization=10_000.0)
         table = counts_table_from_values(rng.poisson(lam).astype(float))
         inv = tom.linear_inversion(table)
@@ -107,7 +108,7 @@ class TestMLE:
 
     def test_deterministic(self):
         rng = np.random.default_rng(54)
-        lam = tom.expected_counts(pol.werner(0.9).matrix, normalization=120.0)
+        lam = tom.expected_counts(werner(0.9).matrix, normalization=120.0)
         table = counts_table_from_values(rng.poisson(lam).astype(float))
         r1 = tom.mle_reconstruct(table)
         r2 = tom.mle_reconstruct(table)
@@ -117,7 +118,7 @@ class TestMLE:
         # the fit depends on N and n only through their ratios; scaling by
         # a power of two is exact, so the state must not change by one bit
         rng = np.random.default_rng(63)
-        lam = tom.expected_counts(pol.werner(0.9), normalization=150.0)
+        lam = tom.expected_counts(werner(0.9), normalization=150.0)
         values = rng.poisson(lam).astype(float)
         base = tom.mle_reconstruct(counts_table_from_values(values))
         for factor in (2.0 ** -1000, 2.0 ** 1000):
@@ -138,7 +139,7 @@ class TestMLE:
                                           normalization=n_per)
                 tables.append(rng.poisson(lam).astype(float))
         for p, n_per in ((1.0, 50.0), (1.0, 200.0), (0.9, 200.0)):
-            lam = tom.expected_counts(pol.werner(p), normalization=n_per)
+            lam = tom.expected_counts(werner(p), normalization=n_per)
             tables.append(np.maximum(rng.poisson(lam + 2.0) - 2.0, 0.0))
         for values in tables:
             table = counts_table_from_values(values)
@@ -189,7 +190,7 @@ def bootstrap_tables():
     paper = counts_table_from_values(
         np.maximum(0.0, raw - bg), raw=raw, background=np.full(16, bg))
     rng = np.random.default_rng(61)
-    lam = tom.expected_counts(pol.werner(0.95).matrix, normalization=200.0)
+    lam = tom.expected_counts(werner(0.95).matrix, normalization=200.0)
     return paper, counts_table_from_values(rng.poisson(lam).astype(float))
 
 
@@ -226,14 +227,14 @@ class TestMetrics:
         assert m.tangle == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        m = tom.metrics(pol.maximally_mixed())
+        m = tom.metrics(maximally_mixed())
         assert m.fidelity_singlet == pytest.approx(0.25, abs=1e-12)
         assert m.concurrence == 0.0
         assert m.tangle == 0.0
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1.0 / 3.0, 0.5, 0.9067, 1.0])
     def test_werner_closed_forms(self, p):
-        m = tom.metrics(pol.werner(p))
+        m = tom.metrics(werner(p))
         assert m.fidelity_singlet == pytest.approx((1 + 3 * p) / 4.0,
                                                    abs=1e-10)
         assert m.concurrence == pytest.approx(max(0.0, (3 * p - 1) / 2.0),
@@ -242,7 +243,7 @@ class TestMetrics:
     def test_werner_09067_hits_published_fidelity_not_concurrence(self):
         # Werner mixing that reaches F = 0.93 tops out at C = 0.86: the
         # published C = 0.93 rules out a Werner-form measured state
-        m = tom.metrics(pol.werner(0.9067))
+        m = tom.metrics(werner(0.9067))
         assert m.fidelity_singlet == pytest.approx(0.930025, abs=1e-9)
         assert m.concurrence == pytest.approx(0.86005, abs=1e-9)
 
@@ -293,7 +294,7 @@ class TestMetrics:
 
 class TestNormalization:
     def test_closure_recovers_normalization(self):
-        vals = tom.expected_counts(pol.werner(0.77), normalization=777.0)
+        vals = tom.expected_counts(werner(0.77), normalization=777.0)
         table = counts_table_from_values(vals)
         assert tom.settings_normalization(table) == pytest.approx(777.0,
                                                                   rel=1e-12)
@@ -328,7 +329,7 @@ class TestBootstrap:
 class TestCountsTableIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(62)
-        lam = tom.expected_counts(pol.werner(0.9), normalization=150.0)
+        lam = tom.expected_counts(werner(0.9), normalization=150.0)
         raw = rng.poisson(lam + 14.0)
         corrected = np.maximum(0.0, raw - 14.0)
         table = counts_table_from_values(
@@ -370,7 +371,7 @@ class TestCountsTableIO:
 
     def test_rows_in_any_order_give_the_same_state(self):
         rng = np.random.default_rng(64)
-        lam = tom.expected_counts(pol.werner(0.8), normalization=200.0)
+        lam = tom.expected_counts(werner(0.8), normalization=200.0)
         table = counts_table_from_values(
             rng.poisson(lam).astype(float), background=np.arange(16.0))
         shuffled = tom.CountsTable(tuple(rng.permutation(table.rows)))
