@@ -12,7 +12,8 @@ one block. A pair is counted in the block that brings the later of its two
 records. Between blocks it holds only the tails a later record can still
 meet: the APD stamps within the window of the last onset so far (all of
 them before the first onset), joined only in a block that brings an onset,
-and the onsets within the window of the last click so far.
+and the onsets within the window of the last click so far. The tails are
+cut once the next block comes, so a whole stream, one block, cuts none.
 """
 
 from __future__ import annotations

@@ -343,7 +343,9 @@ class TomoPlan:
 
 @lru_cache(maxsize=None)
 def tomo_plan() -> TomoPlan:
-    # the rl rates; the state weight is its own
+    # the rl rates; the state weight is its own. One plan, so that its
+    # source, hashed by its state's identity, finds its arm probabilities
+    # cached (biphoton.arm_probabilities_of)
     return TomoPlan(SourceModel(pol.singlet(), TOMO_SINGLET_WEIGHT),
                     calibrate_fringe_preset("rl").rates)
 

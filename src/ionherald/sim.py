@@ -45,7 +45,9 @@ record order, each count at least 1. Within one channel, stamps that tie
 after rounding are bumped +1 ns until they strictly increase, so each
 channel's stamps are unique.
 Detection windows of adjacent trials are at least 1 ns apart, so stamps only
-tie within one trial and time order is also trial order. ``write_events``
+tie within one trial and time order is also trial order: the onset
+candidates are grouped by trial, and a record takes its trial, by sorting
+times and trials each on its own. ``write_events``
 interleaves the two channels into one time-ordered file; where an APD and a
 PMT_ONSET record share a nanosecond stamp, the APD record comes first.
 ``read_events`` takes the two channels' records interleaved in any order.
@@ -300,8 +302,9 @@ def _finalize(apd_ns, apd_runs, onset_ns, onset_runs, manifest,
     t_ns column; the APD runs are stably sorted by trial and merged. Time
     order is trial order (see the module docstring), so a record takes the
     trial of its position within its channel."""
+    apd_ns.sort()
+    onset_ns.sort(kind="stable")    # drawn in order: one pass
     for t, floor in ((apd_ns, last), (onset_ns, None)):
-        t.sort(kind="stable")   # merges runs in order, as its kinds come
         _strictly_increasing(t, floor)
     order = apd_runs[0].argsort(kind="stable")
     return EventStream(_runs(*(c[order] for c in apd_runs)), apd_ns,
@@ -370,14 +373,12 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     cand_t = np.concatenate([a_t + np.maximum(latency_s + jitter_s, 1e-9),
                              c_t])
     cand_trial = np.concatenate([a_trial, c_trial])
-    inside = (cand_t < _window_start(cand_trial, seq)
-              + seq.detect_s).nonzero()[0]
-    inside = inside[cand_trial[inside].argsort()]
-    cand_t, cand_trial = cand_t[inside], cand_trial[inside]
+    inside = cand_t < _window_start(cand_trial, seq) + seq.detect_s
+    # grouped by trial, each trial's earliest first (module docstring)
+    cand_t, cand_trial = np.sort(cand_t[inside]), np.sort(cand_trial[inside])
     first = _run_starts(cand_trial)
     onset_trial = cand_trial[first]
-    onset_ns = np.rint(np.minimum.reduceat(cand_t, first)
-                       * 1e9).astype(np.int64)
+    onset_ns = np.rint(cand_t[first] * 1e9).astype(np.int64)
 
     # the (b) clicks: the regions' and the others' totals, the regions'
     # times, and in a full stream the others' times
@@ -418,7 +419,6 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     np.cumsum(ends, out=ends)
     # blocks are cut by trial, where the onsets' final stamps allow
     kinds[0] = tuple(c[np.argsort(a_trial, kind="stable")] for c in kinds[0])
-    onset_ns.sort()
     _strictly_increasing(onset_ns)
 
     def blocks():
@@ -542,11 +542,11 @@ def _intervals(lo, hi, seq: SequenceConfig, n_trials: int):
     after lo, and the index of each one's first piece, with the number of
     pieces last. A piece is the part of an interval in one window."""
     w = seq.detect_s
-    first = np.clip(np.floor((lo - seq.detect_offset_s - w) / seq.period_s)
-                    + 1, 0, n_trials - 1)
+    first = (np.floor((lo - seq.detect_offset_s - w) / seq.period_s)
+             + 1).clip(0, n_trials - 1)
     # to the last window that starts before hi
-    last = np.clip(np.ceil((hi - seq.detect_offset_s) / seq.period_s) - 1,
-                   0, n_trials - 1)
+    last = (np.ceil((hi - seq.detect_offset_s) / seq.period_s)
+            - 1).clip(0, n_trials - 1)
     n = np.maximum(last - first + 1, 0).astype(np.int64)
     return lo, hi, first, np.append(0, np.cumsum(n))
 
@@ -565,14 +565,14 @@ def _pieces(intervals, seq: SequenceConfig, part=slice(0, None)):
         + np.arange(j0, j1)
     start = _window_start(trial, seq)
     w = seq.detect_s
-    off = np.clip(np.repeat(lo[i0:i1], n) - start, 0.0, w)
-    return trial, off, np.clip(np.repeat(hi[i0:i1], n) - start, 0.0, w) - off
+    off = (lo[i0:i1].repeat(n) - start).clip(0.0, w)
+    return trial, off, (hi[i0:i1].repeat(n) - start).clip(0.0, w) - off
 
 
 def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
     """Stamp count[i] uniform times in piece i into out, in piece order,
     CHECK_BLOCK at a time."""
-    ends = np.cumsum(count)
+    ends = count.cumsum()
     for part in _chunks(len(out)):
         k, c = _runs_within(ends, part.start, part.stop)
         _stamp_part(rng, out[part], [column[k] for column in pieces], c, seq)
@@ -930,7 +930,7 @@ class _Rules:
             order = np.argsort(trial, kind="stable")
             t, c = trial[order], count[order]
             before = np.cumsum(c) - c
-            first = np.flatnonzero(np.diff(t, prepend=t[:1] - 1))
+            first = _run_starts(t)
             k[order] += before - np.repeat(before[first],
                                            np.diff(first, append=len(t)))
         if code == CHANNEL_PMT_ONSET:
