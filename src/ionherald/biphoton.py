@@ -20,7 +20,6 @@ their per-pair trigger and joint probabilities from it, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -139,15 +138,6 @@ def arm_probabilities(source: SourceModel, absorber: AbsorberSetting,
             * b[None, :, None, :, None, :]).reshape(2, len(b), 4, 4)
     marginal, joint = np.clip(
         np.trace(rho @ proj, axis1=2, axis2=3).real, 0.0, 1.0)
-    return marginal, joint
-
-
-@lru_cache(maxsize=256)
-def arm_probabilities_of(source: SourceModel, absorber: AbsorberSetting,
-                         analyzer: AnalyzerSetting) -> tuple[float, float]:
-    """arm_probabilities of one analyzer, (marginal, joint), kept for the
-    last 256 settings: equal settings give the same numbers."""
-    (marginal,), (joint,) = arm_probabilities(source, absorber, [analyzer])
     return marginal, joint
 
 

@@ -47,7 +47,7 @@ class CoincidenceHistogram:
         counts = np.asarray(self.counts, dtype=np.int64)
         if lags.shape != counts.shape:
             raise DataError("lags and counts length mismatch")
-        if (counts < 0).any():
+        if np.any(counts < 0):
             raise DataError("negative histogram count")
         if counts.sum() > self.total_apd * self.total_onsets:
             raise DataError("histogram counts exceed pair bound")
@@ -166,16 +166,16 @@ def _histogram(blocks, window, bin_width_us: float, duration_s: float,
         if new_apd is not None:     # what this block can meet of those before
             if total_onsets:
                 cut = last_onset - above
-                new_apd = new_apd[new_apd.searchsorted(cut, side="right"):]
+                new_apd = new_apd[np.searchsorted(new_apd, cut, side="right"):]
             if len(new_onsets):
                 apd = [np.concatenate([
-                    *(piece[piece.searchsorted(cut, side="right"):]
+                    *(piece[np.searchsorted(piece, cut, side="right"):]
                       for piece in apd), new_apd])]
             elif len(new_apd):
                 apd.append(new_apd)
             if total_apd:
-                onsets = onsets[onsets.searchsorted(last_apd - below,
-                                                    side="right"):]
+                onsets = onsets[np.searchsorted(onsets, last_apd - below,
+                                                side="right"):]
         new_apd, new_onsets = block.apd_ns, block.onset_ns
         onsets = np.concatenate([onsets, new_onsets])
         counts += _lag_counts(new_apd, onsets, window)

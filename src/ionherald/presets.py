@@ -341,11 +341,8 @@ class TomoPlan:
     sequence: ClassVar[SequenceConfig] = SequenceConfig()
 
 
-@lru_cache(maxsize=None)
 def tomo_plan() -> TomoPlan:
-    # the rl rates; the state weight is its own. One plan, so that its
-    # source, hashed by its state's identity, finds its arm probabilities
-    # cached (biphoton.arm_probabilities_of)
+    # the rl rates; the state weight is its own
     return TomoPlan(SourceModel(pol.singlet(), TOMO_SINGLET_WEIGHT),
                     calibrate_fringe_preset("rl").rates)
 

@@ -60,14 +60,6 @@ _DIGIT_SUMS = [(np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(10 << 8 | 1),
                 np.uint64(32))]
 
 
-def _run_starts(x):
-    """The index of the first item of each run of equal items of x."""
-    new = np.empty(len(x), bool)
-    new[:1] = True
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    return new.nonzero()[0]
-
-
 def _runs_within(ends, start, stop):
     """The runs of items, run i's last one before ends[i], with items start
     to stop - 1: as a slice of them, and how many each holds there."""

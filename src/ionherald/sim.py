@@ -47,9 +47,9 @@ channel's stamps are unique.
 Detection windows of adjacent trials are at least 1 ns apart, so stamps only
 tie within one trial and time order is also trial order: the onset
 candidates are grouped by trial, and a record takes its trial, by sorting
-times and trials each on its own. ``write_events``
-interleaves the two channels into one time-ordered file; where an APD and a
-PMT_ONSET record share a nanosecond stamp, the APD record comes first.
+times and trials each on its own. ``write_events`` interleaves the two
+channels into one time-ordered file; where an APD and a PMT_ONSET record
+share a nanosecond stamp, the APD record comes first.
 ``read_events`` takes the two channels' records interleaved in any order.
 
 An event file is text. Its first line is ``#MANIFEST `` followed by the
@@ -105,11 +105,11 @@ from .errors import ConfigError, DataError, IonHeraldError
 from . import polarization as pol
 from .correlate import lag_reach_ns
 from .biphoton import (AbsorberSetting, AnalyzerSetting, SourceModel,
-                       arm_probabilities_of)
+                       arm_probabilities)
 from .records import (CHANNEL_APD, CHANNEL_NAMES, CHANNEL_PMT_ONSET,
-                      MAX_DIGITS, _LF, _MAX_LINE, _decode_digits,
-                      _line_starts, _parse_records, _record_text,
-                      _run_starts, _runs_within, _shaped_lines,
+                      MAX_DIGITS, _LF, _MAX_LINE,
+                      _decode_digits, _line_starts, _parse_records,
+                      _record_text, _runs_within, _shaped_lines,
                       _write_records)
 
 FILE_MAGIC = "#MANIFEST "
@@ -277,10 +277,10 @@ def _strictly_increasing(t: np.ndarray, last=None) -> None:
     CHECK_BLOCK stamps. A block already strictly increasing and above the
     bumped stamp before it, as nearly every block is, is left as it is.
     """
-    top = -2 ** 63 if last is None else last + 1     # below every stamp
+    top = np.iinfo(np.int64).min if last is None else last + 1
     for part in _chunks(len(t)):
         block = t[part]
-        if block[0] - part.start >= top and (block[1:] > block[:-1]).all():
+        if block[0] - part.start >= top and np.all(block[1:] > block[:-1]):
             top = block[-1] - (part.stop - 1)   # no tie: nothing bumped
             continue
         i = np.arange(part.start, part.stop)
@@ -306,9 +306,14 @@ def _finalize(apd_ns, apd_runs, onset_ns, onset_runs, manifest,
     onset_ns.sort(kind="stable")    # drawn in order: one pass
     for t, floor in ((apd_ns, last), (onset_ns, None)):
         _strictly_increasing(t, floor)
-    order = apd_runs[0].argsort(kind="stable")
+    order = np.argsort(apd_runs[0], kind="stable")
     return EventStream(_runs(*(c[order] for c in apd_runs)), apd_ns,
                        onset_runs, onset_ns, manifest)
+
+
+def _run_starts(x):
+    """The index of the first item of each run of equal items of x."""
+    return np.concatenate(([True], x[1:] != x[:-1]))[:len(x)].nonzero()[0]
 
 
 def _runs(trial, count=None):
@@ -352,7 +357,8 @@ def _simulate_blocks(m: RunManifest, counting: bool = False):
     without far clicks, is one block."""
     rng = np.random.default_rng(m.seed)
     seq, rates, n_trials = m.sequence, m.rates, m.n_trials
-    marginal, joint = arm_probabilities_of(m.source, m.absorber, m.analyzer)
+    (marginal,), (joint,) = arm_probabilities(m.source, m.absorber,
+                                              [m.analyzer])
     pair_clicks = rates.pair_rate * rates.eta_trigger * marginal
     p_abs = (rates.eta_herald * (joint / marginal) * rates.branching_s
              if marginal > 0.0 else 0.0)
@@ -473,7 +479,7 @@ def _trials_block(m: RunManifest, kinds, stop=None, last=None):
     The APD stamps are bumped above `last` (see _finalize)."""
     heads, rest = [], []
     for trial, count, stamps in kinds:
-        r = len(trial) if stop is None else trial.searchsorted(stop)
+        r = len(trial) if stop is None else np.searchsorted(trial, stop)
         n = int(count[:r].sum())
         heads.append((trial[:r], count[:r], stamps[:n]))
         rest.append((trial[r:], count[r:], stamps[n:]))
@@ -572,7 +578,7 @@ def _pieces(intervals, seq: SequenceConfig, part=slice(0, None)):
 def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
     """Stamp count[i] uniform times in piece i into out, in piece order,
     CHECK_BLOCK at a time."""
-    ends = count.cumsum()
+    ends = np.cumsum(count)
     for part in _chunks(len(out)):
         k, c = _runs_within(ends, part.start, part.stop)
         _stamp_part(rng, out[part], [column[k] for column in pieces], c, seq)

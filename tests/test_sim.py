@@ -11,7 +11,7 @@ from conftest import (columns_of, file_columns, histogram_of,
                       reference_outside_window, reference_text, stream_fault,
                       stream_of)
 from ionherald import polarization as pol
-from ionherald import biphoton, cli, presets, records, sim
+from ionherald import cli, presets, records, sim
 from ionherald.biphoton import AnalyzerSetting, SourceModel, absorber_for
 from ionherald.cli import EXIT_DATA, main
 from ionherald.correlate import (histogram_from_stream, lag_reach_ns,
@@ -234,32 +234,6 @@ class TestStreamPins:
         assert (len(stream), len(stream.onset_times())) == (171_559, 1666)
         assert stream_digest(stream) == (
             "7ce5df6247820f33aa469350364026d9d35a4672d0b5657a5ed6f57f5bb2a78f")
-
-
-class TestArmProbabilityCache:
-    def test_streams_as_without_the_cache(self, monkeypatch):
-        # A, B, A with B another analyzer, then another singlet weight: each
-        # stream is the one drawn with arm_probabilities uncached
-        a = make_manifest(seed=5, duration_s=30.0)
-        others = [dataclasses.replace(a, analyzer=AnalyzerSetting(pol.H)),
-                  dataclasses.replace(a, source=SourceModel(
-                      a.source.ideal_state, 0.5))]
-        for b in others:
-            cached = [simulate_run(m, counting=True) for m in (a, b, a)]
-            with monkeypatch.context() as patch:
-                patch.setattr(sim, "arm_probabilities_of",
-                              biphoton.arm_probabilities_of.__wrapped__)
-                uncached = [simulate_run(m, counting=True) for m in (a, b, a)]
-            assert cached == uncached
-            assert cached[0] != cached[1]
-
-    def test_bounded(self):
-        cache = biphoton.arm_probabilities_of
-        for angle in np.linspace(0.0, 90.0, cache.cache_info().maxsize + 8):
-            sim._simulate_blocks(make_manifest(
-                duration_s=0.0, analyzer=AnalyzerSetting(pol.L, angle)))
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize == info.maxsize
 
 
 def ns(*values):
