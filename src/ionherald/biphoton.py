@@ -120,6 +120,9 @@ def scan_analyzer(basis: PolarizationBasis, hwp_deg: float,
     return AnalyzerSetting(pol.from_poincare(n), hwp_angle=float(hwp_deg))
 
 
+_I2 = np.eye(2)
+
+
 def arm_probabilities(source: SourceModel, absorber: AbsorberSetting,
                       analyzers) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair arm probabilities, one entry per analyzer setting.
@@ -132,12 +135,11 @@ def arm_probabilities(source: SourceModel, absorber: AbsorberSetting,
     rho = source.effective_state().matrix
     # kron(a, b)[2i + j, 2k + l] = a[i, k] * b[j, l], for a in (I, allowed)
     # and b over the analyzers: one (2, n, 4, 4) stack of projectors
-    a = np.stack([np.eye(2), absorber.allowed.projector()])
-    b = np.stack([an.projector_state.projector() for an in analyzers])
+    a = np.array([_I2, absorber.allowed.projector()])
+    b = np.array([an.projector_state.projector() for an in analyzers])
     proj = (a[:, None, :, None, :, None]
             * b[None, :, None, :, None, :]).reshape(2, len(b), 4, 4)
-    marginal, joint = np.clip(
-        np.trace(rho @ proj, axis1=2, axis2=3).real, 0.0, 1.0)
+    marginal, joint = (rho @ proj).trace(axis1=2, axis2=3).real.clip(0.0, 1.0)
     return marginal, joint
 
 

@@ -578,6 +578,8 @@ def _pieces(intervals, seq: SequenceConfig, part=slice(0, None)):
 def _stamp_uniform(rng, out, pieces, count, seq: SequenceConfig) -> None:
     """Stamp count[i] uniform times in piece i into out, in piece order,
     CHECK_BLOCK at a time."""
+    if len(out) <= CHECK_BLOCK:     # one part: the pieces as they are
+        return _stamp_part(rng, out, pieces, count, seq)
     ends = np.cumsum(count)
     for part in _chunks(len(out)):
         k, c = _runs_within(ends, part.start, part.stop)
